@@ -10,11 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from . import __version__
 from ._format import dumps, format_float
@@ -23,7 +19,7 @@ from .feshbach import feshbach_pole_search
 from .model import DeviceSpec, device_from_json, make_tdot, tdot_params
 from .oracle import build_report, pole_set_distance
 from .poles import pole_to_record
-from .scattering import scattering_solve, sweep_rows_csv, transmission_sweep
+from .scattering import sweep_rows_csv, transmission_sweep
 from .siegert import solve_poles
 from .wavefunction import evaluate, wavefunction_csv
 
@@ -33,26 +29,6 @@ POLE_COLUMNS = (
     "z_re", "z_im", "k_re", "k_im", "E_re", "E_im",
     "class", "amp0_re", "amp0_im", "ampd_re", "ampd_im",
 )
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("RESPOLE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ParameterError(f"RESPOLE_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ParameterError(f"RESPOLE_THREADS must be >= 0, got {n}")
-    return n if n > 0 else (os.cpu_count() or 1)
-
-
-def _pmap(fn, items):
-    """Ordered map over grid points, threaded when RESPOLE_THREADS allows."""
-    n = _thread_count()
-    if n <= 1 or len(items) < 2:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
@@ -188,20 +164,12 @@ def cmd_transmission(args: argparse.Namespace) -> int:
     steps = _resolve(args, cfg, "steps", cast=int)
     if k_min is None or k_max is None or steps is None:
         raise ParameterError("transmission needs --kmin, --kmax and --steps")
-    if _thread_count() <= 1:
-        rows = transmission_sweep(spec, k_min, k_max, steps)
-    else:
-        # same grid and preconditions, fanned out over threads
-        if steps < 2:
-            raise ParameterError(f"sweep needs at least 2 steps, got {steps}")
-        transmission_sweep(spec, k_min, k_max, 2)
-        ks = np.linspace(k_min, k_max, steps)
-        rows = _pmap(lambda k: scattering_solve(spec, float(k)), list(ks))
+    rows = transmission_sweep(spec, k_min, k_max, steps)
     _emit(sweep_rows_csv(rows), args.out)
     return 0
 
 
-SWEEP_HEADER = "param,z_re,z_im,k_re,k_im,E_re,E_im,class"
+POLE_SWEEP_HEADER = "param,z_re,z_im,k_re,k_im,E_re,E_im,class"
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -227,8 +195,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             s = make_tdot(params.t, params.t1, v)
         return solve_poles(s)
 
-    all_poles = _pmap(point, values)
-    lines = [SWEEP_HEADER]
+    all_poles = [point(v) for v in values]
+    lines = [POLE_SWEEP_HEADER]
     transitions = []
     prev_multiset = None
     for v, poles in zip(values, all_poles):

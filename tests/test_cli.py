@@ -191,19 +191,14 @@ def test_outputs_are_deterministic(capsys):
     assert t1 == t2
 
 
-def test_threaded_sweep_matches_serial(capsys, monkeypatch):
-    args = ("transmission", "--kmin", "0.2", "--kmax", "3.0", "--steps", "64")
-    monkeypatch.setenv("RESPOLE_THREADS", "1")
-    _, serial, _ = run(capsys, *args)
-    monkeypatch.setenv("RESPOLE_THREADS", "4")
-    _, threaded, _ = run(capsys, *args)
-    assert serial == threaded
-    monkeypatch.setenv("RESPOLE_THREADS", "0")  # auto
-    _, auto, _ = run(capsys, *args)
-    assert serial == auto
-    monkeypatch.setenv("RESPOLE_THREADS", "not-a-number")
-    code, _, err = run(capsys, *args)
-    assert code == 2
+def test_transmission_singular_grid_point(capsys):
+    # t1 = 0 leaves the dot row of E - H_eff empty where E(k) = eps_d
+    eps_d = repr(-2.0 * math.cos(0.7))
+    code, out, err = run(capsys, "transmission", "--t1", "0", "--eps-d", eps_d,
+                         "--kmin", "0.7", "--kmax", "2.0", "--steps", "5")
+    assert code == 3
+    assert out == ""
+    assert "inner system singular at k = 0.7" in err
 
 
 def test_config_file_layering(tmp_path, capsys):

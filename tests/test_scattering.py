@@ -1,14 +1,19 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
 from respole import (
+    DeviceSpec,
     NumericalError,
     ParameterError,
     PoleClass,
+    ScatteringSolution,
     build_h_eff,
+    device_to_json,
     green_function,
     make_tdot,
     scattering_solve,
@@ -17,7 +22,9 @@ from respole import (
     transmission_sweep,
     verify_green_identity,
 )
-from respole.scattering import SWEEP_HEADER, sweep_rows_csv
+from respole._format import format_float
+from respole.cli import main
+from respole.scattering import SOLVE_CHUNK, SWEEP_HEADER, sweep_rows_csv
 
 
 def independent_2x2_solve(t, t1, ed, k, rhs0):
@@ -51,6 +58,50 @@ def lattice_resolvent(t1, ed, t, k, eta, half):
     rhs[i_contact] = 1.0
     g = solve_banded((2, 2), ab, rhs)
     return g[i_contact], g[i_dot]
+
+
+def reference_sweep(spec, k_min, k_max, steps):
+    """Oracle: one single-matrix solve of E I - H_eff(z) per k."""
+    rows = []
+    for k in np.linspace(k_min, k_max, steps).tolist():
+        z = complex(math.cos(k), math.sin(k))
+        E = -2.0 * spec.lead_t * math.cos(k)
+        m = E * np.eye(spec.n_sites, dtype=complex) - build_h_eff(spec, z).matrix
+        rhs = np.zeros(spec.n_sites, dtype=complex)
+        rhs[spec.contact] = 2j * spec.lead_t * math.sin(k)
+        amps = np.linalg.solve(m, rhs).tolist()
+        c = amps[spec.contact]
+        rows.append(ScatteringSolution(
+            k=k, E=E, B=c - 1.0, C=c, amps=tuple(amps),
+            T=abs(c) ** 2, R=abs(c - 1.0) ** 2,
+        ))
+    return rows
+
+
+def reference_csv(rows):
+    lines = [SWEEP_HEADER]
+    for r in rows:
+        lines.append(",".join(
+            format_float(v)
+            for v in (r.k, r.E, r.T, r.R, r.B.real, r.B.imag, r.C.real, r.C.imag)
+        ))
+    return "\n".join(lines) + "\n"
+
+
+def random_device(rng, n):
+    """A chain with extra random bonds; the contact is never site 0."""
+    bonds = {(i, i + 1): -rng.uniform(0.3, 1.5) for i in range(n - 1)}
+    for i in range(n):
+        for j in range(i + 2, n):
+            if rng.uniform() < 0.3:
+                bonds[(i, j)] = rng.uniform(-1.5, 1.5)
+    return DeviceSpec(
+        n_sites=n,
+        onsite=tuple(rng.uniform(-2.0, 2.0, size=n).tolist()),
+        hoppings=tuple((i, j, a) for (i, j), a in bonds.items()),
+        contact=int(rng.integers(1, n)),
+        lead_t=float(rng.uniform(0.5, 2.0)),
+    )
 
 
 def extrapolate_to_zero(xs, ys):
@@ -204,3 +255,32 @@ def test_smatrix_denominator_vanishes_at_poles():
     spec = make_tdot(1.0, 1.0, 0.3)
     res = next(p for p in solve_poles(spec) if p.pole_class is PoleClass.RESONANT)
     assert abs(secular_residual(spec, res.z)) < 1e-10
+
+
+def test_batched_sweep_matches_per_k_solves_bit_for_bit(tmp_path, capsys):
+    rng = np.random.default_rng(2024)
+    specs = [make_tdot(1.0, 0.7, -0.4)] + [
+        random_device(rng, n) for n in (3, 4, 5, 6, 7, 8)
+    ]
+    steps = 2 * SOLVE_CHUNK + 37  # three chunks, the last one partial
+    for idx, spec in enumerate(specs):
+        k_min, k_max = 0.05 + 0.01 * idx, math.pi - 0.07
+        ref = reference_sweep(spec, k_min, k_max, steps)
+        rows = transmission_sweep(spec, k_min, k_max, steps)
+        assert rows == ref
+        for i in (0, SOLVE_CHUNK, steps - 1):
+            assert scattering_solve(spec, ref[i].k) == ref[i]
+        cfg = tmp_path / f"dev{idx}.json"
+        cfg.write_text(json.dumps({"model": device_to_json(spec)}))
+        code = main(["transmission", "--config", str(cfg), "--kmin", repr(k_min),
+                     "--kmax", repr(k_max), "--steps", str(steps)])
+        assert code == 0
+        assert capsys.readouterr().out == reference_csv(ref)
+
+
+def test_singular_point_past_first_chunk_is_named():
+    ks = np.linspace(0.2, 2.9, SOLVE_CHUNK + 100).tolist()
+    k_bad = ks[SOLVE_CHUNK + 40]
+    spec = make_tdot(1.0, 0.0, -2.0 * math.cos(k_bad))
+    with pytest.raises(NumericalError, match=re.escape(f"singular at k = {k_bad}") + "$"):
+        transmission_sweep(spec, 0.2, 2.9, len(ks))
