@@ -47,7 +47,7 @@ from .scattering import (
     transmission_sweep,
     verify_green_identity,
 )
-from .siegert import ClosedFormEps0, closed_form_eps0, poly_roots, secular_polynomial, solve_poles
+from .siegert import ClosedFormEps0, closed_form_eps0, solve_poles
 from .wavefunction import (
     WavefunctionSample,
     decay_rate,
@@ -91,10 +91,8 @@ __all__ = [
     "pole_residual_report",
     "pole_set_distance",
     "pole_to_record",
-    "poly_roots",
     "q_space_reconstruct",
     "scattering_solve",
-    "secular_polynomial",
     "secular_residual",
     "self_energy",
     "solve_poles",

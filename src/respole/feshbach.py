@@ -17,7 +17,7 @@ import numpy as np
 from .dispersion import energy_from_z, k_from_z, z_pair_from_energy
 from .errors import BandEdgeError, NumericalError, ParameterError
 from .model import DeviceSpec, p_space_hamiltonian, tdot_params
-from .poles import PoleClass, SpectralPole, classify
+from .poles import PoleClass, SpectralPole, make_pole
 
 DEDUP_DISTANCE = 1e-8
 SEED_CIRCLES = (0.5, 0.999, 1.5)
@@ -50,18 +50,17 @@ def surface_green(x: int, z: complex, t: float) -> complex:
 
 @dataclass(frozen=True)
 class EffectiveHamiltonian:
-    """The projected matrix at a fixed Bloch factor, with its site basis."""
+    """The projected matrix at a fixed Bloch factor (rows in site order)."""
 
     matrix: np.ndarray
     z: complex
-    basis: tuple[int, ...]
 
 
 def build_h_eff(spec: DeviceSpec, z: complex) -> EffectiveHamiltonian:
     """Device block plus the lead self-energy on the contact diagonal."""
     h = p_space_hamiltonian(spec).astype(complex)
     h[spec.contact, spec.contact] += self_energy(z, spec.lead_t)
-    return EffectiveHamiltonian(matrix=h, z=z, basis=tuple(range(spec.n_sites)))
+    return EffectiveHamiltonian(matrix=h, z=z)
 
 
 def secular_residual(spec: DeviceSpec, z: complex) -> complex:
@@ -98,43 +97,13 @@ def q_space_reconstruct(pole: SpectralPole, x: int) -> complex:
     return pole.z ** abs(x) * pole.amp0
 
 
-def _null_amplitudes(spec: DeviceSpec, z: complex, E: complex) -> tuple[complex, ...]:
-    """Inner-space amplitudes of the state at a secular root.
-
-    The contact amplitude is pinned to 1 and the remaining rows are solved
-    exactly; if that reduced block is itself singular (decoupled corner), the
-    smallest singular vector is used with the largest entry normalized to 1.
-    """
-    n = spec.n_sites
-    if n == 1:
-        return (1.0 + 0j,)
-    m = E * np.eye(n, dtype=complex) - build_h_eff(spec, z).matrix
-    c = spec.contact
-    rest = [i for i in range(n) if i != c]
-    sub = m[np.ix_(rest, rest)]
-    rhs = -m[rest, c]
-    try:
-        v_rest = np.linalg.solve(sub, rhs)
-        if np.all(np.isfinite(v_rest)) and np.max(np.abs(v_rest), initial=0.0) < 1e12:
-            amps = np.empty(n, dtype=complex)
-            amps[c] = 1.0
-            amps[rest] = v_rest
-            return tuple(amps)
-    except np.linalg.LinAlgError:
-        pass
-    # contact row decoupled from the rest; fall back to the raw null vector
-    _, _, vh = np.linalg.svd(m)
-    v = vh[-1].conj()
-    lead = np.argmax(np.abs(v))
-    return tuple(v / v[lead])
-
-
 def _make_pole(spec: DeviceSpec, z: complex) -> SpectralPole:
+    """The state at secular root z; its amplitudes are the smallest singular
+    vector of E(z) - H_eff(z)."""
     E = energy_from_z(z, spec.lead_t)
-    amps = _null_amplitudes(spec, z, E)
-    return SpectralPole(
-        z=z, k=k_from_z(z), E=E, pole_class=classify(z), amps=amps, contact=spec.contact
-    )
+    m = E * np.eye(spec.n_sites, dtype=complex) - build_h_eff(spec, z).matrix
+    null_vector = np.linalg.svd(m)[2][-1].conj()
+    return make_pole(z, E, null_vector, spec.contact)
 
 
 def decoupled_poles(spec: DeviceSpec) -> list[SpectralPole]:

@@ -13,10 +13,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .dispersion import k_from_z, wrap_to_zone
 from .errors import ClassificationError, ParameterError
 
 CLASSIFY_TOL = 1e-9
+# a contact amplitude below this fraction of the largest one means the state
+# misses the contact, and dividing by it would only scale up rounding noise
+CONTACT_PIN_TOL = 1e-12
 
 
 class PoleClass(str, Enum):
@@ -36,7 +41,7 @@ BOUND_CLASSES = (PoleClass.BOUND_LOWER, PoleClass.BOUND_UPPER)
 class SpectralPole:
     """One discrete eigenstate: Bloch factor, wave number, energy, class,
     and the inner-space amplitudes (site order, contact normalized to 1
-    whenever possible)."""
+    unless the state misses the contact; see :func:`make_pole`)."""
 
     z: complex
     k: complex
@@ -52,12 +57,31 @@ class SpectralPole:
 
     @property
     def amp_d(self) -> complex:
-        """Amplitude on the side-coupled level (2-site devices)."""
-        return self.amps[1] if len(self.amps) > 1 else 0j
+        """Amplitude on the first site other than the contact (the
+        side-coupled level of a 2-site device); 0 for a 1-site device."""
+        if len(self.amps) == 1:
+            return 0j
+        return self.amps[1 if self.contact == 0 else 0]
 
     @property
     def normalizable(self) -> bool:
         return self.pole_class in BOUND_CLASSES
+
+
+def make_pole(z: complex, E: complex, null_vector, contact: int) -> SpectralPole:
+    """The classified state at secular root z with the amplitudes of its null
+    vector, scaled so the contact reads exactly 1; a state that misses the
+    contact (|v_c| <= CONTACT_PIN_TOL * max|v|) has its largest entry pinned
+    to 1 instead."""
+    v = np.asarray(null_vector, dtype=complex)
+    mag = np.abs(v)
+    pin = contact if mag[contact] > CONTACT_PIN_TOL * mag.max() else int(np.argmax(mag))
+    amps = v / v[pin]
+    amps[pin] = 1.0
+    return SpectralPole(
+        z=z, k=k_from_z(z), E=E, pole_class=classify(z), amps=tuple(amps.tolist()),
+        contact=contact,
+    )
 
 
 def classify(z: complex, tol: float = CLASSIFY_TOL) -> PoleClass:

@@ -4,9 +4,10 @@ A unit wave incident from the left fixes the inner amplitudes through
 
     (E - H_eff(e^{ik})) (amp0, amp_d, ...)^T = (2 i t sin k, 0, ...)^T,
 
-with continuity A + B = C = amp0 across the contact.  The lattice Green's
-function with the source on the contact solves the same system with
-right-hand side (1, 0, ...), so the two are proportional through i v_g.
+with continuity A + B = C = amp0 across the contact and A = 1.  The
+lattice Green's function with the source on the contact solves the same
+system with right-hand side (1, 0, ...), so the two are proportional
+through i v_g.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ SOLVE_CHUNK = 256
 
 @dataclass(frozen=True)
 class ScatteringSolution:
-    """Amplitudes and probabilities at one real k in (0, pi)."""
+    """Amplitudes and probabilities at one real k in (0, pi), for a unit
+    incident wave: B reflected, C transmitted."""
 
     k: float
     E: float
@@ -37,17 +39,16 @@ class ScatteringSolution:
     amps: tuple[complex, ...]
     T: float
     R: float
-    A: complex = 1.0 + 0j
 
 
 @dataclass(frozen=True)
 class GreenPair:
-    """Retarded resolvent elements with the source on the contact site."""
+    """Retarded resolvent elements with the source on the contact site:
+    G00 on the contact, ``values`` on every site in site order."""
 
     k: float
     G00: complex
-    Gd0: complex
-    values: tuple[complex, ...] = ()
+    values: tuple[complex, ...]
 
 
 def _check_k(k: float) -> None:
@@ -122,12 +123,7 @@ def green_function(spec: DeviceSpec, k: float) -> GreenPair:
     """Retarded Green's function elements (contact column) at real k."""
     _check_k(k)
     g = _solve_inner(spec, [k], incident=False)[1][0].tolist()
-    return GreenPair(
-        k=float(k),
-        G00=g[spec.contact],
-        Gd0=g[1] if spec.n_sites > 1 else 0j,
-        values=tuple(g),
-    )
+    return GreenPair(k=float(k), G00=g[spec.contact], values=tuple(g))
 
 
 def verify_green_identity(spec: DeviceSpec, k: float) -> float:

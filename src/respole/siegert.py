@@ -1,14 +1,20 @@
 """Pole finding through the outgoing-wave boundary condition.
 
-Demanding purely outgoing waves on the lead closes the infinite problem into
-a polynomial equation in the Bloch factor z.  For the T-type dot it is the
-quartic
+Demanding purely outgoing waves on the lead closes the infinite problem on
+the device sites.  Multiplied by the Bloch factor z, the closed equations
+form a quadratic matrix polynomial,
+
+    z (E(z) I - H_eff(z)) = -t (I - 2 P_c) z^2 - H_P z - t I,
+
+with H_P the device block and P_c the projector on the contact site.  Its 2n
+eigenvalues are every S-matrix pole of the device and its eigenvectors are
+the inner-space amplitudes.  The leading matrix is diagonal with entries +-t,
+so one eigensolve of its block companion matrix gives both at once.  For the
+T-type dot the determinant is the quartic
 
     t^2 z^4 + t eps_d z^3 + t1^2 z^2 - t eps_d z - t^2 = 0,
 
-whose four roots carry every S-matrix pole of the model.  For a general
-device the polynomial (degree 2 n_sites) is recovered numerically from
-determinant samples on the unit circle.
+which the tests keep as an independent reference.
 """
 
 from __future__ import annotations
@@ -18,112 +24,51 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dispersion import energy_from_z
 from .errors import NumericalError, ParameterError
-from .feshbach import _make_pole, _residual_batch, decoupled_poles
-from .model import DeviceSpec, tdot_params
-from .poles import (  # noqa: F401  (re-exported: this module owns the pole taxonomy)
-    BOUND_CLASSES,
-    CLASSIFY_TOL,
-    PoleClass,
-    SpectralPole,
-    classify,
-    pole_to_record,
-)
-
-MAX_DEVICE_SITES = 8  # polynomial degree 16; monomial conditioning is fine up to here
+from .feshbach import decoupled_poles
+from .model import DeviceSpec, p_space_hamiltonian, tdot_params
+from .poles import PoleClass, SpectralPole, make_pole
 
 
 def secular_polynomial(spec: DeviceSpec) -> np.ndarray:
-    """Real coefficients (ascending powers of z) of the secular polynomial.
+    """Real coefficient stack (A0, A1, A2), ascending powers of z, of
+    z (E(z) I - H_eff(z)) = A0 + A1 z + A2 z^2.
 
-    T-dot devices use the closed quartic above; anything else interpolates
-    z**n_sites * det(E(z) - H_eff(z)) on the unit circle.  The sign is fixed
-    so the leading coefficient is positive.
+    A0 = -t I, A1 = -H_P and A2 = -t (I - 2 P_c); the determinant of the
+    polynomial is z**n_sites * det(E(z) - H_eff(z)).
     """
-    params = tdot_params(spec)
-    if params is not None:
-        t, t1, ed = params.t, params.t1, params.eps_d
-        return np.array([-t * t, -t * ed, t1 * t1, t * ed, t * t])
-    return _interpolated_polynomial(spec)
+    t = spec.lead_t
+    eye = np.eye(spec.n_sites)
+    lead = -t * eye
+    lead[spec.contact, spec.contact] = t
+    return np.stack((-t * eye, -p_space_hamiltonian(spec), lead))
 
 
-def _interpolated_polynomial(spec: DeviceSpec) -> np.ndarray:
-    if spec.n_sites > MAX_DEVICE_SITES:
-        raise ParameterError(
-            f"devices above {MAX_DEVICE_SITES} sites exceed the supported polynomial degree"
-        )
-    degree = 2 * spec.n_sites
-    m = degree + 1
-    # unit-circle samples, rotated off z = +-1
-    theta = 2.0 * np.pi * np.arange(m) / m + np.pi / (2.0 * m)
-    zs = np.exp(1j * theta)
-    g = zs ** spec.n_sites * _residual_batch(spec, zs)
-    vand = zs[:, None] ** np.arange(m)[None, :]
+def poly_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and null vectors of A0 + A1 z + A2 z^2 with A2 diagonal.
+
+    Scaling the rows by 1/diag(A2) gives the monic z^2 I + B1 z + B0, whose
+    block companion matrix [[0, I], [-B0, -B1]] has the eigenvectors
+    (v, z v).  One eigensolve returns all 2n roots, with multiplicity, and
+    row i of the second array is the null vector (the last n rows, z v) of
+    root i.
+    """
+    coeffs = np.asarray(coeffs)
+    if coeffs.ndim != 3 or coeffs.shape[0] != 3 or coeffs.shape[1] != coeffs.shape[2]:
+        raise ParameterError(f"need a (3, n, n) coefficient stack, got shape {coeffs.shape}")
+    lead = np.diag(coeffs[2])
+    if np.any(coeffs[2] != np.diag(lead)) or np.any(lead == 0):
+        raise ParameterError("leading coefficient must be an invertible diagonal matrix")
+    n = lead.size
+    companion = np.zeros((2 * n, 2 * n), dtype=np.result_type(coeffs, 1.0))
+    companion[:n, n:] = np.eye(n)
+    companion[n:] = -np.concatenate((coeffs[0], coeffs[1]), axis=1) / lead[:, None]
     try:
-        coeffs = np.linalg.solve(vand, g)
+        roots, vectors = np.linalg.eig(companion)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError("interpolation system singular: sample points collided") from exc
-    if np.max(np.abs(coeffs.imag)) > 1e-10:
-        raise NumericalError(
-            f"secular coefficients came out non-real (max imag {np.max(np.abs(coeffs.imag)):.3e})"
-        )
-    real = coeffs.real
-    if real[-1] < 0:
-        real = -real
-    return real
-
-
-def poly_roots(coeffs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """All complex roots (with multiplicity) of a polynomial in ascending form.
-
-    Companion-matrix eigenvalues give the starting points; each root is then
-    polished by Newton on the monomial coefficients until |P(z)| falls below
-    tol * max|coeff| or below the roundoff floor of the evaluation itself
-    (large roots bottom out above the absolute target).
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.size < 2:
-        raise ParameterError("polynomial degree must be at least 1")
-    if coeffs[-1] == 0:
-        raise ParameterError("leading coefficient must be nonzero")
-    bound = tol * float(np.max(np.abs(coeffs)))
-    eps = float(np.finfo(float).eps)
-    roots = np.roots(coeffs[::-1])
-    polished = np.empty_like(roots)
-    for i, z in enumerate(roots):
-        val, _, floor = _horner(coeffs, z)
-        best_z, best_val = z, abs(val)
-        target = max(bound, 4.0 * eps * floor)
-        for _ in range(50):
-            if best_val < target:
-                break
-            val, der, _ = _horner(coeffs, z)
-            if der == 0:
-                break
-            z = z - val / der
-            val, _, floor = _horner(coeffs, z)
-            target = max(bound, 4.0 * eps * floor)
-            if abs(val) < best_val:
-                best_z, best_val = z, abs(val)
-        if best_val >= target:
-            raise NumericalError(
-                f"root polishing stalled; residual {best_val:.3e} above {target:.3e}"
-            )
-        polished[i] = best_z
-    return polished
-
-
-def _horner(coeffs: np.ndarray, z: complex) -> tuple[complex, complex, float]:
-    """Polynomial value, derivative, and roundoff scale sum|c| |z|^i at z."""
-    p = coeffs[-1]
-    dp = 0j
-    floor = abs(p)
-    az = abs(z)
-    for c in coeffs[-2::-1]:
-        dp = dp * z + p
-        p = p * z + c
-        floor = floor * az + abs(c)
-    return p, dp, floor
+        raise NumericalError("companion eigensolve did not converge") from exc
+    return roots, vectors[n:].T
 
 
 @dataclass(frozen=True)
@@ -168,16 +113,19 @@ def closed_form_eps0(t: float, t1: float) -> ClosedFormEps0:
 
 
 def solve_poles(spec: DeviceSpec) -> list[SpectralPole]:
-    """Every S-matrix pole of the device via the secular polynomial.
+    """Every S-matrix pole of the device via the outgoing-wave polynomial.
 
-    Returns one ``SpectralPole`` per polynomial root, classified and carrying
-    the inner-space amplitudes, sorted by (Re z, Im z).  A dot with zero
-    coupling short-circuits to its embedded Decoupled level.
+    Returns one ``SpectralPole`` per eigenvalue, classified and carrying the
+    inner-space amplitudes of its eigenvector, sorted by (Re z, Im z).  A dot
+    with zero coupling short-circuits to its embedded Decoupled level.
     """
     params = tdot_params(spec)
     if params is not None and params.t1 == 0.0:
         return decoupled_poles(spec)
-    roots = poly_roots(secular_polynomial(spec))
-    out = [_make_pole(spec, complex(z)) for z in roots]
+    roots, vectors = poly_roots(secular_polynomial(spec))
+    out = []
+    for z, v in zip(roots, vectors):
+        z = complex(z)
+        out.append(make_pole(z, energy_from_z(z, spec.lead_t), v, spec.contact))
     out.sort(key=lambda p: (p.z.real, p.z.imag))
     return out

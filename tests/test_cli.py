@@ -236,6 +236,26 @@ def test_config_generalized_device(tmp_path, capsys):
     assert code == 2
 
 
+def test_poles_csv_ampd_is_the_non_contact_site(tmp_path, capsys):
+    # the T-dot with its sites swapped: the lead sits on site 1, the level on site 0
+    cfg = tmp_path / "swapped.json"
+    cfg.write_text(json.dumps({
+        "model": {"n_sites": 2, "onsite": [0.3, 0.0], "hoppings": [[0, 1, -1.0]],
+                  "contact": 1, "lead_t": 1.0}
+    }))
+    code, out, _ = run(capsys, "poles", "--config", str(cfg), "--format", "csv")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == POLE_HEADER and len(lines) == 5
+    for line in lines[1:]:
+        rec = dict(zip(POLE_HEADER.split(","), line.split(",")))
+        E = complex(float(rec["E_re"]), float(rec["E_im"]))
+        ampd = complex(float(rec["ampd_re"]), float(rec["ampd_im"]))
+        assert (float(rec["amp0_re"]), float(rec["amp0_im"])) == (1.0, 0.0)
+        # row of site 0: (E - 0.3) amp_d = -1 * amp0
+        assert abs(ampd - (-1.0 / (E - 0.3))) < 1e-10 * abs(ampd)
+
+
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "poles.csv"
     code, out, _ = run(capsys, "poles", "--format", "csv", "--out", str(path))

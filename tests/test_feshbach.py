@@ -69,7 +69,6 @@ def test_build_h_eff_tdot_entries():
     assert np.allclose(h.matrix, [[-2.0, -0.5], [-0.5, 0.3]], atol=1e-15)
     h = build_h_eff(make_tdot(1.0, 1.0, 0.0), Q)
     assert np.allclose(h.matrix, [[-2.0 * Q, -1.0], [-1.0, 0.0]], atol=1e-15)
-    assert h.basis == (0, 1)
 
 
 def test_hermiticity_breaking_is_localized():

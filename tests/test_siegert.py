@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,90 +9,200 @@ from respole import (
     DeviceSpec,
     ParameterError,
     PoleClass,
+    build_h_eff,
     classify,
     closed_form_eps0,
+    feshbach_pole_search,
     make_tdot,
-    poly_roots,
-    secular_polynomial,
     secular_residual,
     solve_poles,
 )
-from respole.siegert import _interpolated_polynomial
+from respole.siegert import poly_roots, secular_polynomial
 
 P = math.sqrt((1.0 + math.sqrt(5.0)) / 2.0)
 Q = 1.0 / P
 
+T1_GRID = (0.25, 0.5, 1.0, 1.5, 2.0)
+EPS_GRID = (-3.0, -2.0, -1.0, -0.3, 0.0, 0.3, 1.0, 2.0, 3.0)
 
-def horner(coeffs, z):
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+
+def quartic(t, t1, ed):
+    """Descending coefficients of the closed T-dot quartic."""
+    return [t * t, t * ed, t1 * t1, -t * ed, -t * t]
+
+
+def random_device(rng, n):
+    """A chain with random levels, a few extra bonds and a random contact."""
+    bonds = {(i, i + 1): rng.uniform(-1.5, 1.5) for i in range(n - 1)}
+    for _ in range(int(rng.integers(0, n))):
+        i, j = sorted(rng.choice(n, 2, replace=False).tolist())
+        bonds.setdefault((i, j), rng.uniform(-1.0, 1.0))
+    return DeviceSpec(
+        n, tuple(rng.uniform(-2.0, 2.0, n).tolist()),
+        tuple((i, j, float(a)) for (i, j), a in bonds.items()),
+        int(rng.integers(0, n)), float(rng.uniform(0.5, 2.0)),
+    )
+
+
+def mp_companion_roots(spec, dps=40):
+    """Eigenvalues of the block companion matrix, built and solved in mpmath
+    straight from the device fields."""
+    n = spec.n_sites
+    with mpmath.workdps(dps):
+        t = mpmath.mpf(spec.lead_t)
+        h = mpmath.zeros(n, n)
+        for i, e in enumerate(spec.onsite):
+            h[i, i] = e
+        for i, j, a in spec.hoppings:
+            h[i, j] = h[j, i] = a
+        comp = mpmath.zeros(2 * n, 2 * n)
+        for i in range(n):
+            comp[i, n + i] = 1
+            # row i of z^2 v = -A2^-1 (A0 v + A1 z v), A2 = -t (I - 2 P_c)
+            lead = t if i == spec.contact else -t
+            comp[n + i, i] = t / lead
+            for j in range(n):
+                comp[n + i, n + j] = h[i, j] / lead
+        roots = mpmath.eig(comp, left=False, right=False)
+        return [complex(r) for r in roots]
+
+
+def mp_quartic_roots(t, t1, ed):
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots(quartic(t, t1, ed), maxsteps=400, extraprec=400)
+        return [complex(r) for r in roots]
+
+
+def assert_matches(zs, ref, rel):
+    """Same count, and each z within rel * max(1, |z|) of its own reference root."""
+    assert len(zs) == len(ref)
+    left = list(ref)
+    for z in zs:
+        j = min(range(len(left)), key=lambda i: abs(z - left[i]))
+        assert abs(z - left[j]) <= rel * max(1.0, abs(z)), (z, left[j])
+        left.pop(j)
 
 
 def test_secular_polynomial_tdot():
-    assert np.array_equal(secular_polynomial(make_tdot(1, 1, 0)), [-1, 0, 1, 0, 1])
-    assert np.allclose(
-        secular_polynomial(make_tdot(1, 1, 0.3)), [-1, -0.3, 1, 0.3, 1], atol=1e-15
-    )
-    assert np.array_equal(secular_polynomial(make_tdot(2, 1, 0)), [-4, 0, 1, 0, 4])
+    stack = secular_polynomial(make_tdot(1, 1, 0))
+    assert stack.shape == (3, 2, 2) and stack.dtype == float
+    assert np.array_equal(stack[0], -np.eye(2))
+    assert np.array_equal(stack[1], [[0, 1], [1, 0]])
+    assert np.array_equal(stack[2], np.diag([1, -1]))
+    stack = secular_polynomial(make_tdot(2, 1, 0.3))
+    assert np.array_equal(stack, [-2 * np.eye(2), [[0, 1], [1, -0.3]], np.diag([2, -2])])
 
 
-def test_interpolated_polynomial_matches_quartic():
+def test_secular_polynomial_determinant_identity():
+    # det(A0 + A1 z + A2 z^2) = z^n det(E - H_eff); for a T-dot it is minus the quartic
+    rng = np.random.default_rng(5)
+    for n in range(1, 9):
+        spec = random_device(rng, n)
+        stack = secular_polynomial(spec)
+        for z in rng.normal(size=3) + 1j * rng.normal(size=3):
+            lhs = np.linalg.det(stack[0] + stack[1] * z + stack[2] * z * z)
+            rhs = z**n * secular_residual(spec, complex(z))
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
     for t, t1, ed in [(1, 1, 0), (1, 0.5, 0.3), (2, 1, -1.3), (0.7, 1.4, 2.0)]:
-        spec = make_tdot(t, t1, ed)
-        hard = secular_polynomial(spec)
-        interp = _interpolated_polynomial(spec)
-        assert np.allclose(interp, hard, rtol=1e-10, atol=1e-10 * max(abs(hard)))
-
-
-def test_interpolated_polynomial_generalized():
-    spec = DeviceSpec(3, (0.0, 0.5, -0.2), ((0, 1, -0.8), (1, 2, -0.6)), 0, 1.0)
-    coeffs = secular_polynomial(spec)
-    assert coeffs.shape == (7,)  # degree 2 * n_sites
-    assert coeffs[-1] > 0
-    # every root of the polynomial is a zero of the secular determinant
-    for z in poly_roots(coeffs):
-        assert abs(secular_residual(spec, complex(z))) < 1e-9
+        stack = secular_polynomial(make_tdot(t, t1, ed))
+        for z in (0.3 + 0.4j, -1.2, 2j):
+            lhs = np.linalg.det(stack[0] + stack[1] * z + stack[2] * z * z)
+            assert abs(lhs + np.polyval(quartic(t, t1, ed), z)) < 1e-12 * max(1, abs(z)) ** 4
 
 
 def test_poly_roots_quartic():
-    roots = poly_roots(np.array([-1.0, 0.0, 1.0, 0.0, 1.0]))
-    assert len(roots) == 4
-    # z^2 = (-1 +- sqrt 5)/2 by the quadratic-in-z^2 structure
-    expected = {Q, -Q, P * 1j, -P * 1j}
-    for z in roots:
-        assert min(abs(z - w) for w in expected) < 1e-12
+    roots, vectors = poly_roots(secular_polynomial(make_tdot(1, 1, 0)))
+    assert roots.shape == (4,) and vectors.shape == (4, 2)
+    assert_matches(roots.tolist(), [Q, -Q, P * 1j, -P * 1j], 1e-14)
 
 
 def test_poly_roots_factorable():
-    roots = sorted(poly_roots(np.array([-1.0, 0.0, 1.0])), key=lambda z: z.real)
-    assert roots[0] == pytest.approx(-1.0) and roots[1] == pytest.approx(1.0)
-    roots = sorted(poly_roots(np.array([2.0, -3.0, 1.0])), key=lambda z: z.real)
-    assert roots[0] == pytest.approx(1.0) and roots[1] == pytest.approx(2.0)
+    # 1 x 1 stacks are scalar quadratics
+    roots = sorted(poly_roots(np.array([[[-1.0]], [[0.0]], [[1.0]]]))[0].real)
+    assert roots == pytest.approx([-1.0, 1.0], abs=1e-15)
+    roots = sorted(poly_roots(np.array([[[2.0]], [[-3.0]], [[1.0]]]))[0].real)
+    assert roots == pytest.approx([1.0, 2.0], abs=1e-15)
+    # a diagonal stack splits into one scalar quadratic per site: z^2 - 1 on
+    # site 0 and z^2 - 5 z + 6 on site 1, each root with its unit vector
+    roots, vectors = poly_roots(
+        np.array([np.diag([-1.0, 6.0]), np.diag([0.0, -5.0]), np.eye(2)])
+    )
+    assert_matches(roots.tolist(), [-1.0, 1.0, 2.0, 3.0], 1e-14)
+    for z, v in zip(roots.real, vectors):
+        site = 0 if abs(z) < 1.5 else 1
+        assert abs(v[1 - site]) < 1e-15 * abs(v[site])
 
 
 def test_poly_roots_validation():
     with pytest.raises(ParameterError):
-        poly_roots(np.array([1.0]))
+        poly_roots(np.array([-1.0, 0.0, 1.0]))
     with pytest.raises(ParameterError):
-        poly_roots(np.array([1.0, 2.0, 0.0]))
+        poly_roots(np.zeros((2, 2, 2)))
+    with pytest.raises(ParameterError):
+        poly_roots(np.array([np.eye(2), np.eye(2), np.diag([1.0, 0.0])]))
+    with pytest.raises(ParameterError):
+        poly_roots(np.array([np.eye(2), np.eye(2), [[1.0, 0.5], [0.0, 1.0]]]))
 
 
-def test_poly_roots_polish_quality():
+def test_poly_roots_null_vectors():
     rng = np.random.default_rng(8)
-    eps = float(np.finfo(float).eps)
-    for _ in range(100):
-        coeffs = rng.normal(size=7)
-        if abs(coeffs[-1]) < 0.1:
-            continue
-        roots = poly_roots(coeffs)
-        assert len(roots) == 6
-        bound = 1e-12 * np.max(np.abs(coeffs))
-        for z in roots:
-            # roundoff floor of the evaluation caps what polishing can reach
-            floor = sum(abs(c) * abs(z) ** i for i, c in enumerate(coeffs))
-            assert abs(horner(coeffs, z)) < max(bound, 4.0 * eps * floor)
+    for n in (1, 3, 12):
+        stack = rng.normal(size=(3, n, n))
+        stack[2] = np.diag(rng.choice((-1.0, 1.0), n) * rng.uniform(0.5, 2.0, n))
+        roots, vectors = poly_roots(stack)
+        assert roots.shape == (2 * n,) and vectors.shape == (2 * n, n)
+        scale = [np.linalg.norm(a, 2) for a in stack]
+        for z, v in zip(roots, vectors):
+            resid = (stack[0] + stack[1] * z + stack[2] * z * z) @ v
+            size = scale[0] + scale[1] * abs(z) + scale[2] * abs(z) ** 2
+            assert np.linalg.norm(resid) < 1e-13 * size * np.linalg.norm(v)
+
+
+def test_solve_poles_matches_mpmath_on_tdot_grid():
+    for t1 in T1_GRID:
+        for ed in EPS_GRID:
+            zs = [p.z for p in solve_poles(make_tdot(1.0, t1, ed))]
+            assert_matches(zs, mp_quartic_roots(1.0, t1, ed), 1e-13)
+
+
+def test_solve_poles_matches_mpmath_on_random_devices():
+    # the mpmath reference costs about 1 s at 12 sites, so the sizes past 8
+    # get one draw each
+    rng = np.random.default_rng(2024)
+    for n in [*range(1, 9)] * 2 + [9, 12]:
+        spec = random_device(rng, n)
+        zs = [p.z for p in solve_poles(spec)]
+        assert_matches(zs, mp_companion_roots(spec), 1e-13)
+
+
+def test_solve_poles_near_threshold_tdots():
+    # band-edge dot level with a tiny coupling: two roots pinch together near
+    # z = -sign(eps_d), where a rounding in the coefficients moves them most
+    rng = np.random.default_rng(31)
+    cases = [(1.5778559492225104e-06, 2.0)]
+    cases += [
+        (float(np.exp(rng.uniform(np.log(1e-6), np.log(1e-3)))), float(s))
+        for s in rng.choice((-2.0, 2.0), 40)
+    ]
+    for t1, ed in cases:
+        zs = [p.z for p in solve_poles(make_tdot(1.0, t1, ed))]
+        assert_matches(zs, mp_quartic_roots(1.0, t1, ed), 1e-11)
+
+
+def test_amplitudes_are_null_vectors_when_state_misses_contact():
+    # site 2 is cut off from the lead, so its E = 0.9 states have no contact
+    # amplitude; both routes must return the state on site 2 alone
+    spec = DeviceSpec(3, (0.0, 0.4, 0.9), ((0, 1, -0.7),), 0, 1.0)
+    for route in (solve_poles, feshbach_pole_search):
+        poles = route(spec)
+        for pole in poles:
+            m = pole.E * np.eye(3) - build_h_eff(spec, pole.z).matrix
+            a = np.array(pole.amps)
+            assert np.linalg.norm(m @ a) / np.linalg.norm(a) < 1e-12
+        cut = [p for p in poles if abs(p.E - 0.9) < 1e-12]
+        assert len(cut) == 2
+        for pole in cut:
+            assert pole.amps[2] == 1 and abs(pole.amps[0]) < 1e-12
 
 
 def test_classify_examples():
@@ -234,12 +345,3 @@ def test_solve_poles_sorted_and_decoupled():
     dec = solve_poles(make_tdot(1.0, 0.0, 0.5))
     assert [p.pole_class for p in dec] == [PoleClass.DECOUPLED]
     assert dec[0].E == 0.5
-
-
-def test_large_device_rejected():
-    spec = DeviceSpec(
-        9, tuple(0.1 * i for i in range(9)),
-        tuple((i, i + 1, -1.0) for i in range(8)), 0, 1.0,
-    )
-    with pytest.raises(ParameterError):
-        secular_polynomial(spec)
