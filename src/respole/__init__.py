@@ -50,7 +50,6 @@ from .scattering import (
 from .siegert import ClosedFormEps0, closed_form_eps0, solve_poles
 from .wavefunction import (
     WavefunctionSample,
-    decay_rate,
     evaluate,
     normalize_bound,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "build_report",
     "classify",
     "closed_form_eps0",
-    "decay_rate",
     "device_from_json",
     "device_to_json",
     "energy_from_z",

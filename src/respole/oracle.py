@@ -4,6 +4,13 @@ A hard-wall copy of the lattice keeps the Hamiltonian real symmetric, so a
 dense Hermitian eigensolver certifies the bound states (the only discrete
 poles visible in a real spectrum).  Resonant poles are audited instead by
 their secular residual and by the site-by-site Schroedinger rows.
+
+The truncated lattice is mirror symmetric about the contact, and only its
+even-parity sector is diagonalized.  An odd state (psi(-x) = -psi(x)) is
+zero on the contact; the device touches the lead only there, so it is zero
+on every device site too.  The odd states are therefore the levels
+-2 t cos(pi j / (N + 1)), j = 1..N, of a bare N-site hard-wall chain, all
+strictly inside the band: none of them is a bound state.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .feshbach import q_space_reconstruct, secular_residual
+from .feshbach import _residual_batch, q_space_reconstruct
 from .model import DeviceSpec, p_space_hamiltonian
 from .poles import BOUND_CLASSES, SpectralPole
 from .siegert import solve_poles
@@ -43,8 +50,8 @@ def finite_lattice_hamiltonian(spec: DeviceSpec, N: int) -> TruncatedLattice:
     dim = 2 * N + 1 + len(extras)
     h = np.zeros((dim, dim))
     t = spec.lead_t
-    for x in range(2 * N):
-        h[x, x + 1] = h[x + 1, x] = -t
+    x = np.arange(2 * N)
+    h[x, x + 1] = h[x + 1, x] = -t
     contact_row = N
     h[contact_row, contact_row] = spec.onsite[spec.contact]
 
@@ -62,15 +69,37 @@ def finite_lattice_hamiltonian(spec: DeviceSpec, N: int) -> TruncatedLattice:
     )
 
 
+def _even_sector(spec: DeviceSpec, N: int) -> np.ndarray:
+    """The truncated Hamiltonian on the contact, the lead pairs
+    (|x> + |-x>)/sqrt(2) for x = 1..N and the non-contact device sites.
+
+    It is the x >= 0 slice of the full lattice; only the contact-(x=1) bond
+    changes, to sqrt(2) times its value, since the contact meets both x = +1
+    and x = -1.
+    """
+    lattice = finite_lattice_hamiltonian(spec, N)
+    c = lattice.contact_index
+    h = lattice.matrix[c:, c:].copy()
+    h[0, 1] = h[1, 0] = h[0, 1] * math.sqrt(2.0)
+    return h
+
+
 def bound_energies_from_truncation(spec: DeviceSpec, N: int) -> list[float]:
     """Sorted truncated-lattice eigenvalues outside the lead band.
 
-    The eigensolve is self-checked: every pair must satisfy
-    ||H v - E v|| < 1e-10 * max|H| * dim.
+    Only the even-parity sector is solved, a matrix of dimension N + n
+    (``_even_sector``) instead of 2 N + n.  An odd state (psi(-x) = -psi(x))
+    vanishes on the contact and hence on the whole device, which meets the
+    lead only there; the odd sector is a bare N-site chain whose levels
+    -2 t cos(pi j / (N + 1)) lie strictly inside the band, so the fold loses
+    no bound state.
+
+    The eigensolve is self-checked: every pair of the solved matrix must
+    satisfy ||H v - E v|| < 1e-10 * max|H| * dim.
     """
     if N < 10:
         raise ParameterError(f"truncation oracle needs N >= 10, got N={N}")
-    h = finite_lattice_hamiltonian(spec, N).matrix
+    h = _even_sector(spec, N)
     try:
         evals, evecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -102,10 +131,14 @@ def pole_residual_report(
     Rows checked: lead sites x in {-2, -1, 1, 2}, the contact row, and every
     other device row, all using the reconstructed lead amplitudes.
     """
+    zs = np.array([p.z for p in poles], dtype=complex)
+    if not np.all(zs):
+        raise ParameterError("Bloch factor z must be nonzero")
+    secular = _residual_batch(spec, zs)
     hp = p_space_hamiltonian(spec)
     t = spec.lead_t
     out = []
-    for pole in poles:
+    for pole, sec in zip(poles, secular):
         E = pole.E
         psi = {x: q_space_reconstruct(pole, x) for x in range(-3, 4)}
         devs = []
@@ -119,7 +152,7 @@ def pole_residual_report(
         out.append(
             PoleResidual(
                 z=pole.z,
-                secular=abs(secular_residual(spec, pole.z)),
+                secular=abs(complex(sec)),
                 lattice_row_dev=max(devs),
             )
         )

@@ -1,4 +1,4 @@
-"""Lattice wavefunctions of discrete states: sampling, norms, decay rates.
+"""Lattice wavefunctions of discrete states: sampling and norms.
 
 Away from the device the amplitude is z**|x| times the contact amplitude,
 so bound states (|z| < 1) decay geometrically and resonant states (|z| > 1)
@@ -65,11 +65,6 @@ def normalize_bound(pole: SpectralPole) -> SpectralPole:
     norm_sq += abs(pole.amp0) ** 2 * 2.0 * r2 / (1.0 - r2)
     n = math.sqrt(norm_sq)
     return replace(pole, amps=tuple(a / n for a in pole.amps))
-
-
-def decay_rate(pole: SpectralPole) -> float:
-    """Im k: positive for bound states, negative for everything decaying."""
-    return pole.k.imag
 
 
 WAVEFUNCTION_HEADER = "x,re,im,abs"

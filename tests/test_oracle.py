@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import respole.oracle
 from respole import (
+    DeviceSpec,
+    NumericalError,
     ParameterError,
     PoleClass,
     SpectralPole,
@@ -20,6 +23,32 @@ from respole import (
     pole_set_distance,
     solve_poles,
 )
+from respole.oracle import _even_sector
+
+T1_GRID = (0.25, 0.5, 1.0, 1.5, 2.0)
+EPS_GRID = (-3.0, -2.0, -1.0, -0.3, 0.0, 0.3, 1.0, 2.0, 3.0)
+
+
+def random_device(rng, n):
+    """A chain with extra random bonds; the contact is never site 0."""
+    bonds = {(i, i + 1): -rng.uniform(0.3, 1.5) for i in range(n - 1)}
+    for i in range(n):
+        for j in range(i + 2, n):
+            if rng.uniform() < 0.3:
+                bonds[(i, j)] = rng.uniform(-1.5, 1.5)
+    return DeviceSpec(
+        n_sites=n,
+        onsite=tuple(rng.uniform(-2.0, 2.0, size=n).tolist()),
+        hoppings=tuple((i, j, a) for (i, j), a in bonds.items()),
+        contact=int(rng.integers(1, n)),
+        lead_t=float(rng.uniform(0.5, 2.0)),
+    )
+
+
+def dense_bound_energies(spec, N):
+    """Reference: every eigenvalue of the full 2N + n lattice outside the band."""
+    evals = np.linalg.eigvalsh(finite_lattice_hamiltonian(spec, N).matrix)
+    return sorted(float(e) for e in evals if abs(e) > 2.0 * spec.lead_t + 1e-12)
 
 
 def test_small_lattice_assembly():
@@ -48,8 +77,6 @@ def test_small_lattice_eigenvalues_satisfy_char_poly():
 
 
 def test_generalized_lattice_assembly():
-    from respole import DeviceSpec
-
     spec = DeviceSpec(3, (0.1, 0.5, -0.2), ((0, 1, -0.8), (1, 2, -0.6)), 0, 1.0)
     lat = finite_lattice_hamiltonian(spec, 2)
     # 5 lead sites + 2 extra device sites
@@ -167,3 +194,44 @@ def test_build_report_structure():
     bc = report["bound_compare"]
     assert len(bc["siegert"]) == len(bc["lattice"]) == 2
     assert bc["max_abs_diff"] < 1e-8
+
+
+def test_even_sector_plus_bare_chain_is_the_full_spectrum():
+    rng = np.random.default_rng(7)
+    specs = [make_tdot(1.0, t1, ed) for t1, ed in ((0.5, -1.0), (1.0, 0.0), (2.0, 3.0))]
+    specs += [random_device(rng, int(rng.integers(2, 7))) for _ in range(12)]
+    for k, spec in enumerate(specs):
+        N = 10 + 2 * k
+        full = finite_lattice_hamiltonian(spec, N).matrix
+        even = _even_sector(spec, N)
+        assert even.shape == (N + spec.n_sites,) * 2
+        odd = -2.0 * spec.lead_t * np.cos(np.pi * np.arange(1, N + 1) / (N + 1))
+        union = np.sort(np.concatenate([np.linalg.eigvalsh(even), odd]))
+        tol = 1e-12 * np.max(np.abs(full))
+        assert np.max(np.abs(np.linalg.eigvalsh(full) - union)) < tol
+
+
+def test_bound_energies_match_dense_full_lattice():
+    specs = [(make_tdot(1.0, t1, ed), 200) for t1 in T1_GRID for ed in EPS_GRID]
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        spec = random_device(rng, int(rng.integers(2, 7)))
+        specs.append((spec, int(rng.integers(100, 201))))
+    for spec, N in specs:
+        got = bound_energies_from_truncation(spec, N)
+        ref = dense_bound_energies(spec, N)
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert abs(a - b) < 1e-13 * max(1.0, abs(b))
+
+
+def test_eigenpair_self_check_raises(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def perturbed(h):
+        evals, evecs = eigh(h)
+        return evals, evecs + 1e-6
+
+    monkeypatch.setattr(respole.oracle.np.linalg, "eigh", perturbed)
+    with pytest.raises(NumericalError, match="self-check"):
+        bound_energies_from_truncation(make_tdot(1.0, 1.0, 0.0), 50)

@@ -6,7 +6,6 @@ from respole import (
     ParameterError,
     PoleClass,
     SpectralPole,
-    decay_rate,
     evaluate,
     make_tdot,
     normalize_bound,
@@ -104,14 +103,15 @@ def test_normalize_bound_rejects_non_bound():
 
 def test_decay_rates():
     ps = poles_by_class()
-    assert decay_rate(ps[PoleClass.BOUND_LOWER]) == pytest.approx(math.log(P), abs=1e-10)
-    assert decay_rate(ps[PoleClass.BOUND_LOWER]) == pytest.approx(0.2406059, abs=1e-7)
-    assert decay_rate(ps[PoleClass.RESONANT]) == pytest.approx(-0.2406059, abs=1e-7)
+    # the decay rate of a state is Im k: positive for bound states
+    assert ps[PoleClass.BOUND_LOWER].k.imag == pytest.approx(math.log(P), abs=1e-10)
+    assert ps[PoleClass.BOUND_LOWER].k.imag == pytest.approx(0.2406059, abs=1e-7)
+    assert ps[PoleClass.RESONANT].k.imag == pytest.approx(-0.2406059, abs=1e-7)
     threshold = SpectralPole(
         z=1.0 + 0j, k=0j, E=-2.0 + 0j, pole_class=PoleClass.THRESHOLD,
         amps=(1.0 + 0j, 0j),
     )
-    assert decay_rate(threshold) == 0.0
+    assert threshold.k.imag == 0.0
 
 
 def test_wavefunction_csv_format():
