@@ -1,6 +1,6 @@
 """respole: S-matrix poles and scattering observables of 1D tight-binding
 open quantum systems, by two independent routes (outgoing-wave polynomial and
-effective-Hamiltonian Newton search) that must agree."""
+effective-Hamiltonian Aberth iteration) that must agree."""
 
 __version__ = "0.1.0"
 

@@ -3,13 +3,15 @@
 Projecting the infinite problem onto the device sites leaves a finite
 non-Hermitian matrix: the device block plus a lead self-energy -2 t z on the
 contact diagonal (the two half-infinite lead branches contribute -t z each).
-Discrete states are the z where det(E(z) - H_eff(z)) vanishes; they are found
-here by Newton iteration in z, run on a batch of seeds at once.
+Discrete states are the z where det(E(z) - H_eff(z)) vanishes; times z**n it
+is a polynomial of degree exactly 2n, so there are 2n of them.  They are found
+all at once by Ehrlich-Aberth iteration (Aberth, Math. Comp. 27 (1973) 339;
+Bini & Noferini, Linear Algebra Appl. 439 (2013) 1130), with no eigensolver,
+so this route stays independent of the outgoing-wave one.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +21,12 @@ from .errors import BandEdgeError, NumericalError, ParameterError
 from .model import DeviceSpec, p_space_hamiltonian, tdot_params
 from .poles import PoleClass, SpectralPole, make_pole
 
-DEDUP_DISTANCE = 1e-8
-SEED_CIRCLES = (0.5, 0.999, 1.5)
-SEED_ANGLES = 64
+START_RADIUS = 1.3
+# An Aberth correction that stops shrinking means the root has reached the
+# rounding floor only once it is below this fraction of |z|; a larger one
+# that grows is the pull of the other iterates, not noise.
+STALL_BOUND = 1e-6
+EPS = np.finfo(float).eps
 
 
 def self_energy(z: complex, t: float) -> complex:
@@ -82,12 +87,18 @@ def _residual_batch(spec: DeviceSpec, zs: np.ndarray) -> np.ndarray:
         a = e - hp[0, 0] + (2.0 * t * zs if c == 0 else 0.0)
         d = e - hp[1, 1] + (2.0 * t * zs if c == 1 else 0.0)
         return a * d - hp[0, 1] * hp[1, 0]
+    return np.linalg.det(_secular_stack(spec, zs))
+
+
+def _secular_stack(spec: DeviceSpec, zs: np.ndarray) -> np.ndarray:
+    """E(z) I - H_eff(z) at each z of a 1D array, stacked to (len(zs), n, n)."""
+    t = spec.lead_t
     hp = p_space_hamiltonian(spec)
     m = np.broadcast_to(-hp, (zs.size, *hp.shape)).astype(complex)
     idx = np.arange(spec.n_sites)
-    m[:, idx, idx] += e[:, None]
-    m[:, c, c] += 2.0 * t * zs
-    return np.linalg.det(m)
+    m[:, idx, idx] += (-t * (zs + 1.0 / zs))[:, None]
+    m[:, spec.contact, spec.contact] += 2.0 * t * zs
+    return m
 
 
 def q_space_reconstruct(pole: SpectralPole, x: int) -> complex:
@@ -95,15 +106,6 @@ def q_space_reconstruct(pole: SpectralPole, x: int) -> complex:
     if x == 0:
         return pole.amp0
     return pole.z ** abs(x) * pole.amp0
-
-
-def _make_pole(spec: DeviceSpec, z: complex) -> SpectralPole:
-    """The state at secular root z; its amplitudes are the smallest singular
-    vector of E(z) - H_eff(z)."""
-    E = energy_from_z(z, spec.lead_t)
-    m = E * np.eye(spec.n_sites, dtype=complex) - build_h_eff(spec, z).matrix
-    null_vector = np.linalg.svd(m)[2][-1].conj()
-    return make_pole(z, E, null_vector, spec.contact)
 
 
 def decoupled_poles(spec: DeviceSpec) -> list[SpectralPole]:
@@ -134,98 +136,85 @@ def decoupled_poles(spec: DeviceSpec) -> list[SpectralPole]:
 
 
 def default_seeds(spec: DeviceSpec) -> np.ndarray:
-    """Newton starting points: three circles straddling |z| = 1, plus the
-    Bloch images of the isolated device eigenvalues (both sheets, radially
-    nudged) so deeply bound or far anti-bound states are always reached."""
-    angles = 2.0 * np.pi * np.arange(SEED_ANGLES) / SEED_ANGLES
-    seeds = [r * np.exp(1j * angles) for r in SEED_CIRCLES]
-    extra = []
-    t = spec.lead_t
-    for lam in np.linalg.eigvalsh(p_space_hamiltonian(spec)):
-        sq = cmath.sqrt(complex(lam * lam - 4.0 * t * t))
-        for z0 in ((-lam + sq) / (2.0 * t), (-lam - sq) / (2.0 * t)):
-            if abs(z0) > 1e-6:
-                extra.extend((z0, 0.97 * z0, 1.03 * z0))
-    if extra:
-        seeds.append(np.asarray(extra, dtype=complex))
-    return np.concatenate(seeds)
+    """The 2n starting points of the Aberth iteration: equally spaced on the
+    circle |z| = START_RADIUS and turned a quarter step off the real axis, so
+    the start set is not closed under conjugation and real roots can be
+    reached by points that are not a conjugate pair."""
+    m = 2 * spec.n_sites
+    return START_RADIUS * np.exp(2j * np.pi * (np.arange(m) + 0.25) / m)
 
 
-def feshbach_pole_search(
-    spec: DeviceSpec,
-    seeds: np.ndarray | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-) -> list[SpectralPole]:
-    """All discrete states found by Newton iteration on the secular residual.
+def _newton_ratios(spec: DeviceSpec, zs: np.ndarray) -> np.ndarray:
+    """f/f' at each z for f(z) = z**n det(E(z) I - H_eff(z)); 0 where that
+    matrix is exactly singular, since such a z is a root.
 
-    Parameters
-    ----------
-    spec : DeviceSpec
-        Device attached to the uniform lead.
-    seeds : array of complex, optional
-        Starting z values; defaults to :func:`default_seeds`.
-    tol : float
-        Convergence bound on |det(E - H_eff)|.
-    max_iter : int
-        Iteration cap per seed; seeds whose derivative underflows or that
-        wander out of range are dropped, not fatal.
-
-    Returns
-    -------
-    list of SpectralPole, deduplicated and sorted by (Re z, Im z).
+    Jacobi's formula gives f'/f = n/z + tr(M^-1 M') for M = E(z) I - H_eff(z),
+    whose derivative is M' = t (1/z**2 - 1) I + 2 t P_c.
     """
-    if tol <= 0:
-        raise ParameterError(f"tolerance must be > 0, got {tol}")
+    t, c = spec.lead_t, spec.contact
+    try:
+        inv = np.linalg.inv(_secular_stack(spec, zs))
+    except np.linalg.LinAlgError:
+        # LAPACK refuses the whole stack for one singular matrix
+        if zs.size == 1:
+            return np.zeros(1, dtype=complex)
+        return np.concatenate([_newton_ratios(spec, zs[i:i + 1]) for i in range(zs.size)])
+    trace = np.trace(inv, axis1=1, axis2=2)
+    ratio = 1.0 / (spec.n_sites / zs + t * (1.0 / zs**2 - 1.0) * trace + 2.0 * t * inv[:, c, c])
+    # a pivot that underflows instead of vanishing leaves nan in the inverse
+    return np.where(np.isnan(ratio), 0.0, ratio)
+
+
+def feshbach_pole_search(spec: DeviceSpec, max_iter: int = 100) -> list[SpectralPole]:
+    """All 2n discrete states, sorted by (Re z, Im z), by Ehrlich-Aberth
+    iteration on f(z) = z**n det(E(z) - H_eff(z)) from default_seeds.
+
+    Each step moves every iterate z_i still moving by w_i = N_i / (1 - N_i
+    sum_{j != i} 1/(z_i - z_j)), N_i = f/f'(z_i), with one stacked inverse.
+    An iterate stops when |w_i| <= 4 eps |z_i|, when its matrix is exactly
+    singular, or when its step stops shrinking below STALL_BOUND |z_i|.  As a
+    degree-2n polynomial has a root within 2n |N_i| of z_i, 2n disjoint such
+    discs certify the set.  Reaching max_iter, or discs that overlap (a
+    multiple root, e.g. one level repeated on sites the contact does not
+    see), raises NumericalError.  A dot with zero coupling gives its single
+    Decoupled level; amplitudes are smallest singular vectors.
+    """
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     params = tdot_params(spec)
     if params is not None and params.t1 == 0.0:
         return decoupled_poles(spec)
 
-    z = np.asarray(default_seeds(spec) if seeds is None else seeds, dtype=complex)
-    if z.size == 0:
-        raise ParameterError("seed list must be nonempty")
-    alive = np.abs(z) > 1e-8
-
-    def f(w: np.ndarray) -> np.ndarray:
-        return _residual_batch(spec, w)
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    z = np.array(default_seeds(spec), dtype=complex)
+    last_step = np.full(z.size, np.inf)
+    moving = np.arange(z.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(max_iter):
-            zs = np.where(alive, z, 1.0)
-            fz = f(zs)
-            done = np.abs(fz) < tol
-            if not np.any(alive & ~done):
-                break
-            # centered difference; the residual is holomorphic away from z = 0
-            h = 1e-6 * np.maximum(np.abs(zs), 1.0)
-            deriv = (f(zs + h) - f(zs - h)) / (2.0 * h)
-            bad = ~np.isfinite(fz) | ~np.isfinite(deriv) | (np.abs(deriv) < 1e-300)
-            alive &= ~bad
-            step = np.where(alive & ~done, fz / np.where(bad | done, 1.0, deriv), 0.0)
-            z = np.where(alive, z - step, z)
-            alive &= np.isfinite(z) & (np.abs(z) > 1e-8) & (np.abs(z) < 1e8)
-
-    zs = np.where(alive, z, 1.0)
-    res = np.abs(f(zs))
-    keep = alive & (res < tol)
-    if not np.any(keep):
-        raise NumericalError("no Newton seed converged to a secular root")
-    roots, resids = zs[keep], res[keep]
-    order = np.lexsort((roots.imag, roots.real))
-    roots, resids = roots[order], resids[order]
-
-    reps: list[complex] = []
-    best: list[float] = []
-    for zi, ri in zip(roots, resids):
-        for idx, zr in enumerate(reps):
-            if abs(zi - zr) <= DEDUP_DISTANCE:
-                if ri < best[idx]:
-                    reps[idx], best[idx] = complex(zi), float(ri)
+            zm = z[moving]
+            ratio = _newton_ratios(spec, zm)
+            gaps = zm[:, None] - z[None, :]
+            gaps[np.arange(moving.size), moving] = np.inf
+            step = ratio / (1.0 - ratio * (1.0 / gaps).sum(axis=1))
+            if not np.all(np.isfinite(step)):
+                raise NumericalError("Aberth step is not finite (coinciding iterates)")
+            size = np.abs(step)
+            stalled = (size >= last_step[moving]) & (size <= STALL_BOUND * np.abs(zm))
+            z[moving] = np.where(stalled, zm, zm - step)
+            last_step[moving] = size
+            moving = moving[~stalled & (size > 4.0 * EPS * np.abs(zm))]
+            if moving.size == 0:
                 break
         else:
-            reps.append(complex(zi))
-            best.append(float(ri))
-
-    out = [_make_pole(spec, zi) for zi in reps]
+            raise NumericalError(f"{moving.size} of {z.size} Aberth iterates still moving")
+        radius = z.size * np.abs(_newton_ratios(spec, z))
+    gaps = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    if not np.all(gaps > radius[:, None] + radius[None, :]):
+        raise NumericalError("Aberth roots overlap: a multiple root cannot be certified")
+    null_vectors = np.linalg.svd(_secular_stack(spec, z))[2][:, -1].conj()
+    out = [
+        make_pole(zi, energy_from_z(zi, spec.lead_t), v, spec.contact)
+        for zi, v in zip(z.tolist(), null_vectors)
+    ]
     out.sort(key=lambda p: (p.z.real, p.z.imag))
     return out

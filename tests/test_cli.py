@@ -262,3 +262,40 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert path.read_text().startswith(POLE_HEADER)
+
+
+# Two inputs on which the former seed-grid Newton search failed: a T-dot at
+# the band edge with a tiny coupling (it exited 3) and an 8-site device (it
+# returned 15 of the 16 poles).
+ROUTE_REGRESSIONS = {
+    "near_threshold_tdot": {"tdot": {"t": 1.0, "t1": 9.180578285395806e-06, "eps_d": 2.0}},
+    "eight_site_device": {
+        "n_sites": 8,
+        "onsite": [0.4555686543276334, -0.7336474126513717, 1.1525218523630798,
+                   1.4625452492877944, 1.1862406898494364, -1.055393318667019,
+                   1.8633579038413135, -0.2930773478121127],
+        "hoppings": [[0, 1, 1.3105730598585936], [0, 7, -1.0400569441598861],
+                     [0, 6, -1.024740967162789], [3, 7, -1.2875726811955106],
+                     [0, 5, -0.41680292092374904], [1, 4, -1.2467218709737484],
+                     [0, 2, -0.33963652676200534], [0, 3, -1.4777076012439623],
+                     [1, 2, -1.1504806069751983], [1, 3, -0.5778016522055798],
+                     [1, 6, 1.3209720943566234], [2, 3, 0.8150555033120386],
+                     [2, 4, 1.472131779092628], [4, 5, -1.1137901104652228]],
+        "contact": 4,
+        "lead_t": 1.0,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_REGRESSIONS))
+def test_poles_both_routes_agree_where_newton_failed(name, tmp_path, capsys):
+    model = ROUTE_REGRESSIONS[name]
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"model": model}))
+    code, out, err = run(capsys, "poles", "--method", "both", "--format", "json",
+                         "--config", str(cfg))
+    assert code == 0, err
+    data = json.loads(out)
+    n = model.get("n_sites", 2)
+    assert len(data["siegert"]) == len(data["feshbach"]) == 2 * n
+    assert data["max_dz"] < 1e-9

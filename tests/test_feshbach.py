@@ -15,6 +15,7 @@ from respole import (
     q_space_reconstruct,
     secular_residual,
     self_energy,
+    solve_poles,
     surface_green,
     z_pair_from_energy,
 )
@@ -130,10 +131,30 @@ def test_pole_search_finds_all_four():
         assert abs(secular_residual(make_tdot(1.0, 1.0, 0.0), p.z)) < 1e-12
 
 
-def test_pole_search_single_seed_basin():
-    poles = feshbach_pole_search(make_tdot(1.0, 1.0, 0.0), seeds=np.array([0.8 + 0j]))
-    assert len(poles) == 1
-    assert poles[0].z == pytest.approx(Q, abs=1e-9)
+def test_pole_search_returns_exactly_2n_poles():
+    for spec in (make_tdot(1.0, 1.0, 0.0), make_tdot(1.0, 0.7, -1.1), GEN_DEVICE):
+        poles = feshbach_pole_search(spec)
+        ref = solve_poles(spec)
+        assert len(poles) == len(ref) == 2 * spec.n_sites
+        for a, b in ((ref, poles), (poles, ref)):
+            for p in a:
+                assert min(abs(p.z - q.z) for q in b) <= 1e-12 * max(1.0, abs(p.z))
+
+
+def test_pole_search_refuses_a_multiple_root():
+    # three identical side dots on one contact: two combinations of them miss
+    # the contact, so E = 0.4 is a double root that no disc can isolate
+    star = DeviceSpec(
+        n_sites=4,
+        onsite=(0.0, 0.4, 0.4, 0.4),
+        hoppings=((0, 1, -0.7), (0, 2, -0.7), (0, 3, -0.7)),
+        contact=0,
+        lead_t=1.0,
+    )
+    level = [p for p in solve_poles(star) if abs(p.E - 0.4) < 1e-12]
+    assert len(level) == 4  # z and 1/z, each twice
+    with pytest.raises(NumericalError):
+        feshbach_pole_search(star)
 
 
 def test_pole_search_decoupled_dot():
@@ -147,16 +168,15 @@ def test_pole_search_decoupled_dot():
 
 def test_pole_search_argument_validation():
     spec = make_tdot(1.0, 1.0, 0.0)
-    with pytest.raises(ParameterError):
-        feshbach_pole_search(spec, tol=0.0)
-    with pytest.raises(ParameterError):
-        feshbach_pole_search(spec, seeds=np.array([]))
+    for bad in (0, -3):
+        with pytest.raises(ParameterError):
+            feshbach_pole_search(spec, max_iter=bad)
 
 
 def test_pole_search_reports_total_failure():
     spec = make_tdot(1.0, 1.0, 0.0)
     with pytest.raises(NumericalError):
-        feshbach_pole_search(spec, seeds=np.array([2.3 + 0.9j]), max_iter=1)
+        feshbach_pole_search(spec, max_iter=1)
 
 
 def test_q_space_reconstruct_values():

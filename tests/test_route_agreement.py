@@ -1,0 +1,152 @@
+"""Property tests: the outgoing-wave and Feshbach routes find the same poles.
+
+Each drawn device must either give 2n poles from both routes, agreeing to
+1e-9 * max(1, |z|), or make a route raise a typed ParameterError or
+NumericalError.  The Feshbach route may raise only where its certificate
+cannot hold, on a pole set with two poles within 1e-6 * max(1, |z|) of each
+other (degenerate levels that the contact does not see give exact multiple
+roots).  A ClassificationError is never acceptable: it means a root landed
+where no pole of the model can sit.
+"""
+
+import math
+
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from respole import (
+    ClassificationError,
+    DeviceSpec,
+    NumericalError,
+    ParameterError,
+    feshbach_pole_search,
+    make_tdot,
+    solve_poles,
+)
+
+ROUTE_TOL = 1e-9
+CLUSTER = 1e-6
+
+PROPERTY = settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=150,
+)
+
+
+def _route(solver, spec):
+    try:
+        return solver(spec)
+    except ClassificationError as exc:
+        pytest.fail(f"{solver.__name__} misclassified a root of {spec}: {exc}")
+    except (ParameterError, NumericalError) as exc:
+        event(f"{solver.__name__} raised {type(exc).__name__}")
+        return None
+
+
+def _closest_pair(poles) -> float:
+    return min(
+        abs(p.z - q.z) / max(1.0, abs(p.z))
+        for i, p in enumerate(poles) for q in poles[i + 1:]
+    )
+
+
+def assert_routes_agree(spec: DeviceSpec) -> None:
+    siegert = _route(solve_poles, spec)
+    feshbach = _route(feshbach_pole_search, spec)
+    if siegert is None:
+        return
+    if feshbach is None:
+        # the Aberth certificate may refuse only a (near-)multiple root
+        assert _closest_pair(siegert) <= CLUSTER, spec
+        return
+    assert len(siegert) == len(feshbach) == 2 * spec.n_sites
+    for a, b in ((siegert, feshbach), (feshbach, siegert)):
+        for p in a:
+            dz = min(abs(p.z - q.z) for q in b)
+            assert dz <= ROUTE_TOL * max(1.0, abs(p.z)), (spec, p.z, dz)
+
+
+def log_uniform(low: float, high: float):
+    return st.floats(math.log(low), math.log(high)).map(math.exp)
+
+
+@st.composite
+def devices(draw, hopping_scale: float = 1.0) -> DeviceSpec:
+    """A connected device of 1-10 sites: a random spanning tree plus random
+    extra bonds, bond amplitudes of magnitude 0.1-1.5 times hopping_scale,
+    and a random contact site."""
+    n = draw(st.integers(1, 10))
+    onsite = tuple(draw(st.lists(st.floats(-2.5, 2.5), min_size=n, max_size=n)))
+    amplitude = st.builds(
+        lambda mag, sign: sign * mag * hopping_scale,
+        st.floats(0.1, 1.5),
+        st.sampled_from((-1.0, 1.0)),
+    )
+    bonds = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    if n > 2:
+        pairs = st.tuples(st.integers(0, n - 2), st.integers(1, n - 1))
+        bonds |= {(i, j) for i, j in draw(st.lists(pairs, max_size=n)) if i < j}
+    hoppings = tuple((i, j, draw(amplitude)) for i, j in sorted(bonds))
+    return DeviceSpec(
+        n_sites=n,
+        onsite=onsite,
+        hoppings=hoppings,
+        contact=draw(st.integers(0, n - 1)),
+        lead_t=1.0,
+    )
+
+
+def coalescence_point(z0: float) -> tuple[float, float]:
+    """(eps_d, t1**2) at which the T-dot quartic (t = 1)
+    z^4 + eps_d (z^3 - z) + t1^2 z^2 - 1 has a double root at real z0.
+
+    The quartic and its derivative vanish together at z0; both are linear in
+    eps_d and t1^2, which gives eps_d = -2 (z0^4 + 1) / (z0 (z0^2 + 1)).
+    """
+    eps_d = -2.0 * (z0**4 + 1.0) / (z0 * (z0 * z0 + 1.0))
+    coupling_sq = (1.0 - z0**4 - eps_d * (z0**3 - z0)) / (z0 * z0)
+    return eps_d, coupling_sq
+
+
+@PROPERTY
+@given(devices())
+def test_random_devices(spec):
+    assert_routes_agree(spec)
+
+
+@PROPERTY
+@given(st.sampled_from((-2.0, 2.0)), log_uniform(1e-6, 1e-3))
+def test_near_threshold_tdots(eps_d, t1):
+    assert_routes_agree(make_tdot(1.0, t1, eps_d))
+
+
+@PROPERTY
+@given(
+    st.floats(1.05, 2.5),
+    st.sampled_from((-1.0, 1.0)),
+    log_uniform(1e-8, 1e-2),
+    st.sampled_from((-1.0, 1.0)),
+)
+def test_near_coalescing_poles(z0, side, detuning, direction):
+    z0 *= side
+    eps_d, coupling_sq = coalescence_point(z0)
+    assert coupling_sq > 0
+    spec = make_tdot(1.0, math.sqrt(coupling_sq * (1.0 + direction * detuning)), eps_d)
+    # the drawn point really sits next to a double root at z0
+    roots = sorted(solve_poles(spec), key=lambda p: abs(p.z - z0))
+    assert abs(roots[1].z - z0) < 10.0 * math.sqrt(detuning) * abs(z0)
+    assert_routes_agree(spec)
+
+
+@PROPERTY
+@given(st.sampled_from((1e-4, 10.0)), st.floats(-3.0, 3.0))
+def test_tiny_and_large_tdot_couplings(t1, eps_d):
+    assert_routes_agree(make_tdot(1.0, t1, eps_d))
+
+
+@PROPERTY
+@given(st.sampled_from((1e-4, 10.0)).flatmap(devices))
+def test_tiny_and_large_device_couplings(spec):
+    assert_routes_agree(spec)
