@@ -13,7 +13,6 @@ from .dispersion import (
 )
 from .errors import BandEdgeError, ClassificationError, NumericalError, ParameterError
 from .feshbach import (
-    EffectiveHamiltonian,
     build_h_eff,
     feshbach_pole_search,
     q_space_reconstruct,
@@ -31,7 +30,6 @@ from .model import (
     tdot_params,
 )
 from .oracle import (
-    TruncatedLattice,
     bound_energies_from_truncation,
     build_report,
     finite_lattice_hamiltonian,
@@ -59,7 +57,6 @@ __all__ = [
     "ClassificationError",
     "ClosedFormEps0",
     "DeviceSpec",
-    "EffectiveHamiltonian",
     "GreenPair",
     "ModelParams",
     "NumericalError",
@@ -67,7 +64,6 @@ __all__ = [
     "PoleClass",
     "ScatteringSolution",
     "SpectralPole",
-    "TruncatedLattice",
     "WavefunctionSample",
     "bound_energies_from_truncation",
     "build_h_eff",

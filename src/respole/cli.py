@@ -2,7 +2,7 @@
 
 Subcommands: poles, transmission, sweep, wavefunction, oracle, equivalence.
 Configuration layering: command-line flags override a --config JSON file,
-which overrides the built-in defaults (t=1, t1=1, eps_d=0, tol=1e-12).
+which overrides the built-in defaults (t=1, t1=1, eps_d=0, sites=200).
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
 
@@ -23,12 +23,17 @@ from .scattering import sweep_rows_csv, transmission_sweep
 from .siegert import solve_poles
 from .wavefunction import evaluate, wavefunction_csv
 
-DEFAULTS = {"t": 1.0, "t1": 1.0, "eps_d": 0.0, "tol": 1e-12}
+DEFAULTS = {"t": 1.0, "t1": 1.0, "eps_d": 0.0, "sites": 200}
+MODEL_KEYS = ("t", "t1", "eps_d")
 
 POLE_COLUMNS = (
     "z_re", "z_im", "k_re", "k_im", "E_re", "E_im",
     "class", "amp0_re", "amp0_im", "ampd_re", "ampd_im",
 )
+# %.17g renders exactly as format_float does
+POLE_ROW = ",".join(["%.17g"] * 6 + ["%s"] + ["%.17g"] * 4)
+POLE_SWEEP_HEADER = "param,z_re,z_im,k_re,k_im,E_re,E_im,class"
+POLE_SWEEP_ROW = ",".join(["%.17g"] * 7 + ["%s"])
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
@@ -56,35 +61,34 @@ def _load_config(path: str | None) -> dict:
 
 
 def _resolve(args: argparse.Namespace, cfg: dict, key: str, cast=float):
-    """flag > config > default."""
+    """flag > config > default; a config value that ``cast`` rejects is a
+    ParameterError."""
     val = getattr(args, key, None)
     if val is not None:
         return val
-    if key in cfg:
+    if key not in cfg:
+        return DEFAULTS.get(key)
+    try:
         return cast(cfg[key])
-    return DEFAULTS.get(key)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"bad config value for {key}: {exc}") from exc
 
 
 def _resolve_device(args: argparse.Namespace, cfg: dict) -> DeviceSpec:
-    model_cfg = cfg.get("model")
-    flags_given = any(getattr(args, k, None) is not None for k in ("t", "t1", "eps_d"))
-    if model_cfg is not None:
-        spec = device_from_json(model_cfg)
-        params = tdot_params(spec)
-        if not flags_given:
+    """The config's device, or a T-dot from flags over the config's T-dot
+    (its ``model`` or its top-level t, t1, eps_d) over the defaults."""
+    base = cfg
+    if cfg.get("model") is not None:
+        spec = device_from_json(cfg["model"])
+        if all(getattr(args, k) is None for k in MODEL_KEYS):
             return spec
+        params = tdot_params(spec)
         if params is None:
             raise ParameterError(
                 "model flags cannot override a generalized device from --config"
             )
-        return make_tdot(
-            args.t if args.t is not None else params.t,
-            args.t1 if args.t1 is not None else params.t1,
-            args.eps_d if args.eps_d is not None else params.eps_d,
-        )
-    return make_tdot(
-        _resolve(args, cfg, "t"), _resolve(args, cfg, "t1"), _resolve(args, cfg, "eps_d")
-    )
+        base = vars(params)
+    return make_tdot(*(_resolve(args, base, k) for k in MODEL_KEYS))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -104,61 +108,32 @@ def _pole_table(poles) -> str:
 
 
 def _pole_csv(poles) -> str:
-    lines = [",".join(POLE_COLUMNS)]
-    for p in poles:
-        rec = pole_to_record(p)
-        lines.append(
-            ",".join(
-                rec["class"] if col == "class" else format_float(rec[col])
-                for col in POLE_COLUMNS
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = [POLE_ROW % tuple(pole_to_record(p).values()) for p in poles]
+    return "\n".join([",".join(POLE_COLUMNS), *rows]) + "\n"
 
 
-def _pole_json_records(poles) -> list[dict]:
-    return [pole_to_record(p) for p in poles]
-
-
-def cmd_poles(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    spec = _resolve_device(args, cfg)
-    method = args.method
-    if method in ("siegert", "both"):
-        siegert_set = solve_poles(spec)
-    if method in ("feshbach", "both"):
-        feshbach_set = feshbach_pole_search(spec)
-    if method == "siegert":
-        poles, extra = siegert_set, None
-    elif method == "feshbach":
-        poles, extra = feshbach_set, None
-    else:
-        poles = siegert_set
-        extra = pole_set_distance(siegert_set, feshbach_set)
+def cmd_poles(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
+    # built per call, so a rebound module name (a test's fake, a tracer) is used
+    routes = {"siegert": solve_poles, "feshbach": feshbach_pole_search}
+    methods = list(routes) if args.method == "both" else [args.method]
+    sets = {m: routes[m](spec) for m in methods}
+    poles = sets[methods[0]]
+    dz = pole_set_distance(*sets.values()) if len(sets) == 2 else None
     if args.format == "json":
-        if extra is None:
-            text = dumps(_pole_json_records(poles)) + "\n"
-        else:
-            text = dumps({
-                "siegert": _pole_json_records(siegert_set),
-                "feshbach": _pole_json_records(feshbach_set),
-                "max_dz": extra,
-            }) + "\n"
+        records = {m: [pole_to_record(p) for p in s] for m, s in sets.items()}
+        text = dumps(records[methods[0]] if dz is None else {**records, "max_dz": dz}) + "\n"
     elif args.format == "csv":
         text = _pole_csv(poles)
-        if extra is not None:
-            text += f"# max_dz = {format_float(extra)}\n"
+        if dz is not None:
+            text += f"# max_dz = {format_float(dz)}\n"
     else:
         text = _pole_table(poles)
-        if extra is not None:
-            text += f"max |dz| between methods = {format_float(extra)}\n"
+        if dz is not None:
+            text += f"max |dz| between methods = {format_float(dz)}\n"
     _emit(text, args.out)
-    return 0
 
 
-def cmd_transmission(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    spec = _resolve_device(args, cfg)
+def cmd_transmission(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
     k_min = _resolve(args, cfg, "kmin")
     k_max = _resolve(args, cfg, "kmax")
     steps = _resolve(args, cfg, "steps", cast=int)
@@ -166,15 +141,9 @@ def cmd_transmission(args: argparse.Namespace) -> int:
         raise ParameterError("transmission needs --kmin, --kmax and --steps")
     rows = transmission_sweep(spec, k_min, k_max, steps)
     _emit(sweep_rows_csv(rows), args.out)
-    return 0
 
 
-POLE_SWEEP_HEADER = "param,z_re,z_im,k_re,k_im,E_re,E_im,class"
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    spec = _resolve_device(args, cfg)
+def cmd_sweep(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
     params = tdot_params(spec)
     if params is None:
         raise ParameterError("pole sweeps support only T-dot models")
@@ -189,11 +158,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ]
 
     def point(v: float):
-        if name == "t1":
-            s = make_tdot(params.t, v, params.eps_d)
-        else:
-            s = make_tdot(params.t, params.t1, v)
-        return solve_poles(s)
+        return solve_poles(make_tdot(**{**vars(params), name: v}))
 
     all_poles = [point(v) for v in values]
     lines = [POLE_SWEEP_HEADER]
@@ -204,16 +169,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if prev_multiset is not None and multiset != prev_multiset:
             transitions.append((v, prev_multiset, multiset))
         prev_multiset = multiset
-        for p in poles:
-            rec = pole_to_record(p)
-            lines.append(
-                ",".join(
-                    [format_float(v)]
-                    + [format_float(rec[c]) for c in
-                       ("z_re", "z_im", "k_re", "k_im", "E_re", "E_im")]
-                    + [rec["class"]]
-                )
-            )
+        lines.extend(
+            POLE_SWEEP_ROW % (v, p.z.real, p.z.imag, p.k.real, p.k.imag,
+                              p.E.real, p.E.imag, p.pole_class.value)
+            for p in poles
+        )
     if transitions:
         for v, before, after in transitions:
             lines.append(
@@ -223,12 +183,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         lines.append("# no classification changes")
     _emit("\n".join(lines) + "\n", args.out)
-    return 0
 
 
-def cmd_wavefunction(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    spec = _resolve_device(args, cfg)
+def cmd_wavefunction(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
     poles = solve_poles(spec)
     if not 0 <= args.pole_index < len(poles):
         raise ParameterError(
@@ -238,16 +195,11 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
         raise ParameterError(f"--xmax must be >= 1, got {args.xmax}")
     samples = evaluate(poles[args.pole_index], args.xmax)
     _emit(wavefunction_csv(samples), args.out)
-    return 0
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    spec = _resolve_device(args, cfg)
-    sites = args.sites if args.sites is not None else int(cfg.get("sites", 200))
-    report = build_report(spec, sites)
+def cmd_oracle(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
+    report = build_report(spec, _resolve(args, cfg, "sites", cast=int))
     _emit(dumps(report) + "\n", args.out)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,7 +260,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        cfg = _load_config(args.config)
+        args.func(args, cfg, _resolve_device(args, cfg))
+        return 0
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

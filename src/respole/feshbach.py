@@ -12,14 +12,11 @@ so this route stays independent of the outgoing-wave one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dispersion import energy_from_z, k_from_z, z_pair_from_energy
-from .errors import BandEdgeError, NumericalError, ParameterError
-from .model import DeviceSpec, p_space_hamiltonian, tdot_params
-from .poles import PoleClass, SpectralPole, make_pole
+from .errors import NumericalError, ParameterError
+from .model import DeviceSpec, p_space_hamiltonian
+from .poles import SpectralPole, decoupled_poles, poles_from_roots
 
 START_RADIUS = 1.3
 # An Aberth correction that stops shrinking means the root has reached the
@@ -53,19 +50,12 @@ def surface_green(x: int, z: complex, t: float) -> complex:
     return -(z ** abs(x)) / t
 
 
-@dataclass(frozen=True)
-class EffectiveHamiltonian:
-    """The projected matrix at a fixed Bloch factor (rows in site order)."""
-
-    matrix: np.ndarray
-    z: complex
-
-
-def build_h_eff(spec: DeviceSpec, z: complex) -> EffectiveHamiltonian:
-    """Device block plus the lead self-energy on the contact diagonal."""
+def build_h_eff(spec: DeviceSpec, z: complex) -> np.ndarray:
+    """The projected matrix at Bloch factor z (rows in site order): the
+    device block plus the lead self-energy on the contact diagonal."""
     h = p_space_hamiltonian(spec).astype(complex)
     h[spec.contact, spec.contact] += self_energy(z, spec.lead_t)
-    return EffectiveHamiltonian(matrix=h, z=z)
+    return h
 
 
 def secular_residual(spec: DeviceSpec, z: complex) -> complex:
@@ -106,33 +96,6 @@ def q_space_reconstruct(pole: SpectralPole, x: int) -> complex:
     if x == 0:
         return pole.amp0
     return pole.z ** abs(x) * pole.amp0
-
-
-def decoupled_poles(spec: DeviceSpec) -> list[SpectralPole]:
-    """Embedded level of a dot with zero coupling, reported as Decoupled.
-
-    The secular determinant factorizes; the lead factor carries no discrete
-    state and the dot factor pins E = eps_d exactly.  The retarded Bloch root
-    represents the level (z = -sign(eps_d) at a band edge).
-    """
-    params = tdot_params(spec)
-    if params is None:
-        raise ParameterError("decoupled handling applies to T-dot devices only")
-    E = params.eps_d
-    try:
-        z = z_pair_from_energy(E, params.t)[0]
-    except BandEdgeError:
-        z = complex(-1.0 if E > 0 else 1.0)
-    return [
-        SpectralPole(
-            z=z,
-            k=k_from_z(z),
-            E=complex(E),
-            pole_class=PoleClass.DECOUPLED,
-            amps=(0j, 1.0 + 0j),
-            contact=spec.contact,
-        )
-    ]
 
 
 def default_seeds(spec: DeviceSpec) -> np.ndarray:
@@ -181,9 +144,9 @@ def feshbach_pole_search(spec: DeviceSpec, max_iter: int = 100) -> list[Spectral
     """
     if max_iter < 1:
         raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
-    params = tdot_params(spec)
-    if params is not None and params.t1 == 0.0:
-        return decoupled_poles(spec)
+    decoupled = decoupled_poles(spec)
+    if decoupled is not None:
+        return decoupled
 
     z = np.array(default_seeds(spec), dtype=complex)
     last_step = np.full(z.size, np.inf)
@@ -212,9 +175,4 @@ def feshbach_pole_search(spec: DeviceSpec, max_iter: int = 100) -> list[Spectral
     if not np.all(gaps > radius[:, None] + radius[None, :]):
         raise NumericalError("Aberth roots overlap: a multiple root cannot be certified")
     null_vectors = np.linalg.svd(_secular_stack(spec, z))[2][:, -1].conj()
-    out = [
-        make_pole(zi, energy_from_z(zi, spec.lead_t), v, spec.contact)
-        for zi, v in zip(z.tolist(), null_vectors)
-    ]
-    out.sort(key=lambda p: (p.z.real, p.z.imag))
-    return out
+    return poles_from_roots(spec, z, null_vectors)

@@ -127,13 +127,11 @@ def device_from_json(obj: dict) -> DeviceSpec:
     """Parse a device from its JSON form; accepts the ``{"tdot": {...}}`` shorthand."""
     if not isinstance(obj, dict):
         raise ParameterError("device JSON must be an object")
-    if "tdot" in obj:
-        td = obj["tdot"]
-        try:
-            return make_tdot(float(td["t"]), float(td["t1"]), float(td["eps_d"]))
-        except (KeyError, TypeError) as exc:
-            raise ParameterError(f"bad tdot shorthand: {exc}") from exc
+    shape = "tdot shorthand" if "tdot" in obj else "device JSON"
     try:
+        if "tdot" in obj:
+            td = obj["tdot"]
+            return make_tdot(float(td["t"]), float(td["t1"]), float(td["eps_d"]))
         return DeviceSpec(
             n_sites=int(obj["n_sites"]),
             onsite=tuple(float(e) for e in obj["onsite"]),
@@ -141,7 +139,7 @@ def device_from_json(obj: dict) -> DeviceSpec:
             contact=int(obj["contact"]),
             lead_t=float(obj["lead_t"]),
         )
+    except ParameterError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ParameterError):
-            raise
-        raise ParameterError(f"bad device JSON: {exc}") from exc
+        raise ParameterError(f"bad {shape}: {exc}") from exc

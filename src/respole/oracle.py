@@ -27,22 +27,13 @@ from .poles import BOUND_CLASSES, SpectralPole
 from .siegert import solve_poles
 
 
-@dataclass(frozen=True)
-class TruncatedLattice:
-    """Hard-wall lattice: lead sites -N..N plus the non-contact device sites."""
+def finite_lattice_hamiltonian(spec: DeviceSpec, N: int) -> np.ndarray:
+    """The hard-wall Hamiltonian on lead sites -N..N plus the non-contact
+    device sites (no bonds beyond +-N).
 
-    N: int
-    matrix: np.ndarray
-    contact_index: int
-    device_indices: tuple[int, ...]
-
-
-def finite_lattice_hamiltonian(spec: DeviceSpec, N: int) -> TruncatedLattice:
-    """Assemble the truncated Hamiltonian (no bonds beyond +-N).
-
-    Lead site x maps to row x + N; non-contact device sites follow in site
-    order.  Meaningful bound-state comparisons need N large enough that
-    |z|**(2N) is negligible.
+    Lead site x maps to row x + N, so the contact is row N; non-contact
+    device sites follow in site order.  Meaningful bound-state comparisons
+    need N large enough that |z|**(2N) is negligible.
     """
     if N < 1:
         raise ParameterError(f"need at least one lead site per side, got N={N}")
@@ -52,21 +43,17 @@ def finite_lattice_hamiltonian(spec: DeviceSpec, N: int) -> TruncatedLattice:
     t = spec.lead_t
     x = np.arange(2 * N)
     h[x, x + 1] = h[x + 1, x] = -t
-    contact_row = N
-    h[contact_row, contact_row] = spec.onsite[spec.contact]
+    h[N, N] = spec.onsite[spec.contact]
 
     def row_of(site: int) -> int:
-        return contact_row if site == spec.contact else 2 * N + 1 + extras.index(site)
+        return N if site == spec.contact else 2 * N + 1 + extras.index(site)
 
     for i in extras:
         h[row_of(i), row_of(i)] = spec.onsite[i]
     for i, j, amp in spec.hoppings:
         h[row_of(i), row_of(j)] = amp
         h[row_of(j), row_of(i)] = amp
-    device_rows = tuple(row_of(i) for i in range(spec.n_sites))
-    return TruncatedLattice(
-        N=N, matrix=h, contact_index=contact_row, device_indices=device_rows
-    )
+    return h
 
 
 def _even_sector(spec: DeviceSpec, N: int) -> np.ndarray:
@@ -77,9 +64,7 @@ def _even_sector(spec: DeviceSpec, N: int) -> np.ndarray:
     changes, to sqrt(2) times its value, since the contact meets both x = +1
     and x = -1.
     """
-    lattice = finite_lattice_hamiltonian(spec, N)
-    c = lattice.contact_index
-    h = lattice.matrix[c:, c:].copy()
+    h = finite_lattice_hamiltonian(spec, N)[N:, N:].copy()
     h[0, 1] = h[1, 0] = h[0, 1] * math.sqrt(2.0)
     return h
 

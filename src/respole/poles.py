@@ -1,4 +1,5 @@
-"""Discrete-state records and their classification in the complex k plane.
+"""Discrete-state records, their classification in the complex k plane, and
+the sorted pole list both routes build from their roots.
 
 Pole taxonomy for a single-band lead: bound states sit on the lines
 Re k = 0 or Re k = pi with Im k > 0; anti-bound states sit on the same lines
@@ -15,8 +16,9 @@ from enum import Enum
 
 import numpy as np
 
-from .dispersion import k_from_z, wrap_to_zone
-from .errors import ClassificationError, ParameterError
+from .dispersion import energy_from_z, k_from_z, wrap_to_zone, z_pair_from_energy
+from .errors import BandEdgeError, ClassificationError, ParameterError
+from .model import DeviceSpec, tdot_params
 
 CLASSIFY_TOL = 1e-9
 # a contact amplitude below this fraction of the largest one means the state
@@ -82,6 +84,41 @@ def make_pole(z: complex, E: complex, null_vector, contact: int) -> SpectralPole
         z=z, k=k_from_z(z), E=E, pole_class=classify(z), amps=tuple(amps.tolist()),
         contact=contact,
     )
+
+
+def poles_from_roots(spec: DeviceSpec, roots, null_vectors) -> list[SpectralPole]:
+    """The classified state at each secular root, with the amplitudes of its
+    null vector (see :func:`make_pole`), sorted by (Re z, Im z)."""
+    out = [
+        make_pole(z, energy_from_z(z, spec.lead_t), v, spec.contact)
+        for z, v in zip(np.asarray(roots, dtype=complex).tolist(), null_vectors)
+    ]
+    out.sort(key=lambda p: (p.z.real, p.z.imag))
+    return out
+
+
+def decoupled_poles(spec: DeviceSpec) -> list[SpectralPole] | None:
+    """The embedded level of a T-dot with zero coupling, reported as
+    Decoupled; None for every other device.
+
+    The secular determinant factorizes; the lead factor carries no discrete
+    state and the dot factor pins E = eps_d exactly.  The retarded Bloch root
+    represents the level (z = -sign(eps_d) at a band edge).
+    """
+    params = tdot_params(spec)
+    if params is None or params.t1 != 0.0:
+        return None
+    E = params.eps_d
+    try:
+        z = z_pair_from_energy(E, params.t)[0]
+    except BandEdgeError:
+        z = complex(-1.0 if E > 0 else 1.0)
+    return [
+        SpectralPole(
+            z=z, k=k_from_z(z), E=complex(E), pole_class=PoleClass.DECOUPLED,
+            amps=(0j, 1.0 + 0j), contact=spec.contact,
+        )
+    ]
 
 
 def classify(z: complex, tol: float = CLASSIFY_TOL) -> PoleClass:

@@ -24,11 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import energy_from_z
 from .errors import NumericalError, ParameterError
-from .feshbach import decoupled_poles
-from .model import DeviceSpec, p_space_hamiltonian, tdot_params
-from .poles import PoleClass, SpectralPole, make_pole
+from .model import DeviceSpec, p_space_hamiltonian
+from .poles import PoleClass, SpectralPole, decoupled_poles, poles_from_roots
 
 
 def secular_polynomial(spec: DeviceSpec) -> np.ndarray:
@@ -119,13 +117,7 @@ def solve_poles(spec: DeviceSpec) -> list[SpectralPole]:
     inner-space amplitudes of its eigenvector, sorted by (Re z, Im z).  A dot
     with zero coupling short-circuits to its embedded Decoupled level.
     """
-    params = tdot_params(spec)
-    if params is not None and params.t1 == 0.0:
-        return decoupled_poles(spec)
-    roots, vectors = poly_roots(secular_polynomial(spec))
-    out = []
-    for z, v in zip(roots, vectors):
-        z = complex(z)
-        out.append(make_pole(z, energy_from_z(z, spec.lead_t), v, spec.contact))
-    out.sort(key=lambda p: (p.z.real, p.z.imag))
-    return out
+    decoupled = decoupled_poles(spec)
+    if decoupled is not None:
+        return decoupled
+    return poles_from_roots(spec, *poly_roots(secular_polynomial(spec)))

@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from respole import make_tdot, pole_to_record, solve_poles
+from respole._format import format_float
 from respole.cli import main
 from respole.errors import NumericalError
 
@@ -40,7 +42,14 @@ def test_poles_csv(capsys):
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == POLE_HEADER
-    assert len(lines) == 5
+    # every field is format_float of the default T-dot's pole value
+    expected = [
+        [format_float(v) if k != "class" else v for k, v in pole_to_record(p).items()]
+        for p in solve_poles(make_tdot(1.0, 1.0, 0.0))
+    ]
+    rows = [line.split(",") for line in lines[1:]]
+    assert rows == expected and len(rows) == 4
+    assert {"-0", "1"} <= {f for row in rows for f in row}
 
 
 def test_poles_both_reports_distance(capsys):
@@ -299,3 +308,84 @@ def test_poles_both_routes_agree_where_newton_failed(name, tmp_path, capsys):
     n = model.get("n_sites", 2)
     assert len(data["siegert"]) == len(data["feshbach"]) == 2 * n
     assert data["max_dz"] < 1e-9
+
+
+@pytest.mark.parametrize("command, cfg", [
+    (["oracle"], {"sites": "abc"}),
+    (["transmission", "--kmax", "3", "--steps", "5"], {"kmin": "x"}),
+    (["poles"], {"t1": [1]}),
+    (["poles"], {"model": {"tdot": {"t": "abc", "t1": 1, "eps_d": 0}}}),
+], ids=["sites", "kmin", "t1", "tdot_t"])
+def test_config_value_of_wrong_type_exits_2(command, cfg, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, *command, "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_poles_feshbach_route_formats(fmt, capsys):
+    model = ("--t1", "0.7", "--eps-d", "0.4")
+    code, out, err = run(capsys, "poles", "--method", "feshbach", "--format", fmt, *model)
+    assert code == 0, err
+    spec = make_tdot(1.0, 0.7, 0.4)
+    reference = solve_poles(spec)
+    if fmt == "json":
+        rows = [(complex(r["z_re"], r["z_im"]), r["class"]) for r in json.loads(out)]
+    elif fmt == "csv":
+        lines = out.strip().split("\n")
+        assert lines[0] == POLE_HEADER
+        fields = [line.split(",") for line in lines[1:]]
+        rows = [(complex(float(f[0]), float(f[1])), f[6]) for f in fields]
+    else:
+        lines = out.strip().split("\n")
+        assert lines[0].split() == ["z", "k", "E", "class"]
+        rows = [(complex(line.split()[0]), line.split()[3]) for line in lines[1:]]
+    assert [c for _, c in rows] == [p.pole_class.value for p in reference]
+    for (z, _), p in zip(rows, reference):
+        assert abs(z - p.z) < 1e-9
+
+
+def test_poles_both_csv_ends_with_max_dz(capsys):
+    code, out, _ = run(capsys, "poles", "--method", "both", "--format", "csv")
+    assert code == 0
+    _, siegert_only, _ = run(capsys, "poles", "--format", "csv")
+    body, last = out.rstrip("\n").rsplit("\n", 1)
+    assert body + "\n" == siegert_only
+    assert last.startswith("# max_dz = ")
+    assert float(last.removeprefix("# max_dz = ")) < 1e-9
+
+
+def test_oracle_reads_sites_from_config(tmp_path, capsys):
+    # a weakly bound dot, so the hard-wall energies depend on the lattice size
+    model = ("--t1", "0.25", "--eps-d", "0")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sites": 12}))
+    _, from_config, _ = run(capsys, "oracle", "--config", str(cfg), *model)
+    _, from_flag, _ = run(capsys, "oracle", "--sites", "12", *model)
+    _, default, _ = run(capsys, "oracle", *model)
+    _, default_flag, _ = run(capsys, "oracle", "--sites", "200", *model)
+    _, flag_over_config, _ = run(capsys, "oracle", "--config", str(cfg), "--sites", "200",
+                                 *model)
+    assert from_config == from_flag
+    assert default == default_flag == flag_over_config
+    assert from_config != default
+
+
+def test_sweep_fields_are_format_float_of_the_pole(capsys):
+    code, out, _ = run(capsys, "sweep", "--param", "t1", "--from", "0", "--to", "1",
+                       "--steps", "3", "--eps-d", "0")
+    assert code == 0
+    expected = []
+    for v in (0.0, 0.5, 1.0):
+        for p in solve_poles(make_tdot(1.0, v, 0.0)):
+            values = (v, p.z.real, p.z.imag, p.k.real, p.k.imag, p.E.real, p.E.imag)
+            expected.append([format_float(x) for x in values] + [p.pole_class.value])
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]
+            if not line.startswith("#")]
+    assert rows == expected
+    fields = {f for row in rows for f in row}
+    assert {"-0", "1"} <= fields

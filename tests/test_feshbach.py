@@ -65,11 +65,11 @@ def test_self_energy_is_retarded_on_shell():
 
 def test_build_h_eff_tdot_entries():
     h = build_h_eff(make_tdot(1.0, 1.0, 0.0), 1j)
-    assert np.allclose(h.matrix, [[-2j, -1.0], [-1.0, 0.0]], atol=1e-15)
+    assert np.allclose(h, [[-2j, -1.0], [-1.0, 0.0]], atol=1e-15)
     h = build_h_eff(make_tdot(1.0, 0.5, 0.3), 1.0)
-    assert np.allclose(h.matrix, [[-2.0, -0.5], [-0.5, 0.3]], atol=1e-15)
+    assert np.allclose(h, [[-2.0, -0.5], [-0.5, 0.3]], atol=1e-15)
     h = build_h_eff(make_tdot(1.0, 1.0, 0.0), Q)
-    assert np.allclose(h.matrix, [[-2.0 * Q, -1.0], [-1.0, 0.0]], atol=1e-15)
+    assert np.allclose(h, [[-2.0 * Q, -1.0], [-1.0, 0.0]], atol=1e-15)
 
 
 def test_hermiticity_breaking_is_localized():
@@ -78,7 +78,7 @@ def test_hermiticity_breaking_is_localized():
         z = complex(rng.normal(), rng.normal())
         if abs(z) < 1e-3:
             continue
-        diff = build_h_eff(GEN_DEVICE, z).matrix - p_space_hamiltonian(GEN_DEVICE)
+        diff = build_h_eff(GEN_DEVICE, z) - p_space_hamiltonian(GEN_DEVICE)
         expected = np.zeros_like(diff)
         expected[0, 0] = -2.0 * GEN_DEVICE.lead_t * z
         assert np.allclose(diff, expected, atol=1e-15)

@@ -47,7 +47,7 @@ def random_device(rng, n):
 
 def dense_bound_energies(spec, N):
     """Reference: every eigenvalue of the full 2N + n lattice outside the band."""
-    evals = np.linalg.eigvalsh(finite_lattice_hamiltonian(spec, N).matrix)
+    evals = np.linalg.eigvalsh(finite_lattice_hamiltonian(spec, N))
     return sorted(float(e) for e in evals if abs(e) > 2.0 * spec.lead_t + 1e-12)
 
 
@@ -62,31 +62,32 @@ def test_small_lattice_assembly():
             [0.0, -1.0, 0.0, 0.0],
         ]
     )
-    assert np.array_equal(lat.matrix, expected)
-    assert lat.contact_index == 1
+    assert np.array_equal(lat, expected)
+    # the contact is row N = 1, the only lattice site the dot meets
+    assert np.flatnonzero(lat[3]).tolist() == [1]
     with pytest.raises(ParameterError):
         finite_lattice_hamiltonian(make_tdot(1.0, 1.0, 0.0), 0)
 
 
 def test_small_lattice_eigenvalues_satisfy_char_poly():
     lat = finite_lattice_hamiltonian(make_tdot(1.0, 1.0, 0.0), 1)
-    evals = np.linalg.eigvalsh(lat.matrix)
+    evals = np.linalg.eigvalsh(lat)
     for e in evals:
         # residual of det(H - e I) via an LU determinant
-        assert abs(np.linalg.det(lat.matrix - e * np.eye(4))) < 1e-12
+        assert abs(np.linalg.det(lat - e * np.eye(4))) < 1e-12
 
 
 def test_generalized_lattice_assembly():
     spec = DeviceSpec(3, (0.1, 0.5, -0.2), ((0, 1, -0.8), (1, 2, -0.6)), 0, 1.0)
     lat = finite_lattice_hamiltonian(spec, 2)
     # 5 lead sites + 2 extra device sites
-    assert lat.matrix.shape == (7, 7)
-    assert lat.matrix[2, 2] == 0.1       # contact onsite sits at x = 0
-    assert lat.matrix[5, 5] == 0.5
-    assert lat.matrix[6, 6] == -0.2
-    assert lat.matrix[2, 5] == -0.8
-    assert lat.matrix[5, 6] == -0.6
-    assert np.array_equal(lat.matrix, lat.matrix.T)
+    assert lat.shape == (7, 7)
+    assert lat[2, 2] == 0.1       # contact onsite sits at x = 0
+    assert lat[5, 5] == 0.5
+    assert lat[6, 6] == -0.2
+    assert lat[2, 5] == -0.8
+    assert lat[5, 6] == -0.6
+    assert np.array_equal(lat, lat.T)
 
 
 def test_bound_energies_match_closed_form():
@@ -202,7 +203,7 @@ def test_even_sector_plus_bare_chain_is_the_full_spectrum():
     specs += [random_device(rng, int(rng.integers(2, 7))) for _ in range(12)]
     for k, spec in enumerate(specs):
         N = 10 + 2 * k
-        full = finite_lattice_hamiltonian(spec, N).matrix
+        full = finite_lattice_hamiltonian(spec, N)
         even = _even_sector(spec, N)
         assert even.shape == (N + spec.n_sites,) * 2
         odd = -2.0 * spec.lead_t * np.cos(np.pi * np.arange(1, N + 1) / (N + 1))

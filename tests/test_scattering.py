@@ -66,7 +66,7 @@ def reference_sweep(spec, k_min, k_max, steps):
     for k in np.linspace(k_min, k_max, steps).tolist():
         z = complex(math.cos(k), math.sin(k))
         E = -2.0 * spec.lead_t * math.cos(k)
-        m = E * np.eye(spec.n_sites, dtype=complex) - build_h_eff(spec, z).matrix
+        m = E * np.eye(spec.n_sites, dtype=complex) - build_h_eff(spec, z)
         rhs = np.zeros(spec.n_sites, dtype=complex)
         rhs[spec.contact] = 2j * spec.lead_t * math.sin(k)
         amps = np.linalg.solve(m, rhs).tolist()
@@ -177,7 +177,7 @@ def test_green_function_residual_invariant():
         g = green_function(spec, k)
         z = complex(math.cos(k), math.sin(k))
         E = -2 * math.cos(k)
-        m = E * np.eye(2) - build_h_eff(spec, z).matrix
+        m = E * np.eye(2) - build_h_eff(spec, z)
         resid = m @ np.array(g.values) - np.array([1.0, 0.0])
         assert np.max(np.abs(resid)) < 1e-12
 

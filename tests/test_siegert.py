@@ -196,7 +196,7 @@ def test_amplitudes_are_null_vectors_when_state_misses_contact():
     for route in (solve_poles, feshbach_pole_search):
         poles = route(spec)
         for pole in poles:
-            m = pole.E * np.eye(3) - build_h_eff(spec, pole.z).matrix
+            m = pole.E * np.eye(3) - build_h_eff(spec, pole.z)
             a = np.array(pole.amps)
             assert np.linalg.norm(m @ a) / np.linalg.norm(a) < 1e-12
         cut = [p for p in poles if abs(p.E - 0.9) < 1e-12]
