@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -20,7 +21,7 @@ from .model import DeviceSpec, device_from_json, make_tdot, tdot_params
 from .oracle import build_report, pole_set_distance
 from .poles import pole_to_record
 from .scattering import sweep_rows_csv, transmission_sweep
-from .siegert import solve_poles
+from .siegert import solve_poles, solve_tdot_sweep
 from .wavefunction import evaluate, wavefunction_csv
 
 DEFAULTS = {"t": 1.0, "t1": 1.0, "eps_d": 0.0, "sites": 200}
@@ -61,15 +62,19 @@ def _load_config(path: str | None) -> dict:
 
 
 def _resolve(args: argparse.Namespace, cfg: dict, key: str, cast=float):
-    """flag > config > default; a config value that ``cast`` rejects is a
-    ParameterError."""
+    """flag > config > default; a config value that ``cast`` rejects, a
+    boolean, or a non-integral number where ``cast`` is int is a
+    ParameterError, as the matching flag would be."""
     val = getattr(args, key, None)
     if val is not None:
         return val
     if key not in cfg:
         return DEFAULTS.get(key)
+    raw = cfg[key]
+    if isinstance(raw, bool) or (cast is int and isinstance(raw, float) and not raw.is_integer()):
+        raise ParameterError(f"bad config value for {key}: {raw!r}")
     try:
-        return cast(cfg[key])
+        return cast(raw)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"bad config value for {key}: {exc}") from exc
 
@@ -152,15 +157,15 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
         raise ParameterError(f"unsupported sweep parameter {args.param!r}; use t1 or eps-d")
     if args.steps < 2:
         raise ParameterError(f"sweep needs at least 2 steps, got {args.steps}")
+    for flag, value in (("--from", args.start), ("--to", args.stop),
+                        ("range --to minus --from", args.stop - args.start)):
+        if not math.isfinite(value):
+            raise ParameterError(f"sweep {flag} must be finite, got {value}")
     values = [
         args.start + (args.stop - args.start) * i / (args.steps - 1)
         for i in range(args.steps)
     ]
-
-    def point(v: float):
-        return solve_poles(make_tdot(**{**vars(params), name: v}))
-
-    all_poles = [point(v) for v in values]
+    all_poles = solve_tdot_sweep(params, name, values)
     lines = [POLE_SWEEP_HEADER]
     transitions = []
     prev_multiset = None

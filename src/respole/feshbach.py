@@ -175,4 +175,4 @@ def feshbach_pole_search(spec: DeviceSpec, max_iter: int = 100) -> list[Spectral
     if not np.all(gaps > radius[:, None] + radius[None, :]):
         raise NumericalError("Aberth roots overlap: a multiple root cannot be certified")
     null_vectors = np.linalg.svd(_secular_stack(spec, z))[2][:, -1].conj()
-    return poles_from_roots(spec, z, null_vectors)
+    return poles_from_roots(z[None], null_vectors[None], spec.lead_t, spec.contact)[0]

@@ -43,7 +43,7 @@ BOUND_CLASSES = (PoleClass.BOUND_LOWER, PoleClass.BOUND_UPPER)
 class SpectralPole:
     """One discrete eigenstate: Bloch factor, wave number, energy, class,
     and the inner-space amplitudes (site order, contact normalized to 1
-    unless the state misses the contact; see :func:`make_pole`)."""
+    unless the state misses the contact; see :func:`poles_from_roots`)."""
 
     z: complex
     k: complex
@@ -70,31 +70,38 @@ class SpectralPole:
         return self.pole_class in BOUND_CLASSES
 
 
-def make_pole(z: complex, E: complex, null_vector, contact: int) -> SpectralPole:
-    """The classified state at secular root z with the amplitudes of its null
-    vector, scaled so the contact reads exactly 1; a state that misses the
-    contact (|v_c| <= CONTACT_PIN_TOL * max|v|) has its largest entry pinned
-    to 1 instead."""
-    v = np.asarray(null_vector, dtype=complex)
+def poles_from_roots(roots, null_vectors, t: float, contact: int) -> list[list[SpectralPole]]:
+    """The classified states of a stack of devices that share the lead
+    hopping t and the contact site, from their (m, 2n) secular roots and the
+    (m, 2n, n) null vectors; each device's list sorted by (Re z, Im z).
+
+    Amplitudes are scaled so the contact reads exactly 1; a state that misses
+    the contact (|v_c| <= CONTACT_PIN_TOL * max|v|) has its largest entry
+    pinned to 1 instead.  k, E and the class are computed per pole in scalar
+    arithmetic.
+    """
+    roots = np.asarray(roots, dtype=complex)
+    # complex before dividing: numpy divides complex numbers by multiplying
+    # with a reciprocal, which can differ from real division in the last bit
+    v = np.asarray(null_vectors, dtype=complex)
+    rows, cols = np.arange(roots.shape[0])[:, None], np.arange(roots.shape[1])
+    order = np.lexsort((roots.imag, roots.real))
+    roots, v = roots[rows, order], v[rows, order]
     mag = np.abs(v)
-    pin = contact if mag[contact] > CONTACT_PIN_TOL * mag.max() else int(np.argmax(mag))
-    amps = v / v[pin]
-    amps[pin] = 1.0
-    return SpectralPole(
-        z=z, k=k_from_z(z), E=E, pole_class=classify(z), amps=tuple(amps.tolist()),
-        contact=contact,
-    )
-
-
-def poles_from_roots(spec: DeviceSpec, roots, null_vectors) -> list[SpectralPole]:
-    """The classified state at each secular root, with the amplitudes of its
-    null vector (see :func:`make_pole`), sorted by (Re z, Im z)."""
-    out = [
-        make_pole(z, energy_from_z(z, spec.lead_t), v, spec.contact)
-        for z, v in zip(np.asarray(roots, dtype=complex).tolist(), null_vectors)
+    pin = np.where(mag[..., contact] > CONTACT_PIN_TOL * mag.max(axis=-1),
+                   contact, mag.argmax(axis=-1))
+    amps = v / v[rows, cols, pin][..., None]
+    amps[rows, cols, pin] = 1.0
+    return [
+        [
+            SpectralPole(
+                z=z, k=k_from_z(z), E=energy_from_z(z, t), pole_class=classify(z),
+                amps=tuple(a), contact=contact,
+            )
+            for z, a in zip(zs, rows)
+        ]
+        for zs, rows in zip(roots.tolist(), amps.tolist())
     ]
-    out.sort(key=lambda p: (p.z.real, p.z.imag))
-    return out
 
 
 def decoupled_poles(spec: DeviceSpec) -> list[SpectralPole] | None:

@@ -9,8 +9,10 @@ form a quadratic matrix polynomial,
 with H_P the device block and P_c the projector on the contact site.  Its 2n
 eigenvalues are every S-matrix pole of the device and its eigenvectors are
 the inner-space amplitudes.  The leading matrix is diagonal with entries +-t,
-so one eigensolve of its block companion matrix gives both at once.  For the
-T-type dot the determinant is the quartic
+so one eigensolve of its block companion matrix gives both at once.  Devices
+that share the lead and the contact site, such as the points of a parameter
+sweep, stack into one eigensolve; a single device is the stack of one.  For
+the T-type dot the determinant is the quartic
 
     t^2 z^4 + t eps_d z^3 + t1^2 z^2 - t eps_d z - t^2 = 0,
 
@@ -25,48 +27,66 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .model import DeviceSpec, p_space_hamiltonian
+from .model import DeviceSpec, ModelParams, make_tdot, p_space_hamiltonian
 from .poles import PoleClass, SpectralPole, decoupled_poles, poles_from_roots
 
 
-def secular_polynomial(spec: DeviceSpec) -> np.ndarray:
+def secular_polynomial(h: np.ndarray, t: float, contact: int) -> np.ndarray:
     """Real coefficient stack (A0, A1, A2), ascending powers of z, of
-    z (E(z) I - H_eff(z)) = A0 + A1 z + A2 z^2.
+    z (E(z) I - H_eff(z)) = A0 + A1 z + A2 z^2 for the device block h.
 
-    A0 = -t I, A1 = -H_P and A2 = -t (I - 2 P_c); the determinant of the
-    polynomial is z**n_sites * det(E(z) - H_eff(z)).
+    A0 = -t I, A1 = -h and A2 = -t (I - 2 P_c); the determinant of the
+    polynomial is z**n_sites * det(E(z) - H_eff(z)).  An (n, n) block gives a
+    (3, n, n) stack; an (m, n, n) stack of blocks that share the lead hopping
+    t and the contact site gives (m, 3, n, n).
     """
-    t = spec.lead_t
-    eye = np.eye(spec.n_sites)
+    h = np.asarray(h, dtype=float)
+    eye = np.eye(h.shape[-1])
     lead = -t * eye
-    lead[spec.contact, spec.contact] = t
-    return np.stack((-t * eye, -p_space_hamiltonian(spec), lead))
+    lead[contact, contact] = t
+    coeffs = np.empty((*h.shape[:-2], 3, *h.shape[-2:]))
+    coeffs[..., 0, :, :] = -t * eye
+    coeffs[..., 1, :, :] = -h
+    coeffs[..., 2, :, :] = lead
+    return coeffs
 
 
 def poly_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and null vectors of A0 + A1 z + A2 z^2 with A2 diagonal.
+    """Eigenvalues and null vectors of A0 + A1 z + A2 z^2 with A2 diagonal,
+    for one (3, n, n) coefficient stack or an (m, 3, n, n) stack of them.
 
     Scaling the rows by 1/diag(A2) gives the monic z^2 I + B1 z + B0, whose
     block companion matrix [[0, I], [-B0, -B1]] has the eigenvectors
-    (v, z v).  One eigensolve returns all 2n roots, with multiplicity, and
-    row i of the second array is the null vector (the last n rows, z v) of
-    root i.
+    (v, z v).  One eigensolve over all the companion matrices returns every
+    polynomial's 2n roots, with multiplicity, as the last axis of the first
+    array; row i of the matching (2n, n) block of the second array is the
+    null vector (the last n rows, z v) of root i.
     """
     coeffs = np.asarray(coeffs)
-    if coeffs.ndim != 3 or coeffs.shape[0] != 3 or coeffs.shape[1] != coeffs.shape[2]:
-        raise ParameterError(f"need a (3, n, n) coefficient stack, got shape {coeffs.shape}")
-    lead = np.diag(coeffs[2])
-    if np.any(coeffs[2] != np.diag(lead)) or np.any(lead == 0):
+    if (coeffs.ndim not in (3, 4) or coeffs.shape[-3] != 3
+            or coeffs.shape[-2] != coeffs.shape[-1]):
+        raise ParameterError(
+            f"need a (3, n, n) or (m, 3, n, n) coefficient stack, got shape {coeffs.shape}"
+        )
+    a2 = coeffs[..., 2, :, :]
+    lead = np.diagonal(a2, axis1=-2, axis2=-1)
+    n = lead.shape[-1]
+    diag = np.zeros_like(a2)
+    diag[..., range(n), range(n)] = lead
+    if np.any(a2 != diag) or np.any(lead == 0):
         raise ParameterError("leading coefficient must be an invertible diagonal matrix")
-    n = lead.size
-    companion = np.zeros((2 * n, 2 * n), dtype=np.result_type(coeffs, 1.0))
-    companion[:n, n:] = np.eye(n)
-    companion[n:] = -np.concatenate((coeffs[0], coeffs[1]), axis=1) / lead[:, None]
+    companion = np.zeros((*coeffs.shape[:-3], 2 * n, 2 * n),
+                         dtype=np.result_type(coeffs, 1.0))
+    companion[..., :n, n:] = np.eye(n)
+    companion[..., n:, :] = (
+        -np.concatenate((coeffs[..., 0, :, :], coeffs[..., 1, :, :]), axis=-1)
+        / lead[..., :, None]
+    )
     try:
         roots, vectors = np.linalg.eig(companion)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("companion eigensolve did not converge") from exc
-    return roots, vectors[n:].T
+    return roots, vectors[..., n:, :].swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -110,6 +130,12 @@ def closed_form_eps0(t: float, t1: float) -> ClosedFormEps0:
     return ClosedFormEps0(p=p, q=q, poles=poles)
 
 
+def _solve_stack(h: np.ndarray, t: float, contact: int) -> list[list[SpectralPole]]:
+    """The sorted, classified poles of each block of an (m, n, n) stack of
+    device blocks that share the lead hopping t and the contact site."""
+    return poles_from_roots(*poly_roots(secular_polynomial(h, t, contact)), t, contact)
+
+
 def solve_poles(spec: DeviceSpec) -> list[SpectralPole]:
     """Every S-matrix pole of the device via the outgoing-wave polynomial.
 
@@ -120,4 +146,32 @@ def solve_poles(spec: DeviceSpec) -> list[SpectralPole]:
     decoupled = decoupled_poles(spec)
     if decoupled is not None:
         return decoupled
-    return poles_from_roots(spec, *poly_roots(secular_polynomial(spec)))
+    return _solve_stack(p_space_hamiltonian(spec)[None], spec.lead_t, spec.contact)[0]
+
+
+def solve_tdot_sweep(params: ModelParams, name: str, values) -> list[list[SpectralPole]]:
+    """``solve_poles`` of the T-dot ``params`` with the parameter ``name``
+    ("t1" or "eps_d") set to each of ``values`` in turn.
+
+    The device blocks of all coupled points are built from the grid at once
+    and solved by one stacked eigensolve; points with t1 = 0 give their
+    Decoupled level.  Each point's poles equal those of ``solve_poles`` on
+    its own T-dot to the last bit.
+    """
+    if name not in ("t1", "eps_d"):
+        raise ParameterError(f"a T-dot sweep varies t1 or eps_d, not {name!r}")
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ParameterError(f"sweep values of {name} must be finite")
+    t1 = values if name == "t1" else np.full(values.shape, params.t1)
+    eps_d = values if name == "eps_d" else np.full(values.shape, params.eps_d)
+    coupled = t1 != 0.0
+    # the device block of make_tdot(t, t1, eps_d) at every coupled point
+    h = np.zeros((int(coupled.sum()), 2, 2))
+    h[:, 0, 1] = h[:, 1, 0] = -t1[coupled]
+    h[:, 1, 1] = eps_d[coupled]
+    solved = iter(_solve_stack(h, params.t, 0))
+    return [
+        next(solved) if c else decoupled_poles(make_tdot(params.t, a, e))
+        for c, a, e in zip(coupled.tolist(), t1.tolist(), eps_d.tolist())
+    ]

@@ -166,6 +166,19 @@ def test_sweep_rejects_unsupported_parameter(capsys):
     assert "t1 or eps-d" in err
 
 
+@pytest.mark.parametrize("bounds, message", [
+    (["--from", "0", "--to=inf"], "sweep --to must be finite, got inf"),
+    (["--from=nan", "--to", "1"], "sweep --from must be finite, got nan"),
+    (["--from=-1e308", "--to=1e308"], "sweep range --to minus --from must be finite, got inf"),
+    (["--from", "0", "--to=1e308"], "sweep values of t1 must be finite"),
+], ids=["to_inf", "from_nan", "range_overflow", "grid_overflow"])
+def test_sweep_rejects_non_finite_range(bounds, message, capsys):
+    code, out, err = run(capsys, "sweep", "--param", "t1", *bounds, "--steps", "3")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_wavefunction_rows(capsys):
     code, out, _ = run(capsys, "wavefunction", "--pole-index", "0", "--xmax", "20")
     assert code == 0
@@ -315,7 +328,10 @@ def test_poles_both_routes_agree_where_newton_failed(name, tmp_path, capsys):
     (["transmission", "--kmax", "3", "--steps", "5"], {"kmin": "x"}),
     (["poles"], {"t1": [1]}),
     (["poles"], {"model": {"tdot": {"t": "abc", "t1": 1, "eps_d": 0}}}),
-], ids=["sites", "kmin", "t1", "tdot_t"])
+    (["transmission"], {"steps": 5.9, "kmin": 0.2, "kmax": 3}),
+    (["oracle"], {"sites": 30.9}),
+    (["oracle", "--sites", "30"], {"t1": True}),
+], ids=["sites", "kmin", "t1", "tdot_t", "steps_fraction", "sites_fraction", "t1_bool"])
 def test_config_value_of_wrong_type_exits_2(command, cfg, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -14,9 +14,14 @@ from respole import (
     closed_form_eps0,
     feshbach_pole_search,
     make_tdot,
+    p_space_hamiltonian,
     secular_residual,
     solve_poles,
 )
+from respole._format import format_float
+from respole.cli import main
+from respole.dispersion import energy_from_z, k_from_z
+from respole.poles import CONTACT_PIN_TOL, SpectralPole, decoupled_poles
 from respole.siegert import poly_roots, secular_polynomial
 
 P = math.sqrt((1.0 + math.sqrt(5.0)) / 2.0)
@@ -31,6 +36,10 @@ def quartic(t, t1, ed):
     return [t * t, t * ed, t1 * t1, -t * ed, -t * t]
 
 
+def polynomial_of(spec):
+    return secular_polynomial(p_space_hamiltonian(spec), spec.lead_t, spec.contact)
+
+
 def random_device(rng, n):
     """A chain with random levels, a few extra bonds and a random contact."""
     bonds = {(i, i + 1): rng.uniform(-1.5, 1.5) for i in range(n - 1)}
@@ -42,6 +51,51 @@ def random_device(rng, n):
         tuple((i, j, float(a)) for (i, j), a in bonds.items()),
         int(rng.integers(0, n)), float(rng.uniform(0.5, 2.0)),
     )
+
+
+def outside_band_device(rng, n):
+    """Levels outside the band, weakly bonded: every root is usually real,
+    so a lone device's eigensolve returns real null vectors."""
+    t = float(rng.uniform(0.5, 2.0))
+    bonds = {(i, i + 1): 0.15 * rng.uniform(-1.5, 1.5) for i in range(n - 1)}
+    levels = rng.choice((-1.0, 1.0), n) * rng.uniform(2.5, 4.0, n) * t
+    return DeviceSpec(
+        n, tuple(levels.tolist()), tuple((i, j, float(a)) for (i, j), a in bonds.items()),
+        int(rng.integers(0, n)), t,
+    )
+
+
+def reference_pole(z, null_vector, t, contact):
+    """One pole built on its own, with the contact (else the largest entry)
+    of its null vector pinned to 1 in complex arithmetic."""
+    v = np.asarray(null_vector, dtype=complex)
+    mag = np.abs(v)
+    pin = contact if mag[contact] > CONTACT_PIN_TOL * mag.max() else int(np.argmax(mag))
+    amps = v / v[pin]
+    amps[pin] = 1.0
+    return SpectralPole(
+        z=z, k=k_from_z(z), E=energy_from_z(z, t), pole_class=classify(z),
+        amps=tuple(amps.tolist()), contact=contact,
+    )
+
+
+def reference_poles(spec):
+    """The unstacked route: one eigensolve of this device's own companion
+    matrix, each pole built on its own, sorted by (Re z, Im z)."""
+    n, t, c = spec.n_sites, spec.lead_t, spec.contact
+    lead = np.full(n, -t)
+    lead[c] = t
+    companion = np.zeros((2 * n, 2 * n))
+    companion[:n, n:] = np.eye(n)
+    companion[n:, :n] = t * np.eye(n) / lead[:, None]
+    companion[n:, n:] = p_space_hamiltonian(spec) / lead[:, None]
+    roots, vectors = np.linalg.eig(companion)
+    poles = [
+        reference_pole(z, v, t, c)
+        for z, v in zip(np.asarray(roots, dtype=complex).tolist(), vectors[n:].T)
+    ]
+    poles.sort(key=lambda p: (p.z.real, p.z.imag))
+    return poles
 
 
 def mp_companion_roots(spec, dps=40):
@@ -84,12 +138,12 @@ def assert_matches(zs, ref, rel):
 
 
 def test_secular_polynomial_tdot():
-    stack = secular_polynomial(make_tdot(1, 1, 0))
+    stack = polynomial_of(make_tdot(1, 1, 0))
     assert stack.shape == (3, 2, 2) and stack.dtype == float
     assert np.array_equal(stack[0], -np.eye(2))
     assert np.array_equal(stack[1], [[0, 1], [1, 0]])
     assert np.array_equal(stack[2], np.diag([1, -1]))
-    stack = secular_polynomial(make_tdot(2, 1, 0.3))
+    stack = polynomial_of(make_tdot(2, 1, 0.3))
     assert np.array_equal(stack, [-2 * np.eye(2), [[0, 1], [1, -0.3]], np.diag([2, -2])])
 
 
@@ -98,20 +152,20 @@ def test_secular_polynomial_determinant_identity():
     rng = np.random.default_rng(5)
     for n in range(1, 9):
         spec = random_device(rng, n)
-        stack = secular_polynomial(spec)
+        stack = polynomial_of(spec)
         for z in rng.normal(size=3) + 1j * rng.normal(size=3):
             lhs = np.linalg.det(stack[0] + stack[1] * z + stack[2] * z * z)
             rhs = z**n * secular_residual(spec, complex(z))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
     for t, t1, ed in [(1, 1, 0), (1, 0.5, 0.3), (2, 1, -1.3), (0.7, 1.4, 2.0)]:
-        stack = secular_polynomial(make_tdot(t, t1, ed))
+        stack = polynomial_of(make_tdot(t, t1, ed))
         for z in (0.3 + 0.4j, -1.2, 2j):
             lhs = np.linalg.det(stack[0] + stack[1] * z + stack[2] * z * z)
             assert abs(lhs + np.polyval(quartic(t, t1, ed), z)) < 1e-12 * max(1, abs(z)) ** 4
 
 
 def test_poly_roots_quartic():
-    roots, vectors = poly_roots(secular_polynomial(make_tdot(1, 1, 0)))
+    roots, vectors = poly_roots(polynomial_of(make_tdot(1, 1, 0)))
     assert roots.shape == (4,) and vectors.shape == (4, 2)
     assert_matches(roots.tolist(), [Q, -Q, P * 1j, -P * 1j], 1e-14)
 
@@ -142,6 +196,22 @@ def test_poly_roots_validation():
         poly_roots(np.array([np.eye(2), np.eye(2), np.diag([1.0, 0.0])]))
     with pytest.raises(ParameterError):
         poly_roots(np.array([np.eye(2), np.eye(2), [[1.0, 0.5], [0.0, 1.0]]]))
+
+
+def test_poly_roots_stack_matches_single_solves():
+    rng = np.random.default_rng(12)
+    stack = rng.normal(size=(5, 3, 3, 3))
+    stack[:, 2] = np.eye(3) * rng.choice((-1.0, 1.0), (5, 1, 3))
+    roots, vectors = poly_roots(stack)
+    assert roots.shape == (5, 6) and vectors.shape == (5, 6, 3)
+    for i in range(5):
+        r, v = poly_roots(stack[i])
+        assert np.array_equal(roots[i], r) and np.array_equal(vectors[i], v)
+    stack[3, 2, 0, 1] = 0.5
+    with pytest.raises(ParameterError):
+        poly_roots(stack)
+    with pytest.raises(ParameterError):
+        poly_roots(stack[None])
 
 
 def test_poly_roots_null_vectors():
@@ -345,3 +415,53 @@ def test_solve_poles_sorted_and_decoupled():
     dec = solve_poles(make_tdot(1.0, 0.0, 0.5))
     assert [p.pole_class for p in dec] == [PoleClass.DECOUPLED]
     assert dec[0].E == 0.5
+
+
+def test_batch_of_one_matches_per_device_reference():
+    # repr compares every field to the last bit, signed zeros and the type
+    # of each amplitude included
+    rng = np.random.default_rng(77)
+    all_real = 0
+    for i in range(300):
+        n = 1 + i % 10
+        spec = outside_band_device(rng, n) if i % 2 else random_device(rng, n)
+        ref = reference_poles(spec)
+        all_real += n > 1 and all(p.z.imag == 0 for p in ref)
+        assert repr(solve_poles(spec)) == repr(ref)
+    assert all_real >= 50
+
+
+def reference_sweep_csv(param, start, stop, steps, **model):
+    """The sweep CSV from one unstacked eigensolve per grid point."""
+    name = param.replace("-", "_")
+    lines = ["param,z_re,z_im,k_re,k_im,E_re,E_im,class"]
+    changes = []
+    before = None
+    for i in range(steps):
+        v = start + (stop - start) * i / (steps - 1)
+        spec = make_tdot(**{"t": 1.0, "t1": 1.0, "eps_d": 0.0, **model, name: v})
+        poles = decoupled_poles(spec) or reference_poles(spec)
+        after = tuple(sorted(p.pole_class.value for p in poles))
+        if before is not None and after != before:
+            changes.append(f"# classification change at {param}={format_float(v)}: "
+                           f"{'+'.join(before)} -> {'+'.join(after)}")
+        before = after
+        for p in poles:
+            fields = (v, p.z.real, p.z.imag, p.k.real, p.k.imag, p.E.real, p.E.imag)
+            lines.append(",".join([*map(format_float, fields), p.pole_class.value]))
+    return "\n".join(lines + (changes or ["# no classification changes"])) + "\n"
+
+
+@pytest.mark.parametrize("param, start, stop, steps, model", [
+    ("t1", -1.0, 1.0, 21, {"eps_d": 0.3}),
+    ("t1", -0.5, 2.5, 31, {"eps_d": -3.0, "t": 1.3}),
+    ("eps-d", -3.0, 3.0, 25, {"t1": 0.0}),
+    ("eps-d", -3.0, 3.0, 61, {"t1": 0.4}),
+    ("eps-d", -2.5, 2.5, 41, {"t1": 1e-7}),
+], ids=["t1_through_0", "t1_outside_band", "eps_d_decoupled", "eps_d_edges", "eps_d_weak"])
+def test_sweep_csv_matches_per_point_solves(param, start, stop, steps, model, capsys):
+    flags = [f"--{k.replace('_', '-')}={v!r}" for k, v in model.items()]
+    code = main(["sweep", "--param", param, f"--from={start!r}", f"--to={stop!r}",
+                 "--steps", str(steps), *flags])
+    assert code == 0
+    assert capsys.readouterr().out == reference_sweep_csv(param, start, stop, steps, **model)
