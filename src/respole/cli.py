@@ -17,7 +17,7 @@ from . import __version__
 from ._format import dumps, format_float
 from .errors import NumericalError, ParameterError
 from .feshbach import feshbach_pole_search
-from .model import DeviceSpec, device_from_json, make_tdot, tdot_params
+from .model import DeviceSpec, device_from_json, json_number, make_tdot, tdot_params
 from .oracle import build_report, pole_set_distance
 from .poles import pole_to_record
 from .scattering import sweep_rows_csv, transmission_sweep
@@ -70,13 +70,7 @@ def _resolve(args: argparse.Namespace, cfg: dict, key: str, cast=float):
         return val
     if key not in cfg:
         return DEFAULTS.get(key)
-    raw = cfg[key]
-    if isinstance(raw, bool) or (cast is int and isinstance(raw, float) and not raw.is_integer()):
-        raise ParameterError(f"bad config value for {key}: {raw!r}")
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"bad config value for {key}: {exc}") from exc
+    return json_number(cfg[key], cast, f"config value for {key}")
 
 
 def _resolve_device(args: argparse.Namespace, cfg: dict) -> DeviceSpec:

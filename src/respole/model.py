@@ -123,21 +123,44 @@ def device_to_json(spec: DeviceSpec) -> dict:
     }
 
 
+def json_number(raw, cast, what: str):
+    """``cast(raw)`` for a value read from JSON; a boolean, a non-integral
+    number where ``cast`` is int, or a value ``cast`` rejects is a
+    ParameterError naming ``what``."""
+    if isinstance(raw, bool) or (cast is int and isinstance(raw, float) and not raw.is_integer()):
+        raise ParameterError(f"bad {what}: {raw!r}")
+    try:
+        return cast(raw)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"bad {what}: {exc}") from exc
+
+
 def device_from_json(obj: dict) -> DeviceSpec:
-    """Parse a device from its JSON form; accepts the ``{"tdot": {...}}`` shorthand."""
+    """Parse a device from its JSON form; accepts the ``{"tdot": {...}}`` shorthand.
+
+    Every number goes through ``json_number``: site counts and indices must
+    be integral, and no field may be a boolean.
+    """
     if not isinstance(obj, dict):
         raise ParameterError("device JSON must be an object")
     shape = "tdot shorthand" if "tdot" in obj else "device JSON"
+
+    def num(raw, field, cast=float):
+        return json_number(raw, cast, f"{shape} value for {field}")
+
     try:
         if "tdot" in obj:
             td = obj["tdot"]
-            return make_tdot(float(td["t"]), float(td["t1"]), float(td["eps_d"]))
+            return make_tdot(*(num(td[k], k) for k in ("t", "t1", "eps_d")))
         return DeviceSpec(
-            n_sites=int(obj["n_sites"]),
-            onsite=tuple(float(e) for e in obj["onsite"]),
-            hoppings=tuple((int(i), int(j), float(a)) for i, j, a in obj["hoppings"]),
-            contact=int(obj["contact"]),
-            lead_t=float(obj["lead_t"]),
+            n_sites=num(obj["n_sites"], "n_sites", int),
+            onsite=tuple(num(e, "onsite") for e in obj["onsite"]),
+            hoppings=tuple(
+                (num(i, "hoppings", int), num(j, "hoppings", int), num(a, "hoppings"))
+                for i, j, a in obj["hoppings"]
+            ),
+            contact=num(obj["contact"], "contact", int),
+            lead_t=num(obj["lead_t"], "lead_t"),
         )
     except ParameterError:
         raise

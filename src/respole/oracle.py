@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .feshbach import _residual_batch, q_space_reconstruct
+from .feshbach import q_space_reconstruct, secular_residual
 from .model import DeviceSpec, p_space_hamiltonian
 from .poles import BOUND_CLASSES, SpectralPole
 from .siegert import solve_poles
@@ -32,27 +32,18 @@ def finite_lattice_hamiltonian(spec: DeviceSpec, N: int) -> np.ndarray:
     device sites (no bonds beyond +-N).
 
     Lead site x maps to row x + N, so the contact is row N; non-contact
-    device sites follow in site order.  Meaningful bound-state comparisons
-    need N large enough that |z|**(2N) is negligible.
+    device sites follow in site order, site i at row 2N + i + (i < contact).
+    Meaningful bound-state comparisons need N large enough that |z|**(2N) is
+    negligible.
     """
     if N < 1:
         raise ParameterError(f"need at least one lead site per side, got N={N}")
-    extras = [i for i in range(spec.n_sites) if i != spec.contact]
-    dim = 2 * N + 1 + len(extras)
-    h = np.zeros((dim, dim))
-    t = spec.lead_t
+    c = spec.contact
+    rows = [N if i == c else 2 * N + i + (i < c) for i in range(spec.n_sites)]
+    h = np.zeros((2 * N + spec.n_sites,) * 2)
     x = np.arange(2 * N)
-    h[x, x + 1] = h[x + 1, x] = -t
-    h[N, N] = spec.onsite[spec.contact]
-
-    def row_of(site: int) -> int:
-        return N if site == spec.contact else 2 * N + 1 + extras.index(site)
-
-    for i in extras:
-        h[row_of(i), row_of(i)] = spec.onsite[i]
-    for i, j, amp in spec.hoppings:
-        h[row_of(i), row_of(j)] = amp
-        h[row_of(j), row_of(i)] = amp
+    h[x, x + 1] = h[x + 1, x] = -spec.lead_t
+    h[np.ix_(rows, rows)] = p_space_hamiltonian(spec)
     return h
 
 
@@ -116,10 +107,7 @@ def pole_residual_report(
     Rows checked: lead sites x in {-2, -1, 1, 2}, the contact row, and every
     other device row, all using the reconstructed lead amplitudes.
     """
-    zs = np.array([p.z for p in poles], dtype=complex)
-    if not np.all(zs):
-        raise ParameterError("Bloch factor z must be nonzero")
-    secular = _residual_batch(spec, zs)
+    secular = secular_residual(spec, np.array([p.z for p in poles], dtype=complex))
     hp = p_space_hamiltonian(spec)
     t = spec.lead_t
     out = []

@@ -10,6 +10,7 @@ those two lines, so that region raises an error instead of a label.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -17,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .dispersion import energy_from_z, k_from_z, wrap_to_zone, z_pair_from_energy
-from .errors import BandEdgeError, ClassificationError, ParameterError
+from .errors import BandEdgeError, ClassificationError, NumericalError, ParameterError
 from .model import DeviceSpec, tdot_params
 
 CLASSIFY_TOL = 1e-9
@@ -78,9 +79,11 @@ def poles_from_roots(roots, null_vectors, t: float, contact: int) -> list[list[S
     Amplitudes are scaled so the contact reads exactly 1; a state that misses
     the contact (|v_c| <= CONTACT_PIN_TOL * max|v|) has its largest entry
     pinned to 1 instead.  k, E and the class are computed per pole in scalar
-    arithmetic.
+    arithmetic.  A root that is zero or not finite raises NumericalError.
     """
     roots = np.asarray(roots, dtype=complex)
+    if not np.all(np.isfinite(roots) & (roots != 0)):
+        raise NumericalError("a secular root is zero or not finite")
     # complex before dividing: numpy divides complex numbers by multiplying
     # with a reciprocal, which can differ from real division in the last bit
     v = np.asarray(null_vectors, dtype=complex)
@@ -128,30 +131,32 @@ def decoupled_poles(spec: DeviceSpec) -> list[SpectralPole] | None:
     ]
 
 
-def classify(z: complex, tol: float = CLASSIFY_TOL) -> PoleClass:
+def classify(z: complex) -> PoleClass:
     """Label a pole by its position in the complex k plane.
 
-    ``tol`` bounds both the unit-circle (threshold) test and the distance of
-    Re k from the axis lines {0, pi}; distances are measured on the zone
-    circle so values just below -pi count as near +pi.
+    CLASSIFY_TOL bounds both the unit-circle (threshold) test and the distance
+    of Re k from the axis lines {0, pi}, measured on the zone circle so values
+    just below -pi count as near +pi.  A z that is not finite has no place.
     """
     if z == 0:
         raise ParameterError("Bloch factor z must be nonzero")
-    if abs(abs(z) - 1.0) <= tol:
+    if not cmath.isfinite(z):
+        raise ClassificationError(f"Bloch factor z = {z} is not finite")
+    if abs(abs(z) - 1.0) <= CLASSIFY_TOL:
         return PoleClass.THRESHOLD
     k = k_from_z(z)
     d_zero = abs(k.real)
     d_pi = abs(wrap_to_zone(k.real - math.pi))
     if k.imag > 0:
-        if d_zero <= tol:
+        if d_zero <= CLASSIFY_TOL:
             return PoleClass.BOUND_LOWER
-        if d_pi <= tol:
+        if d_pi <= CLASSIFY_TOL:
             return PoleClass.BOUND_UPPER
         raise ClassificationError(
             f"pole at k = {k} lies in the upper half plane off the bound-state "
             "lines; no state of this model can sit there"
         )
-    if d_zero <= tol or d_pi <= tol:
+    if d_zero <= CLASSIFY_TOL or d_pi <= CLASSIFY_TOL:
         return PoleClass.ANTI_BOUND
     return PoleClass.RESONANT if k.real > 0 else PoleClass.ANTI_RESONANT
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -331,7 +332,20 @@ def test_poles_both_routes_agree_where_newton_failed(name, tmp_path, capsys):
     (["transmission"], {"steps": 5.9, "kmin": 0.2, "kmax": 3}),
     (["oracle"], {"sites": 30.9}),
     (["oracle", "--sites", "30"], {"t1": True}),
-], ids=["sites", "kmin", "t1", "tdot_t", "steps_fraction", "sites_fraction", "t1_bool"])
+    (["poles"], {"model": {"tdot": {"t": 1, "t1": True, "eps_d": 0}}}),
+    (["poles"], {"model": {"n_sites": 2.7, "onsite": [0, 0.5], "hoppings": [[0, 1, -1]],
+                           "contact": True, "lead_t": 1}}),
+    (["poles"], {"model": {"n_sites": 2.7, "onsite": [0, 0.5], "hoppings": [[0, 1, -1]],
+                           "contact": 0, "lead_t": 1}}),
+    (["poles"], {"model": {"n_sites": 2, "onsite": [0, 0.5], "hoppings": [[0, 1, -1]],
+                           "contact": True, "lead_t": 1}}),
+    (["poles"], {"model": {"n_sites": 2, "onsite": [0, 0.5], "hoppings": [[0, 1.5, -1]],
+                           "contact": 0, "lead_t": 1}}),
+    (["poles"], {"model": {"n_sites": 2, "onsite": [0, False], "hoppings": [[0, 1, -1]],
+                           "contact": 0, "lead_t": 1}}),
+], ids=["sites", "kmin", "t1", "tdot_t", "steps_fraction", "sites_fraction", "t1_bool",
+        "tdot_t1_bool", "device_fraction_and_bool", "n_sites_fraction", "contact_bool",
+        "hopping_index_fraction", "onsite_bool"])
 def test_config_value_of_wrong_type_exits_2(command, cfg, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -340,6 +354,40 @@ def test_config_value_of_wrong_type_exits_2(command, cfg, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_config_device_accepts_integral_numbers(tmp_path, capsys):
+    ints = {"n_sites": 2, "onsite": [0, 0.5], "hoppings": [[0, 1, -1]], "contact": 1,
+            "lead_t": 1}
+    floats = {**ints, "n_sites": 2.0, "hoppings": [[0.0, 1.0, -1]], "contact": 1.0}
+    outs = []
+    for k, model in enumerate((ints, floats)):
+        path = tmp_path / f"cfg{k}.json"
+        path.write_text(json.dumps({"model": model}))
+        code, out, err = run(capsys, "poles", "--format", "csv", "--config", str(path))
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["poles", "--t1", "1e16"],
+    ["sweep", "--param", "t1", "--from", "1e-300", "--to", "1e300", "--steps", "4"],
+], ids=["poles", "sweep"])
+def test_large_coupling_is_a_numerical_failure(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure:")
+    assert "Warning" not in err and caught == []
+
+
+def test_large_coupling_below_the_limit_still_solves(capsys):
+    code, out, err = run(capsys, "poles", "--t1", "1e8", "--format", "json")
+    assert code == 0, err
+    assert len(json.loads(out)) == 4
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])

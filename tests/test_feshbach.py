@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import respole.feshbach
 from respole import (
     DeviceSpec,
     NumericalError,
@@ -166,17 +167,63 @@ def test_pole_search_decoupled_dot():
     assert pole.amps == (0j, 1.0 + 0j)
 
 
-def test_pole_search_argument_validation():
-    spec = make_tdot(1.0, 1.0, 0.0)
-    for bad in (0, -3):
-        with pytest.raises(ParameterError):
-            feshbach_pole_search(spec, max_iter=bad)
-
-
-def test_pole_search_reports_total_failure():
-    spec = make_tdot(1.0, 1.0, 0.0)
+def test_pole_search_reports_total_failure(monkeypatch):
+    monkeypatch.setattr(respole.feshbach, "MAX_ITER", 1)
     with pytest.raises(NumericalError):
-        feshbach_pole_search(spec, max_iter=1)
+        feshbach_pole_search(make_tdot(1.0, 1.0, 0.0))
+
+
+def closed_form_residual(spec, zs):
+    """det(E(z) - H_eff(z)) of a 1- or 2-site device, written out by hand."""
+    t = spec.lead_t
+    e = -t * (zs + 1.0 / zs)
+    c = spec.contact
+    if spec.n_sites == 1:
+        return e - spec.onsite[0] + 2.0 * t * zs
+    hp = p_space_hamiltonian(spec)
+    a = e - hp[0, 0] + (2.0 * t * zs if c == 0 else 0.0)
+    d = e - hp[1, 1] + (2.0 * t * zs if c == 1 else 0.0)
+    return a * d - hp[0, 1] * hp[1, 0]
+
+
+def small_devices_and_zs(rng, count):
+    """Random 1- and 2-site devices on either contact, each with 60 z: a
+    complex cloud, and real and imaginary z with +0 and -0 parts."""
+    for k in range(count):
+        n = 1 + k % 2
+        hops = ((0, 1, float(rng.uniform(-2.0, 2.0))),) if n == 2 and k % 3 else ()
+        spec = DeviceSpec(
+            n_sites=n,
+            onsite=tuple(rng.uniform(-3.0, 3.0, size=n).tolist()),
+            hoppings=hops,
+            contact=int(rng.integers(0, n)),
+            lead_t=float(rng.uniform(0.3, 2.5)),
+        )
+        x = rng.uniform(-2.0, 2.0, size=6).tolist()
+        signed = [complex(v, s) for v in x for s in (0.0, -0.0)]
+        signed += [complex(s, v) for v in x for s in (0.0, -0.0)]
+        cloud = rng.normal(size=36) + 1j * rng.normal(size=36)
+        yield spec, np.concatenate([cloud, np.array(signed)])
+
+
+def test_secular_residual_equals_the_closed_forms_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for spec, zs in small_devices_and_zs(rng, 200):
+        got = secular_residual(spec, zs)
+        assert got.shape == zs.shape
+        assert np.abs(got).tobytes() == np.abs(closed_form_residual(spec, zs)).tobytes()
+
+
+def test_secular_residual_scalar_is_the_array_element():
+    rng = np.random.default_rng(43)
+    devices = list(small_devices_and_zs(rng, 8)) + [(GEN_DEVICE, rng.normal(size=20) + 1j)]
+    for spec, zs in devices:
+        batch = secular_residual(spec, zs)
+        for z, value in zip(zs.tolist(), batch.tolist()):
+            scalar = secular_residual(spec, z)
+            assert type(scalar) is complex and scalar == value
+    with pytest.raises(ParameterError):
+        secular_residual(GEN_DEVICE, np.array([1.0, 0.0]))
 
 
 def test_q_space_reconstruct_values():

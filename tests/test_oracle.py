@@ -69,6 +69,37 @@ def test_small_lattice_assembly():
         finite_lattice_hamiltonian(make_tdot(1.0, 1.0, 0.0), 0)
 
 
+def walked_lattice(spec, N):
+    """The hard-wall lattice assembled site by site from onsite and hoppings."""
+    extras = [i for i in range(spec.n_sites) if i != spec.contact]
+    h = np.zeros((2 * N + 1 + len(extras),) * 2)
+    for x in range(2 * N):
+        h[x, x + 1] = h[x + 1, x] = -spec.lead_t
+
+    def row_of(site):
+        return N if site == spec.contact else 2 * N + 1 + extras.index(site)
+
+    for i in range(spec.n_sites):
+        h[row_of(i), row_of(i)] = spec.onsite[i]
+    for i, j, amp in spec.hoppings:
+        h[row_of(i), row_of(j)] = h[row_of(j), row_of(i)] = amp
+    return h
+
+
+def test_lattice_places_the_device_block_as_the_site_walk_does():
+    rng = np.random.default_rng(19)
+    for n in range(1, 7):
+        for contact in range(n):
+            for N in rng.choice(np.arange(1, 31), size=6, replace=False).tolist():
+                if n == 1:
+                    spec = DeviceSpec(1, (float(rng.uniform(-2.0, 2.0)),), (), 0, 1.3)
+                else:
+                    base = random_device(rng, n)
+                    spec = DeviceSpec(n, base.onsite, base.hoppings, contact, base.lead_t)
+                assert np.array_equal(finite_lattice_hamiltonian(spec, N),
+                                      walked_lattice(spec, N))
+
+
 def test_small_lattice_eigenvalues_satisfy_char_poly():
     lat = finite_lattice_hamiltonian(make_tdot(1.0, 1.0, 0.0), 1)
     evals = np.linalg.eigvalsh(lat)

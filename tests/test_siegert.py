@@ -7,6 +7,7 @@ import pytest
 from respole import (
     ClassificationError,
     DeviceSpec,
+    NumericalError,
     ParameterError,
     PoleClass,
     build_h_eff,
@@ -21,7 +22,7 @@ from respole import (
 from respole._format import format_float
 from respole.cli import main
 from respole.dispersion import energy_from_z, k_from_z
-from respole.poles import CONTACT_PIN_TOL, SpectralPole, decoupled_poles
+from respole.poles import CONTACT_PIN_TOL, SpectralPole, decoupled_poles, poles_from_roots
 from respole.siegert import poly_roots, secular_polynomial
 
 P = math.sqrt((1.0 + math.sqrt(5.0)) / 2.0)
@@ -292,6 +293,21 @@ def test_classify_rejects_upper_half_off_axis():
         classify(0.5 + 0.5j)
     with pytest.raises(ParameterError):
         classify(0)
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, math.nan), complex(math.nan, 0.0),
+                               complex(0.5, math.inf), complex(-math.inf, -1.0), math.nan])
+def test_classify_rejects_non_finite(z):
+    with pytest.raises(ClassificationError):
+        classify(z)
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan, complex(math.inf, 1.0)])
+def test_poles_from_roots_rejects_zero_or_non_finite_root(bad):
+    roots = np.array([[1j * P, -1j * P, Q, bad]])
+    vectors = np.ones((1, 4, 2))
+    with np.errstate(all="raise"), pytest.raises(NumericalError, match="zero or not finite"):
+        poles_from_roots(roots, vectors, 1.0, 0)
 
 
 def test_closed_form_symmetric_dot():
