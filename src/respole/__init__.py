@@ -22,7 +22,6 @@ from .feshbach import (
 )
 from .model import (
     DeviceSpec,
-    ModelParams,
     device_from_json,
     device_to_json,
     make_tdot,
@@ -58,7 +57,6 @@ __all__ = [
     "ClosedFormEps0",
     "DeviceSpec",
     "GreenPair",
-    "ModelParams",
     "NumericalError",
     "ParameterError",
     "PoleClass",

@@ -86,16 +86,19 @@ def _resolve_device(args: argparse.Namespace, cfg: dict) -> DeviceSpec:
             raise ParameterError(
                 "model flags cannot override a generalized device from --config"
             )
-        base = vars(params)
+        base = dict(zip(MODEL_KEYS, params))
     return make_tdot(*(_resolve(args, base, k) for k in MODEL_KEYS))
 
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write output file: {exc}")
 
 
 def _pole_table(poles) -> str:
@@ -143,12 +146,6 @@ def cmd_transmission(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> N
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
-    params = tdot_params(spec)
-    if params is None:
-        raise ParameterError("pole sweeps support only T-dot models")
-    name = args.param.replace("-", "_")
-    if name not in ("t1", "eps_d"):
-        raise ParameterError(f"unsupported sweep parameter {args.param!r}; use t1 or eps-d")
     if args.steps < 2:
         raise ParameterError(f"sweep needs at least 2 steps, got {args.steps}")
     for flag, value in (("--from", args.start), ("--to", args.stop),
@@ -159,7 +156,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
         args.start + (args.stop - args.start) * i / (args.steps - 1)
         for i in range(args.steps)
     ]
-    all_poles = solve_tdot_sweep(params, name, values)
+    all_poles = solve_tdot_sweep(spec, args.param.replace("-", "_"), values)
     lines = [POLE_SWEEP_HEADER]
     transitions = []
     prev_multiset = None
@@ -231,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = subs.add_parser("sweep", help="pole trajectories over a model parameter")
     _add_model_flags(sw)
-    sw.add_argument("--param", required=True, help="t1 or eps-d")
+    sw.add_argument("--param", choices=("t1", "eps-d"), required=True)
     sw.add_argument("--from", dest="start", type=float, required=True)
     sw.add_argument("--to", dest="stop", type=float, required=True)
     sw.add_argument("--steps", type=int, required=True)

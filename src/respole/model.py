@@ -1,9 +1,11 @@
-"""Device definitions: the side-coupled (T-type) dot and generalized finite devices.
+"""Device definitions: one ``DeviceSpec`` type for every finite device.
 
 A device is a finite cluster of sites (the "inner" space) whose contact site
 sits on an infinite uniform 1D lead with hopping ``lead_t``.  The T-type dot
-is the 2-site special case: the lead site 0 plus one dot level side-coupled
-to it.
+is the 2-site device built by ``make_tdot(t, t1, eps_d)``: the lead site 0
+(the contact) plus one dot level eps_d side-coupled to it with hopping -t1.
+``tdot_params`` reads (t, t1, eps_d) back from any device of that shape.
+``DeviceSpec`` checks every field, so a T-dot is checked once, as a device.
 """
 
 from __future__ import annotations
@@ -14,28 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Physical parameters of the T-type dot.
-
-    t: lead hopping (sets the energy scale, band [-2t, 2t]); must be > 0.
-    t1: dot-lead coupling; t1 == 0 leaves the dot level decoupled.
-    eps_d: onsite potential of the dot level.
-    """
-
-    t: float
-    t1: float
-    eps_d: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t) and self.t > 0):
-            raise ParameterError(f"lead hopping t must be finite and > 0, got {self.t}")
-        if not math.isfinite(self.t1):
-            raise ParameterError(f"coupling t1 must be finite, got {self.t1}")
-        if not math.isfinite(self.eps_d):
-            raise ParameterError(f"dot potential eps_d must be finite, got {self.eps_d}")
 
 
 @dataclass(frozen=True)
@@ -59,18 +39,19 @@ class DeviceSpec:
             raise ParameterError("device needs at least one site")
         if len(self.onsite) != self.n_sites:
             raise ParameterError("onsite length must equal n_sites")
-        if not all(math.isfinite(e) for e in self.onsite):
-            raise ParameterError("onsite energies must be finite reals")
+        for i, e in enumerate(self.onsite):
+            if not math.isfinite(e):
+                raise ParameterError(f"onsite energy of site {i} must be finite, got {e}")
         if not (0 <= self.contact < self.n_sites):
             raise ParameterError(f"contact index {self.contact} out of range")
         if not (math.isfinite(self.lead_t) and self.lead_t > 0):
-            raise ParameterError(f"lead hopping must be finite and > 0, got {self.lead_t}")
+            raise ParameterError(f"lead hopping t must be finite and > 0, got {self.lead_t}")
         seen = set()
         for i, j, amp in self.hoppings:
             if not (0 <= i < self.n_sites and 0 <= j < self.n_sites) or i == j:
                 raise ParameterError(f"bad hopping pair ({i}, {j})")
             if not math.isfinite(amp):
-                raise ParameterError(f"hopping amplitude on ({i}, {j}) must be finite")
+                raise ParameterError(f"hopping amplitude on ({i}, {j}) must be finite, got {amp}")
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise ParameterError(f"duplicate hopping pair {key}")
@@ -78,18 +59,16 @@ class DeviceSpec:
 
 
 def make_tdot(t: float, t1: float, eps_d: float) -> DeviceSpec:
-    """Build the T-type dot: lead site 0 (contact) plus dot site 1."""
-    params = ModelParams(t, t1, eps_d)
-    return DeviceSpec(
-        n_sites=2,
-        onsite=(0.0, params.eps_d),
-        hoppings=((0, 1, -params.t1),),
-        contact=0,
-        lead_t=params.t,
-    )
+    """Build the T-type dot: lead site 0 (contact) plus dot site 1.
+
+    t is the lead hopping (> 0), t1 the dot-lead coupling (0 leaves the dot
+    level decoupled) and eps_d the dot's onsite energy.
+    """
+    return DeviceSpec(n_sites=2, onsite=(0.0, eps_d), hoppings=((0, 1, -t1),),
+                      contact=0, lead_t=t)
 
 
-def tdot_params(spec: DeviceSpec) -> ModelParams | None:
+def tdot_params(spec: DeviceSpec) -> tuple[float, float, float] | None:
     """Read back (t, t1, eps_d) if the device has the T-dot shape, else None."""
     if (
         spec.n_sites == 2
@@ -98,7 +77,7 @@ def tdot_params(spec: DeviceSpec) -> ModelParams | None:
         and len(spec.hoppings) == 1
         and spec.hoppings[0][:2] in ((0, 1), (1, 0))
     ):
-        return ModelParams(spec.lead_t, -spec.hoppings[0][2], spec.onsite[1])
+        return spec.lead_t, -spec.hoppings[0][2], spec.onsite[1]
     return None
 
 
@@ -124,14 +103,16 @@ def device_to_json(spec: DeviceSpec) -> dict:
 
 
 def json_number(raw, cast, what: str):
-    """``cast(raw)`` for a value read from JSON; a boolean, a non-integral
-    number where ``cast`` is int, or a value ``cast`` rejects is a
-    ParameterError naming ``what``."""
-    if isinstance(raw, bool) or (cast is int and isinstance(raw, float) and not raw.is_integer()):
+    """``cast(raw)`` for a value read from JSON.  Only a JSON number is one:
+    a string, a boolean, any other value, a non-integral number where
+    ``cast`` is int, or an integer too large for a float is a ParameterError
+    naming ``what``."""
+    if (isinstance(raw, bool) or not isinstance(raw, (int, float))
+            or (cast is int and isinstance(raw, float) and not raw.is_integer())):
         raise ParameterError(f"bad {what}: {raw!r}")
     try:
         return cast(raw)
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:
         raise ParameterError(f"bad {what}: {exc}") from exc
 
 

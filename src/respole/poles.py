@@ -116,11 +116,11 @@ def decoupled_poles(spec: DeviceSpec) -> list[SpectralPole] | None:
     represents the level (z = -sign(eps_d) at a band edge).
     """
     params = tdot_params(spec)
-    if params is None or params.t1 != 0.0:
+    if params is None or params[1] != 0.0:
         return None
-    E = params.eps_d
+    t, _, E = params
     try:
-        z = z_pair_from_energy(E, params.t)[0]
+        z = z_pair_from_energy(E, t)[0]
     except BandEdgeError:
         z = complex(-1.0 if E > 0 else 1.0)
     return [

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .model import DeviceSpec, ModelParams, make_tdot, p_space_hamiltonian
+from .model import DeviceSpec, make_tdot, p_space_hamiltonian, tdot_params
 from .poles import PoleClass, SpectralPole, decoupled_poles, poles_from_roots
 
 
@@ -149,29 +149,34 @@ def solve_poles(spec: DeviceSpec) -> list[SpectralPole]:
     return _solve_stack(p_space_hamiltonian(spec)[None], spec.lead_t, spec.contact)[0]
 
 
-def solve_tdot_sweep(params: ModelParams, name: str, values) -> list[list[SpectralPole]]:
-    """``solve_poles`` of the T-dot ``params`` with the parameter ``name``
+def solve_tdot_sweep(spec: DeviceSpec, name: str, values) -> list[list[SpectralPole]]:
+    """``solve_poles`` of the T-dot ``spec`` with its parameter ``name``
     ("t1" or "eps_d") set to each of ``values`` in turn.
 
-    The device blocks of all coupled points are built from the grid at once
-    and solved by one stacked eigensolve; points with t1 = 0 give their
-    Decoupled level.  Each point's poles equal those of ``solve_poles`` on
-    its own T-dot to the last bit.
+    ``spec`` must have the T-dot shape of ``make_tdot``; any other device
+    raises ParameterError.  The device blocks of all coupled points are built
+    from the grid at once and solved by one stacked eigensolve; points with
+    t1 = 0 give their Decoupled level.  Each point's poles equal those of
+    ``solve_poles`` on its own T-dot to the last bit.
     """
+    params = tdot_params(spec)
+    if params is None:
+        raise ParameterError("pole sweeps support only T-dot models")
     if name not in ("t1", "eps_d"):
         raise ParameterError(f"a T-dot sweep varies t1 or eps_d, not {name!r}")
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ParameterError(f"sweep values of {name} must be finite")
-    t1 = values if name == "t1" else np.full(values.shape, params.t1)
-    eps_d = values if name == "eps_d" else np.full(values.shape, params.eps_d)
+    t, t1, eps_d = params
+    t1 = values if name == "t1" else np.full(values.shape, t1)
+    eps_d = values if name == "eps_d" else np.full(values.shape, eps_d)
     coupled = t1 != 0.0
     # the device block of make_tdot(t, t1, eps_d) at every coupled point
     h = np.zeros((int(coupled.sum()), 2, 2))
     h[:, 0, 1] = h[:, 1, 0] = -t1[coupled]
     h[:, 1, 1] = eps_d[coupled]
-    solved = iter(_solve_stack(h, params.t, 0))
+    solved = iter(_solve_stack(h, t, 0))
     return [
-        next(solved) if c else decoupled_poles(make_tdot(params.t, a, e))
+        next(solved) if c else decoupled_poles(make_tdot(t, a, e))
         for c, a, e in zip(coupled.tolist(), t1.tolist(), eps_d.tolist())
     ]

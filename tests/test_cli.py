@@ -164,7 +164,20 @@ def test_sweep_rejects_unsupported_parameter(capsys):
     code, _, err = run(capsys, "sweep", "--param", "t", "--from", "0.5", "--to", "2",
                        "--steps", "10")
     assert code == 2
-    assert "t1 or eps-d" in err
+    assert "invalid choice" in err
+    assert "eps-d" in err
+
+
+def test_sweep_rejects_a_device_that_is_not_a_tdot(tmp_path, capsys):
+    cfg = tmp_path / "chain.json"
+    cfg.write_text(json.dumps({"model": {
+        "n_sites": 3, "onsite": [0, 0.5, -0.2], "hoppings": [[0, 1, -0.8], [1, 2, -0.6]],
+        "contact": 0, "lead_t": 1}}))
+    code, out, err = run(capsys, "sweep", "--param", "t1", "--from", "0", "--to", "1",
+                         "--steps", "3", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "only T-dot models" in err
 
 
 @pytest.mark.parametrize("bounds, message", [
@@ -287,6 +300,16 @@ def test_output_file(tmp_path, capsys):
     assert path.read_text().startswith(POLE_HEADER)
 
 
+def test_unwritable_output_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "poles", "--format", "csv", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write output file:")
+    assert "Traceback" not in err
+    assert not path.parent.exists()
+
+
 # Two inputs on which the former seed-grid Newton search failed: a T-dot at
 # the band edge with a tiny coupling (it exited 3) and an 8-site device (it
 # returned 15 of the 16 poles).
@@ -343,9 +366,16 @@ def test_poles_both_routes_agree_where_newton_failed(name, tmp_path, capsys):
                            "contact": 0, "lead_t": 1}}),
     (["poles"], {"model": {"n_sites": 2, "onsite": [0, False], "hoppings": [[0, 1, -1]],
                            "contact": 0, "lead_t": 1}}),
+    (["poles"], {"model": {"tdot": {"t": "1", "t1": "0.5", "eps_d": "0"}}}),
+    (["poles"], {"model": {"n_sites": "2", "onsite": [0, 0.5], "hoppings": [[0, 1, -1]],
+                           "contact": "0", "lead_t": "1"}}),
+    (["oracle"], {"sites": "30"}),
+    (["transmission"], {"kmin": "0.1", "kmax": "3", "steps": "4"}),
+    (["poles"], {"t1": 10 ** 400}),
 ], ids=["sites", "kmin", "t1", "tdot_t", "steps_fraction", "sites_fraction", "t1_bool",
         "tdot_t1_bool", "device_fraction_and_bool", "n_sites_fraction", "contact_bool",
-        "hopping_index_fraction", "onsite_bool"])
+        "hopping_index_fraction", "onsite_bool", "tdot_strings", "device_strings",
+        "sites_string", "transmission_strings", "t1_int_beyond_float"])
 def test_config_value_of_wrong_type_exits_2(command, cfg, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -28,16 +31,25 @@ def test_make_tdot_nontrivial_values():
 
 
 def test_make_tdot_rejects_nonpositive_t():
-    with pytest.raises(ParameterError):
-        make_tdot(0.0, 1.0, 0.0)
-    with pytest.raises(ParameterError):
-        make_tdot(-1.0, 1.0, 0.0)
+    # t <= 0 or any non-finite input; the message names the field and value
+    for t, t1, eps_d, message in [
+        (0.0, 1.0, 0.0, "lead hopping t must be finite and > 0, got 0.0"),
+        (-1.0, 1.0, 0.0, "lead hopping t must be finite and > 0, got -1.0"),
+        (math.inf, 1.0, 0.0, "lead hopping t must be finite and > 0, got inf"),
+        (math.nan, 1.0, 0.0, "lead hopping t must be finite and > 0, got nan"),
+        (1.0, math.nan, 0.0, "hopping amplitude on (0, 1) must be finite, got nan"),
+        (1.0, math.inf, 0.0, "hopping amplitude on (0, 1) must be finite, got -inf"),
+        (1.0, 1.0, math.inf, "onsite energy of site 1 must be finite, got inf"),
+        (1.0, 1.0, -math.inf, "onsite energy of site 1 must be finite, got -inf"),
+        (1.0, 1.0, math.nan, "onsite energy of site 1 must be finite, got nan"),
+    ]:
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            make_tdot(t, t1, eps_d)
 
 
 def test_tdot_roundtrip_bit_exact():
     for t, t1, ed in [(1.0, 1.0, 0.0), (2.0, 0.3, -1.7), (0.5, -0.25, 3.25)]:
-        params = tdot_params(make_tdot(t, t1, ed))
-        assert (params.t, params.t1, params.eps_d) == (t, t1, ed)
+        assert tdot_params(make_tdot(t, t1, ed)) == (t, t1, ed)
 
 
 def test_tdot_params_rejects_other_shapes():
@@ -92,7 +104,7 @@ def test_device_validation():
 
 def test_t1_zero_is_accepted():
     spec = make_tdot(1.0, 0.0, 0.5)
-    assert tdot_params(spec).t1 == 0.0
+    assert tdot_params(spec) == (1.0, 0.0, 0.5)
 
 
 def test_json_roundtrip():

@@ -23,7 +23,7 @@ from respole._format import format_float
 from respole.cli import main
 from respole.dispersion import energy_from_z, k_from_z
 from respole.poles import CONTACT_PIN_TOL, SpectralPole, decoupled_poles, poles_from_roots
-from respole.siegert import poly_roots, secular_polynomial
+from respole.siegert import poly_roots, secular_polynomial, solve_tdot_sweep
 
 P = math.sqrt((1.0 + math.sqrt(5.0)) / 2.0)
 Q = 1.0 / P
@@ -481,3 +481,14 @@ def test_sweep_csv_matches_per_point_solves(param, start, stop, steps, model, ca
                  "--steps", str(steps), *flags])
     assert code == 0
     assert capsys.readouterr().out == reference_sweep_csv(param, start, stop, steps, **model)
+
+
+@pytest.mark.parametrize("spec", [
+    DeviceSpec(3, (0.0, 0.5, -0.2), ((0, 1, -0.8), (1, 2, -0.6)), 0, 1.0),
+    DeviceSpec(2, (0.0, 0.3), ((0, 1, -1.0),), 1, 1.0),
+    DeviceSpec(2, (0.1, 0.3), ((0, 1, -1.0),), 0, 1.0),
+    DeviceSpec(1, (0.0,), (), 0, 1.0),
+], ids=["three_sites", "contact_on_dot", "level_on_contact", "one_site"])
+def test_tdot_sweep_rejects_other_devices(spec):
+    with pytest.raises(ParameterError, match="only T-dot models"):
+        solve_tdot_sweep(spec, "t1", [0.5, 1.0])
