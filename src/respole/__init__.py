@@ -39,6 +39,7 @@ from .poles import PoleClass, SpectralPole, classify, pole_to_record
 from .scattering import (
     GreenPair,
     ScatteringSolution,
+    ScatteringSweep,
     green_function,
     scattering_solve,
     transmission_sweep,
@@ -61,6 +62,7 @@ __all__ = [
     "ParameterError",
     "PoleClass",
     "ScatteringSolution",
+    "ScatteringSweep",
     "SpectralPole",
     "WavefunctionSample",
     "bound_energies_from_truncation",

@@ -3,7 +3,8 @@
 Subcommands: poles, transmission, sweep, wavefunction, oracle, equivalence.
 Configuration layering: command-line flags override a --config JSON file,
 which overrides the built-in defaults (t=1, t1=1, eps_d=0, sites=200).
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error or an input too large to
+allocate, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -141,8 +142,7 @@ def cmd_transmission(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> N
     steps = _resolve(args, cfg, "steps", cast=int)
     if k_min is None or k_max is None or steps is None:
         raise ParameterError("transmission needs --kmin, --kmax and --steps")
-    rows = transmission_sweep(spec, k_min, k_max, steps)
-    _emit(sweep_rows_csv(rows), args.out)
+    _emit(sweep_rows_csv(transmission_sweep(spec, k_min, k_max, steps)), args.out)
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
@@ -265,6 +265,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: input too large: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,11 +8,15 @@ with continuity A + B = C = amp0 across the contact and A = 1.  The
 lattice Green's function with the source on the contact solves the same
 system with right-hand side (1, 0, ...), so the two are proportional
 through i v_g.
+
+A sweep over k comes back as one ``ScatteringSweep`` of column arrays, one
+row per k; ``scattering_solve`` is the batch of one and reads row 0.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +45,25 @@ class ScatteringSolution:
     R: float
 
 
+@dataclass(frozen=True, eq=False)
+class ScatteringSweep:
+    """Scattering solutions on a k grid as columns, row i at ``k[i]``.
+
+    ``k``, ``E``, ``T`` and ``R`` are float arrays of shape (m,), ``B`` and
+    ``C`` complex arrays of shape (m,), and ``amps`` the (m, n) inner
+    amplitudes in site order.  Sweeps compare by identity, as their fields
+    are arrays.
+    """
+
+    k: np.ndarray
+    E: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    amps: np.ndarray
+    T: np.ndarray
+    R: np.ndarray
+
+
 @dataclass(frozen=True)
 class GreenPair:
     """Retarded resolvent elements with the source on the contact site:
@@ -51,14 +74,19 @@ class GreenPair:
     values: tuple[complex, ...]
 
 
-def _check_k(k: float) -> None:
-    if not (isinstance(k, (int, float)) and 0.0 < k < math.pi):
+def _check_k(k: float) -> float:
+    """k as a float, if it is a real number (never a bool) inside (0, pi)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Real):
+        raise ParameterError(f"wave number must be a real number, got {k!r}")
+    k = float(k)
+    if not 0.0 < k < math.pi:
         raise ParameterError(f"wave number must lie strictly inside (0, pi), got {k}")
+    return k
 
 
 def _solve_inner(
     spec: DeviceSpec, ks: list[float], incident: bool
-) -> tuple[list[float], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Energies and inner amplitudes (one row per k), one stacked solve per chunk.
 
     The source on the contact is 2 i t sin k for a unit incident wave and 1
@@ -97,33 +125,33 @@ def _solve_inner(
                     raise NumericalError(f"inner system singular at k = {k}") from exc
                 if not np.all(np.isfinite(amps[lo + j])):
                     raise NumericalError(f"inner system ill-conditioned at k = {k}")
-    return energies.tolist(), amps
+    return energies, amps
 
 
-def _scattering_rows(spec: DeviceSpec, ks: list[float]) -> list[ScatteringSolution]:
+def _sweep(spec: DeviceSpec, ks: list[float]) -> ScatteringSweep:
     energies, amps = _solve_inner(spec, ks, incident=True)
-    rows = []
-    for k, e, row in zip(ks, energies, amps.tolist()):
-        c_amp = row[spec.contact]
-        b_amp = c_amp - 1.0
-        rows.append(ScatteringSolution(
-            k=float(k), E=e, B=b_amp, C=c_amp, amps=tuple(row),
-            T=abs(c_amp) ** 2, R=abs(b_amp) ** 2,
-        ))
-    return rows
+    c_amp = amps[:, spec.contact].copy()
+    b_amp = c_amp - 1.0
+    # Python abs on complex scalars: np.abs rounds the last bit differently
+    return ScatteringSweep(
+        k=np.array(ks), E=energies, B=b_amp, C=c_amp, amps=amps,
+        T=np.array([abs(c) ** 2 for c in c_amp.tolist()]),
+        R=np.array([abs(b) ** 2 for b in b_amp.tolist()]),
+    )
 
 
 def scattering_solve(spec: DeviceSpec, k: float) -> ScatteringSolution:
     """Solve the left-incidence scattering problem at real k with A = 1."""
-    _check_k(k)
-    return _scattering_rows(spec, [k])[0]
+    sweep = _sweep(spec, [_check_k(k)])
+    row = {name: getattr(sweep, name).tolist()[0] for name in ("k", "E", "B", "C", "T", "R")}
+    return ScatteringSolution(**row, amps=tuple(sweep.amps[0].tolist()))
 
 
 def green_function(spec: DeviceSpec, k: float) -> GreenPair:
     """Retarded Green's function elements (contact column) at real k."""
-    _check_k(k)
+    k = _check_k(k)
     g = _solve_inner(spec, [k], incident=False)[1][0].tolist()
-    return GreenPair(k=float(k), G00=g[spec.contact], values=tuple(g))
+    return GreenPair(k=k, G00=g[spec.contact], values=tuple(g))
 
 
 def verify_green_identity(spec: DeviceSpec, k: float) -> float:
@@ -138,7 +166,7 @@ def verify_green_identity(spec: DeviceSpec, k: float) -> float:
 
 def transmission_sweep(
     spec: DeviceSpec, k_min: float, k_max: float, steps: int
-) -> list[ScatteringSolution]:
+) -> ScatteringSweep:
     """Scattering solutions on a uniform k grid, endpoints included."""
     if not 0.0 < k_min < k_max < math.pi:
         raise ParameterError(
@@ -146,7 +174,7 @@ def transmission_sweep(
         )
     if steps < 2:
         raise ParameterError(f"sweep needs at least 2 steps, got {steps}")
-    return _scattering_rows(spec, np.linspace(k_min, k_max, steps).tolist())
+    return _sweep(spec, np.linspace(k_min, k_max, steps).tolist())
 
 
 SWEEP_HEADER = "k,E,T,R,ReB,ImB,ReC,ImC"
@@ -154,11 +182,10 @@ SWEEP_HEADER = "k,E,T,R,ReB,ImB,ReC,ImC"
 _CSV_ROW = ",".join(["%.17g"] * 8)
 
 
-def sweep_rows_csv(rows: list[ScatteringSolution]) -> str:
+def sweep_rows_csv(sweep: ScatteringSweep) -> str:
     """CSV dump of a sweep (17 significant digits, ``\\n`` endings)."""
+    columns = (sweep.k, sweep.E, sweep.T, sweep.R,
+               sweep.B.real, sweep.B.imag, sweep.C.real, sweep.C.imag)
     lines = [SWEEP_HEADER]
-    lines.extend(
-        _CSV_ROW % (r.k, r.E, r.T, r.R, r.B.real, r.B.imag, r.C.real, r.C.imag)
-        for r in rows
-    )
+    lines.extend(_CSV_ROW % row for row in zip(*(c.tolist() for c in columns)))
     return "\n".join(lines) + "\n"

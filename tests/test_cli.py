@@ -8,6 +8,7 @@ from respole import make_tdot, pole_to_record, solve_poles
 from respole._format import format_float
 from respole.cli import main
 from respole.errors import NumericalError
+from respole.scattering import SOLVE_CHUNK
 
 POLE_HEADER = "z_re,z_im,k_re,k_im,E_re,E_im,class,amp0_re,amp0_im,ampd_re,ampd_im"
 
@@ -298,6 +299,29 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert path.read_text().startswith(POLE_HEADER)
+
+
+def test_transmission_output_file_matches_stdout(tmp_path, capsys):
+    # the grid spans two chunk edges of the stacked solve
+    argv = ["transmission", "--kmin", "0.05", "--kmax", "3.05",
+            "--steps", str(2 * SOLVE_CHUNK + 37), "--t1", "0.6", "--eps-d", "-0.4"]
+    path = tmp_path / "t.csv"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out, err) == (0, "", "")
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    assert path.read_bytes() == expected.encode()
+    assert len(expected.splitlines()) == 2 * SOLVE_CHUNK + 38
+
+
+def test_grid_too_large_to_allocate_exits_2(capsys):
+    # 1e15 steps need 7 PiB for the k grid alone, so nothing is allocated
+    code, out, err = run(capsys, "transmission", "--kmin", "0.1", "--kmax", "3",
+                         "--steps", "1000000000000000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: input too large: ")
+    assert "Traceback" not in err
 
 
 def test_unwritable_output_path_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from respole import (
     ParameterError,
     PoleClass,
     ScatteringSolution,
+    ScatteringSweep,
     build_h_eff,
     device_to_json,
     green_function,
@@ -76,6 +78,16 @@ def reference_sweep(spec, k_min, k_max, steps):
             T=abs(c) ** 2, R=abs(c - 1.0) ** 2,
         ))
     return rows
+
+
+def assert_columns_equal(sweep, ref):
+    """Every column of ``sweep`` holds the bits of the per-k ``ref`` rows
+    (so -0.0 differs from 0.0), with the same dtype and shape."""
+    for name in ("k", "E", "T", "R", "B", "C", "amps"):
+        expected = np.array([getattr(r, name) for r in ref])
+        got = getattr(sweep, name)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape), name
+        assert got.tobytes() == expected.tobytes(), name
 
 
 def reference_csv(rows):
@@ -159,6 +171,26 @@ def test_k_domain_validation():
             scattering_solve(spec, bad)
 
 
+@pytest.mark.parametrize("solve", [scattering_solve, green_function])
+@pytest.mark.parametrize(
+    "k", [1, np.int64(1), np.float32(1.0), np.float64(1.0), Fraction(1)],
+    ids=["int", "int64", "float32", "float64", "fraction"],
+)
+def test_k_accepts_any_real_number(solve, k):
+    spec = make_tdot(1.0, 0.7, 0.3)
+    got = solve(spec, k)
+    assert type(got.k) is float
+    assert got == solve(spec, 1.0)
+
+
+@pytest.mark.parametrize("solve", [scattering_solve, green_function])
+@pytest.mark.parametrize("k", [True, False, np.bool_(True), "1.0", 1 + 0j, None],
+                         ids=["true", "false", "np_bool", "str", "complex", "none"])
+def test_k_rejects_bools_and_non_numbers(solve, k):
+    with pytest.raises(ParameterError, match="^wave number must be a real number, got "):
+        solve(make_tdot(1.0, 0.7, 0.3), k)
+
+
 def test_green_function_values():
     g = green_function(make_tdot(1.0, 1.0, 0.3), math.pi / 2)
     # 2x2 inverse: G00 = (E - ed)/det, Gd0 = -t1/det with det = -1 - 0.6i
@@ -209,27 +241,34 @@ def test_green_identity_examples():
 
 def test_transmission_sweep_basics():
     spec = make_tdot(1.0, 1.0, 0.3)
-    rows = transmission_sweep(spec, 0.1, 3.0, 5)
-    assert len(rows) == 5
-    assert rows[0].k == pytest.approx(0.1)
-    assert rows[-1].k == pytest.approx(3.0)
-    for r in rows:
-        assert abs(r.R + r.T - 1.0) < 1e-12
+    sweep = transmission_sweep(spec, 0.1, 3.0, 5)
+    assert isinstance(sweep, ScatteringSweep)
+    for name in ("k", "E", "T", "R"):
+        col = getattr(sweep, name)
+        assert (col.dtype, col.shape) == (np.float64, (5,)), name
+    for name in ("B", "C"):
+        col = getattr(sweep, name)
+        assert (col.dtype, col.shape) == (np.complex128, (5,)), name
+    assert (sweep.amps.dtype, sweep.amps.shape) == (np.complex128, (5, 2))
+    assert sweep.k[0] == pytest.approx(0.1)
+    assert sweep.k[-1] == pytest.approx(3.0)
+    assert np.array_equal(sweep.C, sweep.amps[:, spec.contact])
+    assert np.array_equal(sweep.B, sweep.C - 1.0)
+    assert np.all(np.abs(sweep.R + sweep.T - 1.0) < 1e-12)
 
 
 def test_transmission_sweep_locates_fano_zero():
     spec = make_tdot(1.0, 1.0, 0.3)
     k_star = math.acos(-0.15)
-    rows = transmission_sweep(spec, k_star - 0.02, k_star + 0.02, 101)
-    assert min(r.T for r in rows) < 1e-6
+    sweep = transmission_sweep(spec, k_star - 0.02, k_star + 0.02, 101)
+    assert sweep.T.min() < 1e-6
 
 
 def test_transmission_symmetric_for_centered_dot():
     spec = make_tdot(1.0, 1.0, 0.0)
-    rows = transmission_sweep(spec, 0.4, math.pi - 0.4, 41)
-    n = len(rows)
-    for i in range(n):
-        assert abs(rows[i].T - rows[n - 1 - i].T) < 1e-12
+    sweep = transmission_sweep(spec, 0.4, math.pi - 0.4, 41)
+    assert sweep.T.shape == (41,)
+    assert np.abs(sweep.T - sweep.T[::-1]).max() < 1e-12
 
 
 def test_transmission_sweep_validation():
@@ -243,8 +282,7 @@ def test_transmission_sweep_validation():
 
 
 def test_sweep_csv_shape():
-    rows = transmission_sweep(make_tdot(1.0, 1.0, 0.3), 0.1, 3.0, 5)
-    text = sweep_rows_csv(rows)
+    text = sweep_rows_csv(transmission_sweep(make_tdot(1.0, 1.0, 0.3), 0.1, 3.0, 5))
     lines = text.strip().split("\n")
     assert lines[0] == SWEEP_HEADER
     assert len(lines) == 6
@@ -266,8 +304,7 @@ def test_batched_sweep_matches_per_k_solves_bit_for_bit(tmp_path, capsys):
     for idx, spec in enumerate(specs):
         k_min, k_max = 0.05 + 0.01 * idx, math.pi - 0.07
         ref = reference_sweep(spec, k_min, k_max, steps)
-        rows = transmission_sweep(spec, k_min, k_max, steps)
-        assert rows == ref
+        assert_columns_equal(transmission_sweep(spec, k_min, k_max, steps), ref)
         for i in (0, SOLVE_CHUNK, steps - 1):
             assert scattering_solve(spec, ref[i].k) == ref[i]
         cfg = tmp_path / f"dev{idx}.json"
