@@ -5,6 +5,10 @@ Configuration layering: command-line flags override a --config JSON file,
 which overrides the built-in defaults (t=1, t1=1, eps_d=0, sites=200).
 Exit codes: 0 success, 2 validation error or an input too large to
 allocate, 3 numerical failure.
+
+``main(argv)`` may be called any number of times in one process. The parser
+is built once, at import, and each call finds its command function in this
+module by name, so a ``cmd_*`` rebound after import is the one that runs.
 """
 
 from __future__ import annotations
@@ -212,19 +216,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=("siegert", "feshbach", "both"),
                     default="siegert")
     sp.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    sp.set_defaults(func=cmd_poles)
+    sp.set_defaults(handler="cmd_poles")
 
     se = subs.add_parser("equivalence", help="alias of poles --method both")
     _add_model_flags(se)
     se.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    se.set_defaults(func=cmd_poles, method="both")
+    se.set_defaults(handler="cmd_poles", method="both")
 
     st = subs.add_parser("transmission", help="T(k), R(k) sweep as CSV")
     _add_model_flags(st)
     st.add_argument("--kmin", type=float, default=None)
     st.add_argument("--kmax", type=float, default=None)
     st.add_argument("--steps", type=int, default=None)
-    st.set_defaults(func=cmd_transmission)
+    st.set_defaults(handler="cmd_transmission")
 
     sw = subs.add_parser("sweep", help="pole trajectories over a model parameter")
     _add_model_flags(sw)
@@ -232,32 +236,36 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--from", dest="start", type=float, required=True)
     sw.add_argument("--to", dest="stop", type=float, required=True)
     sw.add_argument("--steps", type=int, required=True)
-    sw.set_defaults(func=cmd_sweep)
+    sw.set_defaults(handler="cmd_sweep")
 
     wf = subs.add_parser("wavefunction", help="sample one pole's wavefunction")
     _add_model_flags(wf)
     wf.add_argument("--pole-index", dest="pole_index", type=int, required=True)
     wf.add_argument("--xmax", type=int, default=20)
-    wf.set_defaults(func=cmd_wavefunction)
+    wf.set_defaults(handler="cmd_wavefunction")
 
     so = subs.add_parser("oracle", help="truncated-lattice audit report (JSON)")
     _add_model_flags(so)
     so.add_argument("--sites", type=int, default=None,
                     help="lead sites per side of the hard-wall lattice")
-    so.set_defaults(func=cmd_oracle)
+    so.set_defaults(handler="cmd_oracle")
 
     return parser
 
 
+# parse_args keeps no state between calls, and the help formatter reads the
+# terminal width each time it formats, so one parser serves every call
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         cfg = _load_config(args.config)
-        args.func(args, cfg, _resolve_device(args, cfg))
+        globals()[args.handler](args, cfg, _resolve_device(args, cfg))
         return 0
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

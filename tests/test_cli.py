@@ -507,3 +507,86 @@ def test_sweep_fields_are_format_float_of_the_pole(capsys):
     assert rows == expected
     fields = {f for row in rows for f in row}
     assert {"-0", "1"} <= fields
+
+
+def test_repeated_calls_in_one_process_give_the_same_results(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kmin": 0.2, "kmax": 3.0, "steps": 4}))
+    model = ("--t1", "0.6", "--eps-d", "0.3")
+    calls = [
+        ["equivalence", *model],
+        ["poles", *model],
+        ["transmission", "--config", str(cfg), "--steps", "5"],
+        ["transmission", "--config", str(cfg)],
+        *(["poles", "--method", m, "--format", f, *model]
+          for m in ("siegert", "feshbach", "both") for f in ("table", "csv", "json")),
+        ["equivalence", "--format", "csv"],
+        ["sweep", "--param", "t1", "--from", "0", "--to", "1", "--steps", "4"],
+        ["wavefunction", "--pole-index", "1", "--xmax", "5", *model],
+        ["oracle", "--sites", "30", *model],
+        ["poles", "--t", "0"],
+    ]
+    first = [run(capsys, *argv) for argv in calls]
+    # an equivalence call leaves no --method both behind for a plain poles call
+    assert "max |dz|" in first[0][1] and "max |dz|" not in first[1][1]
+    assert first[1] == run(capsys, "poles", "--method", "siegert", *model)
+    # a --steps flag leaves nothing behind for a call that reads steps from the config
+    assert len(first[2][1].splitlines()) == 6
+    assert len(first[3][1].splitlines()) == 5
+    for argv, expected in zip(calls, first):
+        assert run(capsys, *argv) == expected, argv
+
+
+def test_a_command_rebound_after_the_first_call_runs(monkeypatch, capsys):
+    import respole.cli as cli
+
+    argv = ("sweep", "--param", "eps-d", "--from", "0", "--to", "1", "--steps", "3")
+    expected = run(capsys, *argv)
+    seen = []
+    original = cli.cmd_sweep
+
+    def wrapped(*args):
+        # the shape of a by-name wrapper such as a tracing span
+        seen.append(args[0].param)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "cmd_sweep", wrapped)
+    assert run(capsys, *argv) == expected
+    assert seen == ["eps-d"]
+
+    def boom(spec):
+        raise NumericalError("forced")
+
+    monkeypatch.setattr(cli, "solve_poles", boom)
+    code, _, err = run(capsys, "poles")
+    assert code == 3
+    assert "numerical failure: forced" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["poles", "--help"],
+    ["--version"],
+    ["poles", "--no-such-flag"],
+    ["sweep", "--param", "bad", "--from", "0", "--to", "1", "--steps", "3"],
+], ids=["help", "poles_help", "version", "unknown_flag", "bad_choice"])
+def test_argparse_text_matches_a_fresh_parser(argv, monkeypatch, capsys):
+    import respole.cli as cli
+
+    def fresh():
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = int(exc.code or 0)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    monkeypatch.setenv("COLUMNS", "100")
+    wide = fresh()
+    assert run(capsys, *argv) == wide
+    assert run(capsys, *argv) == wide
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = fresh()
+    assert run(capsys, *argv) == narrow
+    if argv[-1] == "--help":
+        assert narrow != wide  # the text is wrapped at the width of each call
