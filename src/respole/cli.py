@@ -160,29 +160,21 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
         args.start + (args.stop - args.start) * i / (args.steps - 1)
         for i in range(args.steps)
     ]
-    all_poles = solve_tdot_sweep(spec, args.param.replace("-", "_"), values)
-    lines = [POLE_SWEEP_HEADER]
-    transitions = []
-    prev_multiset = None
-    for v, poles in zip(values, all_poles):
-        multiset = tuple(sorted(p.pole_class.value for p in poles))
-        if prev_multiset is not None and multiset != prev_multiset:
-            transitions.append((v, prev_multiset, multiset))
-        prev_multiset = multiset
-        lines.extend(
-            POLE_SWEEP_ROW % (v, p.z.real, p.z.imag, p.k.real, p.k.imag,
-                              p.E.real, p.E.imag, p.pole_class.value)
-            for p in poles
-        )
-    if transitions:
-        for v, before, after in transitions:
-            lines.append(
-                f"# classification change at {args.param}={format_float(v)}: "
-                f"{'+'.join(before)} -> {'+'.join(after)}"
-            )
-    else:
-        lines.append("# no classification changes")
-    _emit("\n".join(lines) + "\n", args.out)
+    fields = []
+    multisets = []
+    for v, poles in zip(values, solve_tdot_sweep(spec, args.param.replace("-", "_"), values)):
+        classes = [c.value for *_, c in poles]
+        multisets.append(tuple(sorted(classes)))
+        for (z, k, E, _), c in zip(poles, classes):
+            fields += (v, z.real, z.imag, k.real, k.imag, E.real, E.imag, c)
+    body = (POLE_SWEEP_HEADER + ("\n" + POLE_SWEEP_ROW) * (len(fields) // 8)) % tuple(fields)
+    changes = [
+        f"# classification change at {args.param}={format_float(v)}: "
+        f"{'+'.join(before)} -> {'+'.join(after)}"
+        for v, before, after in zip(values[1:], multisets, multisets[1:])
+        if after != before
+    ]
+    _emit("\n".join([body, *(changes or ["# no classification changes"])]) + "\n", args.out)
 
 
 def cmd_wavefunction(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:

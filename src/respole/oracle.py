@@ -51,12 +51,18 @@ def _even_sector(spec: DeviceSpec, N: int) -> np.ndarray:
     """The truncated Hamiltonian on the contact, the lead pairs
     (|x> + |-x>)/sqrt(2) for x = 1..N and the non-contact device sites.
 
-    It is the x >= 0 slice of the full lattice; only the contact-(x=1) bond
-    changes, to sqrt(2) times its value, since the contact meets both x = +1
-    and x = -1.
+    It equals the x >= 0 block of ``finite_lattice_hamiltonian`` with the
+    contact-(x=1) bond scaled by sqrt(2), since the contact meets both x = +1
+    and x = -1, and is built directly: the contact is row 0, lead pair x is
+    row x, site i is row N + i + (i < contact).
     """
-    h = finite_lattice_hamiltonian(spec, N)[N:, N:].copy()
-    h[0, 1] = h[1, 0] = h[0, 1] * math.sqrt(2.0)
+    c = spec.contact
+    rows = [0 if i == c else N + i + (i < c) for i in range(spec.n_sites)]
+    h = np.zeros((N + spec.n_sites,) * 2)
+    x = np.arange(N)
+    h[x, x + 1] = h[x + 1, x] = -spec.lead_t
+    h[0, 1] = h[1, 0] = -spec.lead_t * math.sqrt(2.0)
+    h[np.ix_(rows, rows)] = p_space_hamiltonian(spec)
     return h
 
 

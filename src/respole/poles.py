@@ -81,15 +81,12 @@ def poles_from_roots(roots, null_vectors, t: float, contact: int) -> list[list[S
     pinned to 1 instead.  k, E and the class are computed per pole in scalar
     arithmetic.  A root that is zero or not finite raises NumericalError.
     """
-    roots = np.asarray(roots, dtype=complex)
-    if not np.all(np.isfinite(roots) & (roots != 0)):
-        raise NumericalError("a secular root is zero or not finite")
+    roots, order = sorted_roots(roots)
     # complex before dividing: numpy divides complex numbers by multiplying
     # with a reciprocal, which can differ from real division in the last bit
     v = np.asarray(null_vectors, dtype=complex)
     rows, cols = np.arange(roots.shape[0])[:, None], np.arange(roots.shape[1])
-    order = np.lexsort((roots.imag, roots.real))
-    roots, v = roots[rows, order], v[rows, order]
+    v = v[rows, order]
     mag = np.abs(v)
     pin = np.where(mag[..., contact] > CONTACT_PIN_TOL * mag.max(axis=-1),
                    contact, mag.argmax(axis=-1))
@@ -97,14 +94,29 @@ def poles_from_roots(roots, null_vectors, t: float, contact: int) -> list[list[S
     amps[rows, cols, pin] = 1.0
     return [
         [
-            SpectralPole(
-                z=z, k=k_from_z(z), E=energy_from_z(z, t), pole_class=classify(z),
-                amps=tuple(a), contact=contact,
-            )
+            SpectralPole(z, *pole_fields(z, t), amps=tuple(a), contact=contact)
             for z, a in zip(zs, rows)
         ]
         for zs, rows in zip(roots.tolist(), amps.tolist())
     ]
+
+
+def sorted_roots(roots) -> tuple[np.ndarray, np.ndarray]:
+    """A stack of (m, 2n) secular roots as complex, each row sorted by
+    (Re z, Im z), with the (m, 2n) order that sorts them.  A root that is
+    zero or not finite raises NumericalError."""
+    roots = np.asarray(roots, dtype=complex)
+    if not np.all(np.isfinite(roots) & (roots != 0)):
+        raise NumericalError("a secular root is zero or not finite")
+    order = np.lexsort((roots.imag, roots.real))
+    return np.take_along_axis(roots, order, axis=-1), order
+
+
+def pole_fields(z: complex, t: float) -> tuple[complex, complex, PoleClass]:
+    """Wave number, energy and class of a finite nonzero root z, in scalar
+    arithmetic; k is computed once and the class test reuses it."""
+    k = k_from_z(z)
+    return k, energy_from_z(z, t), _classify(z, k)
 
 
 def decoupled_poles(spec: DeviceSpec) -> list[SpectralPole] | None:
@@ -142,9 +154,13 @@ def classify(z: complex) -> PoleClass:
         raise ParameterError("Bloch factor z must be nonzero")
     if not cmath.isfinite(z):
         raise ClassificationError(f"Bloch factor z = {z} is not finite")
+    return _classify(z, k_from_z(z))
+
+
+def _classify(z: complex, k: complex) -> PoleClass:
+    """:func:`classify` of a finite nonzero z whose k = k_from_z(z) is known."""
     if abs(abs(z) - 1.0) <= CLASSIFY_TOL:
         return PoleClass.THRESHOLD
-    k = k_from_z(z)
     d_zero = abs(k.real)
     d_pi = abs(wrap_to_zone(k.real - math.pi))
     if k.imag > 0:

@@ -11,7 +11,10 @@ eigenvalues are every S-matrix pole of the device and its eigenvectors are
 the inner-space amplitudes.  The leading matrix is diagonal with entries +-t,
 so one eigensolve of its block companion matrix gives both at once.  Devices
 that share the lead and the contact site, such as the points of a parameter
-sweep, stack into one eigensolve; a single device is the stack of one.  For
+sweep, stack into one eigensolve; a single device is the stack of one.  A
+T-dot sweep (``solve_tdot_sweep``) needs only the roots: it takes them from
+an eigenvalue-only solve of the same stack, computes no amplitudes, and
+returns plain (z, k, E, class) tuples instead of ``SpectralPole`` records.  For
 the T-type dot the determinant is the quartic
 
     t^2 z^4 + t eps_d z^3 + t1^2 z^2 - t eps_d z - t^2 = 0,
@@ -28,7 +31,9 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .model import DeviceSpec, make_tdot, p_space_hamiltonian, tdot_params
-from .poles import PoleClass, SpectralPole, decoupled_poles, poles_from_roots
+from .poles import (
+    PoleClass, SpectralPole, decoupled_poles, pole_fields, poles_from_roots, sorted_roots,
+)
 
 
 def secular_polynomial(h: np.ndarray, t: float, contact: int) -> np.ndarray:
@@ -51,17 +56,9 @@ def secular_polynomial(h: np.ndarray, t: float, contact: int) -> np.ndarray:
     return coeffs
 
 
-def poly_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and null vectors of A0 + A1 z + A2 z^2 with A2 diagonal,
-    for one (3, n, n) coefficient stack or an (m, 3, n, n) stack of them.
-
-    Scaling the rows by 1/diag(A2) gives the monic z^2 I + B1 z + B0, whose
-    block companion matrix [[0, I], [-B0, -B1]] has the eigenvectors
-    (v, z v).  One eigensolve over all the companion matrices returns every
-    polynomial's 2n roots, with multiplicity, as the last axis of the first
-    array; row i of the matching (2n, n) block of the second array is the
-    null vector (the last n rows, z v) of root i.
-    """
+def _companion(coeffs: np.ndarray) -> np.ndarray:
+    """The block companion matrices [[0, I], [-B0, -B1]] of a (3, n, n) or
+    (m, 3, n, n) coefficient stack with diagonal, invertible A2."""
     coeffs = np.asarray(coeffs)
     if (coeffs.ndim not in (3, 4) or coeffs.shape[-3] != 3
             or coeffs.shape[-2] != coeffs.shape[-1]):
@@ -82,11 +79,38 @@ def poly_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         -np.concatenate((coeffs[..., 0, :, :], coeffs[..., 1, :, :]), axis=-1)
         / lead[..., :, None]
     )
+    return companion
+
+
+def poly_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and null vectors of A0 + A1 z + A2 z^2 with A2 diagonal,
+    for one (3, n, n) coefficient stack or an (m, 3, n, n) stack of them.
+
+    Scaling the rows by 1/diag(A2) gives the monic z^2 I + B1 z + B0, whose
+    block companion matrix [[0, I], [-B0, -B1]] has the eigenvectors
+    (v, z v).  One eigensolve over all the companion matrices returns every
+    polynomial's 2n roots, with multiplicity, as the last axis of the first
+    array; row i of the matching (2n, n) block of the second array is the
+    null vector (the last n rows, z v) of root i.
+    """
+    companion = _companion(coeffs)
+    n = companion.shape[-1] // 2
     try:
         roots, vectors = np.linalg.eig(companion)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("companion eigensolve did not converge") from exc
     return roots, vectors[..., n:, :].swapaxes(-1, -2)
+
+
+def _eigenvalues_only(coeffs: np.ndarray) -> np.ndarray:
+    """The roots of :func:`poly_roots` without its null vectors.  LAPACK's
+    eigenvalue-only path runs the same balancing, reduction and QR steps on
+    the companion matrices, so the roots match ``poly_roots`` bit for bit;
+    the tests check that on T-dot stacks."""
+    try:
+        return np.linalg.eigvals(_companion(coeffs))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("companion eigensolve did not converge") from exc
 
 
 @dataclass(frozen=True)
@@ -149,15 +173,20 @@ def solve_poles(spec: DeviceSpec) -> list[SpectralPole]:
     return _solve_stack(p_space_hamiltonian(spec)[None], spec.lead_t, spec.contact)[0]
 
 
-def solve_tdot_sweep(spec: DeviceSpec, name: str, values) -> list[list[SpectralPole]]:
-    """``solve_poles`` of the T-dot ``spec`` with its parameter ``name``
-    ("t1" or "eps_d") set to each of ``values`` in turn.
+def solve_tdot_sweep(
+    spec: DeviceSpec, name: str, values
+) -> list[list[tuple[complex, complex, complex, PoleClass]]]:
+    """The poles of the T-dot ``spec`` with its parameter ``name`` ("t1" or
+    "eps_d") set to each of ``values`` in turn, as one list per value of
+    ``(z, k, E, pole_class)`` tuples sorted by (Re z, Im z).  No amplitudes
+    are computed.
 
     ``spec`` must have the T-dot shape of ``make_tdot``; any other device
     raises ParameterError.  The device blocks of all coupled points are built
-    from the grid at once and solved by one stacked eigensolve; points with
-    t1 = 0 give their Decoupled level.  Each point's poles equal those of
-    ``solve_poles`` on its own T-dot to the last bit.
+    from the grid at once and their roots found by one stacked, eigenvalue-
+    only eigensolve; points with t1 = 0 give their Decoupled level.  Each
+    point's z, k, E and class equal those of ``solve_poles`` on its own T-dot
+    to the last bit.
     """
     params = tdot_params(spec)
     if params is None:
@@ -175,8 +204,10 @@ def solve_tdot_sweep(spec: DeviceSpec, name: str, values) -> list[list[SpectralP
     h = np.zeros((int(coupled.sum()), 2, 2))
     h[:, 0, 1] = h[:, 1, 0] = -t1[coupled]
     h[:, 1, 1] = eps_d[coupled]
-    solved = iter(_solve_stack(h, t, 0))
+    roots = sorted_roots(_eigenvalues_only(secular_polynomial(h, t, 0)))[0]
+    solved = iter(roots.tolist())
     return [
-        next(solved) if c else decoupled_poles(make_tdot(t, a, e))
+        [(z, *pole_fields(z, t)) for z in next(solved)] if c
+        else [(p.z, p.k, p.E, p.pole_class) for p in decoupled_poles(make_tdot(t, a, e))]
         for c, a, e in zip(coupled.tolist(), t1.tolist(), eps_d.tolist())
     ]

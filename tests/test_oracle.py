@@ -243,6 +243,28 @@ def test_even_sector_plus_bare_chain_is_the_full_spectrum():
         assert np.max(np.abs(np.linalg.eigvalsh(full) - union)) < tol
 
 
+def test_even_sector_is_the_folded_lattice_block():
+    # built directly, the even sector is bit for bit the x >= 0 block of the
+    # full lattice with the contact-(x=1) bond scaled by sqrt(2)
+    rng = np.random.default_rng(41)
+    specs = [make_tdot(t, t1, ed) for t, t1, ed in
+             ((1.0, 0.5, -1.0), (0.7, -0.0, 2.5), (2.0, 1e-7, 0.0), (1.3, -2.0, 3.0))]
+    for n in range(1, 9):
+        for contact in sorted({0, n // 2, n - 1}):
+            bonds = tuple((i, j, float(rng.uniform(-1.5, 1.5)))
+                          for i in range(n) for j in range(i + 1, n)
+                          if j == i + 1 or rng.uniform() < 0.3)
+            specs.append(DeviceSpec(n, tuple(rng.uniform(-2.0, 2.0, n).tolist()), bonds,
+                                    contact, float(rng.uniform(0.5, 2.0))))
+    for spec in specs:
+        for N in (1, 2, 10, 37, 400):
+            folded = finite_lattice_hamiltonian(spec, N)[N:, N:].copy()
+            folded[0, 1] = folded[1, 0] = folded[0, 1] * math.sqrt(2.0)
+            even = _even_sector(spec, N)
+            assert even.dtype == folded.dtype and even.shape == folded.shape
+            assert even.tobytes() == folded.tobytes()
+
+
 def test_bound_energies_match_dense_full_lattice():
     specs = [(make_tdot(1.0, t1, ed), 200) for t1 in T1_GRID for ed in EPS_GRID]
     rng = np.random.default_rng(11)

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from respole import (
     ClassificationError,
@@ -22,8 +26,15 @@ from respole import (
 from respole._format import format_float
 from respole.cli import main
 from respole.dispersion import energy_from_z, k_from_z
-from respole.poles import CONTACT_PIN_TOL, SpectralPole, decoupled_poles, poles_from_roots
-from respole.siegert import poly_roots, secular_polynomial, solve_tdot_sweep
+from respole.poles import (
+    CONTACT_PIN_TOL,
+    SpectralPole,
+    decoupled_poles,
+    pole_fields,
+    poles_from_roots,
+    sorted_roots,
+)
+from respole.siegert import _eigenvalues_only, poly_roots, secular_polynomial, solve_tdot_sweep
 
 P = math.sqrt((1.0 + math.sqrt(5.0)) / 2.0)
 Q = 1.0 / P
@@ -302,6 +313,24 @@ def test_classify_rejects_non_finite(z):
         classify(z)
 
 
+def test_pole_fields_equal_the_scalar_functions():
+    # k once, shared by the class test: the same k, E and class as
+    # k_from_z, energy_from_z and classify, on every class and near each
+    # boundary (unit circle, Re k = 0 and +-pi, the zone wrap)
+    rng = np.random.default_rng(31)
+    zs = [Q, -Q, 1j * P, -1j * P, 1.2, -1.2, complex(-1.2, -1e-15), complex(-1.2, 1e-15),
+          1j, 1.0 + 1e-12, complex(0.5, 1e-10), complex(-0.5, -1e-10), -0.5 - 0.0j]
+    for r, phase in zip(rng.lognormal(0.0, 1.0, 3000), rng.uniform(-np.pi, np.pi, 3000)):
+        # inside the unit circle only the real axis holds states
+        zs.append(complex(r * np.cos(phase), r * np.sin(phase)) if r > 1
+                  else complex(r * np.sign(phase)))
+    for z in zs:
+        ref = (k_from_z(z), energy_from_z(z, 0.7), classify(z))
+        assert repr(pole_fields(z, 0.7)) == repr(ref)
+    with pytest.raises(ClassificationError, match="upper half plane"):
+        pole_fields(0.5 + 0.5j, 0.7)
+
+
 @pytest.mark.parametrize("bad", [0.0, math.nan, complex(math.inf, 1.0)])
 def test_poles_from_roots_rejects_zero_or_non_finite_root(bad):
     roots = np.array([[1j * P, -1j * P, Q, bad]])
@@ -492,3 +521,99 @@ def test_sweep_csv_matches_per_point_solves(param, start, stop, steps, model, ca
 def test_tdot_sweep_rejects_other_devices(spec):
     with pytest.raises(ParameterError, match="only T-dot models"):
         solve_tdot_sweep(spec, "t1", [0.5, 1.0])
+
+
+def random_tdot_stack(rng, m, t1_low):
+    """Device blocks of m random T-dots: |t1| log-uniform from t1_low to 10
+    with either sign, eps_d across both band edges, one in four points on a
+    round eps_d (0, +-1 or +-2)."""
+    t1 = np.exp(rng.uniform(np.log(t1_low), np.log(10.0), m)) * rng.choice((-1.0, 1.0), m)
+    eps_d = rng.uniform(-4.0, 4.0, m)
+    round_ = rng.uniform(size=m) < 0.25
+    eps_d[round_] = rng.choice((0.0, -1.0, 1.0, -2.0, 2.0), int(round_.sum()))
+    h = np.zeros((m, 2, 2))
+    h[:, 0, 1] = h[:, 1, 0] = -t1
+    h[:, 1, 1] = eps_d
+    return h
+
+
+def test_eigenvalue_only_roots_equal_poly_roots_bit_for_bit():
+    # the sweep takes its roots from LAPACK's eigenvalue-only path; that is
+    # only safe while it returns the very roots poly_roots does
+    rng = np.random.default_rng(2024)
+    points = 0
+    for t in rng.uniform(0.5, 2.0, 20).tolist() + [1.0, 0.5, 2.0]:
+        for t1_low in (1e-17, 1e-7, 1e-3):
+            h = random_tdot_stack(rng, 150, t1_low)
+            h[:10, 1, 1] = rng.choice((-2.0, 2.0), 10) * t  # on the band edges
+            coeffs = secular_polynomial(h, t, 0)
+            fast, ref = _eigenvalues_only(coeffs), poly_roots(coeffs)[0]
+            assert fast.dtype == ref.dtype and fast.tobytes() == ref.tobytes()
+            fast, ref = sorted_roots(fast)[0], sorted_roots(ref)[0]
+            assert fast.dtype == ref.dtype and fast.tobytes() == ref.tobytes()
+            points += len(coeffs)
+    assert points >= 10_000
+
+
+def test_tdot_sweep_points_equal_solve_poles():
+    # (z, k, E, class) of every point, to the last bit, against the solve of
+    # the point's own T-dot; the values include t1 = 0 and -0.0
+    cases = [
+        ("t1", 1.3, 0.4, [-1.0, -0.0, 0.0, 1e-7, 0.5, 2.0]),
+        ("eps_d", 0.8, 0.6, [-2.5, -1.6, -1.6000000001, 0.0, 1.6, 3.0]),
+        ("eps_d", 1.0, -0.0, [-3.0, 0.0, 2.0]),
+    ]
+    for name, t, other, values in cases:
+        spec = make_tdot(t, other, 0.1) if name == "eps_d" else make_tdot(t, 1.0, other)
+        got = solve_tdot_sweep(spec, name, values)
+        assert len(got) == len(values)
+        for v, poles in zip(values, got):
+            point = make_tdot(t, v, other) if name == "t1" else make_tdot(t, other, v)
+            ref = [(p.z, p.k, p.E, p.pole_class) for p in solve_poles(point)]
+            assert repr(poles) == repr(ref)
+
+
+def _grid(h, m, steps, sign):
+    """(start, stop) of a grid whose point m is exactly 0: every point is an
+    integer multiple of the power of two h."""
+    return sign * -m * h, sign * (steps - 1 - m) * h
+
+
+@st.composite
+def sweep_cases(draw):
+    t = draw(st.floats(0.5, 2.0))
+    steps = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        eps_d = draw(st.floats(-3.0, 3.0))
+        kind = draw(st.sampled_from(("exact_zero", "from_minus_zero", "any")))
+        if kind == "exact_zero":
+            start, stop = _grid(2.0 ** -draw(st.integers(0, 6)),
+                                draw(st.integers(0, steps - 1)), steps,
+                                draw(st.sampled_from((-1.0, 1.0))))
+        elif kind == "from_minus_zero":
+            # -0.0 + (stop - -0.0) * 0 is -0.0 when stop < 0
+            start, stop = -0.0, -draw(st.floats(1e-3, 3.0))
+        else:
+            start, stop = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+        return "t1", start, stop, steps, {"t": t, "eps_d": eps_d}
+    # eps_d across a band edge, |eps_d| = 2 or 2 t
+    edge = draw(st.sampled_from((2.0, 2.0 * t))) * draw(st.sampled_from((-1.0, 1.0)))
+    start = edge - draw(st.floats(0.01, 1.5))
+    stop = edge + draw(st.floats(0.01, 1.5))
+    if draw(st.booleans()):
+        start, stop = stop, start
+    t1 = draw(st.one_of(st.sampled_from((0.0, -0.0, 1e-7)), st.floats(-2.0, 2.0)))
+    return "eps-d", start, stop, steps, {"t": t, "t1": t1}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(sweep_cases())
+def test_sweep_csv_matches_per_point_solves_on_random_grids(case):
+    param, start, stop, steps, model = case
+    flags = [f"--{k.replace('_', '-')}={v!r}" for k, v in model.items()]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["sweep", "--param", param, f"--from={start!r}", f"--to={stop!r}",
+                     "--steps", str(steps), *flags])
+    assert code == 0
+    assert out.getvalue() == reference_sweep_csv(param, start, stop, steps, **model)
