@@ -38,6 +38,22 @@ POLE_COLUMNS = (
 )
 # %.17g renders exactly as format_float does
 POLE_ROW = ",".join(["%.17g"] * 6 + ["%s"] + ["%.17g"] * 4)
+
+
+def _json_record(pad: str) -> str:
+    """``dumps``' layout of one ``pole_to_record`` dict as an item of a list
+    indented by ``pad``."""
+    fields = ",\n".join(
+        f'{pad}    "{c}": ' + ('"%s"' if c == "class" else "%.17g") for c in POLE_COLUMNS
+    )
+    return f"{pad}  {{\n{fields}\n{pad}  }}"
+
+
+# The JSON item of one pole, by the indent of its list: 0 for the bare list of
+# one method, 2 for the lists inside the object of both.  Class strings are
+# enum values with no quote, backslash or newline, so "%s" needs no escaping.
+POLE_JSON_RECORD = {indent: _json_record(" " * indent) for indent in (0, 2)}
+POLE_JSON_BOTH = '{\n  "siegert": %s,\n  "feshbach": %s,\n  "max_dz": %s\n}\n'
 POLE_SWEEP_HEADER = "param,z_re,z_im,k_re,k_im,E_re,E_im,class"
 POLE_SWEEP_ROW = ",".join(["%.17g"] * 7 + ["%s"])
 
@@ -119,6 +135,15 @@ def _pole_csv(poles) -> str:
     return "\n".join([",".join(POLE_COLUMNS), *rows]) + "\n"
 
 
+def _pole_json(poles, indent: int) -> str:
+    """The list of pole records exactly as ``dumps`` writes it at ``indent``."""
+    if not poles:
+        return "[]"
+    record = POLE_JSON_RECORD[indent]
+    rows = [record % tuple(pole_to_record(p).values()) for p in poles]
+    return "[\n" + ",\n".join(rows) + "\n" + " " * indent + "]"
+
+
 def cmd_poles(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
     # built per call, so a rebound module name (a test's fake, a tracer) is used
     routes = {"siegert": solve_poles, "feshbach": feshbach_pole_search}
@@ -127,8 +152,11 @@ def cmd_poles(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
     poles = sets[methods[0]]
     dz = pole_set_distance(*sets.values()) if len(sets) == 2 else None
     if args.format == "json":
-        records = {m: [pole_to_record(p) for p in s] for m, s in sets.items()}
-        text = dumps(records[methods[0]] if dz is None else {**records, "max_dz": dz}) + "\n"
+        if dz is None:
+            text = _pole_json(poles, 0) + "\n"
+        else:
+            text = POLE_JSON_BOTH % (_pole_json(sets["siegert"], 2),
+                                     _pole_json(sets["feshbach"], 2), format_float(dz))
     elif args.format == "csv":
         text = _pole_csv(poles)
         if dz is not None:

@@ -9,7 +9,10 @@ all at once by Ehrlich-Aberth iteration (Aberth, Math. Comp. 27 (1973) 339;
 Bini & Noferini, Linear Algebra Appl. 439 (2013) 1130), with no eigensolver,
 so this route stays independent of the outgoing-wave one.  Like that route, it
 reads the device as the triple (h, t, contact): the block is built once per
-solve, and ``_secular_stack`` alone forms E(z) - H_eff(z) from it.
+solve, and ``_secular_stack`` alone forms E(z) - H_eff(z) from it.  Each
+Aberth step builds the stack of its moving iterates once and reads f/f' from
+it; the stack at the final roots serves both the disc certificate and the
+null vectors.
 """
 
 from __future__ import annotations
@@ -82,9 +85,11 @@ def secular_residual(spec: DeviceSpec, z: complex | np.ndarray) -> complex | np.
 def _secular_stack(h: np.ndarray, t: float, contact: int, zs: np.ndarray) -> np.ndarray:
     """E(z) I - H_eff(z) of the device block h at each z of a 1D array,
     stacked to (len(zs), n, n)."""
-    m = np.broadcast_to(-h, (zs.size, *h.shape)).astype(complex)
-    idx = np.arange(h.shape[0])
-    m[:, idx, idx] += (-t * (zs + 1.0 / zs))[:, None]
+    n = h.shape[0]
+    m = np.empty((zs.size, n, n), dtype=complex)
+    m[...] = -h
+    # the diagonal of every matrix, as a strided view of the flat rows
+    m.reshape(zs.size, n * n)[:, ::n + 1] += (-t * (zs + 1.0 / zs))[:, None]
     m[:, contact, contact] += 2.0 * t * zs
     return m
 
@@ -105,23 +110,24 @@ def default_seeds(spec: DeviceSpec) -> np.ndarray:
     return START_RADIUS * np.exp(2j * np.pi * (np.arange(m) + 0.25) / m)
 
 
-def _newton_ratios(h: np.ndarray, t: float, contact: int, zs: np.ndarray) -> np.ndarray:
-    """f/f' at each z for f(z) = z**n det(E(z) I - H_eff(z)) of the device
-    block h; 0 where that matrix is exactly singular, since such a z is a root.
+def _newton_ratios(m: np.ndarray, t: float, contact: int, zs: np.ndarray) -> np.ndarray:
+    """f/f' at each z for f(z) = z**n det(E(z) I - H_eff(z)), read from the
+    stack m = _secular_stack(h, t, contact, zs) the caller built; 0 where that
+    matrix is exactly singular, since such a z is a root.
 
     Jacobi's formula gives f'/f = n/z + tr(M^-1 M') for M = E(z) I - H_eff(z),
     whose derivative is M' = t (1/z**2 - 1) I + 2 t P_c.
     """
     try:
-        inv = np.linalg.inv(_secular_stack(h, t, contact, zs))
+        inv = np.linalg.inv(m)
     except np.linalg.LinAlgError:
         # LAPACK refuses the whole stack for one singular matrix
         if zs.size == 1:
             return np.zeros(1, dtype=complex)
-        return np.concatenate([_newton_ratios(h, t, contact, zs[i:i + 1])
+        return np.concatenate([_newton_ratios(m[i:i + 1], t, contact, zs[i:i + 1])
                                for i in range(zs.size)])
     trace = np.trace(inv, axis1=1, axis2=2)
-    ratio = 1.0 / (h.shape[0] / zs + t * (1.0 / zs**2 - 1.0) * trace
+    ratio = 1.0 / (m.shape[1] / zs + t * (1.0 / zs**2 - 1.0) * trace
                    + 2.0 * t * inv[:, contact, contact])
     # a pivot that underflows instead of vanishing leaves nan in the inverse
     return np.where(np.isnan(ratio), 0.0, ratio)
@@ -140,6 +146,8 @@ def feshbach_pole_search(spec: DeviceSpec) -> list[SpectralPole]:
     discs that overlap (a multiple root, e.g. one level repeated on sites the
     contact does not see), raise NumericalError.  A dot with zero coupling
     gives its single Decoupled level; amplitudes are smallest singular vectors.
+    The secular stack at the final roots is built once and gives both the
+    disc radii and those singular vectors.
     """
     decoupled = decoupled_poles(spec)
     if decoupled is not None:
@@ -152,25 +160,27 @@ def feshbach_pole_search(spec: DeviceSpec) -> list[SpectralPole]:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(MAX_ITER):
             zm = z[moving]
-            ratio = _newton_ratios(h, t, c, zm)
-            gaps = zm[:, None] - z[None, :]
+            ratio = _newton_ratios(_secular_stack(h, t, c, zm), t, c, zm)
+            gaps = zm[:, None] - z
             gaps[np.arange(moving.size), moving] = np.inf
             step = ratio / (1.0 - ratio * (1.0 / gaps).sum(axis=1))
-            if not np.all(np.isfinite(step)):
+            if not np.isfinite(step).all():
                 raise NumericalError("Aberth step is not finite (coinciding iterates)")
             size = np.abs(step)
-            stalled = (size >= last_step[moving]) & (size <= STALL_BOUND * np.abs(zm))
+            size_z = np.abs(zm)
+            stalled = (size >= last_step[moving]) & (size <= STALL_BOUND * size_z)
             z[moving] = np.where(stalled, zm, zm - step)
             last_step[moving] = size
-            moving = moving[~stalled & (size > 4.0 * EPS * np.abs(zm))]
+            moving = moving[~stalled & (size > 4.0 * EPS * size_z)]
             if moving.size == 0:
                 break
         else:
             raise NumericalError(f"{moving.size} of {z.size} Aberth iterates still moving")
-        radius = z.size * np.abs(_newton_ratios(h, t, c, z))
+        m = _secular_stack(h, t, c, z)
+        radius = z.size * np.abs(_newton_ratios(m, t, c, z))
     gaps = np.abs(z[:, None] - z[None, :])
     np.fill_diagonal(gaps, np.inf)
     if not np.all(gaps > radius[:, None] + radius[None, :]):
         raise NumericalError("Aberth roots overlap: a multiple root cannot be certified")
-    null_vectors = np.linalg.svd(_secular_stack(h, t, c, z))[2][:, -1].conj()
+    null_vectors = np.linalg.svd(m)[2][:, -1].conj()
     return poles_from_roots(z[None], null_vectors[None], t, c)[0]

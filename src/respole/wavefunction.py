@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from ._format import format_float
 from .errors import ParameterError
 from .feshbach import q_space_reconstruct
 from .poles import BOUND_CLASSES, SpectralPole
@@ -68,13 +67,11 @@ def normalize_bound(pole: SpectralPole) -> SpectralPole:
 
 
 WAVEFUNCTION_HEADER = "x,re,im,abs"
+# %.17g renders exactly as format_float does
+WAVEFUNCTION_ROW = "%s,%.17g,%.17g,%.17g"
 
 
 def wavefunction_csv(samples: list[WavefunctionSample]) -> str:
-    lines = [WAVEFUNCTION_HEADER]
-    for s in samples:
-        lines.append(
-            f"{s.x},{format_float(s.value.real)},{format_float(s.value.imag)},"
-            f"{format_float(s.magnitude)}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [WAVEFUNCTION_ROW % (s.x, s.value.real, s.value.imag, s.magnitude)
+            for s in samples]
+    return "\n".join([WAVEFUNCTION_HEADER, *rows]) + "\n"

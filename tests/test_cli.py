@@ -1,12 +1,29 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from respole import make_tdot, pole_to_record, solve_poles
-from respole._format import format_float
-from respole.cli import main
+import respole.cli
+from respole import (
+    DeviceSpec,
+    ParameterError,
+    device_to_json,
+    feshbach_pole_search,
+    make_tdot,
+    pole_set_distance,
+    pole_to_record,
+    solve_poles,
+)
+from respole._format import dumps, format_float
+from respole.cli import POLE_COLUMNS, main
 from respole.errors import NumericalError
 from respole.scattering import SOLVE_CHUNK
 
@@ -590,3 +607,92 @@ def test_argparse_text_matches_a_fresh_parser(argv, monkeypatch, capsys):
     assert run(capsys, *argv) == narrow
     if argv[-1] == "--help":
         assert narrow != wide  # the text is wrapped at the width of each call
+
+
+def reference_poles_json(spec, method, routes):
+    """``poles --format json`` stdout built by ``dumps`` over the
+    ``pole_to_record`` dicts, with ``max_dz`` when both routes run."""
+    methods = list(routes) if method == "both" else [method]
+    sets = {m: routes[m](spec) for m in methods}
+    for poles in sets.values():
+        for p in poles:
+            assert tuple(pole_to_record(p)) == POLE_COLUMNS
+    records = {m: [pole_to_record(p) for p in s] for m, s in sets.items()}
+    if len(sets) == 1:
+        return dumps(records[method]) + "\n"
+    return dumps({**records, "max_dz": pole_set_distance(*sets.values())}) + "\n"
+
+
+@st.composite
+def json_devices(draw, n: int) -> DeviceSpec:
+    """A connected device of n sites: a random spanning tree, bond amplitudes
+    of magnitude 0.1-1.5, a random contact and lead hopping."""
+    bonds = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    amplitude = st.floats(0.1, 1.5).flatmap(lambda a: st.sampled_from((a, -a)))
+    return DeviceSpec(
+        n_sites=n,
+        onsite=tuple(draw(st.lists(st.floats(-2.5, 2.5), min_size=n, max_size=n))),
+        hoppings=tuple((i, j, draw(amplitude)) for i, j in sorted(bonds)),
+        contact=draw(st.integers(0, n - 1)),
+        lead_t=draw(st.floats(0.5, 2.0)),
+    )
+
+
+@st.composite
+def json_tdots(draw) -> tuple[float, float]:
+    """(t1, eps_d) of a T-dot: decoupled at t1 = 0 or -0.0, near threshold,
+    or anywhere."""
+    kind = draw(st.sampled_from(("decoupled", "threshold", "tdot")))
+    if kind == "decoupled":
+        return draw(st.sampled_from((0.0, -0.0))), draw(st.floats(-3.0, 3.0))
+    if kind == "threshold":
+        t1 = math.exp(draw(st.floats(math.log(1e-6), math.log(1e-3))))
+        return t1, draw(st.sampled_from((-2.0, 2.0)))
+    return draw(st.floats(-2.0, 2.0)), draw(st.floats(-3.0, 3.0))
+
+
+JSON_COMMANDS = st.sampled_from((
+    ["poles", "--method", "siegert"], ["poles", "--method", "feshbach"],
+    ["poles", "--method", "both"], ["equivalence"],
+))
+
+
+def assert_poles_json_matches_dumps(cmd, flags, spec, short):
+    method = "both" if cmd == ["equivalence"] else cmd[-1]
+    routes = {"siegert": solve_poles, "feshbach": feshbach_pole_search}
+    if short:
+        # the Aberth route loses a pole, so the counts differ and max_dz is inf
+        routes["feshbach"] = lambda spec: feshbach_pole_search(spec)[1:]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(respole.cli, "feshbach_pole_search", routes["feshbach"]), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*cmd, *flags, "--format", "json"])
+    try:
+        expected = reference_poles_json(spec, method, routes)
+    except (ParameterError, NumericalError):
+        assert code in (2, 3) and out.getvalue() == ""
+        return
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue() == expected
+    if short and method == "both":
+        assert out.getvalue().endswith('"max_dz": inf\n}\n')
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(data=st.data(), cmd=JSON_COMMANDS, short=st.booleans())
+def test_poles_json_on_random_devices_matches_dumps(n, data, cmd, short):
+    spec = data.draw(json_devices(n))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "device.json"
+        cfg.write_text(json.dumps({"model": device_to_json(spec)}))
+        assert_poles_json_matches_dumps(cmd, ["--config", str(cfg)], spec, short)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(json_tdots(), JSON_COMMANDS, st.booleans())
+def test_poles_json_on_tdots_matches_dumps(tdot, cmd, short):
+    t1, eps_d = tdot
+    # --flag=value, as argparse reads "-1e-05" after a bare flag as an option
+    flags = [f"--t1={t1!r}", f"--eps-d={eps_d!r}"]
+    assert_poles_json_matches_dumps(cmd, flags, make_tdot(1.0, t1, eps_d), short)

@@ -251,3 +251,59 @@ def test_search_is_deterministic():
     a = feshbach_pole_search(spec)
     b = feshbach_pole_search(spec)
     assert [(p.z, p.pole_class) for p in a] == [(p.z, p.pole_class) for p in b]
+
+
+def broadcast_secular_stack(h, t, contact, zs):
+    """E(z) I - H_eff(z) built as a broadcast copy of -h with fancy-index
+    adds on the diagonal and the contact entry: the construction that
+    ``_secular_stack`` must reproduce bit for bit."""
+    m = np.broadcast_to(-h, (zs.size, *h.shape)).astype(complex)
+    idx = np.arange(h.shape[0])
+    m[:, idx, idx] += (-t * (zs + 1.0 / zs))[:, None]
+    m[:, contact, contact] += 2.0 * t * zs
+    return m
+
+
+def test_secular_stack_equals_the_broadcast_construction_bit_for_bit():
+    rng = np.random.default_rng(47)
+    radii = np.concatenate([np.logspace(-8.0, 8.0, 33), np.ones(8)])
+    phases = rng.uniform(-np.pi, np.pi, radii.size)
+    zs = radii * np.exp(1j * phases)
+    # real, imaginary and unit-modulus z with signed-zero parts
+    zs = np.concatenate([zs, [1.0, -1.0, 1j, -1j, complex(1.0, -0.0), complex(-0.0, 1.0)]])
+    for k in range(120):
+        n = 1 + k % 8
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        # zero and signed-zero bonds make +0.0 and -0.0 entries of -h
+        amps = rng.choice([0.0, -0.0, 1.0], len(pairs)) * rng.uniform(-1.5, 1.5, len(pairs))
+        spec = DeviceSpec(
+            n_sites=n,
+            onsite=tuple(rng.choice([0.0, 1.0], n) * rng.uniform(-2.0, 2.0, n)),
+            hoppings=tuple((i, j, float(a)) for (i, j), a in zip(pairs, amps)),
+            contact=0,
+            lead_t=float(rng.uniform(0.3, 2.5)),
+        )
+        h = p_space_hamiltonian(spec)
+        for contact in range(n):
+            got = respole.feshbach._secular_stack(h, spec.lead_t, contact, zs)
+            want = broadcast_secular_stack(h, spec.lead_t, contact, zs)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_newton_ratios_fall_back_per_matrix_on_a_singular_stack():
+    # one site at onsite 0 and t = 1: M(z) = z - 1/z vanishes exactly at z = +-1
+    spec = DeviceSpec(n_sites=1, onsite=(0.0,), hoppings=(), contact=0, lead_t=1.0)
+    h, t = p_space_hamiltonian(spec), spec.lead_t
+    zs = np.array([0.5, 1.0, 2j, -1.0, 1.7 + 0.3j, -0.4 - 1.1j])
+    stack = respole.feshbach._secular_stack(h, t, 0, zs)
+    assert stack[1, 0, 0] == 0 and stack[3, 0, 0] == 0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(stack)
+    ratios = respole.feshbach._newton_ratios(stack, t, 0, zs)
+    assert ratios.shape == zs.shape
+    assert ratios[1] == 0 and ratios[3] == 0
+    for i in (0, 2, 4, 5):
+        one = respole.feshbach._newton_ratios(
+            respole.feshbach._secular_stack(h, t, 0, zs[i:i + 1]), t, 0, zs[i:i + 1])
+        assert ratios[i:i + 1].tobytes() == one.tobytes()

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from respole import (
+    DeviceSpec,
     ParameterError,
     PoleClass,
     SpectralPole,
@@ -11,7 +12,8 @@ from respole import (
     normalize_bound,
     solve_poles,
 )
-from respole.wavefunction import WAVEFUNCTION_HEADER, wavefunction_csv
+from respole._format import format_float
+from respole.wavefunction import WAVEFUNCTION_HEADER, WavefunctionSample, wavefunction_csv
 
 P = math.sqrt((1.0 + math.sqrt(5.0)) / 2.0)
 Q = 1.0 / P
@@ -121,3 +123,32 @@ def test_wavefunction_csv_format():
     assert lines[0] == WAVEFUNCTION_HEADER
     assert len(lines) == 9
     assert lines[-1].startswith("d,")
+
+
+def reference_wavefunction_csv(samples):
+    """One f-string of three format_float fields per sample."""
+    lines = [WAVEFUNCTION_HEADER]
+    for s in samples:
+        lines.append(
+            f"{s.x},{format_float(s.value.real)},{format_float(s.value.imag)},"
+            f"{format_float(s.magnitude)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_wavefunction_csv_matches_format_float_rows():
+    chain = DeviceSpec(
+        n_sites=4, onsite=(0.3, -0.5, 1.1, 0.0),
+        hoppings=((0, 1, -0.7), (1, 2, 0.4), (2, 3, -1.2)), contact=1, lead_t=1.0,
+    )
+    poles = solve_poles(make_tdot(1.0, 0.6, 0.2)) + solve_poles(chain)
+    poles += solve_poles(make_tdot(1.0, 0.0, 0.5)) + solve_poles(make_tdot(1.0, -0.0, 0.0))
+    batches = [evaluate(p, x_max) for p in poles for x_max in (1, 4)]
+    labels = {s.x for b in batches for s in b if isinstance(s.x, str)}
+    assert {"d", "p0", "p2", "p3"} <= labels
+    signed = [complex(a, b) for a in (0.0, -0.0, -1.5) for b in (0.0, -0.0, 2.5e-300)]
+    batches.append([WavefunctionSample(x, v, abs(v)) for x, v in zip((-3, -1, 0, "d", "p7"),
+                                                                        signed)])
+    batches.append([WavefunctionSample(-2, complex(-0.0, -0.0), -0.0)])
+    for samples in batches:
+        assert wavefunction_csv(samples) == reference_wavefunction_csv(samples)
