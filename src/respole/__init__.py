@@ -8,7 +8,6 @@ from .dispersion import (
     energy_from_z,
     group_velocity,
     k_from_z,
-    z_from_k,
     z_pair_from_energy,
 )
 from .errors import BandEdgeError, ClassificationError, NumericalError, ParameterError
@@ -18,12 +17,10 @@ from .feshbach import (
     q_space_reconstruct,
     secular_residual,
     self_energy,
-    surface_green,
 )
 from .model import (
     DeviceSpec,
     device_from_json,
-    device_to_json,
     make_tdot,
     p_space_hamiltonian,
     tdot_params,
@@ -35,7 +32,7 @@ from .oracle import (
     pole_residual_report,
     pole_set_distance,
 )
-from .poles import PoleClass, SpectralPole, classify, pole_to_record
+from .poles import PoleClass, SpectralPole, classify
 from .scattering import (
     GreenPair,
     ScatteringSolution,
@@ -71,7 +68,6 @@ __all__ = [
     "classify",
     "closed_form_eps0",
     "device_from_json",
-    "device_to_json",
     "energy_from_z",
     "evaluate",
     "feshbach_pole_search",
@@ -84,16 +80,13 @@ __all__ = [
     "p_space_hamiltonian",
     "pole_residual_report",
     "pole_set_distance",
-    "pole_to_record",
     "q_space_reconstruct",
     "scattering_solve",
     "secular_residual",
     "self_energy",
     "solve_poles",
-    "surface_green",
     "tdot_params",
     "transmission_sweep",
     "verify_green_identity",
-    "z_from_k",
     "z_pair_from_energy",
 ]

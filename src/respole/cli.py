@@ -16,7 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
+
+import numpy as np
 
 from . import __version__
 from ._format import dumps, format_float
@@ -24,7 +27,6 @@ from .errors import NumericalError, ParameterError
 from .feshbach import feshbach_pole_search
 from .model import DeviceSpec, device_from_json, json_number, make_tdot, tdot_params
 from .oracle import build_report, pole_set_distance
-from .poles import pole_to_record
 from .scattering import sweep_rows_csv, transmission_sweep
 from .siegert import solve_poles, solve_tdot_sweep
 from .wavefunction import evaluate, wavefunction_csv
@@ -40,9 +42,16 @@ POLE_COLUMNS = (
 POLE_ROW = ",".join(["%.17g"] * 6 + ["%s"] + ["%.17g"] * 4)
 
 
+def _pole_row(p) -> tuple:
+    """The values of one pole in ``POLE_COLUMNS`` order."""
+    z, k, E, a0, ad = p.z, p.k, p.E, p.amp0, p.amp_d
+    return (z.real, z.imag, k.real, k.imag, E.real, E.imag, p.pole_class.value,
+            a0.real, a0.imag, ad.real, ad.imag)
+
+
 def _json_record(pad: str) -> str:
-    """``dumps``' layout of one ``pole_to_record`` dict as an item of a list
-    indented by ``pad``."""
+    """``dumps``' layout of one pole as an object keyed by ``POLE_COLUMNS``,
+    as an item of a list indented by ``pad``."""
     fields = ",\n".join(
         f'{pad}    "{c}": ' + ('"%s"' if c == "class" else "%.17g") for c in POLE_COLUMNS
     )
@@ -131,7 +140,7 @@ def _pole_table(poles) -> str:
 
 
 def _pole_csv(poles) -> str:
-    rows = [POLE_ROW % tuple(pole_to_record(p).values()) for p in poles]
+    rows = [POLE_ROW % _pole_row(p) for p in poles]
     return "\n".join([",".join(POLE_COLUMNS), *rows]) + "\n"
 
 
@@ -140,7 +149,7 @@ def _pole_json(poles, indent: int) -> str:
     if not poles:
         return "[]"
     record = POLE_JSON_RECORD[indent]
-    rows = [record % tuple(pole_to_record(p).values()) for p in poles]
+    rows = [record % _pole_row(p) for p in poles]
     return "[\n" + ",\n".join(rows) + "\n" + " " * indent + "]"
 
 
@@ -184,10 +193,11 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
                         ("range --to minus --from", args.stop - args.start)):
         if not math.isfinite(value):
             raise ParameterError(f"sweep {flag} must be finite, got {value}")
-    values = [
-        args.start + (args.stop - args.start) * i / (args.steps - 1)
-        for i in range(args.steps)
-    ]
+    # start + (stop - start) * i / (steps - 1) in float arithmetic for each i;
+    # an overflow gives inf, which the solver rejects
+    with np.errstate(over="ignore"):
+        values = (args.start + (args.stop - args.start) * np.arange(args.steps)
+                  / (args.steps - 1)).tolist()
     fields = []
     multisets = []
     for v, poles in zip(values, solve_tdot_sweep(spec, args.param.replace("-", "_"), values)):
@@ -222,8 +232,18 @@ def cmd_oracle(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
     _emit(dumps(report) + "\n", args.out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative number in exponent form, such
+    as ``--eps-d -1e-05``, as the flag's value rather than as an option;
+    argparse's own pattern has no exponent.  Subparsers share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="respole",
         description="S-matrix poles and scattering observables of 1D tight-binding "
                     "open quantum systems",

@@ -25,11 +25,6 @@ def energy_from_z(z: complex, t: float) -> complex:
     return -t * (z + 1.0 / z)
 
 
-def z_from_k(k: complex) -> complex:
-    """Bloch factor exp(ik)."""
-    return cmath.exp(1j * k)
-
-
 def k_from_z(z: complex) -> complex:
     """Wave number -i Log z on the principal branch, with Re k in (-pi, pi].
 

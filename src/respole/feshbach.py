@@ -37,24 +37,10 @@ def self_energy(z: complex, t: float) -> complex:
     """Lead self-energy at the contact site: -2 t z.
 
     Retarded z (0 < k < pi) gives a strictly negative imaginary part -- the
-    non-Hermitian signature of escape into the lead.
+    non-Hermitian signature of escape into the lead.  It is 2 t**2 g_1, where
+    g_1 = -z / t is the end-site Green's function of each severed half-lead.
     """
     return -2.0 * t * z
-
-
-def surface_green(x: int, z: complex, t: float) -> complex:
-    """Resolvent of the severed lead between its end site and site x.
-
-    Equals -z**|x| / t for |x| >= 1.  Site 0 belongs to the device block, so
-    x = 0 is outside this function's domain.
-    """
-    if x == 0:
-        raise ParameterError("site 0 is part of the device block, not the severed lead")
-    if z == 0:
-        raise ParameterError("Bloch factor z must be nonzero")
-    if not t > 0:
-        raise ParameterError(f"lead hopping t must be > 0, got {t}")
-    return -(z ** abs(x)) / t
 
 
 def build_h_eff(spec: DeviceSpec, z: complex) -> np.ndarray:

@@ -92,16 +92,6 @@ def p_space_hamiltonian(spec: DeviceSpec) -> np.ndarray:
     return h
 
 
-def device_to_json(spec: DeviceSpec) -> dict:
-    return {
-        "n_sites": spec.n_sites,
-        "onsite": list(spec.onsite),
-        "hoppings": [list(h) for h in spec.hoppings],
-        "contact": spec.contact,
-        "lead_t": spec.lead_t,
-    }
-
-
 def json_number(raw, cast, what: str):
     """``cast(raw)`` for a value read from JSON.  Only a JSON number is one:
     a string, a boolean, any other value, a non-integral number where

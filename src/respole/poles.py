@@ -66,10 +66,6 @@ class SpectralPole:
             return 0j
         return self.amps[1 if self.contact == 0 else 0]
 
-    @property
-    def normalizable(self) -> bool:
-        return self.pole_class in BOUND_CLASSES
-
 
 def poles_from_roots(roots, null_vectors, t: float, contact: int) -> list[list[SpectralPole]]:
     """The classified states of a stack of devices that share the lead
@@ -176,19 +172,3 @@ def _classify(z: complex, k: complex) -> PoleClass:
         return PoleClass.ANTI_BOUND
     return PoleClass.RESONANT if k.real > 0 else PoleClass.ANTI_RESONANT
 
-
-def pole_to_record(pole: SpectralPole) -> dict:
-    """Flat serialization record (JSON object / CSV row) of one pole."""
-    return {
-        "z_re": pole.z.real,
-        "z_im": pole.z.imag,
-        "k_re": pole.k.real,
-        "k_im": pole.k.imag,
-        "E_re": pole.E.real,
-        "E_im": pole.E.imag,
-        "class": pole.pole_class.value,
-        "amp0_re": pole.amp0.real,
-        "amp0_im": pole.amp0.imag,
-        "ampd_re": pole.amp_d.real,
-        "ampd_im": pole.amp_d.imag,
-    }

@@ -154,12 +154,6 @@ def closed_form_eps0(t: float, t1: float) -> ClosedFormEps0:
     return ClosedFormEps0(p=p, q=q, poles=poles)
 
 
-def _solve_stack(h: np.ndarray, t: float, contact: int) -> list[list[SpectralPole]]:
-    """The sorted, classified poles of each block of an (m, n, n) stack of
-    device blocks that share the lead hopping t and the contact site."""
-    return poles_from_roots(*poly_roots(secular_polynomial(h, t, contact)), t, contact)
-
-
 def solve_poles(spec: DeviceSpec) -> list[SpectralPole]:
     """Every S-matrix pole of the device via the outgoing-wave polynomial.
 
@@ -170,7 +164,8 @@ def solve_poles(spec: DeviceSpec) -> list[SpectralPole]:
     decoupled = decoupled_poles(spec)
     if decoupled is not None:
         return decoupled
-    return _solve_stack(p_space_hamiltonian(spec)[None], spec.lead_t, spec.contact)[0]
+    h, t, c = p_space_hamiltonian(spec)[None], spec.lead_t, spec.contact
+    return poles_from_roots(*poly_roots(secular_polynomial(h, t, c)), t, c)[0]
 
 
 def solve_tdot_sweep(

@@ -3,7 +3,7 @@
 Away from the device the amplitude is z**|x| times the contact amplitude,
 so bound states (|z| < 1) decay geometrically and resonant states (|z| > 1)
 grow without bound -- the latter live outside the Hilbert space and are
-reported un-normalized (``SpectralPole.normalizable`` is False for them).
+reported un-normalized (``normalize_bound`` raises for them).
 """
 
 from __future__ import annotations

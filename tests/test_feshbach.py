@@ -17,7 +17,6 @@ from respole import (
     secular_residual,
     self_energy,
     solve_poles,
-    surface_green,
     z_pair_from_energy,
 )
 
@@ -36,23 +35,6 @@ GEN_DEVICE = DeviceSpec(
 def quartic(t, t1, ed, z):
     """The secular quartic, evaluated directly (independent of the solver)."""
     return t * t * z**4 + t * ed * z**3 + t1 * t1 * z * z - t * ed * z - t * t
-
-
-def test_surface_green_values():
-    assert surface_green(1, 1j, 1.0) == pytest.approx(-1j)
-    assert surface_green(3, 1j, 1.0) == pytest.approx(1j)
-    # -q^2 is the golden-ratio conjugate (sqrt(5)-1)/2 with the sign flipped
-    assert surface_green(2, Q, 1.0) == pytest.approx(-(math.sqrt(5.0) - 1.0) / 2.0, abs=1e-12)
-    assert surface_green(-2, Q, 1.0) == surface_green(2, Q, 1.0)
-
-
-def test_surface_green_domain():
-    with pytest.raises(ParameterError):
-        surface_green(0, 1j, 1.0)
-    with pytest.raises(ParameterError):
-        surface_green(1, 0, 1.0)
-    with pytest.raises(ParameterError):
-        surface_green(1, 1j, -1.0)
 
 
 def test_self_energy_is_retarded_on_shell():

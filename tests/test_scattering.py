@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,6 @@ from respole import (
     ScatteringSolution,
     ScatteringSweep,
     build_h_eff,
-    device_to_json,
     green_function,
     make_tdot,
     scattering_solve,
@@ -308,7 +308,7 @@ def test_batched_sweep_matches_per_k_solves_bit_for_bit(tmp_path, capsys):
         for i in (0, SOLVE_CHUNK, steps - 1):
             assert scattering_solve(spec, ref[i].k) == ref[i]
         cfg = tmp_path / f"dev{idx}.json"
-        cfg.write_text(json.dumps({"model": device_to_json(spec)}))
+        cfg.write_text(json.dumps({"model": asdict(spec)}))
         code = main(["transmission", "--config", str(cfg), "--kmin", repr(k_min),
                      "--kmax", repr(k_max), "--steps", str(steps)])
         assert code == 0

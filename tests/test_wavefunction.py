@@ -99,8 +99,6 @@ def test_normalize_bound_rejects_non_bound():
     for cls in (PoleClass.RESONANT, PoleClass.ANTI_RESONANT):
         with pytest.raises(ParameterError):
             normalize_bound(ps[cls])
-    assert not ps[PoleClass.RESONANT].normalizable
-    assert ps[PoleClass.BOUND_LOWER].normalizable
 
 
 def test_decay_rates():
