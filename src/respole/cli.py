@@ -65,6 +65,16 @@ POLE_JSON_RECORD = {indent: _json_record(" " * indent) for indent in (0, 2)}
 POLE_JSON_BOTH = '{\n  "siegert": %s,\n  "feshbach": %s,\n  "max_dz": %s\n}\n'
 POLE_SWEEP_HEADER = "param,z_re,z_im,k_re,k_im,E_re,E_im,class"
 POLE_SWEEP_ROW = ",".join(["%.17g"] * 7 + ["%s"])
+# numpy refuses, with a ValueError, an array whose size in bytes overflows its
+# index type; the grids hold at most complex values, so a longer grid is an
+# input too large to allocate
+MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(complex).itemsize
+
+
+def _check_grid(points: int) -> None:
+    """MemoryError (exit 2) for a grid longer than any array numpy can hold."""
+    if points > MAX_GRID_POINTS:
+        raise MemoryError(f"a grid of {points} points is larger than any array")
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
@@ -183,12 +193,14 @@ def cmd_transmission(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> N
     steps = _resolve(args, cfg, "steps", cast=int)
     if k_min is None or k_max is None or steps is None:
         raise ParameterError("transmission needs --kmin, --kmax and --steps")
+    _check_grid(steps)
     _emit(sweep_rows_csv(transmission_sweep(spec, k_min, k_max, steps)), args.out)
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
     if args.steps < 2:
         raise ParameterError(f"sweep needs at least 2 steps, got {args.steps}")
+    _check_grid(args.steps)
     for flag, value in (("--from", args.start), ("--to", args.stop),
                         ("range --to minus --from", args.stop - args.start)):
         if not math.isfinite(value):
@@ -223,6 +235,7 @@ def cmd_wavefunction(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> N
         )
     if args.xmax < 1:
         raise ParameterError(f"--xmax must be >= 1, got {args.xmax}")
+    _check_grid(2 * args.xmax + 1)
     samples = evaluate(poles[args.pole_index], args.xmax)
     _emit(wavefunction_csv(samples), args.out)
 

@@ -4,18 +4,31 @@ Projecting the infinite problem onto the device sites leaves a finite
 non-Hermitian matrix: the device block plus a lead self-energy -2 t z on the
 contact diagonal (the two half-infinite lead branches contribute -t z each).
 Discrete states are the z where det(E(z) - H_eff(z)) vanishes; times z**n it
-is a polynomial of degree exactly 2n, so there are 2n of them.  They are found
-all at once by Ehrlich-Aberth iteration (Aberth, Math. Comp. 27 (1973) 339;
-Bini & Noferini, Linear Algebra Appl. 439 (2013) 1130), with no eigensolver,
-so this route stays independent of the outgoing-wave one.  Like that route, it
-reads the device as the triple (h, t, contact): the block is built once per
-solve, and ``_secular_stack`` alone forms E(z) - H_eff(z) from it.  Each
-Aberth step builds the stack of its moving iterates once and reads f/f' from
-it; the stack at the final roots serves both the disc certificate and the
-null vectors.
+is a polynomial of degree exactly 2n, so there are 2n of them.
+
+The self-energy is a rank-one update of the closed device h = U diag(lam) U^T,
+so by the matrix determinant lemma the polynomial is the secular function
+
+    f(z) = prod_j p_j(z) * (1 + 2 t z**2 sum_j w_j / p_j(z)),
+    p_j(z) = -t (z**2 + 1) - lam_j z,
+
+with w_j = U_cj**2 the weight of level j on the contact (Golub, SIAM Rev. 15
+(1973) 318).  This is the Feshbach projection with every site but the contact
+folded into the contact Green's function of the closed device.  A level
+repeated d times gives d - 1 of its own root pairs in closed form (all d if the
+contact does not see it); the rest are found all at once by Ehrlich-Aberth
+iteration (Aberth, Math. Comp. 27 (1973) 339; Bini & Noferini, Linear Algebra
+Appl. 439 (2013) 1130) on the secular function of the remaining levels, whose
+Newton ratio is a sum of rational terms with no matrix inverse.  This route
+solves the real symmetric eigenproblem of the closed device; the outgoing-wave
+route solves the non-symmetric companion of the open one, so the two routes
+share no eigensolve.  ``secular_residual`` evaluates det(E(z) - H_eff(z))
+directly, from the matrices ``_secular_stack`` builds.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -31,6 +44,11 @@ MAX_ITER = 100
 # that grows is the pull of the other iterates, not noise.
 STALL_BOUND = 1e-6
 EPS = np.finfo(float).eps
+# Adjacent levels of the closed device closer than this fraction of
+# max(t, |lam|) form one cluster; merging them perturbs h by no more than
+# that.  A cluster whose contact weight is below LEVEL_TOL**2 (a contact row
+# below LEVEL_TOL) is one the contact does not see.
+LEVEL_TOL = 1e-13
 
 
 def self_energy(z: complex, t: float) -> complex:
@@ -87,86 +105,166 @@ def q_space_reconstruct(pole: SpectralPole, x: int) -> complex:
     return pole.z ** abs(x) * pole.amp0
 
 
-def default_seeds(spec: DeviceSpec) -> np.ndarray:
-    """The 2n starting points of the Aberth iteration: equally spaced on the
-    circle |z| = START_RADIUS and turned a quarter step off the real axis, so
-    the start set is not closed under conjugation and real roots can be
-    reached by points that are not a conjugate pair."""
-    m = 2 * spec.n_sites
+def default_seeds(levels: int) -> np.ndarray:
+    """The 2 * levels starting points of the Aberth iteration: equally spaced
+    on the circle |z| = START_RADIUS and turned a quarter step off the real
+    axis, so the start set is not closed under conjugation and real roots can
+    be reached by points that are not a conjugate pair."""
+    m = 2 * levels
     return START_RADIUS * np.exp(2j * np.pi * (np.arange(m) + 0.25) / m)
 
 
-def _newton_ratios(m: np.ndarray, t: float, contact: int, zs: np.ndarray) -> np.ndarray:
-    """f/f' at each z for f(z) = z**n det(E(z) I - H_eff(z)), read from the
-    stack m = _secular_stack(h, t, contact, zs) the caller built; 0 where that
-    matrix is exactly singular, since such a z is a root.
+def _newton_correction(z: np.ndarray, level: np.ndarray, weight: np.ndarray,
+                       t: float) -> np.ndarray:
+    """f/f' at each z of a 1-D array for the secular function
+    f(z) = prod_J p_J(z) s(z), s = 1 + 2 t z**2 sum_J W_J / p_J(z), of the
+    levels ``level`` with contact weights ``weight``; 0 where f vanishes.
 
-    Jacobi's formula gives f'/f = n/z + tr(M^-1 M') for M = E(z) I - H_eff(z),
-    whose derivative is M' = t (1/z**2 - 1) I + 2 t P_c.
+    f'/f = sum_J p_J'/p_J + s'/s, so f/f' = s / (s sum_J p_J'/p_J + s'), with
+    s' = 2 t z (2 sum_J W_J/p_J - z sum_J W_J p_J'/p_J**2).  The sums run over
+    P_J = -p_J = (t z + lam_J) z + t.  A P_J that rounds to exactly 0 (at the
+    root of a level the contact barely sees) is read as eps t, a value within
+    its rounding error.
     """
-    try:
-        inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        # LAPACK refuses the whole stack for one singular matrix
-        if zs.size == 1:
-            return np.zeros(1, dtype=complex)
-        return np.concatenate([_newton_ratios(m[i:i + 1], t, contact, zs[i:i + 1])
-                               for i in range(zs.size)])
-    trace = np.trace(inv, axis1=1, axis2=2)
-    ratio = 1.0 / (m.shape[1] / zs + t * (1.0 / zs**2 - 1.0) * trace
-                   + 2.0 * t * inv[:, contact, contact])
-    # a pivot that underflows instead of vanishing leaves nan in the inverse
-    return np.where(np.isnan(ratio), 0.0, ratio)
+    zz = z[:, None]
+    tz = t * zz
+    q = tz + level
+    big_p = q * zz + t
+    inverse = 1.0 / np.where(big_p == 0.0, EPS * t, big_p)
+    slope = (q + tz) * inverse
+    total = inverse @ weight
+    c = 2.0 * t * z
+    s = 1.0 - c * z * total
+    ds = c * (z * ((slope * inverse) @ weight) - 2.0 * total)
+    return s / (s * slope.sum(axis=1) + ds)
+
+
+def _aberth_roots(level: np.ndarray, weight: np.ndarray, t: float) -> np.ndarray:
+    """The 2m roots of the secular function of m levels, each with a nonzero
+    contact weight, by Ehrlich-Aberth iteration from default_seeds.
+
+    Each step moves every iterate z_i still moving by w_i = N_i / (1 - N_i
+    sum_{j != i} 1/(z_i - z_j)), N_i = f/f'(z_i).  An iterate stops when
+    |w_i| <= 4 eps |z_i|, when f vanishes there, or when its step stops
+    shrinking below STALL_BOUND |z_i|.  As a degree-2m polynomial has a root
+    within 2m |N_i| of z_i, and so within 2m |N_i| + |w_i| of z_i - w_i, 2m
+    disjoint such discs from the last step certify the set.  The function is
+    real, so its roots are closed under conjugation: each root is averaged
+    with the conjugate of its partner, the root nearest its conjugate (itself,
+    for a real root, which so loses its imaginary rounding), and each pair
+    comes out exactly conjugate.
+    """
+    z = np.array(default_seeds(level.size), dtype=complex)
+    # the diagonal of the gap matrix, kept out of the sum over the other iterates
+    own = np.diag(np.full(z.size, np.inf))
+    last_step = np.full(z.size, np.inf)
+    moving = np.ones(z.size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(MAX_ITER):
+            ratio = _newton_correction(z, level, weight, t)
+            step = ratio / (1.0 - ratio * (1.0 / (z[:, None] - z + own)).sum(axis=1))
+            size = np.abs(step)
+            if not np.isfinite(size).all():
+                raise NumericalError("Aberth step is not finite (coinciding iterates)")
+            size_z = np.abs(z)
+            # not stalled: still shrinking, or still above STALL_BOUND |z|
+            move = moving & ((size < last_step) | (size > STALL_BOUND * size_z))
+            z = np.where(move, z - step, z)
+            moving = move & (size > 4.0 * EPS * size_z)
+            last_step = size
+            if not moving.any():
+                break
+        else:
+            raise NumericalError(f"{moving.sum()} of {z.size} Aberth iterates still moving")
+    radius = z.size * np.abs(ratio) + np.where(move, size, 0.0)
+    if not np.all(np.abs(z[:, None] - z) + own > radius[:, None] + radius):
+        raise NumericalError("Aberth roots overlap: an exceptional point cannot be certified")
+    partner = np.abs(z[:, None] - z.conj()).argmin(axis=1)
+    if np.any(partner[partner] != np.arange(z.size)):
+        raise NumericalError("Aberth roots are not closed under conjugation")
+    return 0.5 * (z + z[partner].conj())
+
+
+def _level_roots(level: float, t: float) -> np.ndarray:
+    """The two z with E(z) = level, the roots of -t (z**2 + 1) - level z: a
+    conjugate pair on the unit circle inside the band, a real reciprocal pair
+    outside it."""
+    disc = (level - 2.0 * t) * (level + 2.0 * t)
+    if disc < 0:
+        root = complex(-level, math.sqrt(-disc)) / (2.0 * t)
+        return np.array([root, root.conjugate()])
+    big = -(level + math.copysign(math.sqrt(disc), level)) / (2.0 * t)
+    return np.array([big, 1.0 / big], dtype=complex)
+
+
+def _resolvent_weights(z: np.ndarray, level: np.ndarray, weight: np.ndarray,
+                       t: float) -> np.ndarray:
+    """1/(E - lam_J) at the secular roots z for each level lam_J of contact
+    weight W_J, as a (len(z), len(level)) array.
+
+    Near a level the contact barely sees, E - lam_J is below the rounding of
+    E, so for the nearest level it is read from the secular equation instead,
+    W_J/(E - lam_J) = -1/(2 t z) - sum_{K != J} W_K/(E - lam_K), wherever
+    that has the smaller rounding error: where |E - lam_J|**2 Q is below
+    W_J (|E| + |lam_J|), Q being the sum of the magnitudes of its terms.
+    """
+    energy = -t * (z + 1.0 / z)
+    d = energy[:, None] - level
+    rows = np.arange(z.size)
+    near = np.abs(d).argmin(axis=1)
+    d_near, w_near = d[rows, near], weight[near]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inverse = 1.0 / d
+        terms = weight * inverse
+        terms[rows, near] = 0.0
+        bound = 1.0 / (2.0 * t * np.abs(z)) + np.abs(terms).sum(axis=1)
+        secular = (-1.0 / (2.0 * t * z) - terms.sum(axis=1)) / w_near
+    scale = np.abs(energy) + np.abs(level[near])
+    inverse[rows, near] = np.where(np.abs(d_near) ** 2 * bound < w_near * scale,
+                                   secular, inverse[rows, near])
+    return inverse
 
 
 def feshbach_pole_search(spec: DeviceSpec) -> list[SpectralPole]:
-    """All 2n discrete states, sorted by (Re z, Im z), by Ehrlich-Aberth
-    iteration on f(z) = z**n det(E(z) - H_eff(z)) from default_seeds.
+    """All 2n discrete states, sorted by (Re z, Im z), from the secular
+    function of the closed device's levels.
 
-    Each step moves every iterate z_i still moving by w_i = N_i / (1 - N_i
-    sum_{j != i} 1/(z_i - z_j)), N_i = f/f'(z_i), with one stacked inverse.
-    An iterate stops when |w_i| <= 4 eps |z_i|, when its matrix is exactly
-    singular, or when its step stops shrinking below STALL_BOUND |z_i|.  As a
-    degree-2n polynomial has a root within 2n |N_i| of z_i, 2n disjoint such
-    discs certify the set.  Iterates still moving after MAX_ITER steps, or
-    discs that overlap (a multiple root, e.g. one level repeated on sites the
-    contact does not see), raise NumericalError.  A dot with zero coupling
-    gives its single Decoupled level; amplitudes are smallest singular vectors.
-    The secular stack at the final roots is built once and gives both the
-    disc radii and those singular vectors.
+    One ``eigh`` gives h = U diag(lam) U^T and the contact weights
+    w_j = U_cj**2.  Adjacent levels within LEVEL_TOL form a cluster at their
+    mean level with the summed weight.  A cluster of d levels gives d - 1
+    closed-form pairs, the roots of its p_lam, whose states are the
+    combinations of its eigenvectors that miss the contact; a cluster the
+    contact does not see gives d such pairs, one per eigenvector.  The 2m
+    roots of the m visible clusters come from the certified Ehrlich-Aberth
+    iteration of ``_aberth_roots``, and the state at each is
+    (E - h)^-1 e_c = U (U_c / (E - lam)), with the merged levels and the
+    contact rows of the unseen clusters set to 0.  Iterates still moving
+    after MAX_ITER steps, or discs that overlap (an exceptional point of the
+    visible part), raise NumericalError.  A dot with zero coupling gives its
+    single Decoupled level.
     """
     decoupled = decoupled_poles(spec)
     if decoupled is not None:
         return decoupled
-    h, t, c = p_space_hamiltonian(spec), spec.lead_t, spec.contact
-
-    z = np.array(default_seeds(spec), dtype=complex)
-    last_step = np.full(z.size, np.inf)
-    moving = np.arange(z.size)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(MAX_ITER):
-            zm = z[moving]
-            ratio = _newton_ratios(_secular_stack(h, t, c, zm), t, c, zm)
-            gaps = zm[:, None] - z
-            gaps[np.arange(moving.size), moving] = np.inf
-            step = ratio / (1.0 - ratio * (1.0 / gaps).sum(axis=1))
-            if not np.isfinite(step).all():
-                raise NumericalError("Aberth step is not finite (coinciding iterates)")
-            size = np.abs(step)
-            size_z = np.abs(zm)
-            stalled = (size >= last_step[moving]) & (size <= STALL_BOUND * size_z)
-            z[moving] = np.where(stalled, zm, zm - step)
-            last_step[moving] = size
-            moving = moving[~stalled & (size > 4.0 * EPS * size_z)]
-            if moving.size == 0:
-                break
-        else:
-            raise NumericalError(f"{moving.size} of {z.size} Aberth iterates still moving")
-        m = _secular_stack(h, t, c, z)
-        radius = z.size * np.abs(_newton_ratios(m, t, c, z))
-    gaps = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    if not np.all(gaps > radius[:, None] + radius[None, :]):
-        raise NumericalError("Aberth roots overlap: a multiple root cannot be certified")
-    null_vectors = np.linalg.svd(m)[2][:, -1].conj()
-    return poles_from_roots(z[None], null_vectors[None], t, c)[0]
+    t, c = spec.lead_t, spec.contact
+    lam, u = np.linalg.eigh(p_space_hamiltonian(spec))
+    split = np.diff(lam) > LEVEL_TOL * max(t, np.abs(lam).max())
+    label = np.concatenate(([0], np.cumsum(split)))
+    size = np.bincount(label)
+    level = np.bincount(label, lam) / size
+    weight = np.bincount(label, u[c] ** 2)
+    visible = weight > LEVEL_TOL**2
+    z = _aberth_roots(level[visible], weight[visible], t)
+    inverse = _resolvent_weights(z, level[visible], weight[visible], t)
+    # each eigenvector's U_cj / (E - lam_J); 0 for those of unseen clusters
+    coefficients = inverse[:, (np.cumsum(visible) - 1)[label]] * u[c]
+    roots = [z]
+    vectors = [np.where(visible[label], coefficients, 0.0) @ u.T]
+    for j in np.flatnonzero(size - visible):
+        members = u[:, label == j]
+        if visible[j]:
+            # the combinations of the cluster's eigenvectors orthogonal to the contact
+            members = members @ np.linalg.svd(members[c:c + 1])[2][1:].T
+        roots.append(np.tile(_level_roots(level[j], t), members.shape[1]))
+        vectors.append(np.repeat(members.T, 2, axis=0))
+    return poles_from_roots(np.concatenate(roots)[None], np.concatenate(vectors)[None], t, c)[0]

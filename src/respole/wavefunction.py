@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import ParameterError
 from .feshbach import q_space_reconstruct
 from .poles import BOUND_CLASSES, SpectralPole
@@ -37,9 +39,10 @@ def evaluate(pole: SpectralPole, x_max: int) -> list[WavefunctionSample]:
     """
     if x_max < 1:
         raise ParameterError(f"x_max must be >= 1, got {x_max}")
-    samples = [
-        _sample(x, q_space_reconstruct(pole, x)) for x in range(-x_max, x_max + 1)
-    ]
+    # the lead sites as one array first, so a grid too large to hold fails
+    # before any sample is computed; each sample is still z**|x| in scalars
+    xs = np.arange(-x_max, x_max + 1).tolist()
+    samples = [_sample(x, q_space_reconstruct(pole, x)) for x in xs]
     for i, amp in enumerate(pole.amps):
         if i == pole.contact:
             continue

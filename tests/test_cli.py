@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import signal
 import tempfile
 import warnings
 from dataclasses import asdict
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import respole.cli
+import respole.wavefunction
 from respole import (
     DeviceSpec,
     ParameterError,
@@ -367,6 +369,50 @@ def test_sweep_grid_too_large_to_allocate_exits_2(capsys):
     assert out == ""
     assert err.startswith("error: input too large: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("transmission", "--kmin", "0.1", "--kmax", "1", "--steps", "10000000000000000000",
+     "--t1", "0.5", "--eps-d", "0.3"),
+    ("sweep", "--param", "eps-d", "--from", "-1", "--to", "1",
+     "--steps", "10000000000000000000", "--t1", "0.5"),
+    ("wavefunction", "--pole-index", "0", "--xmax", "10000000000000000000"),
+], ids=["transmission", "sweep", "wavefunction"])
+def test_grid_larger_than_any_array_exits_2(capsys, argv):
+    # numpy refuses these sizes with a ValueError rather than a MemoryError
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: input too large: ")
+    assert "Traceback" not in err
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Fail the test with TimeoutError if the block runs longer than seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_wavefunction_grid_too_large_to_allocate_exits_2(capsys):
+    # the lead grid is one array, so 1e15 sites fail before any sample is
+    # computed instead of filling memory one sample at a time
+    def no_sample(pole, x):
+        raise AssertionError("a sample was computed before the grid was allocated")
+
+    with time_limit(60), mock.patch.object(respole.wavefunction, "q_space_reconstruct", no_sample):
+        code, out, err = run(capsys, "wavefunction", "--pole-index", "0",
+                             "--xmax", "1000000000000000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: input too large: ")
 
 
 def sweep_param_column(out: str) -> list[float]:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +20,7 @@ from respole import (
     solve_poles,
     z_pair_from_energy,
 )
+from test_siegert import assert_matches, mp_companion_roots
 
 P = math.sqrt((1.0 + math.sqrt(5.0)) / 2.0)
 Q = 1.0 / P
@@ -124,9 +126,9 @@ def test_pole_search_returns_exactly_2n_poles():
                 assert min(abs(p.z - q.z) for q in b) <= 1e-12 * max(1.0, abs(p.z))
 
 
-def test_pole_search_refuses_a_multiple_root():
+def test_pole_search_deflates_a_multiple_root():
     # three identical side dots on one contact: two combinations of them miss
-    # the contact, so E = 0.4 is a double root that no disc can isolate
+    # the contact, so E = 0.4 is a double root, found in closed form
     star = DeviceSpec(
         n_sites=4,
         onsite=(0.0, 0.4, 0.4, 0.4),
@@ -134,10 +136,14 @@ def test_pole_search_refuses_a_multiple_root():
         contact=0,
         lead_t=1.0,
     )
-    level = [p for p in solve_poles(star) if abs(p.E - 0.4) < 1e-12]
+    level = [p for p in feshbach_pole_search(star) if abs(p.E - 0.4) < 1e-12]
     assert len(level) == 4  # z and 1/z, each twice
-    with pytest.raises(NumericalError):
-        feshbach_pole_search(star)
+    for p in level:
+        assert abs(p.amp0) < 1e-12
+    zs = [p.z for p in level]
+    assert zs[0] == zs[1] == zs[2].conjugate() == zs[3].conjugate()
+    assert_matches([p.z for p in feshbach_pole_search(star)],
+                   [p.z for p in solve_poles(star)], 1e-13)
 
 
 def test_pole_search_decoupled_dot():
@@ -273,19 +279,110 @@ def test_secular_stack_equals_the_broadcast_construction_bit_for_bit():
             assert got.tobytes() == want.tobytes()
 
 
-def test_newton_ratios_fall_back_per_matrix_on_a_singular_stack():
-    # one site at onsite 0 and t = 1: M(z) = z - 1/z vanishes exactly at z = +-1
-    spec = DeviceSpec(n_sites=1, onsite=(0.0,), hoppings=(), contact=0, lead_t=1.0)
-    h, t = p_space_hamiltonian(spec), spec.lead_t
-    zs = np.array([0.5, 1.0, 2j, -1.0, 1.7 + 0.3j, -0.4 - 1.1j])
-    stack = respole.feshbach._secular_stack(h, t, 0, zs)
-    assert stack[1, 0, 0] == 0 and stack[3, 0, 0] == 0
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.inv(stack)
-    ratios = respole.feshbach._newton_ratios(stack, t, 0, zs)
-    assert ratios.shape == zs.shape
-    assert ratios[1] == 0 and ratios[3] == 0
-    for i in (0, 2, 4, 5):
-        one = respole.feshbach._newton_ratios(
-            respole.feshbach._secular_stack(h, t, 0, zs[i:i + 1]), t, 0, zs[i:i + 1])
-        assert ratios[i:i + 1].tobytes() == one.tobytes()
+def star_of_identical_dots(rng):
+    """A hub on the lead with 2-7 identical side dots: one level repeated on
+    combinations of the dots that the contact does not see."""
+    d = int(rng.integers(2, 8))
+    v = float(rng.uniform(0.2, 1.5))
+    hops = tuple((0, i, float(rng.choice((-1.0, 1.0))) * v) for i in range(1, d + 1))
+    onsite = (float(rng.uniform(-2.0, 2.0)),) + (float(rng.uniform(-2.5, 2.5)),) * d
+    return DeviceSpec(d + 1, onsite, hops, 0, float(rng.uniform(0.5, 2.0)))
+
+
+def repeated_level_device(rng):
+    """Q diag(levels) Q^T for a random orthogonal Q and 2-8 levels drawn from
+    fewer distinct values, every pair of sites bonded, any contact; the
+    levels repeat to rounding, and the contact sees each repeated one."""
+    n = int(rng.integers(2, 9))
+    distinct = rng.uniform(-2.5, 2.5, int(rng.integers(1, n)))
+    levels = rng.choice(distinct, n)
+    levels[:distinct.size] = distinct
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    h = (q * levels) @ q.T
+    hops = tuple((i, j, float(h[i, j])) for i in range(n) for j in range(i + 1, n))
+    return DeviceSpec(n, tuple(np.diag(h).tolist()), hops, int(rng.integers(n)), 1.0)
+
+
+def mirror_chain(rng):
+    """A chain of 3, 5 or 7 sites, symmetric about its middle site, with the
+    contact there: the odd levels miss the contact but are simple."""
+    k = int(rng.integers(1, 4))
+    half_e = rng.uniform(-2.0, 2.0, k)
+    half_v = rng.uniform(0.3, 1.5, k) * rng.choice((-1.0, 1.0), k)
+    onsite = np.concatenate([half_e[::-1], [rng.uniform(-2.0, 2.0)], half_e])
+    bonds = np.concatenate([half_v[::-1], half_v])
+    hops = tuple((i, i + 1, float(v)) for i, v in enumerate(bonds))
+    return DeviceSpec(2 * k + 1, tuple(onsite.tolist()), hops, k, 1.0)
+
+
+def both_routes(spec):
+    """Both routes' poles, or None if both raised a typed error: each route
+    must solve every device the other one solves."""
+    results = []
+    for route in (solve_poles, feshbach_pole_search):
+        try:
+            results.append(route(spec))
+        except (ParameterError, NumericalError):
+            results.append(None)
+    assert (results[0] is None) == (results[1] is None), (spec, results)
+    return results
+
+
+FAMILIES = {
+    "star": star_of_identical_dots,
+    "repeated": repeated_level_device,
+    "mirror": mirror_chain,
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_repeated_and_hidden_levels_match_the_outgoing_wave_route(family):
+    rng = np.random.default_rng(sorted(FAMILIES).index(family) + 53)
+    for _ in range(60):
+        spec = FAMILIES[family](rng)
+        siegert, feshbach = both_routes(spec)
+        assert siegert is not None, spec
+        assert_matches([p.z for p in feshbach], [p.z for p in siegert], 1e-12)
+        assert (sorted(p.pole_class.value for p in feshbach)
+                == sorted(p.pole_class.value for p in siegert))
+        # a real device's roots come in exact conjugate pairs
+        zs = [p.z for p in feshbach]
+        assert sorted(zs, key=lambda z: (z.real, z.imag)) == sorted(
+            (z.conjugate() for z in zs), key=lambda z: (z.real, z.imag))
+        for pole in feshbach:
+            # every state, deflated ones included, is a null vector
+            m = pole.E * np.eye(spec.n_sites) - build_h_eff(spec, pole.z)
+            a = np.array(pole.amps)
+            assert np.linalg.norm(m @ a) <= 1e-12 * max(1.0, abs(pole.z)) ** 2 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_repeated_and_hidden_levels_match_mpmath(family):
+    rng = np.random.default_rng(sorted(FAMILIES).index(family) + 59)
+    for _ in range(6):
+        spec = FAMILIES[family](rng)
+        zs = [p.z for p in feshbach_pole_search(spec)]
+        assert_matches(zs, mp_companion_roots(spec, dps=50), 1e-13)
+
+
+def test_pole_search_refuses_an_exceptional_point():
+    # the T-dot at which the quartic has a double root at z0 = 2, to rounding
+    z0 = 2.0
+    eps_d = -2.0 * (z0**4 + 1.0) / (z0 * (z0 * z0 + 1.0))
+    t1 = math.sqrt((1.0 - z0**4 - eps_d * (z0**3 - z0)) / (z0 * z0))
+    with pytest.raises(NumericalError):
+        feshbach_pole_search(make_tdot(1.0, t1, eps_d))
+
+
+@pytest.mark.parametrize("t1", [1e-3, 1e-5, 1e-7, 1e-9])
+def test_weakly_coupled_dot_amplitudes_match_mpmath(t1):
+    # near the dot level E - eps_d is far below the rounding of E, so the dot
+    # amplitude -t1 / (E - eps_d) must come from the secular equation
+    for eps_d in (0.4, -1.3, 2.5):
+        with mpmath.workdps(50):
+            roots = mpmath.polyroots([1, eps_d, mpmath.mpf(t1) ** 2, -eps_d, -1],
+                                     maxsteps=300, extraprec=300)
+            for pole in feshbach_pole_search(make_tdot(1.0, t1, eps_d)):
+                z = min(roots, key=lambda r: abs(complex(r) - pole.z))
+                amp_d = complex(-t1 / (-(z + 1 / z) - eps_d))
+                assert abs(pole.amp_d - amp_d) <= 1e-12 * max(1.0, abs(amp_d)), (eps_d, pole)

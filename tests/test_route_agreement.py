@@ -2,11 +2,12 @@
 
 Each drawn device must either give 2n poles from both routes, agreeing to
 1e-9 * max(1, |z|), or make a route raise a typed ParameterError or
-NumericalError.  The Feshbach route may raise only where its certificate
-cannot hold, on a pole set with two poles within 1e-6 * max(1, |z|) of each
-other (degenerate levels that the contact does not see give exact multiple
-roots).  A ClassificationError is never acceptable: it means a root landed
-where no pole of the model can sit.
+NumericalError.  The Feshbach route deflates repeated levels exactly, so it
+may raise only where its certificate cannot hold, at an exceptional point: a
+pole set with two poles within 1e-6 * max(1, |z|) of each other.  A
+ClassificationError is never acceptable: it means a root landed where no
+pole of the model can sit.  Devices drawn the way the benchmark draws them
+must be solved by both routes, with the same classes.
 """
 
 import math
@@ -150,3 +151,43 @@ def test_tiny_and_large_tdot_couplings(t1, eps_d):
 @given(st.sampled_from((1e-4, 10.0)).flatmap(devices))
 def test_tiny_and_large_device_couplings(spec):
     assert_routes_agree(spec)
+
+
+@st.composite
+def workload_devices(draw) -> DeviceSpec:
+    """A device of 1-8 sites built the way the benchmark's ``random_device``
+    builds one: a random spanning tree over a shuffled site order, each other
+    pair bonded with probability 1/4, bond magnitudes 0.3-1.5 of either sign,
+    onsite levels in [-2, 2], a random contact and t = 1."""
+    n = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(n)))
+    bonds = set()
+    for pos in range(1, n):
+        i, j = order[pos], order[draw(st.integers(0, pos - 1))]
+        bonds.add((min(i, j), max(i, j)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) not in bonds and draw(st.integers(0, 3)) == 0:
+                bonds.add((i, j))
+    amplitude = st.builds(lambda mag, sign: sign * mag, st.floats(0.3, 1.5),
+                          st.sampled_from((-1.0, 1.0)))
+    return DeviceSpec(
+        n_sites=n,
+        onsite=tuple(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))),
+        hoppings=tuple((i, j, draw(amplitude)) for i, j in sorted(bonds)),
+        contact=draw(st.integers(0, n - 1)),
+        lead_t=1.0,
+    )
+
+
+@PROPERTY
+@given(workload_devices())
+def test_workload_devices_agree_with_the_same_classes(spec):
+    siegert, feshbach = solve_poles(spec), feshbach_pole_search(spec)
+    assert len(siegert) == len(feshbach) == 2 * spec.n_sites
+    for a, b in ((siegert, feshbach), (feshbach, siegert)):
+        for p in a:
+            dz = min(abs(p.z - q.z) for q in b)
+            assert dz <= ROUTE_TOL * max(1.0, abs(p.z)), (spec, p.z, dz)
+    assert (sorted(p.pole_class.value for p in siegert)
+            == sorted(p.pole_class.value for p in feshbach)), spec
