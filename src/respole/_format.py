@@ -12,21 +12,17 @@ def dumps(obj, indent: int = 0) -> str:
     """Minimal JSON serializer that renders floats via :func:`format_float`.
 
     The stdlib encoder insists on repr-style floats; regression outputs here
-    pin a fixed digit count instead.  Supports dict/list/str/bool/None,
-    ints and floats, with deterministic key order (insertion order).
+    pin a fixed digit count instead.  Supports the types its callers pass:
+    dict, list, str, float and None, with deterministic key order (insertion
+    order).  Anything else, a bool, an int or a tuple included, raises
+    TypeError.
     """
     pad = " " * indent
     if obj is None:
         return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
     if isinstance(obj, str):
         out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         return f'"{out}"'
-    if isinstance(obj, int):
-        return str(obj)
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, dict):
@@ -36,7 +32,7 @@ def dumps(obj, indent: int = 0) -> str:
             f'{pad}  {dumps(str(k))}: {dumps(v, indent + 2)}' for k, v in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         if not obj:
             return "[]"
         inner = ",\n".join(f"{pad}  {dumps(v, indent + 2)}" for v in obj)

@@ -23,7 +23,7 @@ Newton ratio is a sum of rational terms with no matrix inverse.  This route
 solves the real symmetric eigenproblem of the closed device; the outgoing-wave
 route solves the non-symmetric companion of the open one, so the two routes
 share no eigensolve.  ``secular_residual`` evaluates det(E(z) - H_eff(z))
-directly, from the matrices ``_secular_stack`` builds.
+directly, from the matrix E(z) - H_eff(z) built at each z.
 """
 
 from __future__ import annotations
@@ -76,26 +76,20 @@ def secular_residual(spec: DeviceSpec, z: complex | np.ndarray) -> complex | np.
     zs = np.asarray(z, dtype=complex)
     if not np.all(zs):
         raise ParameterError("Bloch factor z must be nonzero")
-    m = _secular_stack(p_space_hamiltonian(spec), spec.lead_t, spec.contact, zs.reshape(-1))
-    if spec.n_sites == 1:
+    flat, n, t, c = zs.reshape(-1), spec.n_sites, spec.lead_t, spec.contact
+    # E(z) I - H_eff(z) at each z, stacked to (len(flat), n, n)
+    m = np.empty((flat.size, n, n), dtype=complex)
+    m[...] = -p_space_hamiltonian(spec)
+    # the diagonal of every matrix, as a strided view of the flat rows
+    m.reshape(flat.size, n * n)[:, ::n + 1] += (-t * (flat + 1.0 / flat))[:, None]
+    m[:, c, c] += 2.0 * t * flat
+    if n == 1:
         det = m[:, 0, 0]
-    elif spec.n_sites == 2:
+    elif n == 2:
         det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
     else:
         det = np.linalg.det(m)
     return complex(det[0]) if zs.ndim == 0 else det
-
-
-def _secular_stack(h: np.ndarray, t: float, contact: int, zs: np.ndarray) -> np.ndarray:
-    """E(z) I - H_eff(z) of the device block h at each z of a 1D array,
-    stacked to (len(zs), n, n)."""
-    n = h.shape[0]
-    m = np.empty((zs.size, n, n), dtype=complex)
-    m[...] = -h
-    # the diagonal of every matrix, as a strided view of the flat rows
-    m.reshape(zs.size, n * n)[:, ::n + 1] += (-t * (zs + 1.0 / zs))[:, None]
-    m[:, contact, contact] += 2.0 * t * zs
-    return m
 
 
 def q_space_reconstruct(pole: SpectralPole, x: int) -> complex:
@@ -267,4 +261,4 @@ def feshbach_pole_search(spec: DeviceSpec) -> list[SpectralPole]:
             members = members @ np.linalg.svd(members[c:c + 1])[2][1:].T
         roots.append(np.tile(_level_roots(level[j], t), members.shape[1]))
         vectors.append(np.repeat(members.T, 2, axis=0))
-    return poles_from_roots(np.concatenate(roots)[None], np.concatenate(vectors)[None], t, c)[0]
+    return poles_from_roots(np.concatenate(roots), np.concatenate(vectors), t, c)

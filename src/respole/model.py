@@ -11,6 +11,8 @@ is the 2-site device built by ``make_tdot(t, t1, eps_d)``: the lead site 0
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,27 +37,52 @@ class DeviceSpec:
     lead_t: float
 
     def __post_init__(self):
+        _as_index(self.n_sites, "n_sites")
         if self.n_sites < 1:
             raise ParameterError("device needs at least one site")
         if len(self.onsite) != self.n_sites:
             raise ParameterError("onsite length must equal n_sites")
         for i, e in enumerate(self.onsite):
+            _check_real(e, f"onsite energy of site {i}")
             if not math.isfinite(e):
                 raise ParameterError(f"onsite energy of site {i} must be finite, got {e}")
+        _as_index(self.contact, "contact index")
         if not (0 <= self.contact < self.n_sites):
             raise ParameterError(f"contact index {self.contact} out of range")
+        _check_real(self.lead_t, "lead hopping t")
         if not (math.isfinite(self.lead_t) and self.lead_t > 0):
             raise ParameterError(f"lead hopping t must be finite and > 0, got {self.lead_t}")
         seen = set()
         for i, j, amp in self.hoppings:
+            _as_index(i, "hopping index")
+            _as_index(j, "hopping index")
             if not (0 <= i < self.n_sites and 0 <= j < self.n_sites) or i == j:
                 raise ParameterError(f"bad hopping pair ({i}, {j})")
+            _check_real(amp, f"hopping amplitude on ({i}, {j})")
             if not math.isfinite(amp):
                 raise ParameterError(f"hopping amplitude on ({i}, {j}) must be finite, got {amp}")
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise ParameterError(f"duplicate hopping pair {key}")
             seen.add(key)
+
+
+def _as_index(value, what: str) -> int:
+    """``operator.index(value)``: an integer, numpy integers included, but
+    never a bool; anything else is a ParameterError naming ``what``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"{what} must be an integer, got {value!r}")
+
+
+def _check_real(value, what: str) -> None:
+    """ParameterError naming ``what`` unless value is a real number, numpy
+    scalars included, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{what} must be a real number, got {value!r}")
 
 
 def make_tdot(t: float, t1: float, eps_d: float) -> DeviceSpec:

@@ -67,10 +67,10 @@ class SpectralPole:
         return self.amps[1 if self.contact == 0 else 0]
 
 
-def poles_from_roots(roots, null_vectors, t: float, contact: int) -> list[list[SpectralPole]]:
-    """The classified states of a stack of devices that share the lead
-    hopping t and the contact site, from their (m, 2n) secular roots and the
-    (m, 2n, n) null vectors; each device's list sorted by (Re z, Im z).
+def poles_from_roots(roots, null_vectors, t: float, contact: int) -> list[SpectralPole]:
+    """The classified states of one device with lead hopping t and the given
+    contact site, from its (2n,) secular roots and the (2n, n) null vectors,
+    sorted by (Re z, Im z).
 
     Amplitudes are scaled so the contact reads exactly 1; a state that misses
     the contact (|v_c| <= CONTACT_PIN_TOL * max|v|) has its largest entry
@@ -80,21 +80,15 @@ def poles_from_roots(roots, null_vectors, t: float, contact: int) -> list[list[S
     roots, order = sorted_roots(roots)
     # complex before dividing: numpy divides complex numbers by multiplying
     # with a reciprocal, which can differ from real division in the last bit
-    v = np.asarray(null_vectors, dtype=complex)
-    rows, cols = np.arange(roots.shape[0])[:, None], np.arange(roots.shape[1])
-    v = v[rows, order]
+    v = np.asarray(null_vectors, dtype=complex)[order]
+    rows = np.arange(roots.size)
     mag = np.abs(v)
-    pin = np.where(mag[..., contact] > CONTACT_PIN_TOL * mag.max(axis=-1),
+    pin = np.where(mag[:, contact] > CONTACT_PIN_TOL * mag.max(axis=-1),
                    contact, mag.argmax(axis=-1))
-    amps = v / v[rows, cols, pin][..., None]
-    amps[rows, cols, pin] = 1.0
-    return [
-        [
-            SpectralPole(z, *pole_fields(z, t), amps=tuple(a), contact=contact)
-            for z, a in zip(zs, rows)
-        ]
-        for zs, rows in zip(roots.tolist(), amps.tolist())
-    ]
+    amps = v / v[rows, pin][:, None]
+    amps[rows, pin] = 1.0
+    return [SpectralPole(z, *pole_fields(z, t), amps=tuple(a), contact=contact)
+            for z, a in zip(roots.tolist(), amps.tolist())]
 
 
 def sorted_roots(roots) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,6 @@ row per k; ``scattering_solve`` is the batch of one and reads row 0.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from .dispersion import group_velocity
 from .errors import NumericalError, ParameterError
 from .feshbach import self_energy
-from .model import DeviceSpec, p_space_hamiltonian
+from .model import DeviceSpec, _as_index, _check_real, p_space_hamiltonian
 
 # k values per stacked solve: enough to amortise the per-call overhead, few
 # enough that the (chunk, n, n) stack stays a few hundred kB
@@ -76,8 +75,7 @@ class GreenPair:
 
 def _check_k(k: float) -> float:
     """k as a float, if it is a real number (never a bool) inside (0, pi)."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Real):
-        raise ParameterError(f"wave number must be a real number, got {k!r}")
+    _check_real(k, "wave number")
     k = float(k)
     if not 0.0 < k < math.pi:
         raise ParameterError(f"wave number must lie strictly inside (0, pi), got {k}")
@@ -167,11 +165,15 @@ def verify_green_identity(spec: DeviceSpec, k: float) -> float:
 def transmission_sweep(
     spec: DeviceSpec, k_min: float, k_max: float, steps: int
 ) -> ScatteringSweep:
-    """Scattering solutions on a uniform k grid, endpoints included."""
+    """Scattering solutions on a uniform k grid, endpoints included.  The
+    endpoints are real numbers, never bools, and ``steps`` an integer."""
+    _check_real(k_min, "wave number")
+    _check_real(k_max, "wave number")
     if not 0.0 < k_min < k_max < math.pi:
         raise ParameterError(
             f"need 0 < k_min < k_max < pi, got k_min={k_min}, k_max={k_max}"
         )
+    steps = _as_index(steps, "steps")
     if steps < 2:
         raise ParameterError(f"sweep needs at least 2 steps, got {steps}")
     return _sweep(spec, np.linspace(k_min, k_max, steps).tolist())

@@ -11,11 +11,10 @@ eigenvalues are every S-matrix pole of the device and its eigenvectors are
 the inner-space amplitudes.  The leading matrix is diagonal with entries +-t,
 so one eigensolve of its block companion matrix gives both at once.  Devices
 that share the lead and the contact site, such as the points of a parameter
-sweep, stack into one eigensolve; a single device is the stack of one.  A
-T-dot sweep (``solve_tdot_sweep``) needs only the roots: it takes them from
-an eigenvalue-only solve of the same stack, computes no amplitudes, and
-returns plain (z, k, E, class) tuples instead of ``SpectralPole`` records.  For
-the T-type dot the determinant is the quartic
+sweep, stack into one eigensolve.  A T-dot sweep (``solve_tdot_sweep``) needs
+only the roots: it takes them from an eigenvalue-only solve of the stack,
+computes no amplitudes, and returns plain (z, k, E, class) tuples instead of
+``SpectralPole`` records.  For the T-type dot the determinant is the quartic
 
     t^2 z^4 + t eps_d z^3 + t1^2 z^2 - t eps_d z - t^2 = 0,
 
@@ -164,8 +163,8 @@ def solve_poles(spec: DeviceSpec) -> list[SpectralPole]:
     decoupled = decoupled_poles(spec)
     if decoupled is not None:
         return decoupled
-    h, t, c = p_space_hamiltonian(spec)[None], spec.lead_t, spec.contact
-    return poles_from_roots(*poly_roots(secular_polynomial(h, t, c)), t, c)[0]
+    h, t, c = p_space_hamiltonian(spec), spec.lead_t, spec.contact
+    return poles_from_roots(*poly_roots(secular_polynomial(h, t, c)), t, c)
 
 
 def solve_tdot_sweep(

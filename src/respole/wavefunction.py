@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .feshbach import q_space_reconstruct
+from .model import _as_index
 from .poles import BOUND_CLASSES, SpectralPole
 
 
@@ -35,8 +36,10 @@ def evaluate(pole: SpectralPole, x_max: int) -> list[WavefunctionSample]:
     """Samples on lead sites -x_max..x_max plus the device rows.
 
     The side-coupled level of a 2-site device is labeled "d"; larger devices
-    label their non-contact sites "p<i>".
+    label their non-contact sites "p<i>".  ``x_max`` is an integer, never a
+    bool.
     """
+    x_max = _as_index(x_max, "x_max")
     if x_max < 1:
         raise ParameterError(f"x_max must be >= 1, got {x_max}")
     # the lead sites as one array first, so a grid too large to hold fails

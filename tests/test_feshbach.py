@@ -1,8 +1,12 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import respole.feshbach
 from respole import (
@@ -20,6 +24,11 @@ from respole import (
     solve_poles,
     z_pair_from_energy,
 )
+from respole.poles import (
+    CONTACT_PIN_TOL, SpectralPole, pole_fields, poles_from_roots, sorted_roots,
+)
+from respole.siegert import poly_roots, secular_polynomial
+from test_cli import json_devices
 from test_siegert import assert_matches, mp_companion_roots
 
 P = math.sqrt((1.0 + math.sqrt(5.0)) / 2.0)
@@ -243,8 +252,8 @@ def test_search_is_deterministic():
 
 def broadcast_secular_stack(h, t, contact, zs):
     """E(z) I - H_eff(z) built as a broadcast copy of -h with fancy-index
-    adds on the diagonal and the contact entry: the construction that
-    ``_secular_stack`` must reproduce bit for bit."""
+    adds on the diagonal and the contact entry: the matrices whose
+    determinant ``secular_residual`` must reproduce bit for bit."""
     m = np.broadcast_to(-h, (zs.size, *h.shape)).astype(complex)
     idx = np.arange(h.shape[0])
     m[:, idx, idx] += (-t * (zs + 1.0 / zs))[:, None]
@@ -252,7 +261,17 @@ def broadcast_secular_stack(h, t, contact, zs):
     return m
 
 
-def test_secular_stack_equals_the_broadcast_construction_bit_for_bit():
+def broadcast_determinant(m):
+    """det of a (len(zs), n, n) stack: the exact 1x1 and 2x2 products of
+    the entries for n <= 2, ``np.linalg.det`` above that."""
+    if m.shape[-1] == 1:
+        return m[:, 0, 0]
+    if m.shape[-1] == 2:
+        return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    return np.linalg.det(m)
+
+
+def test_secular_residual_equals_the_broadcast_determinant_bit_for_bit():
     rng = np.random.default_rng(47)
     radii = np.concatenate([np.logspace(-8.0, 8.0, 33), np.ones(8)])
     phases = rng.uniform(-np.pi, np.pi, radii.size)
@@ -273,8 +292,8 @@ def test_secular_stack_equals_the_broadcast_construction_bit_for_bit():
         )
         h = p_space_hamiltonian(spec)
         for contact in range(n):
-            got = respole.feshbach._secular_stack(h, spec.lead_t, contact, zs)
-            want = broadcast_secular_stack(h, spec.lead_t, contact, zs)
+            got = secular_residual(replace(spec, contact=contact), zs)
+            want = broadcast_determinant(broadcast_secular_stack(h, spec.lead_t, contact, zs))
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -386,3 +405,65 @@ def test_weakly_coupled_dot_amplitudes_match_mpmath(t1):
                 z = min(roots, key=lambda r: abs(complex(r) - pole.z))
                 amp_d = complex(-t1 / (-(z + 1 / z) - eps_d))
                 assert abs(pole.amp_d - amp_d) <= 1e-12 * max(1.0, abs(amp_d)), (eps_d, pole)
+
+
+def stacked_poles_from_roots(roots, null_vectors, t, contact):
+    """The poles of an (m, 2n) stack of devices from their roots and (m, 2n,
+    n) null vectors, assembled over the stack axis with index grids: the
+    reference that ``poles_from_roots`` on one device must match bit for bit."""
+    roots, order = sorted_roots(roots)
+    v = np.asarray(null_vectors, dtype=complex)
+    rows, cols = np.arange(roots.shape[0])[:, None], np.arange(roots.shape[1])
+    v = v[rows, order]
+    mag = np.abs(v)
+    pin = np.where(mag[..., contact] > CONTACT_PIN_TOL * mag.max(axis=-1),
+                   contact, mag.argmax(axis=-1))
+    amps = v / v[rows, cols, pin][..., None]
+    amps[rows, cols, pin] = 1.0
+    return [
+        [SpectralPole(z, *pole_fields(z, t), amps=tuple(a), contact=contact)
+         for z, a in zip(zs, device)]
+        for zs, device in zip(roots.tolist(), amps.tolist())
+    ]
+
+
+def assert_routes_match_the_stacked_assembly(spec):
+    """Both routes' poles equal, field for field by repr, those of the
+    stacked reference on a stack of one: for the outgoing-wave route from a
+    stacked eigensolve, for the Feshbach route from the roots and states it
+    passes to ``poles_from_roots``.  Returns the outgoing-wave poles."""
+    h, t, c = p_space_hamiltonian(spec), spec.lead_t, spec.contact
+    (want,) = stacked_poles_from_roots(*poly_roots(secular_polynomial(h[None], t, c)), t, c)
+    siegert = solve_poles(spec)
+    assert [repr(p) for p in siegert] == [repr(p) for p in want]
+    passed = []
+
+    def recording(roots, vectors, t, contact):
+        passed.append(stacked_poles_from_roots(roots[None], vectors[None], t, contact)[0])
+        return poles_from_roots(roots, vectors, t, contact)
+
+    with mock.patch.object(respole.feshbach, "poles_from_roots", recording):
+        try:
+            feshbach = feshbach_pole_search(spec)
+        except NumericalError:
+            return siegert  # an exceptional point the Aberth certificate refuses
+    (want,) = passed
+    assert [repr(p) for p in feshbach] == [repr(p) for p in want]
+    return siegert
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(data=st.data())
+def test_routes_match_the_stacked_pole_assembly(n, data):
+    assert_routes_match_the_stacked_assembly(data.draw(json_devices(n)))
+
+
+def test_stars_match_the_stacked_pole_assembly_with_the_pin_moved():
+    rng = np.random.default_rng(83)
+    for _ in range(12):
+        spec = star_of_identical_dots(rng)
+        poles = assert_routes_match_the_stacked_assembly(spec)
+        # the combinations of identical dots miss the hub, so their
+        # largest entry, not the contact, is pinned to 1
+        assert any(p.amp0 != 1.0 for p in poles)

@@ -102,6 +102,44 @@ def test_device_validation():
         DeviceSpec(2, (0.0, float("nan")), (), 0, 1.0)
 
 
+GOOD_FIELDS = dict(n_sites=2, onsite=(0.0, 0.5), hoppings=((0, 1, -0.8),), contact=0, lead_t=1.0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n_sites", 2.0, "n_sites must be an integer, got 2.0"),
+    ("n_sites", True, "n_sites must be an integer, got True"),
+    ("n_sites", "2", "n_sites must be an integer, got '2'"),
+    ("contact", 0.0, "contact index must be an integer, got 0.0"),
+    ("contact", True, "contact index must be an integer, got True"),
+    ("contact", np.bool_(False), "contact index must be an integer, got np.False_"),
+    ("hoppings", ((0.0, 1, -0.8),), "hopping index must be an integer, got 0.0"),
+    ("hoppings", ((0, True, -0.8),), "hopping index must be an integer, got True"),
+    ("hoppings", ((0, 1, True),), "hopping amplitude on (0, 1) must be a real number, got True"),
+    ("hoppings", ((0, 1, "-0.8"),),
+     "hopping amplitude on (0, 1) must be a real number, got '-0.8'"),
+    ("hoppings", ((0, 1, -0.8j),),
+     "hopping amplitude on (0, 1) must be a real number, got (-0-0.8j)"),
+    ("onsite", ("1", 0.5), "onsite energy of site 0 must be a real number, got '1'"),
+    ("onsite", (0.0, False), "onsite energy of site 1 must be a real number, got False"),
+    ("onsite", (0.0, 1j), "onsite energy of site 1 must be a real number, got 1j"),
+    ("lead_t", True, "lead hopping t must be a real number, got True"),
+    ("lead_t", "1.0", "lead hopping t must be a real number, got '1.0'"),
+    ("lead_t", 1 + 0j, "lead hopping t must be a real number, got (1+0j)"),
+])
+def test_device_rejects_fields_of_the_wrong_type(field, value, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        DeviceSpec(**{**GOOD_FIELDS, field: value})
+
+
+def test_device_accepts_numpy_integers_and_reals():
+    spec = DeviceSpec(
+        n_sites=np.int64(2), onsite=(np.float32(0.0), np.float64(0.5)),
+        hoppings=((np.int32(0), np.int64(1), np.float64(-0.8)),),
+        contact=np.int8(0), lead_t=np.float64(1.0),
+    )
+    assert np.array_equal(p_space_hamiltonian(spec), p_space_hamiltonian(DeviceSpec(**GOOD_FIELDS)))
+
+
 def test_t1_zero_is_accepted():
     spec = make_tdot(1.0, 0.0, 0.5)
     assert tdot_params(spec) == (1.0, 0.0, 0.5)

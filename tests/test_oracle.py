@@ -1,7 +1,11 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import respole.oracle
 from respole import (
@@ -19,11 +23,17 @@ from respole import (
     finite_lattice_hamiltonian,
     k_from_z,
     make_tdot,
+    p_space_hamiltonian,
     pole_residual_report,
     pole_set_distance,
+    q_space_reconstruct,
+    secular_residual,
     solve_poles,
 )
-from respole.oracle import _even_sector
+from respole._format import dumps
+from respole.oracle import PoleResidual, _even_sector
+from test_cli import json_devices
+from test_feshbach import star_of_identical_dots
 
 T1_GRID = (0.25, 0.5, 1.0, 1.5, 2.0)
 EPS_GRID = (-3.0, -2.0, -1.0, -0.3, 0.0, 0.3, 1.0, 2.0, 3.0)
@@ -289,3 +299,89 @@ def test_eigenpair_self_check_raises(monkeypatch):
     monkeypatch.setattr(respole.oracle.np.linalg, "eigh", perturbed)
     with pytest.raises(NumericalError, match="self-check"):
         bound_energies_from_truncation(make_tdot(1.0, 1.0, 0.0), 50)
+
+
+def mirrored_residual_report(spec, poles):
+    """``pole_residual_report`` with the lead rows at x = -2, -1, 1, 2 all
+    evaluated and the contact row's lead term from psi(-1) + psi(1): the
+    reference whose floats the one-sided rows must reproduce exactly."""
+    secular = secular_residual(spec, np.array([p.z for p in poles], dtype=complex))
+    hp = p_space_hamiltonian(spec)
+    t = spec.lead_t
+    out = []
+    for pole, sec in zip(poles, secular):
+        E = pole.E
+        psi = {x: q_space_reconstruct(pole, x) for x in range(-3, 4)}
+        devs = [abs(-t * (psi[x - 1] + psi[x + 1]) - E * psi[x]) for x in (-2, -1, 1, 2)]
+        for i in range(spec.n_sites):
+            row = sum(hp[i, j] * pole.amps[j] for j in range(spec.n_sites))
+            if i == spec.contact:
+                row += -t * (psi[-1] + psi[1])
+            devs.append(abs(row - E * pole.amps[i]))
+        out.append(PoleResidual(z=pole.z, secular=abs(complex(sec)), lattice_row_dev=max(devs)))
+    return out
+
+
+def assert_residuals_match_the_mirrored_rows(spec, poles):
+    got = pole_residual_report(spec, poles)
+    assert [repr(r) for r in got] == [repr(r) for r in mirrored_residual_report(spec, poles)]
+
+
+def off_root(pole, factor):
+    """The pole moved to z * factor, with its E and amplitudes kept."""
+    return replace(pole, z=pole.z * factor)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(data=st.data())
+def test_residual_report_matches_the_mirrored_rows(n, data):
+    spec = data.draw(json_devices(n))
+    for route in (solve_poles, feshbach_pole_search):
+        try:
+            poles = route(spec)
+        except NumericalError:
+            continue
+        assert_residuals_match_the_mirrored_rows(spec, poles)
+        assert_residuals_match_the_mirrored_rows(spec, [off_root(p, 1.001) for p in poles])
+
+
+def test_residual_report_matches_the_mirrored_rows_on_stars_and_fake_poles():
+    rng = np.random.default_rng(83)
+    for _ in range(12):
+        spec = star_of_identical_dots(rng)
+        assert_residuals_match_the_mirrored_rows(spec, solve_poles(spec))
+    spec = make_tdot(1.0, 1.0, 0.0)
+    z = 0.79
+    E = energy_from_z(z, 1.0)
+    fake = SpectralPole(z=complex(z), k=k_from_z(z), E=E, pole_class=classify(z),
+                        amps=(1.0 + 0j, -1.0 / E))
+    assert_residuals_match_the_mirrored_rows(spec, [fake])
+    # at t = 1e10 and |z| = 1e102 both terms of the row at x = 2 overflow, so
+    # it is inf - inf, a NaN, and max must meet it where the mirrored rows did
+    spec = make_tdot(1e10, 1.0, 0.0)
+    huge = [replace(fake, z=z, E=energy_from_z(z, 1e10)) for z in (1e102 + 0j, -1e102j)]
+    assert all(math.isnan(r.lattice_row_dev) for r in mirrored_residual_report(spec, huge))
+    assert_residuals_match_the_mirrored_rows(spec, huge)
+
+
+def test_bound_energies_come_out_ascending():
+    rng = np.random.default_rng(89)
+    for spec in [make_tdot(1.0, 1.5, 0.4), *(random_device(rng, n) for n in range(2, 9))]:
+        energies = bound_energies_from_truncation(spec, 30)
+        assert len(energies) >= 1 and energies == sorted(energies)
+
+
+@pytest.mark.parametrize("spec", [
+    make_tdot(1.0, 1.0, 0.0), make_tdot(1.0, 0.0, 0.5), make_tdot(1.0, 0.25, 3.0),
+    DeviceSpec(3, (0.0, 0.5, -0.2), ((0, 1, -0.8), (1, 2, -0.6)), 1, 1.3),
+], ids=["symmetric", "decoupled", "weakly_bound", "chain"])
+def test_dumps_round_trips_the_oracle_report(spec):
+    report = build_report(spec, 60)
+    assert json.loads(dumps(report)) == report
+
+
+@pytest.mark.parametrize("value", [True, 1, (1.0,), {"a": [False]}, [np.int64(1)], 1j])
+def test_dumps_refuses_types_no_caller_passes(value):
+    with pytest.raises(TypeError, match="^cannot serialize "):
+        dumps(value)

@@ -1,13 +1,14 @@
 """Property tests: the outgoing-wave and Feshbach routes find the same poles.
 
 Each drawn device must either give 2n poles from both routes, agreeing to
-1e-9 * max(1, |z|), or make a route raise a typed ParameterError or
-NumericalError.  The Feshbach route deflates repeated levels exactly, so it
-may raise only where its certificate cannot hold, at an exceptional point: a
-pole set with two poles within 1e-6 * max(1, |z|) of each other.  A
-ClassificationError is never acceptable: it means a root landed where no
-pole of the model can sit.  Devices drawn the way the benchmark draws them
-must be solved by both routes, with the same classes.
+1e-9 * |z| (a bound that does not change under z -> 1/z), or make a route
+raise a typed ParameterError or NumericalError.  The Feshbach route deflates
+repeated levels exactly, so it may raise only where its certificate cannot
+hold, at an exceptional point: a pole set with two poles within
+1e-6 * max(1, |z|) of each other.  A ClassificationError is never
+acceptable: it means a root landed where no pole of the model can sit.
+Devices drawn the way the benchmark draws them must be solved by both
+routes, with the same classes.
 """
 
 import math
@@ -66,7 +67,7 @@ def assert_routes_agree(spec: DeviceSpec) -> None:
     for a, b in ((siegert, feshbach), (feshbach, siegert)):
         for p in a:
             dz = min(abs(p.z - q.z) for q in b)
-            assert dz <= ROUTE_TOL * max(1.0, abs(p.z)), (spec, p.z, dz)
+            assert dz <= ROUTE_TOL * abs(p.z), (spec, p.z, dz)
 
 
 def log_uniform(low: float, high: float):
@@ -188,6 +189,6 @@ def test_workload_devices_agree_with_the_same_classes(spec):
     for a, b in ((siegert, feshbach), (feshbach, siegert)):
         for p in a:
             dz = min(abs(p.z - q.z) for q in b)
-            assert dz <= ROUTE_TOL * max(1.0, abs(p.z)), (spec, p.z, dz)
+            assert dz <= ROUTE_TOL * abs(p.z), (spec, p.z, dz)
     assert (sorted(p.pole_class.value for p in siegert)
             == sorted(p.pole_class.value for p in feshbach)), spec

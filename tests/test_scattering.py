@@ -281,6 +281,32 @@ def test_transmission_sweep_validation():
         transmission_sweep(spec, 0.1, 3.0, 1)
 
 
+@pytest.mark.parametrize("bad", [True, False, np.bool_(True), "0.5", 0.5 + 0j, None],
+                         ids=["true", "false", "np_bool", "str", "complex", "none"])
+@pytest.mark.parametrize("end", ["k_min", "k_max"])
+def test_transmission_sweep_rejects_bool_and_non_real_endpoints(end, bad):
+    ends = {"k_min": 0.5, "k_max": 2.0, end: bad}
+    with pytest.raises(ParameterError, match="^wave number must be a real number, got "):
+        transmission_sweep(make_tdot(1.0, 0.7, 0.3), ends["k_min"], ends["k_max"], 5)
+
+
+@pytest.mark.parametrize("steps", [5.0, "5", True, np.float64(5.0), None])
+def test_transmission_sweep_rejects_non_integer_steps(steps):
+    with pytest.raises(ParameterError, match="^steps must be an integer, got "):
+        transmission_sweep(make_tdot(1.0, 0.7, 0.3), 0.5, 2.0, steps)
+
+
+def test_transmission_sweep_accepts_numpy_and_integer_arguments():
+    spec = make_tdot(1.0, 0.7, 0.3)
+    ref = transmission_sweep(spec, 1.0, 2.0, 5)
+    for args in ((1, 2, np.int64(5)), (np.float64(1.0), np.float32(2.0), np.int32(5))):
+        got = transmission_sweep(spec, *args)
+        assert got.k.tobytes() == ref.k.tobytes() and got.T.tobytes() == ref.T.tobytes()
+    # the range check reads the values as given
+    with pytest.raises(ParameterError, match=re.escape("got k_min=0, k_max=2")):
+        transmission_sweep(spec, 0, 2, 5)
+
+
 def test_sweep_csv_shape():
     text = sweep_rows_csv(transmission_sweep(make_tdot(1.0, 1.0, 0.3), 0.1, 3.0, 5))
     lines = text.strip().split("\n")

@@ -333,8 +333,8 @@ def test_pole_fields_equal_the_scalar_functions():
 
 @pytest.mark.parametrize("bad", [0.0, math.nan, complex(math.inf, 1.0)])
 def test_poles_from_roots_rejects_zero_or_non_finite_root(bad):
-    roots = np.array([[1j * P, -1j * P, Q, bad]])
-    vectors = np.ones((1, 4, 2))
+    roots = np.array([1j * P, -1j * P, Q, bad])
+    vectors = np.ones((4, 2))
     with np.errstate(all="raise"), pytest.raises(NumericalError, match="zero or not finite"):
         poles_from_roots(roots, vectors, 1.0, 0)
 

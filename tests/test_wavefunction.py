@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from respole import (
@@ -49,6 +50,20 @@ def test_evaluate_requires_positive_window():
     ps = poles_by_class()
     with pytest.raises(ParameterError):
         evaluate(ps[PoleClass.BOUND_LOWER], 0)
+
+
+@pytest.mark.parametrize("x_max", [1.5, 2.0, True, "2", None])
+def test_evaluate_rejects_non_integer_window(x_max):
+    pole = poles_by_class()[PoleClass.BOUND_LOWER]
+    with pytest.raises(ParameterError, match="^x_max must be an integer, got "):
+        evaluate(pole, x_max)
+
+
+def test_evaluate_accepts_numpy_integer_window():
+    pole = poles_by_class()[PoleClass.RESONANT]
+    got = evaluate(pole, np.int64(3))
+    assert got == evaluate(pole, 3)
+    assert [type(s.x) for s in got[:7]] == [int] * 7
 
 
 def test_geometric_ratio_constant():
