@@ -241,7 +241,10 @@ def cmd_wavefunction(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> N
 
 
 def cmd_oracle(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
-    report = build_report(spec, _resolve(args, cfg, "sites", cast=int))
+    sites = _resolve(args, cfg, "sites", cast=int)
+    # the even sector is a dense square matrix of sites + n rows
+    _check_grid(max(sites + spec.n_sites, 0) ** 2)
+    report = build_report(spec, sites)
     _emit(dumps(report) + "\n", args.out)
 
 

@@ -93,10 +93,19 @@ def secular_residual(spec: DeviceSpec, z: complex | np.ndarray) -> complex | np.
 
 
 def q_space_reconstruct(pole: SpectralPole, x: int) -> complex:
-    """Lead amplitude at site x: z**|x| times the contact amplitude."""
+    """Lead amplitude at site x: z**|x| times the contact amplitude.
+
+    NumericalError where z**|x| leaves the float range, which Python's complex
+    power reports as an OverflowError.
+    """
     if x == 0:
         return pole.amp0
-    return pole.z ** abs(x) * pole.amp0
+    try:
+        return pole.z ** abs(x) * pole.amp0
+    except OverflowError:
+        raise NumericalError(
+            f"lead amplitude z**|x| at x = {x} leaves the float range (|z| = {abs(pole.z):.17g})"
+        ) from None
 
 
 def default_seeds(levels: int) -> np.ndarray:

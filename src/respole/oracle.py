@@ -1,9 +1,11 @@
 """Brute-force validators: hard-wall diagonalization and residual audits.
 
-A hard-wall copy of the lattice keeps the Hamiltonian real symmetric, so a
-dense Hermitian eigensolver certifies the bound states (the only discrete
-poles visible in a real spectrum).  Resonant poles are audited instead by
-their secular residual and by the site-by-site Schroedinger rows.
+A hard-wall copy of the lattice keeps the Hamiltonian real symmetric, so its
+eigenvalues give the bound states (the only discrete poles visible in a real
+spectrum).  They come from a dense eigenvalue-only solve, and each one is
+certified by counting the eigenvalues on either side of it with Sylvester's
+law of inertia; no eigenvector is computed.  Resonant poles are audited
+instead by their secular residual and by the site-by-site Schroedinger rows.
 
 The truncated lattice is mirror symmetric about the contact, and only its
 even-parity sector is diagonalized.  An odd state (psi(-x) = -psi(x)) is
@@ -66,6 +68,49 @@ def _even_sector(spec: DeviceSpec, N: int) -> np.ndarray:
     return h
 
 
+def _inertia(h: np.ndarray, N: int, shifts: np.ndarray) -> np.ndarray:
+    """The number of eigenvalues of the even sector ``h`` below each shift.
+
+    By Sylvester's law of inertia, h - s has as many negative eigenvalues as
+    a block LDL^T factor of it has negative pivots.  The chain rows N..1 are
+    eliminated from the wall inward by the tridiagonal recurrence
+    d <- h_xx - s - h_{x,x+1}**2 / d, one pivot per row, counted with
+    ``signbit``.  A zero pivot makes the next one infinite and the one after
+    it finite again, which counts right in IEEE arithmetic (Demmel, Dhillon &
+    Ren, ETNA 3 (1995) 116).  What is left is the Schur complement on the
+    contact and device rows: their block of h - s with h_01**2 / d_1 taken
+    from the contact entry.  Its negative eigenvalues come from one stacked
+    ``eigvalsh``, after a congruence that scales its contact row and column
+    so that the contact entry is at most 1 in size: an infinite or huge entry
+    (d_1 zero or tiny) then leaves the device rows intact.
+
+    Everything is first scaled by the power of two that brings max|h| into
+    [1/2, 1), which is exact and keeps h_{x,x+1}**2 from overflowing.
+    """
+    _, exp = math.frexp(np.max(np.abs(h)))
+    shifts = np.ldexp(shifts, -exp)
+    bond2 = (np.ldexp(np.diagonal(h, 1), -exp) ** 2).tolist()
+    rows = [0, *range(N + 1, h.shape[0])]
+    with np.errstate(all="ignore"):
+        pivots = np.subtract.outer(np.ldexp(np.diagonal(h)[1 : N + 1], -exp), shifts)
+        for x in range(N - 2, -1, -1):
+            pivots[x] -= bond2[x + 1] / pivots[x + 1]
+        schur = np.ldexp(h[np.ix_(rows, rows)], -exp) - shifts[:, None, None] * np.eye(len(rows))
+        contact = schur[:, 0, 0] - bond2[0] / pivots[0]
+        scale = 1.0 / np.sqrt(np.maximum(1.0, np.abs(contact)))
+    schur[:, 0, 1:] *= scale[:, None]
+    schur[:, 1:, 0] *= scale[:, None]
+    schur[:, 0, 0] = np.clip(contact, -1.0, 1.0)
+    # a NaN pivot carries through to d_1 and so to the contact entry
+    if not np.isfinite(schur).all():
+        raise NumericalError("inertia count met a non-finite pivot or Schur complement")
+    try:
+        evals = np.linalg.eigvalsh(schur)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("Schur complement eigensolve failed to converge") from exc
+    return np.count_nonzero(np.signbit(pivots), axis=0) + np.count_nonzero(evals < 0.0, axis=1)
+
+
 def bound_energies_from_truncation(spec: DeviceSpec, N: int) -> list[float]:
     """Sorted truncated-lattice eigenvalues outside the lead band.
 
@@ -76,24 +121,34 @@ def bound_energies_from_truncation(spec: DeviceSpec, N: int) -> list[float]:
     -2 t cos(pi j / (N + 1)) lie strictly inside the band, so the fold loses
     no bound state.
 
-    The eigensolve is self-checked: every pair of the solved matrix must
-    satisfy ||H v - E v|| < 1e-10 * max|H| * dim.
+    Only eigenvalues are computed, and each is self-checked by inertia
+    counts (``_inertia``) of the solved matrix: with
+    delta = 1e-10 * max|H| * dim, the i-th sorted eigenvalue E_i (from 0)
+    needs at most i eigenvalues below E_i - delta and at least i + 1 below
+    E_i + delta.  So every E_i lies within delta of the true eigenvalue of the
+    same index, and a missed or repeated eigenvalue fails the check.
     """
     if N < 10:
         raise ParameterError(f"truncation oracle needs N >= 10, got N={N}")
     h = _even_sector(spec, N)
     try:
-        evals, evecs = np.linalg.eigh(h)
+        evals = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("dense symmetric eigensolve failed to converge") from exc
-    resid = np.linalg.norm(h @ evecs - evecs * evals, axis=0)
-    bound = 1e-10 * np.max(np.abs(h)) * h.shape[0]
-    if np.max(resid) > bound:
+    dim = h.shape[0]
+    bound = 1e-10 * np.max(np.abs(h)) * dim
+    below = _inertia(h, N, np.concatenate([evals - bound, evals + bound]))
+    index = np.arange(dim)
+    bad = np.flatnonzero((below[:dim] > index) | (below[dim:] <= index))
+    if bad.size:
+        i = bad[0]
         raise NumericalError(
-            f"eigenpair residual {np.max(resid):.3e} exceeds self-check bound {bound:.3e}"
+            f"eigenvalue {i}, E = {evals[i]:.17g}, fails the inertia self-check: "
+            f"{below[i]} eigenvalues lie below E - d and {below[dim + i]} below E + d, "
+            f"d = {bound:.3e}"
         )
     edge = 2.0 * spec.lead_t + 1e-12
-    # eigh returns its eigenvalues in ascending order
+    # eigvalsh returns its eigenvalues in ascending order
     return [float(e) for e in evals if abs(e) > edge]
 
 

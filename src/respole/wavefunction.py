@@ -37,15 +37,17 @@ def evaluate(pole: SpectralPole, x_max: int) -> list[WavefunctionSample]:
 
     The side-coupled level of a 2-site device is labeled "d"; larger devices
     label their non-contact sites "p<i>".  ``x_max`` is an integer, never a
-    bool.
+    bool.  A lead amplitude beyond the float range raises NumericalError.
     """
     x_max = _as_index(x_max, "x_max")
     if x_max < 1:
         raise ParameterError(f"x_max must be >= 1, got {x_max}")
     # the lead sites as one array first, so a grid too large to hold fails
-    # before any sample is computed; each sample is still z**|x| in scalars
+    # before any sample is computed; each sample is still z**|x| in scalars,
+    # from x = 0 outward, so an overflow names the first site it reaches
     xs = np.arange(-x_max, x_max + 1).tolist()
-    samples = [_sample(x, q_space_reconstruct(pole, x)) for x in xs]
+    lead = [q_space_reconstruct(pole, x) for x in xs[x_max:]]
+    samples = [_sample(x, lead[abs(x)]) for x in xs]
     for i, amp in enumerate(pole.amps):
         if i == pole.contact:
             continue

@@ -377,7 +377,8 @@ def test_sweep_grid_too_large_to_allocate_exits_2(capsys):
     ("sweep", "--param", "eps-d", "--from", "-1", "--to", "1",
      "--steps", "10000000000000000000", "--t1", "0.5"),
     ("wavefunction", "--pole-index", "0", "--xmax", "10000000000000000000"),
-], ids=["transmission", "sweep", "wavefunction"])
+    ("oracle", "--sites", "4000000000"),
+], ids=["transmission", "sweep", "wavefunction", "oracle"])
 def test_grid_larger_than_any_array_exits_2(capsys, argv):
     # numpy refuses these sizes with a ValueError rather than a MemoryError
     code, out, err = run(capsys, *argv)
@@ -385,6 +386,20 @@ def test_grid_larger_than_any_array_exits_2(capsys, argv):
     assert out == ""
     assert err.startswith("error: input too large: ")
     assert "Traceback" not in err
+
+
+def test_wavefunction_amplitude_beyond_the_float_range_exits_3(capsys):
+    # |z| = 1e5: z**61 is finite and z**62 is not
+    code, out, err = run(capsys, "wavefunction", "--t1", "1e5", "--pole-index", "2",
+                         "--xmax", "100")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: lead amplitude z**|x| at x = 62 leaves the "
+                          "float range")
+    code, out, err = run(capsys, "wavefunction", "--t1", "1e5", "--pole-index", "2",
+                         "--xmax", "61")
+    assert code == 0
+    assert out.count("inf") == 0 and len(out.splitlines()) == 1 + 123 + 1
 
 
 @contextlib.contextmanager

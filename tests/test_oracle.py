@@ -289,16 +289,167 @@ def test_bound_energies_match_dense_full_lattice():
             assert abs(a - b) < 1e-13 * max(1.0, abs(b))
 
 
-def test_eigenpair_self_check_raises(monkeypatch):
-    eigh = np.linalg.eigh
+def certificate_bound(spec, N):
+    """The self-check's delta: 1e-10 * max|H| * dim of the even sector."""
+    h = _even_sector(spec, N)
+    return 1e-10 * np.max(np.abs(h)) * h.shape[0]
 
-    def perturbed(h):
-        evals, evecs = eigh(h)
-        return evals, evecs + 1e-6
 
-    monkeypatch.setattr(respole.oracle.np.linalg, "eigh", perturbed)
+def moved_by_ten_bounds(evals, bound):
+    """The lowest eigenvalue, an isolated bound state, moved up by 10 delta."""
+    evals = evals.copy()
+    evals[0] += 10.0 * bound
+    return evals
+
+
+def neighbour_written_over(evals, bound):
+    """Eigenvalue 1 written over eigenvalue 0: one repeated, one missing."""
+    evals = evals.copy()
+    evals[1] = evals[0]
+    return evals
+
+
+def with_nan(evals, bound):
+    evals = evals.copy()
+    evals[3] = np.nan
+    return evals
+
+
+def corrupt_the_solve(monkeypatch, corrupt, bound):
+    """Patch the eigvalsh the oracle sees to corrupt the solve of the even
+    sector; the stacked Schur complements of the counts pass untouched."""
+    eigvalsh = np.linalg.eigvalsh
+
+    def corrupted(a):
+        return corrupt(eigvalsh(a), bound) if a.ndim == 2 else eigvalsh(a)
+
+    monkeypatch.setattr(respole.oracle.np.linalg, "eigvalsh", corrupted)
+
+
+@pytest.mark.parametrize("corrupt", [moved_by_ten_bounds, neighbour_written_over],
+                         ids=["moved", "duplicated"])
+def test_eigenvalue_certificate_raises(monkeypatch, corrupt):
+    # a residual check of eigenpairs passes a repeated pair, so it could not
+    # see the duplicated case; the inertia counts see both
+    spec, N = make_tdot(1.0, 1.0, 0.0), 50
+    bound = certificate_bound(spec, N)
+    assert np.diff(np.linalg.eigvalsh(_even_sector(spec, N))[:2]) > 20.0 * bound
+    corrupt_the_solve(monkeypatch, corrupt, bound)
     with pytest.raises(NumericalError, match="self-check"):
+        bound_energies_from_truncation(spec, N)
+
+
+def test_non_finite_eigenvalue_is_a_numerical_error(monkeypatch):
+    spec, N = make_tdot(1.0, 1.0, 0.0), 50
+    corrupt_the_solve(monkeypatch, with_nan, certificate_bound(spec, N))
+    with pytest.raises(NumericalError, match="non-finite"):
+        bound_energies_from_truncation(spec, N)
+
+
+def test_eigenvalue_certificate_passes_a_move_below_the_bound(monkeypatch):
+    spec, N = make_tdot(1.0, 1.0, 0.0), 50
+    bound = certificate_bound(spec, N)
+    exact = bound_energies_from_truncation(spec, N)
+    corrupt_the_solve(monkeypatch, lambda evals, bound: evals + 0.5 * bound, bound)
+    assert bound_energies_from_truncation(spec, N) == [e + 0.5 * bound for e in exact]
+
+
+def test_schur_complement_eigensolve_failure_is_a_numerical_error(monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+
+    def failing(a):
+        if a.ndim == 3:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a)
+
+    monkeypatch.setattr(respole.oracle.np.linalg, "eigvalsh", failing)
+    with pytest.raises(NumericalError, match="failed to converge"):
         bound_energies_from_truncation(make_tdot(1.0, 1.0, 0.0), 50)
+
+
+def device_with_contact(rng, n, contact):
+    """A random connected device of n sites with the contact on any site."""
+    bonds = tuple((i, j, float(rng.uniform(-1.5, 1.5)))
+                  for i in range(n) for j in range(i + 1, n)
+                  if j == i + 1 or rng.uniform() < 0.3)
+    return DeviceSpec(n, tuple(rng.uniform(-2.0, 2.0, n).tolist()), bonds, contact,
+                      float(rng.uniform(0.5, 2.0)))
+
+
+def inertia_devices():
+    rng = np.random.default_rng(97)
+    specs = [make_tdot(t, t1, ed) for t, t1, ed in
+             ((1.0, 1.0, 0.0), (1.0, 1.0, 0.3), (1.0, 0.25, -3.0), (0.7, 2.0, -0.4),
+              (1.0, 0.0, 0.5), (1e-3, 1e-3, 2e-4), (1e-170, 5e-171, 3e-171),
+              (1e160, 5e159, 3e159))]
+    specs += [device_with_contact(rng, n, c) for n in range(1, 9)
+              for c in sorted({0, int(rng.integers(0, n)), n - 1})]
+    return specs
+
+
+@pytest.mark.parametrize("N", [10, 11, 37, 400])
+def test_inertia_counts_the_eigenvalues_below_each_shift(N):
+    rng = np.random.default_rng(N)
+    unambiguous = total = 0
+    for spec in inertia_devices():
+        t = spec.lead_t
+        h = _even_sector(spec, N)
+        evals = np.linalg.eigvalsh(h)
+        levels = -2.0 * t * np.cos(np.pi * np.arange(1, N + 1) / (N + 1))
+        shifts = np.concatenate([[0.0, -0.0, 2.0 * t, -2.0 * t],
+                                 levels[rng.choice(N, size=5, replace=False)],
+                                 t * rng.uniform(-5.0, 5.0, size=20)])
+        got = respole.oracle._inertia(h, N, shifts)
+        # an eigenvalue within rounding of a shift may fall either side of it
+        tol = 1e-12 * np.max(np.abs(h)) * h.shape[0]
+        for shift, count in zip(shifts, got):
+            lo = np.sum(evals < shift - tol)
+            hi = np.sum(evals < shift + tol)
+            assert lo <= count <= hi, (spec, shift)
+            unambiguous += int(lo == hi)
+            total += 1
+    assert unambiguous >= 0.95 * total
+
+
+@pytest.mark.parametrize("N", [11, 37])
+def test_inertia_through_zero_pivots(N):
+    # shift 0 on an odd chain with zero diagonal: the pivots run +0, -inf,
+    # +0, ... and d_1 = +0 makes the contact entry of the Schur complement
+    # infinite; the count must still be exact
+    for eps_d in (0.3, -0.3, 1.7):
+        spec = make_tdot(1.0, 1.0, eps_d)
+        h = _even_sector(spec, N)
+        evals = np.linalg.eigvalsh(h)
+        assert np.min(np.abs(evals)) > 1e-3
+        assert respole.oracle._inertia(h, N, np.array([0.0])) == [np.sum(evals < 0.0)]
+
+
+def test_inertia_reads_the_solved_matrix():
+    # the counts come from the entries of h, not from the device it was built from
+    spec, N = make_tdot(1.0, 1.0, 0.3), 40
+    h = _even_sector(spec, N)
+    h[N, N] = 50.0
+    evals = np.linalg.eigvalsh(h)
+    shifts = np.linspace(-3.0, 51.0, 200)
+    assert respole.oracle._inertia(h, N, shifts).tolist() == [
+        np.sum(evals < s) for s in shifts]
+
+
+def test_bound_energies_move_only_in_the_last_bits():
+    # the eigenvalue-only solve against the eigenvector solve of the same matrix
+    specs = [(make_tdot(1.0, t1, ed), 200) for t1 in T1_GRID for ed in EPS_GRID]
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        spec = device_with_contact(rng, n, int(rng.integers(0, n)))
+        specs.append((spec, int(rng.integers(100, 201))))
+    for spec, N in specs:
+        got = bound_energies_from_truncation(spec, N)
+        ref = [e for e in np.linalg.eigh(_even_sector(spec, N))[0]
+               if abs(e) > 2.0 * spec.lead_t + 1e-12]
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert abs(a - b) <= 1e-14 * max(1.0, abs(b))
 
 
 def mirrored_residual_report(spec, poles):
