@@ -242,7 +242,8 @@ def cmd_wavefunction(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> N
 
 def cmd_oracle(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
     sites = _resolve(args, cfg, "sites", cast=int)
-    # the even sector is a dense square matrix of sites + n rows
+    # the oracle never builds the lattice, but one whose even sector (sites + n
+    # rows) no array could hold as a matrix stays an input error, as documented
     _check_grid(max(sites + spec.n_sites, 0) ** 2)
     report = build_report(spec, sites)
     _emit(dumps(report) + "\n", args.out)

@@ -1,18 +1,29 @@
-"""Brute-force validators: hard-wall diagonalization and residual audits.
+"""Brute-force validators: the hard-wall lattice and residual audits.
 
 A hard-wall copy of the lattice keeps the Hamiltonian real symmetric, so its
-eigenvalues give the bound states (the only discrete poles visible in a real
-spectrum).  They come from a dense eigenvalue-only solve, and each one is
-certified by counting the eigenvalues on either side of it with Sylvester's
-law of inertia; no eigenvector is computed.  Resonant poles are audited
-instead by their secular residual and by the site-by-site Schroedinger rows.
+eigenvalues outside the band are its bound states (the only discrete poles
+visible in a real spectrum).  Resonant poles are audited instead by their
+secular residual and by the site-by-site Schroedinger rows.
 
-The truncated lattice is mirror symmetric about the contact, and only its
-even-parity sector is diagonalized.  An odd state (psi(-x) = -psi(x)) is
-zero on the contact; the device touches the lead only there, so it is zero
-on every device site too.  The odd states are therefore the levels
--2 t cos(pi j / (N + 1)), j = 1..N, of a bare N-site hard-wall chain, all
-strictly inside the band: none of them is a bound state.
+The truncated lattice is mirror symmetric about the contact.  An odd state
+(psi(-x) = -psi(x)) is zero on the contact; the device touches the lead only
+there, so it is zero on every device site too.  The odd states are therefore
+the levels -2 t cos(pi j / (N + 1)), j = 1..N, of a bare N-site hard-wall
+chain, all strictly inside the band: none of them is a bound state.  The even
+sector couples the contact, by a bond -sqrt(2) t, to the chain of lead pairs
+(|x> + |-x>)/sqrt(2), x = 1..N.  That chain is eliminated exactly, as the
+paper eliminates its lead, which leaves the n x n matrix
+
+    M(E) = h_P + 2 t**2 g_N(E) P_c,    t g_N(E) = U_{N-1}(E/2t) / U_N(E/2t),
+
+with g_N the end-site Green's function of the bare chain (Economou, Green's
+Functions in Quantum Physics, sec. 5), U_N the Chebyshev polynomials of the
+second kind and P_c the projector on the contact.  The bound states are the
+roots of E = lambda_j(M(E)) outside the band.  Sylvester's law of inertia
+counts the even-sector eigenvalues below any shift s as the chain levels
+below s plus the negative eigenvalues of the Schur complement M(s) - s, and
+these counts certify every reported energy.  No step grows with N: no
+lattice matrix is built and no eigensolve is larger than n x n.
 """
 
 from __future__ import annotations
@@ -27,6 +38,13 @@ from .feshbach import q_space_reconstruct, secular_residual
 from .model import DeviceSpec, p_space_hamiltonian
 from .poles import BOUND_CLASSES, SpectralPole
 from .siegert import solve_poles
+
+# Newton steps before a bound-state root that is still moving counts as a failure
+MAX_NEWTON = 100
+# a Newton step in E below this many ulps of |E| (1 + kappa) + ||h_P||_inf + 2t
+# ends it: the secular function's scale, and what one ulp of kappa moves E by
+NEWTON_ULPS = 32
+EPS = float(np.finfo(float).eps)
 
 
 def finite_lattice_hamiltonian(spec: DeviceSpec, N: int) -> np.ndarray:
@@ -49,107 +67,199 @@ def finite_lattice_hamiltonian(spec: DeviceSpec, N: int) -> np.ndarray:
     return h
 
 
-def _even_sector(spec: DeviceSpec, N: int) -> np.ndarray:
-    """The truncated Hamiltonian on the contact, the lead pairs
-    (|x> + |-x>)/sqrt(2) for x = 1..N and the non-contact device sites.
+def _max_entry(hp: np.ndarray, t: float) -> float:
+    """max|H| of the even sector: its device block, the chain bonds t and the
+    contact bond sqrt(2) t."""
+    return max(float(np.max(np.abs(hp))), t * math.sqrt(2.0))
 
-    It equals the x >= 0 block of ``finite_lattice_hamiltonian`` with the
-    contact-(x=1) bond scaled by sqrt(2), since the contact meets both x = +1
-    and x = -1, and is built directly: the contact is row 0, lead pair x is
-    row x, site i is row N + i + (i < contact).
+
+def _decay(N: int, kappa: float) -> tuple[float, float]:
+    """sinh(N k) / sinh((N + 1) k) at k = kappa >= 0, and its derivative in k.
+
+    This is |t g_N(E)| at |E| = 2 t cosh(k), outside the band: the infinite
+    lead's e^-k times the wall's (1 - e^(-2Nk)) / (1 - e^(-2(N+1)k)), taken
+    with ``expm1`` so that it neither overflows nor cancels.  The derivative
+    is the ratio times N coth(N k) - (N + 1) coth((N + 1) k).  At the band
+    edge k = 0 both quotients are 0 / 0, and their limits N / (N + 1) and 0
+    are taken instead.
     """
-    c = spec.contact
-    rows = [0 if i == c else N + i + (i < c) for i in range(spec.n_sites)]
-    h = np.zeros((N + spec.n_sites,) * 2)
-    x = np.arange(N)
-    h[x, x + 1] = h[x + 1, x] = -spec.lead_t
-    h[0, 1] = h[1, 0] = -spec.lead_t * math.sqrt(2.0)
-    h[np.ix_(rows, rows)] = p_space_hamiltonian(spec)
-    return h
+    if kappa == 0.0:
+        return N / (N + 1), 0.0
+    a, b = math.expm1(-2.0 * N * kappa), math.expm1(-2.0 * (N + 1) * kappa)
+    ratio = math.exp(-kappa) * a / b
+    # coth(y) = -(2 + expm1(-2y)) / expm1(-2y)
+    return ratio, ratio * ((N + 1) * (2.0 + b) / b - N * (2.0 + a) / a)
 
 
-def _inertia(h: np.ndarray, N: int, shifts: np.ndarray) -> np.ndarray:
-    """The number of eigenvalues of the even sector ``h`` below each shift.
+def _chain(N: int, x: float) -> tuple[int, float]:
+    """The bare chain's levels below E = 2 t x, and t g_N(E), for finite x.
+
+    Outside the band, |x| = cosh(k): every level lies below E > 2t and none
+    below E < -2t, and t g_N = sign(x) sinh(N k) / sinh((N + 1) k)
+    (``_decay``, which also takes the band edge |x| = 1).  Inside, x = cos(phi)
+    and t g_N = sin(N phi) / sin((N + 1) phi).  There level j lies below E
+    when j > y = (N + 1) phi / pi, which N - floor(y) levels do, and
+    sin((N + 1) phi) = (-1)**floor(y) sin(pi (y - floor(y))).  Both come from
+    the same rounded y, so the count and the sign of g_N flip together at a
+    level: E on a level counts as just below it, and g_N there is infinite
+    with the sign of its limit from below.
+    """
+    if abs(x) >= 1.0:
+        return (N if x > 0.0 else 0), math.copysign(_decay(N, math.acosh(abs(x)))[0], x)
+    phi = math.acos(x)
+    y = (N + 1) * phi / math.pi
+    m = math.floor(y)
+    top = (-1.0) ** m * math.sin(N * phi)
+    bottom = math.sin(math.pi * (y - m))
+    return N - m, (top / bottom if bottom else math.copysign(math.inf, top))
+
+
+def _inertia(hp: np.ndarray, contact: int, t: float, N: int, shifts) -> np.ndarray:
+    """The number of eigenvalues of the even sector below each shift.
 
     By Sylvester's law of inertia, h - s has as many negative eigenvalues as
-    a block LDL^T factor of it has negative pivots.  The chain rows N..1 are
-    eliminated from the wall inward by the tridiagonal recurrence
-    d <- h_xx - s - h_{x,x+1}**2 / d, one pivot per row, counted with
-    ``signbit``.  A zero pivot makes the next one infinite and the one after
-    it finite again, which counts right in IEEE arithmetic (Demmel, Dhillon &
-    Ren, ETNA 3 (1995) 116).  What is left is the Schur complement on the
-    contact and device rows: their block of h - s with h_01**2 / d_1 taken
-    from the contact entry.  Its negative eigenvalues come from one stacked
-    ``eigvalsh``, after a congruence that scales its contact row and column
-    so that the contact entry is at most 1 in size: an infinite or huge entry
-    (d_1 zero or tiny) then leaves the device rows intact.
+    its chain block, which are the bare chain's levels below s, plus its Schur
+    complement M(s) - s on the device (``_chain`` gives both).  The Schur
+    complements go to one stacked ``eigvalsh``, after a congruence that scales
+    their contact row and column so that the contact entry is at most 1 in
+    size: an infinite or huge entry (s on or near a chain level) then leaves
+    the other rows intact.
 
-    Everything is first scaled by the power of two that brings max|h| into
-    [1/2, 1), which is exact and keeps h_{x,x+1}**2 from overflowing.
+    Everything is first scaled by the power of two that brings max|H| into
+    [1/2, 1), which is exact.
     """
-    _, exp = math.frexp(np.max(np.abs(h)))
-    shifts = np.ldexp(shifts, -exp)
-    bond2 = (np.ldexp(np.diagonal(h, 1), -exp) ** 2).tolist()
-    rows = [0, *range(N + 1, h.shape[0])]
+    shifts = np.asarray(shifts, dtype=float)
+    if not np.isfinite(shifts).all():
+        raise NumericalError("inertia count met a non-finite shift")
+    _, exp = math.frexp(_max_entry(hp, t))
+    below, ratio = zip(*(_chain(N, s / (2.0 * t)) for s in shifts.tolist()))
     with np.errstate(all="ignore"):
-        pivots = np.subtract.outer(np.ldexp(np.diagonal(h)[1 : N + 1], -exp), shifts)
-        for x in range(N - 2, -1, -1):
-            pivots[x] -= bond2[x + 1] / pivots[x + 1]
-        schur = np.ldexp(h[np.ix_(rows, rows)], -exp) - shifts[:, None, None] * np.eye(len(rows))
-        contact = schur[:, 0, 0] - bond2[0] / pivots[0]
-        scale = 1.0 / np.sqrt(np.maximum(1.0, np.abs(contact)))
-    schur[:, 0, 1:] *= scale[:, None]
-    schur[:, 1:, 0] *= scale[:, None]
-    schur[:, 0, 0] = np.clip(contact, -1.0, 1.0)
-    # a NaN pivot carries through to d_1 and so to the contact entry
+        schur = np.ldexp(hp, -exp) - np.ldexp(shifts, -exp)[:, None, None] * np.eye(len(hp))
+        entry = schur[:, contact, contact] + np.ldexp(2.0 * t, -exp) * np.array(ratio)
+        scale = 1.0 / np.sqrt(np.maximum(1.0, np.abs(entry)))
+    schur[:, contact, :] *= scale[:, None]
+    schur[:, :, contact] *= scale[:, None]
+    schur[:, contact, contact] = np.clip(entry, -1.0, 1.0)
     if not np.isfinite(schur).all():
-        raise NumericalError("inertia count met a non-finite pivot or Schur complement")
+        raise NumericalError("inertia count met a non-finite Schur complement")
     try:
         evals = np.linalg.eigvalsh(schur)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("Schur complement eigensolve failed to converge") from exc
-    return np.count_nonzero(np.signbit(pivots), axis=0) + np.count_nonzero(evals < 0.0, axis=1)
+    return np.array(below) + np.count_nonzero(evals < 0.0, axis=1)
+
+
+def _bound_roots(hp: np.ndarray, contact: int, t: float, N: int,
+                 n_low: int, n_high: int) -> np.ndarray:
+    """The n_low lowest and n_high highest eigenvalues of the even sector,
+    which lie outside the band, ascending.
+
+    On side s = -1 (below the band) or +1 (above), E = 2 s t cosh(k), and
+    M(E) = h_P + 2 s t sinh(N k) / sinh((N + 1) k) P_c decreases with E.  So
+    F_j(k) = 2 t cosh(k) - s lambda_j(M(E)) strictly increases with k for
+    each sorted branch j, and a branch has at most one root on each side: the
+    n_low lowest and n_high highest branches hold these eigenvalues.  Each is
+    found by Newton in k, with F'(k) = 2 t sinh(k) - 2 t (d/dk ratio) v_c**2
+    from the branch's eigenvector (Hellmann-Feynman), kept inside a bracket:
+    F < 0 at the reporting edge 2t + 1e-12, and F > 0 where 2 t cosh(k) is
+    2 (||h_P||_inf + 2t), twice a bound on |lambda_j|.  It starts from
+    lambda_j(M) at the edge, where F >= 0.  Each step is one stacked n x n
+    ``eigh`` of all the roots still moving.
+    """
+    n = len(hp)
+    sides = [-1.0] * n_low + [1.0] * n_high
+    branches = [*range(n_low), *range(n - n_high, n)]
+    two_t = 2.0 * t
+    norm = float(np.max(np.sum(np.abs(hp), axis=1))) + two_t
+    # 2 t cosh(k) must stay finite up to the bracket's top
+    if not norm / t < 1e300:
+        raise NumericalError(f"device energies {norm:.3e} out of range for lead hopping {t:.3e}")
+    edge, top = math.acosh((two_t + 1e-12) / two_t), math.acosh(norm / t)
+    m = np.repeat(hp[None], 2, axis=0)
+    m[:, contact, contact] += np.array([-two_t, two_t]) * _decay(N, edge)[0]
+    try:
+        at_edge = np.linalg.eigvalsh(m).tolist()
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("band-edge eigensolve failed to converge") from exc
+    # row 0 of at_edge is the lower edge, row 1 the upper
+    kappa = [min(max(math.acosh(max(s * at_edge[int(s > 0)][j] / two_t, 1.0)), edge), top)
+             for s, j in zip(sides, branches)]
+    lo, hi, energy = [edge] * len(kappa), [top] * len(kappa), [0.0] * len(kappa)
+    moving = range(len(kappa))
+    for _ in range(MAX_NEWTON):
+        decay = [_decay(N, kappa[i]) for i in moving]
+        m = np.repeat(hp[None], len(moving), axis=0)
+        m[:, contact, contact] += [sides[i] * two_t * d[0] for i, d in zip(moving, decay)]
+        try:
+            w, v = np.linalg.eigh(m)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("bound-state eigensolve failed to converge") from exc
+        still = []
+        for r, (i, (_, slope)) in enumerate(zip(moving, decay)):
+            k, j = kappa[i], branches[i]
+            cosh, sinh = math.cosh(k), math.sinh(k)
+            f = two_t * cosh - sides[i] * float(w[r, j])
+            if f < 0.0:
+                lo[i] = k
+            elif f > 0.0:
+                hi[i] = k
+            slope_f = two_t * (sinh - slope * float(v[r, contact, j]) ** 2)
+            delta = -f / slope_f if slope_f > 0.0 else -math.inf
+            newton = lo[i] <= k + delta <= hi[i]
+            kappa[i] = k + delta if newton else 0.5 * (lo[i] + hi[i])
+            # the step is taken in E as well, where it is not rounded to an
+            # ulp of k, which moves E by about eps k |E|
+            energy[i] = sides[i] * two_t * (cosh + sinh * delta)
+            tol = NEWTON_ULPS * EPS * (two_t * cosh * (1.0 + k) + norm)
+            if not (newton and two_t * sinh * abs(delta) <= tol):
+                still.append(i)
+        if not still:
+            return np.sort(energy)
+        moving = still
+    raise NumericalError(f"bound-state Newton iteration failed to converge in {MAX_NEWTON} steps")
 
 
 def bound_energies_from_truncation(spec: DeviceSpec, N: int) -> list[float]:
     """Sorted truncated-lattice eigenvalues outside the lead band.
 
-    Only the even-parity sector is solved, a matrix of dimension N + n
-    (``_even_sector``) instead of 2 N + n.  An odd state (psi(-x) = -psi(x))
-    vanishes on the contact and hence on the whole device, which meets the
-    lead only there; the odd sector is a bare N-site chain whose levels
-    -2 t cos(pi j / (N + 1)) lie strictly inside the band, so the fold loses
-    no bound state.
+    The lattice is never built.  Its odd sector is a bare N-site chain whose
+    levels lie strictly inside the band, and its even sector is the device
+    block with the chain of lead pairs eliminated exactly (see the module
+    docstring), so the cost does not depend on N.  The inertia counts
+    (``_inertia``) at +-(2t + 1e-12) give how many eigenvalues lie below and
+    above the band, and ``_bound_roots`` finds them.
 
-    Only eigenvalues are computed, and each is self-checked by inertia
-    counts (``_inertia``) of the solved matrix: with
-    delta = 1e-10 * max|H| * dim, the i-th sorted eigenvalue E_i (from 0)
-    needs at most i eigenvalues below E_i - delta and at least i + 1 below
-    E_i + delta.  So every E_i lies within delta of the true eigenvalue of the
-    same index, and a missed or repeated eigenvalue fails the check.
+    Each one is then self-checked by inertia counts: with
+    delta = 1e-10 * max|H| * dim and dim = N + n, the eigenvalue E_i of
+    lattice index i (from 0, ascending) needs at most i eigenvalues below
+    E_i - delta and at least i + 1 below E_i + delta.  So every E_i lies
+    within delta of the true eigenvalue of the same index, and a missed or
+    repeated eigenvalue fails the check.
     """
     if N < 10:
         raise ParameterError(f"truncation oracle needs N >= 10, got N={N}")
-    h = _even_sector(spec, N)
-    try:
-        evals = np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("dense symmetric eigensolve failed to converge") from exc
-    dim = h.shape[0]
-    bound = 1e-10 * np.max(np.abs(h)) * dim
-    below = _inertia(h, N, np.concatenate([evals - bound, evals + bound]))
-    index = np.arange(dim)
-    bad = np.flatnonzero((below[:dim] > index) | (below[dim:] <= index))
+    hp = p_space_hamiltonian(spec)
+    c, t = spec.contact, spec.lead_t
+    dim = N + spec.n_sites
+    edge = 2.0 * t + 1e-12
+    n_low, below_top = _inertia(hp, c, t, N, [-edge, edge]).tolist()
+    n_high = dim - below_top
+    if not n_low + n_high:
+        return []
+    evals = _bound_roots(hp, c, t, N, n_low, n_high)
+    bound = 1e-10 * _max_entry(hp, t) * dim
+    index = np.concatenate([np.arange(n_low), np.arange(dim - n_high, dim)])
+    k = len(evals)
+    below = _inertia(hp, c, t, N, np.concatenate([evals - bound, evals + bound]))
+    bad = np.flatnonzero((below[:k] > index) | (below[k:] <= index))
     if bad.size:
         i = bad[0]
         raise NumericalError(
-            f"eigenvalue {i}, E = {evals[i]:.17g}, fails the inertia self-check: "
-            f"{below[i]} eigenvalues lie below E - d and {below[dim + i]} below E + d, "
+            f"eigenvalue {index[i]}, E = {evals[i]:.17g}, fails the inertia self-check: "
+            f"{below[i]} eigenvalues lie below E - d and {below[k + i]} below E + d, "
             f"d = {bound:.3e}"
         )
-    edge = 2.0 * spec.lead_t + 1e-12
-    # eigvalsh returns its eigenvalues in ascending order
-    return [float(e) for e in evals if abs(e) > edge]
+    return evals.tolist()
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,9 @@ from respole import (
     secular_residual,
     solve_poles,
 )
+from respole.poles import BOUND_CLASSES
 from respole._format import dumps
-from respole.oracle import PoleResidual, _even_sector
+from respole.oracle import PoleResidual
 from test_cli import json_devices
 from test_feshbach import star_of_identical_dots
 
@@ -53,6 +54,28 @@ def random_device(rng, n):
         contact=int(rng.integers(1, n)),
         lead_t=float(rng.uniform(0.5, 2.0)),
     )
+
+
+def even_sector(spec, N):
+    """The truncated Hamiltonian on the contact, the lead pairs
+    (|x> + |-x>)/sqrt(2) for x = 1..N and the non-contact device sites: the
+    x >= 0 block of the lattice with the contact-(x=1) bond scaled by
+    sqrt(2), since the contact meets both x = +1 and x = -1.  The contact is
+    row 0, lead pair x is row x, site i is row N + i + (i < contact)."""
+    c = spec.contact
+    rows = [0 if i == c else N + i + (i < c) for i in range(spec.n_sites)]
+    h = np.zeros((N + spec.n_sites,) * 2)
+    x = np.arange(N)
+    h[x, x + 1] = h[x + 1, x] = -spec.lead_t
+    h[0, 1] = h[1, 0] = -spec.lead_t * math.sqrt(2.0)
+    h[np.ix_(rows, rows)] = p_space_hamiltonian(spec)
+    return h
+
+
+def inertia(spec, N, shifts):
+    """The oracle's closed-form count of even-sector eigenvalues below each shift."""
+    return respole.oracle._inertia(p_space_hamiltonian(spec), spec.contact, spec.lead_t,
+                                   N, shifts)
 
 
 def dense_bound_energies(spec, N):
@@ -245,7 +268,7 @@ def test_even_sector_plus_bare_chain_is_the_full_spectrum():
     for k, spec in enumerate(specs):
         N = 10 + 2 * k
         full = finite_lattice_hamiltonian(spec, N)
-        even = _even_sector(spec, N)
+        even = even_sector(spec, N)
         assert even.shape == (N + spec.n_sites,) * 2
         odd = -2.0 * spec.lead_t * np.cos(np.pi * np.arange(1, N + 1) / (N + 1))
         union = np.sort(np.concatenate([np.linalg.eigvalsh(even), odd]))
@@ -270,7 +293,7 @@ def test_even_sector_is_the_folded_lattice_block():
         for N in (1, 2, 10, 37, 400):
             folded = finite_lattice_hamiltonian(spec, N)[N:, N:].copy()
             folded[0, 1] = folded[1, 0] = folded[0, 1] * math.sqrt(2.0)
-            even = _even_sector(spec, N)
+            even = even_sector(spec, N)
             assert even.dtype == folded.dtype and even.shape == folded.shape
             assert even.tobytes() == folded.tobytes()
 
@@ -291,7 +314,7 @@ def test_bound_energies_match_dense_full_lattice():
 
 def certificate_bound(spec, N):
     """The self-check's delta: 1e-10 * max|H| * dim of the even sector."""
-    h = _even_sector(spec, N)
+    h = even_sector(spec, N)
     return 1e-10 * np.max(np.abs(h)) * h.shape[0]
 
 
@@ -303,7 +326,7 @@ def moved_by_ten_bounds(evals, bound):
 
 
 def neighbour_written_over(evals, bound):
-    """Eigenvalue 1 written over eigenvalue 0: one repeated, one missing."""
+    """Reported energy 1 written over energy 0: one repeated, one missing."""
     evals = evals.copy()
     evals[1] = evals[0]
     return evals
@@ -311,19 +334,19 @@ def neighbour_written_over(evals, bound):
 
 def with_nan(evals, bound):
     evals = evals.copy()
-    evals[3] = np.nan
+    evals[-1] = np.nan
     return evals
 
 
 def corrupt_the_solve(monkeypatch, corrupt, bound):
-    """Patch the eigvalsh the oracle sees to corrupt the solve of the even
-    sector; the stacked Schur complements of the counts pass untouched."""
-    eigvalsh = np.linalg.eigvalsh
+    """Patch the root finder the oracle calls to corrupt the energies it
+    returns; the inertia counts that check them run untouched."""
+    bound_roots = respole.oracle._bound_roots
 
-    def corrupted(a):
-        return corrupt(eigvalsh(a), bound) if a.ndim == 2 else eigvalsh(a)
+    def corrupted(*args):
+        return corrupt(bound_roots(*args), bound)
 
-    monkeypatch.setattr(respole.oracle.np.linalg, "eigvalsh", corrupted)
+    monkeypatch.setattr(respole.oracle, "_bound_roots", corrupted)
 
 
 @pytest.mark.parametrize("corrupt", [moved_by_ten_bounds, neighbour_written_over],
@@ -333,7 +356,7 @@ def test_eigenvalue_certificate_raises(monkeypatch, corrupt):
     # see the duplicated case; the inertia counts see both
     spec, N = make_tdot(1.0, 1.0, 0.0), 50
     bound = certificate_bound(spec, N)
-    assert np.diff(np.linalg.eigvalsh(_even_sector(spec, N))[:2]) > 20.0 * bound
+    assert np.diff(np.linalg.eigvalsh(even_sector(spec, N))[:2]) > 20.0 * bound
     corrupt_the_solve(monkeypatch, corrupt, bound)
     with pytest.raises(NumericalError, match="self-check"):
         bound_energies_from_truncation(spec, N)
@@ -367,6 +390,15 @@ def test_schur_complement_eigensolve_failure_is_a_numerical_error(monkeypatch):
         bound_energies_from_truncation(make_tdot(1.0, 1.0, 0.0), 50)
 
 
+def test_newton_eigensolve_failure_is_a_numerical_error(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(respole.oracle.np.linalg, "eigh", failing)
+    with pytest.raises(NumericalError, match="failed to converge"):
+        bound_energies_from_truncation(make_tdot(1.0, 1.0, 0.0), 50)
+
+
 def device_with_contact(rng, n, contact):
     """A random connected device of n sites with the contact on any site."""
     bonds = tuple((i, j, float(rng.uniform(-1.5, 1.5)))
@@ -393,13 +425,13 @@ def test_inertia_counts_the_eigenvalues_below_each_shift(N):
     unambiguous = total = 0
     for spec in inertia_devices():
         t = spec.lead_t
-        h = _even_sector(spec, N)
+        h = even_sector(spec, N)
         evals = np.linalg.eigvalsh(h)
         levels = -2.0 * t * np.cos(np.pi * np.arange(1, N + 1) / (N + 1))
         shifts = np.concatenate([[0.0, -0.0, 2.0 * t, -2.0 * t],
                                  levels[rng.choice(N, size=5, replace=False)],
                                  t * rng.uniform(-5.0, 5.0, size=20)])
-        got = respole.oracle._inertia(h, N, shifts)
+        got = inertia(spec, N, shifts)
         # an eigenvalue within rounding of a shift may fall either side of it
         tol = 1e-12 * np.max(np.abs(h)) * h.shape[0]
         for shift, count in zip(shifts, got):
@@ -413,31 +445,130 @@ def test_inertia_counts_the_eigenvalues_below_each_shift(N):
 
 @pytest.mark.parametrize("N", [11, 37])
 def test_inertia_through_zero_pivots(N):
-    # shift 0 on an odd chain with zero diagonal: the pivots run +0, -inf,
-    # +0, ... and d_1 = +0 makes the contact entry of the Schur complement
-    # infinite; the count must still be exact
+    # shift 0 is a level of the bare chain when N is odd: g_N has a pole
+    # there, the contact entry of the Schur complement is infinite, and the
+    # chain count and the sign of the pole must still add up to the exact count
     for eps_d in (0.3, -0.3, 1.7):
         spec = make_tdot(1.0, 1.0, eps_d)
-        h = _even_sector(spec, N)
-        evals = np.linalg.eigvalsh(h)
+        evals = np.linalg.eigvalsh(even_sector(spec, N))
         assert np.min(np.abs(evals)) > 1e-3
-        assert respole.oracle._inertia(h, N, np.array([0.0])) == [np.sum(evals < 0.0)]
+        assert inertia(spec, N, np.array([0.0])) == [np.sum(evals < 0.0)]
 
 
-def test_inertia_reads_the_solved_matrix():
-    # the counts come from the entries of h, not from the device it was built from
+def scaled_exactly(x, e):
+    """x * 2**e, or None where that overflows or loses a bit to a subnormal."""
+    if math.frexp(x)[1] + e > 1024:
+        return None
+    y = math.ldexp(x, e)
+    return y if math.ldexp(y, -e) == x else None
+
+
+def test_inertia_is_invariant_under_power_of_two_scaling():
+    # scaling the device, the lead and the shifts by 2**e changes no count,
+    # down to subnormal entries: the counts first scale max|H| into [1/2, 1)
+    rng = np.random.default_rng(3)
+    for spec in inertia_devices():
+        for N in (11, 37):
+            t = spec.lead_t
+            levels = -2.0 * t * np.cos(np.pi * np.arange(1, N + 1) / (N + 1))
+            shifts = np.concatenate([[0.0, 2.0 * t, -2.0 * t], levels[:5],
+                                     t * rng.uniform(-5.0, 5.0, size=20)])
+            exact = inertia(spec, N, shifts).tolist()
+            for e in (-1060, -1040, 1000):
+                onsite = [scaled_exactly(x, e) for x in spec.onsite]
+                bonds = [(i, j, scaled_exactly(a, e)) for i, j, a in spec.hoppings]
+                lead = scaled_exactly(t, e)
+                if None in (lead, *onsite, *(a for _, _, a in bonds)):
+                    continue
+                scaled = DeviceSpec(spec.n_sites, tuple(onsite), tuple(bonds), spec.contact, lead)
+                assert inertia(scaled, N, np.ldexp(shifts, e)).tolist() == exact, (spec, e)
+
+
+def ldlt_inertia(h, N, shifts):
+    """Eigenvalues of the even sector ``h`` below each shift, from the LDL^T
+    pivots d <- h_xx - s - h_{x,x+1}**2 / d of its chain rows, eliminated from
+    the wall inward, and the eigenvalues of the Schur complement left on the
+    contact and device rows, its contact row scaled so that the contact entry
+    is at most 1 in size."""
+    _, exp = math.frexp(np.max(np.abs(h)))
+    shifts = np.ldexp(shifts, -exp)
+    bond2 = (np.ldexp(np.diagonal(h, 1), -exp) ** 2).tolist()
+    rows = [0, *range(N + 1, h.shape[0])]
+    with np.errstate(all="ignore"):
+        pivots = np.subtract.outer(np.ldexp(np.diagonal(h)[1 : N + 1], -exp), shifts)
+        for x in range(N - 2, -1, -1):
+            pivots[x] -= bond2[x + 1] / pivots[x + 1]
+        schur = np.ldexp(h[np.ix_(rows, rows)], -exp) - shifts[:, None, None] * np.eye(len(rows))
+        contact = schur[:, 0, 0] - bond2[0] / pivots[0]
+        scale = 1.0 / np.sqrt(np.maximum(1.0, np.abs(contact)))
+    schur[:, 0, 1:] *= scale[:, None]
+    schur[:, 1:, 0] *= scale[:, None]
+    schur[:, 0, 0] = np.clip(contact, -1.0, 1.0)
+    evals = np.linalg.eigvalsh(schur)
+    return np.count_nonzero(np.signbit(pivots), axis=0) + np.count_nonzero(evals < 0.0, axis=1)
+
+
+def test_inertia_matches_the_ldlt_recurrence():
+    # the closed form in the chain's Green's function against the pivots of
+    # the chain rows eliminated one by one, both exact, on the same shifts
     spec, N = make_tdot(1.0, 1.0, 0.3), 40
-    h = _even_sector(spec, N)
-    h[N, N] = 50.0
-    evals = np.linalg.eigvalsh(h)
     shifts = np.linspace(-3.0, 51.0, 200)
-    assert respole.oracle._inertia(h, N, shifts).tolist() == [
-        np.sum(evals < s) for s in shifts]
+    assert inertia(spec, N, shifts).tolist() == ldlt_inertia(even_sector(spec, N), N,
+                                                             shifts).tolist()
+
+
+def test_bound_states_within_the_bound_of_the_band_edge():
+    # bound states so weak that E + delta (below the band) and E - delta
+    # (above it) lie inside the band, where the count comes from the chain's
+    # levels and g_N in phi instead of kappa
+    spec, N = make_tdot(1.0, 0.099951, 0.0), 400
+    bound = certificate_bound(spec, N)
+    ref = dense_bound_energies(spec, N)
+    assert len(ref) == 2 and all(2.0 < abs(e) < 2.0 + bound for e in ref)
+    got = bound_energies_from_truncation(spec, N)
+    assert len(got) == 2
+    for a, b in zip(got, ref):
+        assert abs(a - b) <= 1e-14 * abs(b)
+
+
+def test_truncation_that_loses_a_weakly_bound_state():
+    # at small N the wall pushes a weakly bound state into the band: the
+    # outgoing-wave route finds two bound states, the truncated lattice one
+    spec, N = make_tdot(1.0, 0.25, 3.0), 10
+    sieg = [p for p in solve_poles(spec) if p.pole_class in BOUND_CLASSES]
+    ref = dense_bound_energies(spec, N)
+    assert len(sieg) == 2 and len(ref) == 1
+    edge = 2.0 + 1e-12
+    counts = inertia(spec, N, [-edge, edge]).tolist()
+    evals = np.linalg.eigvalsh(even_sector(spec, N))
+    assert counts == [np.sum(evals < -edge), np.sum(evals < edge)]
+    got = bound_energies_from_truncation(spec, N)
+    assert len(got) == 1 and abs(got[0] - ref[0]) <= 1e-14 * abs(ref[0])
+
+
+def test_device_energies_beyond_the_float_range_of_the_lead_raise():
+    # |E| / t = 1e301 leaves no room for 2 t cosh(kappa) to bracket the roots
+    with pytest.raises(NumericalError, match="out of range"):
+        bound_energies_from_truncation(make_tdot(1e-301, 1.0, 0.0), 50)
+
+
+def test_a_lattice_too_large_for_a_dense_solve():
+    # the even sector at N = 100000 would be an 80 GB matrix; the closed form
+    # needs nothing of that size, and a strongly bound state has converged
+    spec = make_tdot(1.0, 2.0, 0.3)
+    far, near = bound_energies_from_truncation(spec, 100000), bound_energies_from_truncation(spec, 400)
+    assert len(far) == len(near) == 2
+    for a, b in zip(far, near):
+        assert abs(a - b) <= 1e-14 * max(1.0, abs(b))
 
 
 def test_bound_energies_move_only_in_the_last_bits():
-    # the eigenvalue-only solve against the eigenvector solve of the same matrix
+    # the closed-form solve against the eigenvector solve of the even sector;
+    # the scaled T-dots put kappa, with |E| = 2 t cosh(kappa), up to 576,
+    # where one ulp of kappa moves E by 1e-13 |E|
     specs = [(make_tdot(1.0, t1, ed), 200) for t1 in T1_GRID for ed in EPS_GRID]
+    specs += [(make_tdot(t, t1, ed), 50) for t, t1, ed in
+              ((1e-160, 1.0, 0.3), (1e-250, 2.0, 1.0), (1.0, 1e8, 0.3), (1.0, 1e3, -2.0))]
     rng = np.random.default_rng(13)
     for _ in range(20):
         n = int(rng.integers(1, 9))
@@ -445,7 +576,7 @@ def test_bound_energies_move_only_in_the_last_bits():
         specs.append((spec, int(rng.integers(100, 201))))
     for spec, N in specs:
         got = bound_energies_from_truncation(spec, N)
-        ref = [e for e in np.linalg.eigh(_even_sector(spec, N))[0]
+        ref = [e for e in np.linalg.eigh(even_sector(spec, N))[0]
                if abs(e) > 2.0 * spec.lead_t + 1e-12]
         assert len(got) == len(ref)
         for a, b in zip(got, ref):
