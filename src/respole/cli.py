@@ -27,6 +27,7 @@ from .errors import NumericalError, ParameterError
 from .feshbach import feshbach_pole_search
 from .model import DeviceSpec, device_from_json, json_number, make_tdot, tdot_params
 from .oracle import build_report, pole_set_distance
+from .poles import _ROOT_CLASSES, SpectralPole, _pole_rows
 from .scattering import sweep_rows_csv, transmission_sweep
 from .siegert import solve_poles, solve_tdot_sweep
 from .wavefunction import evaluate, wavefunction_csv
@@ -65,6 +66,8 @@ POLE_JSON_RECORD = {indent: _json_record(" " * indent) for indent in (0, 2)}
 POLE_JSON_BOTH = '{\n  "siegert": %s,\n  "feshbach": %s,\n  "max_dz": %s\n}\n'
 POLE_SWEEP_HEADER = "param,z_re,z_im,k_re,k_im,E_re,E_im,class"
 POLE_SWEEP_ROW = ",".join(["%.17g"] * 7 + ["%s"])
+# the class column of a sweep row, in the order of poles._ROOT_CLASSES
+_SWEEP_LABELS = tuple(c.value for c in _ROOT_CLASSES)
 # numpy refuses, with a ValueError, an array whose size in bytes overflows its
 # index type; the grids hold at most complex values, so a longer grid is an
 # input too large to allocate
@@ -94,6 +97,8 @@ def _load_config(path: str | None) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ParameterError(f"cannot read config file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"config file is not valid UTF-8: {exc}")
     except json.JSONDecodeError as exc:
         raise ParameterError(f"config file is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
@@ -210,13 +215,18 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
     with np.errstate(over="ignore"):
         values = (args.start + (args.stop - args.start) * np.arange(args.steps)
                   / (args.steps - 1)).tolist()
+    t = spec.lead_t
     fields = []
     multisets = []
-    for v, poles in zip(values, solve_tdot_sweep(spec, args.param.replace("-", "_"), values)):
-        classes = [c.value for *_, c in poles]
-        multisets.append(tuple(sorted(classes)))
-        for (z, k, E, _), c in zip(poles, classes):
-            fields += (v, z.real, z.imag, k.real, k.imag, E.real, E.imag, c)
+    for v, point in zip(values, solve_tdot_sweep(spec, args.param.replace("-", "_"), values)):
+        start = len(fields)
+        if isinstance(point[0], SpectralPole):  # a decoupled point, t1 = 0
+            for p in point:
+                z, k, E = p.z, p.k, p.E
+                fields += (v, z.real, z.imag, k.real, k.imag, E.real, E.imag, p.pole_class.value)
+        else:
+            _pole_rows(fields, v, point, t, _SWEEP_LABELS)
+        multisets.append(tuple(sorted(fields[start + 7::8])))
     body = (POLE_SWEEP_HEADER + ("\n" + POLE_SWEEP_ROW) * (len(fields) // 8)) % tuple(fields)
     changes = [
         f"# classification change at {args.param}={format_float(v)}: "

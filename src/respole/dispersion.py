@@ -40,14 +40,6 @@ def k_from_z(z: complex) -> complex:
     return complex(re, k.imag)
 
 
-def wrap_to_zone(re_k: float) -> float:
-    """Fold a real wave-number offset into (-pi, pi]."""
-    re = math.remainder(re_k, 2.0 * math.pi)
-    if re <= -math.pi:
-        re += 2.0 * math.pi
-    return re
-
-
 def z_pair_from_energy(E: complex, t: float) -> tuple[complex, complex]:
     """The two roots of t z^2 + E z + t = 0, retarded branch first.
 

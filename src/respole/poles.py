@@ -1,6 +1,10 @@
 """Discrete-state records, their classification in the complex k plane, and
 the sorted pole list both routes build from their roots.
 
+One scalar pass, ``_pole_rows``, turns secular roots into their k, E and
+class, for both routes' pole lists and for the T-dot sweep's CSV rows;
+``classify`` applies its class rule to one z.
+
 Pole taxonomy for a single-band lead: bound states sit on the lines
 Re k = 0 or Re k = pi with Im k > 0; anti-bound states sit on the same lines
 with Im k < 0; resonant / anti-resonant pairs fill the lower half plane at
@@ -17,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dispersion import energy_from_z, k_from_z, wrap_to_zone, z_pair_from_energy
+from .dispersion import k_from_z, z_pair_from_energy
 from .errors import BandEdgeError, ClassificationError, NumericalError, ParameterError
 from .model import DeviceSpec, tdot_params
 
@@ -74,8 +78,8 @@ def poles_from_roots(roots, null_vectors, t: float, contact: int) -> list[Spectr
 
     Amplitudes are scaled so the contact reads exactly 1; a state that misses
     the contact (|v_c| <= CONTACT_PIN_TOL * max|v|) has its largest entry
-    pinned to 1 instead.  k, E and the class are computed per pole in scalar
-    arithmetic.  A root that is zero or not finite raises NumericalError.
+    pinned to 1 instead.  k, E and the class come from :func:`_pole_rows`.  A
+    root that is zero or not finite raises NumericalError.
     """
     roots, order = sorted_roots(roots)
     # complex before dividing: numpy divides complex numbers by multiplying
@@ -87,8 +91,11 @@ def poles_from_roots(roots, null_vectors, t: float, contact: int) -> list[Spectr
                    contact, mag.argmax(axis=-1))
     amps = v / v[rows, pin][:, None]
     amps[rows, pin] = 1.0
-    return [SpectralPole(z, *pole_fields(z, t), amps=tuple(a), contact=contact)
-            for z, a in zip(roots.tolist(), amps.tolist())]
+    zs = roots.tolist()
+    f = _pole_rows([], None, zs, t)
+    return [SpectralPole(z, complex(kr, ki), complex(er, ei), c, amps=tuple(a), contact=contact)
+            for z, kr, ki, er, ei, c, a in zip(zs, f[3::8], f[4::8], f[5::8], f[6::8], f[7::8],
+                                                amps.tolist())]
 
 
 def sorted_roots(roots) -> tuple[np.ndarray, np.ndarray]:
@@ -102,11 +109,52 @@ def sorted_roots(roots) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(roots, order, axis=-1), order
 
 
-def pole_fields(z: complex, t: float) -> tuple[complex, complex, PoleClass]:
-    """Wave number, energy and class of a finite nonzero root z, in scalar
-    arithmetic; k is computed once and the class test reuses it."""
-    k = k_from_z(z)
-    return k, energy_from_z(z, t), _classify(z, k)
+# the classes a root can take, in the order of the labels of _pole_rows
+_ROOT_CLASSES = (PoleClass.BOUND_LOWER, PoleClass.BOUND_UPPER, PoleClass.ANTI_BOUND,
+                 PoleClass.RESONANT, PoleClass.ANTI_RESONANT, PoleClass.THRESHOLD)
+_TWO_PI = 2.0 * math.pi
+
+
+def _pole_rows(rows: list, head, zs, t: float, labels=_ROOT_CLASSES) -> list:
+    """Extend ``rows`` by the eight values ``head, Re z, Im z, Re k, Im k,
+    Re E, Im E, label`` of each finite nonzero root z of ``zs``; return
+    ``rows``.  ``labels`` names the classes of ``_ROOT_CLASSES`` in order.
+
+    This is the one scalar pass from roots to pole fields.  k = -i Log z with
+    Re k folded into (-pi, pi] and E = -t(z + 1/z) take the very operations
+    of ``k_from_z`` and ``energy_from_z``, so each value equals theirs to the
+    last bit (numpy's complex log and abs differ in the last bit).  The class
+    rule is :func:`classify`'s: CLASSIFY_TOL bounds the unit-circle
+    (threshold) test and the distance of Re k from the lines {0, pi},
+    measured on the zone circle so values just below -pi count as near +pi.
+    A root in the upper half plane off those lines raises
+    ClassificationError.
+    """
+    bound_lower, bound_upper, anti_bound, resonant, anti_resonant, threshold = labels
+    for z in zs:
+        k = -1j * cmath.log(z)
+        kr, ki = k.real, k.imag
+        if kr <= -math.pi:
+            kr += _TWO_PI
+        E = -t * (z + 1.0 / z)
+        if abs(abs(z) - 1.0) <= CLASSIFY_TOL:
+            label = threshold
+        elif ki > 0:
+            if abs(kr) <= CLASSIFY_TOL:
+                label = bound_lower
+            elif abs(math.remainder(kr - math.pi, _TWO_PI)) <= CLASSIFY_TOL:
+                label = bound_upper
+            else:
+                raise ClassificationError(
+                    f"pole at k = {complex(kr, ki)} lies in the upper half plane off the "
+                    "bound-state lines; no state of this model can sit there"
+                )
+        elif abs(kr) <= CLASSIFY_TOL or abs(math.remainder(kr - math.pi, _TWO_PI)) <= CLASSIFY_TOL:
+            label = anti_bound
+        else:
+            label = resonant if kr > 0 else anti_resonant
+        rows += (head, z.real, z.imag, kr, ki, E.real, E.imag, label)
+    return rows
 
 
 def decoupled_poles(spec: DeviceSpec) -> list[SpectralPole] | None:
@@ -134,35 +182,10 @@ def decoupled_poles(spec: DeviceSpec) -> list[SpectralPole] | None:
 
 
 def classify(z: complex) -> PoleClass:
-    """Label a pole by its position in the complex k plane.
-
-    CLASSIFY_TOL bounds both the unit-circle (threshold) test and the distance
-    of Re k from the axis lines {0, pi}, measured on the zone circle so values
-    just below -pi count as near +pi.  A z that is not finite has no place.
-    """
+    """Label a pole by its position in the complex k plane, by the class
+    rule of :func:`_pole_rows`.  A z that is not finite has no place."""
     if z == 0:
         raise ParameterError("Bloch factor z must be nonzero")
     if not cmath.isfinite(z):
         raise ClassificationError(f"Bloch factor z = {z} is not finite")
-    return _classify(z, k_from_z(z))
-
-
-def _classify(z: complex, k: complex) -> PoleClass:
-    """:func:`classify` of a finite nonzero z whose k = k_from_z(z) is known."""
-    if abs(abs(z) - 1.0) <= CLASSIFY_TOL:
-        return PoleClass.THRESHOLD
-    d_zero = abs(k.real)
-    d_pi = abs(wrap_to_zone(k.real - math.pi))
-    if k.imag > 0:
-        if d_zero <= CLASSIFY_TOL:
-            return PoleClass.BOUND_LOWER
-        if d_pi <= CLASSIFY_TOL:
-            return PoleClass.BOUND_UPPER
-        raise ClassificationError(
-            f"pole at k = {k} lies in the upper half plane off the bound-state "
-            "lines; no state of this model can sit there"
-        )
-    if d_zero <= CLASSIFY_TOL or d_pi <= CLASSIFY_TOL:
-        return PoleClass.ANTI_BOUND
-    return PoleClass.RESONANT if k.real > 0 else PoleClass.ANTI_RESONANT
-
+    return _pole_rows([], None, (z,), 1.0)[-1]

@@ -13,8 +13,9 @@ so one eigensolve of its block companion matrix gives both at once.  Devices
 that share the lead and the contact site, such as the points of a parameter
 sweep, stack into one eigensolve.  A T-dot sweep (``solve_tdot_sweep``) needs
 only the roots: it takes them from an eigenvalue-only solve of the stack,
-computes no amplitudes, and returns plain (z, k, E, class) tuples instead of
-``SpectralPole`` records.  For the T-type dot the determinant is the quartic
+computes no amplitudes, and returns each point's sorted roots; the scalar
+pass ``poles._pole_rows`` turns them into k, E and class.  For the T-type
+dot the determinant is the quartic
 
     t^2 z^4 + t eps_d z^3 + t1^2 z^2 - t eps_d z - t^2 = 0,
 
@@ -30,9 +31,7 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .model import DeviceSpec, make_tdot, p_space_hamiltonian, tdot_params
-from .poles import (
-    PoleClass, SpectralPole, decoupled_poles, pole_fields, poles_from_roots, sorted_roots,
-)
+from .poles import PoleClass, SpectralPole, decoupled_poles, poles_from_roots, sorted_roots
 
 
 def secular_polynomial(h: np.ndarray, t: float, contact: int) -> np.ndarray:
@@ -169,18 +168,18 @@ def solve_poles(spec: DeviceSpec) -> list[SpectralPole]:
 
 def solve_tdot_sweep(
     spec: DeviceSpec, name: str, values
-) -> list[list[tuple[complex, complex, complex, PoleClass]]]:
+) -> list[list[complex] | list[SpectralPole]]:
     """The poles of the T-dot ``spec`` with its parameter ``name`` ("t1" or
-    "eps_d") set to each of ``values`` in turn, as one list per value of
-    ``(z, k, E, pole_class)`` tuples sorted by (Re z, Im z).  No amplitudes
-    are computed.
+    "eps_d") set to each of ``values`` in turn, one list per value: the
+    secular roots of a coupled point, sorted by (Re z, Im z), or the
+    ``decoupled_poles`` of a point with t1 = 0.  No amplitudes are computed;
+    ``poles._pole_rows`` turns a point's roots into its k, E and class.
 
     ``spec`` must have the T-dot shape of ``make_tdot``; any other device
     raises ParameterError.  The device blocks of all coupled points are built
     from the grid at once and their roots found by one stacked, eigenvalue-
-    only eigensolve; points with t1 = 0 give their Decoupled level.  Each
-    point's z, k, E and class equal those of ``solve_poles`` on its own T-dot
-    to the last bit.
+    only eigensolve.  Each point's roots, and so its z, k, E and class, equal
+    those of ``solve_poles`` on its own T-dot to the last bit.
     """
     params = tdot_params(spec)
     if params is None:
@@ -198,10 +197,8 @@ def solve_tdot_sweep(
     h = np.zeros((int(coupled.sum()), 2, 2))
     h[:, 0, 1] = h[:, 1, 0] = -t1[coupled]
     h[:, 1, 1] = eps_d[coupled]
-    roots = sorted_roots(_eigenvalues_only(secular_polynomial(h, t, 0)))[0]
-    solved = iter(roots.tolist())
+    solved = iter(sorted_roots(_eigenvalues_only(secular_polynomial(h, t, 0)))[0].tolist())
     return [
-        [(z, *pole_fields(z, t)) for z in next(solved)] if c
-        else [(p.z, p.k, p.E, p.pole_class) for p in decoupled_poles(make_tdot(t, a, e))]
+        next(solved) if c else decoupled_poles(make_tdot(t, a, e))
         for c, a, e in zip(coupled.tolist(), t1.tolist(), eps_d.tolist())
     ]

@@ -560,6 +560,22 @@ def test_config_value_of_wrong_type_exits_2(command, cfg, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ["poles"],
+    ["sweep", "--param", "t1", "--from", "0", "--to", "1", "--steps", "3"],
+], ids=["poles", "sweep"])
+@pytest.mark.parametrize("raw", [b"\xff\xfe\x00\x7b", b'{"t1": "\xe9"}'],
+                         ids=["utf16_bom", "latin1_in_string"])
+def test_config_that_is_not_utf8_exits_2(command, raw, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(raw)
+    code, out, err = run(capsys, *command, "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: config file is not valid UTF-8")
+    assert "Traceback" not in err
+
+
 def test_config_device_accepts_integral_numbers(tmp_path, capsys):
     ints = {"n_sites": 2, "onsite": [0, 0.5], "hoppings": [[0, 1, -1]], "contact": 1,
             "lead_t": 1}

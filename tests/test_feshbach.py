@@ -24,9 +24,8 @@ from respole import (
     solve_poles,
     z_pair_from_energy,
 )
-from respole.poles import (
-    CONTACT_PIN_TOL, SpectralPole, pole_fields, poles_from_roots, sorted_roots,
-)
+from respole.dispersion import energy_from_z, k_from_z
+from respole.poles import CONTACT_PIN_TOL, SpectralPole, classify, poles_from_roots, sorted_roots
 from respole.siegert import poly_roots, secular_polynomial
 from test_cli import json_devices
 from test_siegert import assert_matches, mp_companion_roots
@@ -409,8 +408,9 @@ def test_weakly_coupled_dot_amplitudes_match_mpmath(t1):
 
 def stacked_poles_from_roots(roots, null_vectors, t, contact):
     """The poles of an (m, 2n) stack of devices from their roots and (m, 2n,
-    n) null vectors, assembled over the stack axis with index grids: the
-    reference that ``poles_from_roots`` on one device must match bit for bit."""
+    n) null vectors, assembled over the stack axis with index grids and the
+    public scalar functions: the reference that ``poles_from_roots`` on one
+    device must match bit for bit."""
     roots, order = sorted_roots(roots)
     v = np.asarray(null_vectors, dtype=complex)
     rows, cols = np.arange(roots.shape[0])[:, None], np.arange(roots.shape[1])
@@ -421,7 +421,8 @@ def stacked_poles_from_roots(roots, null_vectors, t, contact):
     amps = v / v[rows, cols, pin][..., None]
     amps[rows, cols, pin] = 1.0
     return [
-        [SpectralPole(z, *pole_fields(z, t), amps=tuple(a), contact=contact)
+        [SpectralPole(z, k_from_z(z), energy_from_z(z, t), classify(z), amps=tuple(a),
+                      contact=contact)
          for z, a in zip(zs, device)]
         for zs, device in zip(roots.tolist(), amps.tolist())
     ]

@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -667,3 +668,53 @@ def test_dumps_round_trips_the_oracle_report(spec):
 def test_dumps_refuses_types_no_caller_passes(value):
     with pytest.raises(TypeError, match="^cannot serialize "):
         dumps(value)
+
+
+def finite_lead_secular(spec, N):
+    """det(E(z) I - H_P + 2tz r_N(z) P_c) in mpmath: the outgoing-wave secular
+    function with the self-energy -2tz of the two infinite leads replaced by
+    that of two N-site leads, -2tz r_N(z), r_N = (1 - z^2N) / (1 - z^(2N+2))."""
+    h = mpmath.matrix(p_space_hamiltonian(spec).tolist())
+    t, c = mpmath.mpf(spec.lead_t), spec.contact
+
+    def f(z):
+        m = -h
+        for i in range(spec.n_sites):
+            m[i, i] += -t * (z + 1 / z)
+        m[c, c] += 2 * t * z * (1 - z ** (2 * N)) / (1 - z ** (2 * N + 2))
+        return mpmath.det(m)
+
+    return f
+
+
+def test_oracle_is_the_outgoing_wave_equation_with_a_finite_lead():
+    # criterion 9's grid at N = 200, where the oracle and the outgoing-wave
+    # route differ by up to 2e-5: Newton on the finite-lead secular function,
+    # started from each outgoing-wave bound state, lands on the oracle's
+    # energy, so the gap is exactly the hard-wall shift of r_N
+    N, worst, states = 200, 0.0, 0
+    for t1 in T1_GRID:
+        for ed in EPS_GRID:
+            spec = make_tdot(1.0, t1, ed)
+            want = bound_energies_from_truncation(spec, N)
+            got = []
+            with mpmath.workdps(40):
+                f = finite_lead_secular(spec, N)
+                for p in solve_poles(spec):
+                    if p.pole_class not in BOUND_CLASSES:
+                        continue
+                    z = mpmath.mpf(p.z.real)
+                    for _ in range(60):
+                        step = f(z) / mpmath.diff(f, z)
+                        z -= step
+                        if abs(step) <= mpmath.mpf(10) ** -35 * abs(z):
+                            break
+                    else:
+                        raise AssertionError(f"Newton did not converge at {(t1, ed)}")
+                    got.append(float(-spec.lead_t * (z + 1 / z)))
+            assert len(got) == len(want), (t1, ed)
+            for a, b in zip(sorted(got), want):
+                worst = max(worst, abs(a - b) / max(1.0, abs(b)))
+            states += len(got)
+    assert states == 90
+    assert worst <= 1e-12

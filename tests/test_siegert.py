@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import io
 import math
@@ -29,10 +30,11 @@ from respole.dispersion import energy_from_z, k_from_z
 from respole.poles import (
     CONTACT_PIN_TOL,
     SpectralPole,
+    CLASSIFY_TOL,
     decoupled_poles,
-    pole_fields,
     poles_from_roots,
     sorted_roots,
+    _pole_rows,
 )
 from respole.siegert import _eigenvalues_only, poly_roots, secular_polynomial, solve_tdot_sweep
 
@@ -313,9 +315,40 @@ def test_classify_rejects_non_finite(z):
         classify(z)
 
 
-def test_pole_fields_equal_the_scalar_functions():
-    # k once, shared by the class test: the same k, E and class as
-    # k_from_z, energy_from_z and classify, on every class and near each
+def reference_class(z):
+    """The class rule written out on its own, from k_from_z: the reference
+    that classify and the scalar pass must both follow."""
+    k = k_from_z(z)
+    if abs(abs(z) - 1.0) <= CLASSIFY_TOL:
+        return PoleClass.THRESHOLD
+    d_zero = abs(k.real)
+    wrapped = math.remainder(k.real - math.pi, 2.0 * math.pi)
+    d_pi = abs(wrapped + 2.0 * math.pi if wrapped <= -math.pi else wrapped)
+    if k.imag > 0:
+        if d_zero <= CLASSIFY_TOL:
+            return PoleClass.BOUND_LOWER
+        if d_pi <= CLASSIFY_TOL:
+            return PoleClass.BOUND_UPPER
+        raise ClassificationError(
+            f"pole at k = {k} lies in the upper half plane off the bound-state "
+            "lines; no state of this model can sit there"
+        )
+    if d_zero <= CLASSIFY_TOL or d_pi <= CLASSIFY_TOL:
+        return PoleClass.ANTI_BOUND
+    return PoleClass.RESONANT if k.real > 0 else PoleClass.ANTI_RESONANT
+
+
+def pass_fields(z, t):
+    """(k, E, class) of one root from the scalar pass, as complex numbers and
+    a PoleClass."""
+    _, zr, zi, kr, ki, er, ei, cls = _pole_rows([], None, [z], t)
+    assert repr(complex(zr, zi)) == repr(complex(z))
+    return complex(kr, ki), complex(er, ei), cls
+
+
+def test_pole_rows_equal_the_scalar_functions():
+    # the scalar pass inlines k_from_z, energy_from_z and the class rule: the
+    # same k, E and class as those functions, on every class and near each
     # boundary (unit circle, Re k = 0 and +-pi, the zone wrap)
     rng = np.random.default_rng(31)
     zs = [Q, -Q, 1j * P, -1j * P, 1.2, -1.2, complex(-1.2, -1e-15), complex(-1.2, 1e-15),
@@ -324,11 +357,86 @@ def test_pole_fields_equal_the_scalar_functions():
         # inside the unit circle only the real axis holds states
         zs.append(complex(r * np.cos(phase), r * np.sin(phase)) if r > 1
                   else complex(r * np.sign(phase)))
-    for z in zs:
-        ref = (k_from_z(z), energy_from_z(z, 0.7), classify(z))
-        assert repr(pole_fields(z, 0.7)) == repr(ref)
+    for z in map(complex, zs):
+        ref = (k_from_z(z), energy_from_z(z, 0.7), reference_class(z))
+        assert classify(z) is ref[2]
+        assert repr(pass_fields(z, 0.7)) == repr(ref)
     with pytest.raises(ClassificationError, match="upper half plane"):
-        pole_fields(0.5 + 0.5j, 0.7)
+        pass_fields(0.5 + 0.5j, 0.7)
+
+
+def awkward_roots():
+    """Roots on the class boundaries: the negative real axis with a signed
+    zero imaginary part (Re k folds to +pi), |z| = 1 +- CLASSIFY_TOL just
+    inside and outside the threshold band, signed zero real parts, and
+    moduli near 1e+-150, and Re k either side of CLASSIFY_TOL from the
+    bound-state lines."""
+    mags = [1.0 - CLASSIFY_TOL, 1.0 + CLASSIFY_TOL, 1.0 - 2.0 * CLASSIFY_TOL,
+            1.0 + 2.0 * CLASSIFY_TOL, 0.5, 2.0, 1e-150, 1e150, 3e-151, 7e149]
+    mags += [math.nextafter(m, d) for m in mags[:2] for d in (0.0, math.inf)]
+    zs = []
+    for m in mags:
+        zs += [complex(-m, 0.0), complex(-m, -0.0), complex(m, 0.0), complex(m, -0.0),
+               complex(0.0, -m), complex(-0.0, -m), complex(0.0, m), complex(-0.0, m),
+               complex(-m, -1e-300), complex(-m, -m * 1e-10), complex(m * 1e-10, -m)]
+    # Re k within and beyond CLASSIFY_TOL of the lines 0 and +-pi, on both
+    # sheets: a bound or anti-bound state, or a resonance or an error
+    for m in (0.5, 2.0):
+        for d in (0.5 * CLASSIFY_TOL, 1.5 * CLASSIFY_TOL):
+            zs += [cmath.rect(m, a) for a in (d, -d, math.pi - d, d - math.pi)]
+    return zs
+
+
+def rows_equal_scalar_functions(z, t):
+    """The pass's fields of z equal k_from_z, energy_from_z and the class
+    rule by repr, and classify gives the same class; or all three raise the
+    same ClassificationError."""
+    try:
+        ref = (k_from_z(z), energy_from_z(z, t), reference_class(z))
+    except ClassificationError as exc:
+        for call in (lambda: pass_fields(z, t), lambda: classify(z)):
+            with pytest.raises(ClassificationError) as got:
+                call()
+            assert str(got.value) == str(exc)
+        return
+    assert classify(z) is ref[2]
+    assert repr(pass_fields(z, t)) == repr(ref)
+
+
+@settings(max_examples=400, deadline=None)
+@given(z=st.one_of(
+    st.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300, allow_nan=False,
+                       allow_infinity=False),
+    st.sampled_from(awkward_roots()),
+    st.builds(lambda m, s: s * m, st.floats(1e-150, 1e150), st.sampled_from((-1.0, 1.0)))
+    .map(complex),
+), t=st.floats(1e-3, 1e3))
+def test_pole_rows_property(z, t):
+    # repr tells -0.0 from 0.0 and every last bit
+    rows_equal_scalar_functions(z, t)
+
+
+def test_pole_rows_on_awkward_roots():
+    for z in awkward_roots():
+        rows_equal_scalar_functions(z, 0.7)
+    # the fold: Log of the negative real axis with -0.0 imaginary part is -pi i,
+    # which the pass moves to +pi
+    (k, _, cls) = pass_fields(complex(-0.5, -0.0), 1.0)
+    assert k.real == math.pi and cls is PoleClass.BOUND_UPPER
+
+
+def test_upper_half_plane_root_raises_through_the_pass():
+    # off the bound-state lines in the upper half plane: the same error from
+    # classify, from the pass and from a route's pole assembly
+    z = 0.5 + 0.5j
+    with pytest.raises(ClassificationError) as ref:
+        classify(z)
+    for call in (lambda: _pole_rows([], 0.0, [Q, z], 1.0),
+                 lambda: poles_from_roots(np.array([Q, z, -Q, 2.0]), np.ones((4, 2)), 1.0, 0)):
+        with pytest.raises(ClassificationError) as got:
+            call()
+        assert str(got.value) == str(ref.value)
+        assert "upper half plane" in str(got.value)
 
 
 @pytest.mark.parametrize("bad", [0.0, math.nan, complex(math.inf, 1.0)])
@@ -503,7 +611,10 @@ def reference_sweep_csv(param, start, stop, steps, **model):
     ("eps-d", -3.0, 3.0, 25, {"t1": 0.0}),
     ("eps-d", -3.0, 3.0, 61, {"t1": 0.4}),
     ("eps-d", -2.5, 2.5, 41, {"t1": 1e-7}),
-], ids=["t1_through_0", "t1_outside_band", "eps_d_decoupled", "eps_d_edges", "eps_d_weak"])
+    ("eps-d", -4.0, 4.0, 301, {"t1": 0.1}),
+    ("t1", 0.0, 3.0, 301, {"eps_d": 2.0}),
+], ids=["t1_through_0", "t1_outside_band", "eps_d_decoupled", "eps_d_edges", "eps_d_weak",
+        "eps_d_workload", "t1_workload_band_edge"])
 def test_sweep_csv_matches_per_point_solves(param, start, stop, steps, model, capsys):
     flags = [f"--{k.replace('_', '-')}={v!r}" for k, v in model.items()]
     code = main(["sweep", "--param", param, f"--from={start!r}", f"--to={stop!r}",
@@ -557,7 +668,8 @@ def test_eigenvalue_only_roots_equal_poly_roots_bit_for_bit():
 
 def test_tdot_sweep_points_equal_solve_poles():
     # (z, k, E, class) of every point, to the last bit, against the solve of
-    # the point's own T-dot; the values include t1 = 0 and -0.0
+    # the point's own T-dot: a coupled point's roots through the scalar pass,
+    # a decoupled point's record as it is; the values include t1 = 0 and -0.0
     cases = [
         ("t1", 1.3, 0.4, [-1.0, -0.0, 0.0, 1e-7, 0.5, 2.0]),
         ("eps_d", 0.8, 0.6, [-2.5, -1.6, -1.6000000001, 0.0, 1.6, 3.0]),
@@ -567,9 +679,15 @@ def test_tdot_sweep_points_equal_solve_poles():
         spec = make_tdot(t, other, 0.1) if name == "eps_d" else make_tdot(t, 1.0, other)
         got = solve_tdot_sweep(spec, name, values)
         assert len(got) == len(values)
-        for v, poles in zip(values, got):
-            point = make_tdot(t, v, other) if name == "t1" else make_tdot(t, other, v)
-            ref = [(p.z, p.k, p.E, p.pole_class) for p in solve_poles(point)]
+        for v, point in zip(values, got):
+            t1 = v if name == "t1" else other
+            point_spec = make_tdot(t, v, other) if name == "t1" else make_tdot(t, other, v)
+            ref = [(p.z, p.k, p.E, p.pole_class) for p in solve_poles(point_spec)]
+            if t1 == 0.0:
+                poles = [(p.z, p.k, p.E, p.pole_class) for p in point]
+            else:
+                assert all(type(z) is complex for z in point)
+                poles = [(z, *pass_fields(z, t)) for z in point]
             assert repr(poles) == repr(ref)
 
 
