@@ -27,7 +27,7 @@ from .errors import NumericalError, ParameterError
 from .feshbach import feshbach_pole_search
 from .model import DeviceSpec, device_from_json, json_number, make_tdot, tdot_params
 from .oracle import build_report, pole_set_distance
-from .poles import _ROOT_CLASSES, SpectralPole, _pole_rows
+from .poles import _ROW_WIDTH
 from .scattering import sweep_rows_csv, transmission_sweep
 from .siegert import solve_poles, solve_tdot_sweep
 from .wavefunction import evaluate, wavefunction_csv
@@ -65,9 +65,7 @@ def _json_record(pad: str) -> str:
 POLE_JSON_RECORD = {indent: _json_record(" " * indent) for indent in (0, 2)}
 POLE_JSON_BOTH = '{\n  "siegert": %s,\n  "feshbach": %s,\n  "max_dz": %s\n}\n'
 POLE_SWEEP_HEADER = "param,z_re,z_im,k_re,k_im,E_re,E_im,class"
-POLE_SWEEP_ROW = ",".join(["%.17g"] * 7 + ["%s"])
-# the class column of a sweep row, in the order of poles._ROOT_CLASSES
-_SWEEP_LABELS = tuple(c.value for c in _ROOT_CLASSES)
+POLE_SWEEP_ROW = ",".join(["%.17g"] * (_ROW_WIDTH - 1) + ["%s"])
 # numpy refuses, with a ValueError, an array whose size in bytes overflows its
 # index type; the grids hold at most complex values, so a longer grid is an
 # input too large to allocate
@@ -215,19 +213,14 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
     with np.errstate(over="ignore"):
         values = (args.start + (args.stop - args.start) * np.arange(args.steps)
                   / (args.steps - 1)).tolist()
-    t = spec.lead_t
     fields = []
     multisets = []
-    for v, point in zip(values, solve_tdot_sweep(spec, args.param.replace("-", "_"), values)):
-        start = len(fields)
-        if isinstance(point[0], SpectralPole):  # a decoupled point, t1 = 0
-            for p in point:
-                z, k, E = p.z, p.k, p.E
-                fields += (v, z.real, z.imag, k.real, k.imag, E.real, E.imag, p.pole_class.value)
-        else:
-            _pole_rows(fields, v, point, t, _SWEEP_LABELS)
-        multisets.append(tuple(sorted(fields[start + 7::8])))
-    body = (POLE_SWEEP_HEADER + ("\n" + POLE_SWEEP_ROW) * (len(fields) // 8)) % tuple(fields)
+    for point in solve_tdot_sweep(spec, args.param.replace("-", "_"), values):
+        fields += point
+        # the label is the last field of each row
+        multisets.append(tuple(sorted(point[_ROW_WIDTH - 1::_ROW_WIDTH])))
+    body = (POLE_SWEEP_HEADER + ("\n" + POLE_SWEEP_ROW) * (len(fields) // _ROW_WIDTH)
+            ) % tuple(fields)
     changes = [
         f"# classification change at {args.param}={format_float(v)}: "
         f"{'+'.join(before)} -> {'+'.join(after)}"

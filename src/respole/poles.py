@@ -3,7 +3,8 @@ the sorted pole list both routes build from their roots.
 
 One scalar pass, ``_pole_rows``, turns secular roots into their k, E and
 class, for both routes' pole lists and for the T-dot sweep's CSV rows;
-``classify`` applies its class rule to one z.
+``classify`` applies its class rule to one z.  This module owns the layout of
+those rows: ``_ROW_WIDTH`` fields per pole, the label last.
 
 Pole taxonomy for a single-band lead: bound states sit on the lines
 Re k = 0 or Re k = pi with Im k > 0; anti-bound states sit on the same lines
@@ -92,10 +93,10 @@ def poles_from_roots(roots, null_vectors, t: float, contact: int) -> list[Spectr
     amps = v / v[rows, pin][:, None]
     amps[rows, pin] = 1.0
     zs = roots.tolist()
-    f = _pole_rows([], None, zs, t)
+    f = _pole_rows(None, zs, t)
     return [SpectralPole(z, complex(kr, ki), complex(er, ei), c, amps=tuple(a), contact=contact)
-            for z, kr, ki, er, ei, c, a in zip(zs, f[3::8], f[4::8], f[5::8], f[6::8], f[7::8],
-                                                amps.tolist())]
+            for z, (_, _, _, kr, ki, er, ei, c), a in zip(zs, zip(*[iter(f)] * _ROW_WIDTH),
+                                                           amps.tolist())]
 
 
 def sorted_roots(roots) -> tuple[np.ndarray, np.ndarray]:
@@ -112,13 +113,17 @@ def sorted_roots(roots) -> tuple[np.ndarray, np.ndarray]:
 # the classes a root can take, in the order of the labels of _pole_rows
 _ROOT_CLASSES = (PoleClass.BOUND_LOWER, PoleClass.BOUND_UPPER, PoleClass.ANTI_BOUND,
                  PoleClass.RESONANT, PoleClass.ANTI_RESONANT, PoleClass.THRESHOLD)
+# the same classes by their CSV names
+_ROOT_LABELS = tuple(c.value for c in _ROOT_CLASSES)
+# the fields of one pole row: head, Re z, Im z, Re k, Im k, Re E, Im E, label
+_ROW_WIDTH = 8
 _TWO_PI = 2.0 * math.pi
 
 
-def _pole_rows(rows: list, head, zs, t: float, labels=_ROOT_CLASSES) -> list:
-    """Extend ``rows`` by the eight values ``head, Re z, Im z, Re k, Im k,
-    Re E, Im E, label`` of each finite nonzero root z of ``zs``; return
-    ``rows``.  ``labels`` names the classes of ``_ROOT_CLASSES`` in order.
+def _pole_rows(head, zs, t: float, labels=_ROOT_CLASSES) -> list:
+    """The flat list of the ``_ROW_WIDTH`` values ``head, Re z, Im z, Re k,
+    Im k, Re E, Im E, label`` of each finite nonzero root z of ``zs``, in
+    order.  ``labels`` names the classes of ``_ROOT_CLASSES`` in order.
 
     This is the one scalar pass from roots to pole fields.  k = -i Log z with
     Re k folded into (-pi, pi] and E = -t(z + 1/z) take the very operations
@@ -131,6 +136,7 @@ def _pole_rows(rows: list, head, zs, t: float, labels=_ROOT_CLASSES) -> list:
     ClassificationError.
     """
     bound_lower, bound_upper, anti_bound, resonant, anti_resonant, threshold = labels
+    rows = []
     for z in zs:
         k = -1j * cmath.log(z)
         kr, ki = k.real, k.imag
@@ -181,6 +187,16 @@ def decoupled_poles(spec: DeviceSpec) -> list[SpectralPole] | None:
     ]
 
 
+def _decoupled_rows(head, spec: DeviceSpec) -> list:
+    """The records of ``decoupled_poles(spec)`` as a flat list of rows in the
+    layout of :func:`_pole_rows`, labelled by their CSV name."""
+    rows = []
+    for p in decoupled_poles(spec):
+        z, k, E = p.z, p.k, p.E
+        rows += (head, z.real, z.imag, k.real, k.imag, E.real, E.imag, p.pole_class.value)
+    return rows
+
+
 def classify(z: complex) -> PoleClass:
     """Label a pole by its position in the complex k plane, by the class
     rule of :func:`_pole_rows`.  A z that is not finite has no place."""
@@ -188,4 +204,4 @@ def classify(z: complex) -> PoleClass:
         raise ParameterError("Bloch factor z must be nonzero")
     if not cmath.isfinite(z):
         raise ClassificationError(f"Bloch factor z = {z} is not finite")
-    return _pole_rows([], None, (z,), 1.0)[-1]
+    return _pole_rows(None, (z,), 1.0)[-1]

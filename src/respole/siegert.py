@@ -13,9 +13,9 @@ so one eigensolve of its block companion matrix gives both at once.  Devices
 that share the lead and the contact site, such as the points of a parameter
 sweep, stack into one eigensolve.  A T-dot sweep (``solve_tdot_sweep``) needs
 only the roots: it takes them from an eigenvalue-only solve of the stack,
-computes no amplitudes, and returns each point's sorted roots; the scalar
-pass ``poles._pole_rows`` turns them into k, E and class.  For the T-type
-dot the determinant is the quartic
+computes no amplitudes, and hands each point's sorted roots to the scalar
+pass ``poles._pole_rows``, which turns them into rows of k, E and class.
+For the T-type dot the determinant is the quartic
 
     t^2 z^4 + t eps_d z^3 + t1^2 z^2 - t eps_d z - t^2 = 0,
 
@@ -31,7 +31,16 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .model import DeviceSpec, make_tdot, p_space_hamiltonian, tdot_params
-from .poles import PoleClass, SpectralPole, decoupled_poles, poles_from_roots, sorted_roots
+from .poles import (
+    _ROOT_LABELS,
+    PoleClass,
+    SpectralPole,
+    _decoupled_rows,
+    _pole_rows,
+    decoupled_poles,
+    poles_from_roots,
+    sorted_roots,
+)
 
 
 def secular_polynomial(h: np.ndarray, t: float, contact: int) -> np.ndarray:
@@ -166,14 +175,13 @@ def solve_poles(spec: DeviceSpec) -> list[SpectralPole]:
     return poles_from_roots(*poly_roots(secular_polynomial(h, t, c)), t, c)
 
 
-def solve_tdot_sweep(
-    spec: DeviceSpec, name: str, values
-) -> list[list[complex] | list[SpectralPole]]:
+def solve_tdot_sweep(spec: DeviceSpec, name: str, values) -> list[list]:
     """The poles of the T-dot ``spec`` with its parameter ``name`` ("t1" or
-    "eps_d") set to each of ``values`` in turn, one list per value: the
-    secular roots of a coupled point, sorted by (Re z, Im z), or the
-    ``decoupled_poles`` of a point with t1 = 0.  No amplitudes are computed;
-    ``poles._pole_rows`` turns a point's roots into its k, E and class.
+    "eps_d") set to each of ``values`` in turn, one flat list of rows per
+    value in the layout of ``poles._pole_rows``, headed by the value and
+    labelled by the class's CSV name: the rows of a coupled point's secular
+    roots, sorted by (Re z, Im z), or of the ``decoupled_poles`` of a point
+    with t1 = 0.  No amplitudes are computed.
 
     ``spec`` must have the T-dot shape of ``make_tdot``; any other device
     raises ParameterError.  The device blocks of all coupled points are built
@@ -199,6 +207,7 @@ def solve_tdot_sweep(
     h[:, 1, 1] = eps_d[coupled]
     solved = iter(sorted_roots(_eigenvalues_only(secular_polynomial(h, t, 0)))[0].tolist())
     return [
-        next(solved) if c else decoupled_poles(make_tdot(t, a, e))
-        for c, a, e in zip(coupled.tolist(), t1.tolist(), eps_d.tolist())
+        _pole_rows(v, next(solved), t, _ROOT_LABELS) if c
+        else _decoupled_rows(v, make_tdot(t, a, e))
+        for v, c, a, e in zip(values.tolist(), coupled.tolist(), t1.tolist(), eps_d.tolist())
     ]

@@ -341,7 +341,7 @@ def reference_class(z):
 def pass_fields(z, t):
     """(k, E, class) of one root from the scalar pass, as complex numbers and
     a PoleClass."""
-    _, zr, zi, kr, ki, er, ei, cls = _pole_rows([], None, [z], t)
+    _, zr, zi, kr, ki, er, ei, cls = _pole_rows(None, [z], t)
     assert repr(complex(zr, zi)) == repr(complex(z))
     return complex(kr, ki), complex(er, ei), cls
 
@@ -431,7 +431,7 @@ def test_upper_half_plane_root_raises_through_the_pass():
     z = 0.5 + 0.5j
     with pytest.raises(ClassificationError) as ref:
         classify(z)
-    for call in (lambda: _pole_rows([], 0.0, [Q, z], 1.0),
+    for call in (lambda: _pole_rows(0.0, [Q, z], 1.0),
                  lambda: poles_from_roots(np.array([Q, z, -Q, 2.0]), np.ones((4, 2)), 1.0, 0)):
         with pytest.raises(ClassificationError) as got:
             call()
@@ -667,9 +667,9 @@ def test_eigenvalue_only_roots_equal_poly_roots_bit_for_bit():
 
 
 def test_tdot_sweep_points_equal_solve_poles():
-    # (z, k, E, class) of every point, to the last bit, against the solve of
-    # the point's own T-dot: a coupled point's roots through the scalar pass,
-    # a decoupled point's record as it is; the values include t1 = 0 and -0.0
+    # every point's rows (value, z, k, E, class name), to the last bit,
+    # against the solve of the point's own T-dot; the values include t1 = 0
+    # and -0.0, whose points are decoupled
     cases = [
         ("t1", 1.3, 0.4, [-1.0, -0.0, 0.0, 1e-7, 0.5, 2.0]),
         ("eps_d", 0.8, 0.6, [-2.5, -1.6, -1.6000000001, 0.0, 1.6, 3.0]),
@@ -680,15 +680,12 @@ def test_tdot_sweep_points_equal_solve_poles():
         got = solve_tdot_sweep(spec, name, values)
         assert len(got) == len(values)
         for v, point in zip(values, got):
-            t1 = v if name == "t1" else other
             point_spec = make_tdot(t, v, other) if name == "t1" else make_tdot(t, other, v)
-            ref = [(p.z, p.k, p.E, p.pole_class) for p in solve_poles(point_spec)]
-            if t1 == 0.0:
-                poles = [(p.z, p.k, p.E, p.pole_class) for p in point]
-            else:
-                assert all(type(z) is complex for z in point)
-                poles = [(z, *pass_fields(z, t)) for z in point]
-            assert repr(poles) == repr(ref)
+            ref = []
+            for p in solve_poles(point_spec):
+                ref += (v, p.z.real, p.z.imag, p.k.real, p.k.imag, p.E.real, p.E.imag,
+                        p.pole_class.value)
+            assert repr(point) == repr(ref)
 
 
 def _grid(h, m, steps, sign):

@@ -1,9 +1,9 @@
 """Compare the CLI output of two source trees, run for run.
 
-    python tools/compare_outputs.py PARENT_TREE CHANGE_TREE [--seeds 101-110]
+    python tools/compare_outputs.py PARENT_TREE CHANGE_TREE
 
 Each tree is a checkout of this repository.  The runs are every item of the
-four benchmark workloads for the given seeds, generated once by
+four benchmark workloads for seeds 101-110, generated once by
 ``bench/workloads.py`` of CHANGE_TREE (its config files go to a temporary
 directory both trees read), plus a fixed list of edge runs.  One child
 process per tree calls ``respole.cli.main`` in process for every run, with
@@ -24,6 +24,7 @@ import subprocess
 import sys
 import tempfile
 
+SEEDS = range(101, 111)
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -67,14 +68,14 @@ def edge_runs(work_dir: str) -> list[list[str]]:
     return runs
 
 
-def all_runs(tree: str, seeds: list[int], work_dir: str) -> list[tuple[str, list[str]]]:
+def all_runs(tree: str, work_dir: str) -> list[tuple[str, list[str]]]:
     """(label, argv) of every workload item and every edge run."""
     sys.path.insert(0, os.path.join(tree, "bench"))
     from workloads import WORKLOADS, generate
 
     runs = []
     for name in WORKLOADS:
-        for seed in seeds:
+        for seed in SEEDS:
             for i, item in enumerate(generate(name, seed, work_dir).items):
                 runs.append((f"{name}/{seed}/{i}", item.argv))
     runs += [(f"edge/{i}", argv) for i, argv in enumerate(edge_runs(work_dir))]
@@ -105,24 +106,17 @@ def child(tree: str, runs_path: str, out_path: str) -> None:
         json.dump(hashes, fh)
 
 
-def seed_range(text: str) -> list[int]:
-    low, _, high = text.partition("-")
-    return list(range(int(low), int(high or low) + 1))
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="source tree of the parent commit")
     ap.add_argument("change", help="source tree of the change")
-    ap.add_argument("--seeds", type=seed_range, default=seed_range("101-110"),
-                    help="workload seeds, as FIRST-LAST (default 101-110)")
     ap.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
         child(*args.child)
         return 0
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as work_dir:
-        runs = all_runs(os.path.abspath(args.change), args.seeds, work_dir)
+        runs = all_runs(os.path.abspath(args.change), work_dir)
         runs_path = os.path.join(work_dir, "runs.json")
         with open(runs_path, "w", encoding="utf-8") as fh:
             json.dump(runs, fh)
