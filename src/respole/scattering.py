@@ -11,6 +11,8 @@ through i v_g.
 
 A sweep over k comes back as one ``ScatteringSweep`` of column arrays, one
 row per k; ``scattering_solve`` is the batch of one and reads row 0.
+``sweep_rows_csv`` writes a sweep through the array formatter
+``_format.csv_rows``, whose fields are byte for byte those of ``%.17g``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._format import csv_rows
 from .dispersion import group_velocity
 from .errors import NumericalError, ParameterError
 from .feshbach import self_energy
@@ -180,14 +183,11 @@ def transmission_sweep(
 
 
 SWEEP_HEADER = "k,E,T,R,ReB,ImB,ReC,ImC"
-# the 17 significant digits of _format.format_float, one template per row
-_CSV_ROW = ",".join(["%.17g"] * 8)
 
 
 def sweep_rows_csv(sweep: ScatteringSweep) -> str:
-    """CSV dump of a sweep (17 significant digits, ``\\n`` endings)."""
+    """CSV dump of a sweep (17 significant digits, ``\\n`` endings), every
+    field the text of ``_format.format_float``."""
     columns = (sweep.k, sweep.E, sweep.T, sweep.R,
                sweep.B.real, sweep.B.imag, sweep.C.real, sweep.C.imag)
-    lines = [SWEEP_HEADER]
-    lines.extend(_CSV_ROW % row for row in zip(*(c.tolist() for c in columns)))
-    return "\n".join(lines) + "\n"
+    return SWEEP_HEADER + "\n" + csv_rows(np.column_stack(columns))

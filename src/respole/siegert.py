@@ -82,10 +82,13 @@ def _companion(coeffs: np.ndarray) -> np.ndarray:
     companion = np.zeros((*coeffs.shape[:-3], 2 * n, 2 * n),
                          dtype=np.result_type(coeffs, 1.0))
     companion[..., :n, n:] = np.eye(n)
-    companion[..., n:, :] = (
-        -np.concatenate((coeffs[..., 0, :, :], coeffs[..., 1, :, :]), axis=-1)
-        / lead[..., :, None]
-    )
+    # an overflow to inf here fails the eigensolve, which raises the typed
+    # error; numpy's warning would only add noise to stderr
+    with np.errstate(over="ignore"):
+        companion[..., n:, :] = (
+            -np.concatenate((coeffs[..., 0, :, :], coeffs[..., 1, :, :]), axis=-1)
+            / lead[..., :, None]
+        )
     return companion
 
 

@@ -136,6 +136,22 @@ def test_numerical_failure_maps_to_3(capsys, monkeypatch):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("poles", "--t", "1e-300", "--t1", "1e10"),
+    ("sweep", "--param", "t1", "--t", "1e-300", "--from", "1e9", "--to", "1e10",
+     "--steps", "2"),
+])
+def test_companion_overflow_prints_only_the_typed_error(capsys, argv):
+    # t1 / t overflows the companion matrix; numpy's warning must not reach
+    # stderr, with or without the suite's warnings-as-errors filter
+    for action in ("error", "default"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "numerical failure: companion eigensolve did not converge\n"
+
+
 def test_transmission_sweep_output(capsys):
     code, out, _ = run(
         capsys, "transmission", "--t", "1", "--t1", "1", "--eps-d", "0.3",

@@ -1,0 +1,91 @@
+"""The array formatter ``_format.csv_rows`` against ``'%.17g'``, value by value."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from respole._format import CSV_CHUNK, csv_rows, format_float
+
+
+def printf_rows(values):
+    """Oracle: the stdlib formatter, one field at a time."""
+    return "".join(",".join(format_float(v) for v in row) + "\n"
+                   for row in np.asarray(values).tolist())
+
+
+def ulps(x, count):
+    """x and its neighbours up to ``count`` ulps either side."""
+    out = [x]
+    for toward in (0.0, np.inf):
+        y = x
+        for _ in range(count):
+            y = float(np.nextafter(y, toward))
+            out.append(y)
+    return out
+
+
+def exact_ties():
+    """Doubles whose 18th significant digit is an exact 5 followed by
+    nothing, both with an even and an odd 17th digit: x = m / 2**(17 - d)
+    with m odd, so that x * 10**(16 - d) = m * 5**(16 - d) / 2."""
+    ties = []
+    for d in range(-4, 16):
+        lo = Fraction(10) ** d * 2 ** (17 - d)
+        m = int(lo) + 1 | 1
+        for step in (0, 2, 12, 1000):
+            x = (m + step) / 2 ** (17 - d)
+            assert Fraction(x) * 10 ** (16 - d) % 1 == Fraction(1, 2)
+            ties.append(x)
+    return ties
+
+
+BOUNDARY = [
+    *(y for k in range(-5, 18) for y in ulps(float(f"1e{k}"), 2)),
+    1e-4 * (1 - 2.0**-52), 0.099999999999999992, 9.9999999999999995,
+    2.0**53 - 1, 2.0**53, 2.0**53 + 2, 1e16 - 2,
+    *exact_ties(),
+    0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, np.inf, np.nan,
+]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_boundary_values_match_printf(sign):
+    values = np.array([sign * v for v in BOUNDARY]).reshape(-1, 1)
+    assert csv_rows(values) == printf_rows(values)
+
+
+def test_exact_ties_round_half_to_even():
+    # 1 + 2**-17 = 1.00000762939453125 exactly: the tie goes to the even 2
+    assert csv_rows(np.array([[1 + 2.0**-17, 1 + 3 * 2.0**-17]])) == (
+        "1.0000076293945312,1.0000228881835938\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64),
+       st.sampled_from([1, 2, 8]))
+def test_any_bit_pattern_matches_printf(bits, columns):
+    # nan payloads, infinities, signed zeros and subnormals included
+    bits += [0] * (-len(bits) % columns)
+    values = np.array(bits, dtype=np.uint64).view(np.float64).reshape(-1, columns)
+    assert csv_rows(values) == printf_rows(values)
+
+
+@pytest.mark.parametrize("rows,columns", [(1, 1), (1, 8), (CSV_CHUNK - 1, 8),
+                                          (CSV_CHUNK, 8), (CSV_CHUNK + 1, 8), (0, 8)])
+def test_shapes_and_chunk_edges(rows, columns):
+    rng = np.random.default_rng(rows)
+    values = rng.standard_normal((rows, columns)) * 10.0 ** rng.integers(-6, 18, (rows, columns))
+    assert csv_rows(values) == printf_rows(values)
+
+
+def test_log_ten_off_by_one_ulp_still_prints_exactly(monkeypatch):
+    # some libm and SIMD builds round log10 one ulp off near powers of ten;
+    # the range check and the carry must absorb it either way
+    exact = np.log10
+    values = np.array(BOUNDARY + [-v for v in BOUNDARY]).reshape(-1, 1)
+    for toward in (-np.inf, np.inf):
+        monkeypatch.setattr(np, "log10", lambda a, t=toward: np.nextafter(exact(a), t))
+        assert csv_rows(values) == printf_rows(values)

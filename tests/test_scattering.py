@@ -24,7 +24,7 @@ from respole import (
     transmission_sweep,
     verify_green_identity,
 )
-from respole._format import format_float
+from respole._format import CSV_CHUNK, format_float
 from respole.cli import main
 from respole.scattering import SOLVE_CHUNK, SWEEP_HEADER, sweep_rows_csv
 
@@ -313,6 +313,51 @@ def test_sweep_csv_shape():
     assert lines[0] == SWEEP_HEADER
     assert len(lines) == 6
     assert all(len(line.split(",")) == 8 for line in lines[1:])
+
+
+def sweep_rows(sweep):
+    """The rows of a sweep as records for ``reference_csv``."""
+    names = ("k", "E", "B", "C", "T", "R")
+    return [ScatteringSolution(**dict(zip(names, row)), amps=())
+            for row in zip(*(getattr(sweep, name).tolist() for name in names))]
+
+
+def test_sweep_csv_matches_printf_on_workload_grids():
+    # the transmission workload's shapes: T-dots and random devices of 3-8
+    # sites on 1000-3000 k values
+    rng = np.random.default_rng(77)
+    specs = [make_tdot(1.0, rng.uniform(0.2, 2.0), rng.uniform(-3.0, 3.0)) for _ in range(3)]
+    specs += [random_device(rng, n) for n in (3, 5, 8)]
+    for spec in specs:
+        k_min, k_max = rng.uniform(0.01, 0.3), math.pi - rng.uniform(0.01, 0.3)
+        sweep = transmission_sweep(spec, k_min, k_max, int(rng.integers(1000, 3001)))
+        assert sweep_rows_csv(sweep) == reference_csv(sweep_rows(sweep))
+
+
+@pytest.mark.parametrize("steps", [CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1, 2 * CSV_CHUNK + 37])
+def test_sweep_csv_matches_printf_at_chunk_edges(steps):
+    sweep = transmission_sweep(make_tdot(1.0, 0.7, -1.1), 0.05, 3.09, steps)
+    assert sweep_rows_csv(sweep) == reference_csv(sweep_rows(sweep))
+
+
+def test_sweep_csv_matches_printf_through_the_antiresonance():
+    # T vanishes at E = eps_d, so near k* it drops below 1e-4 and prints
+    # with an exponent
+    k_star = math.acos(-0.15)
+    sweep = transmission_sweep(make_tdot(1.0, 1.0, 0.3), k_star - 0.02, k_star + 0.02, 401)
+    assert (sweep.T < 1e-4).sum() > 10
+    text = sweep_rows_csv(sweep)
+    assert text == reference_csv(sweep_rows(sweep))
+    assert "e-05," in text and "e-06," in text
+
+
+@pytest.mark.parametrize("t", [1e17, 1e-6])
+def test_sweep_csv_matches_printf_at_extreme_lead_hoppings(t):
+    # E = -2t cos k leaves the formatter's fast range on both sides
+    sweep = transmission_sweep(make_tdot(t, 0.5, 0.3), 0.05, 3.09, 301)
+    text = sweep_rows_csv(sweep)
+    assert text == reference_csv(sweep_rows(sweep))
+    assert ("e+17," if t > 1 else "e-06,") in text
 
 
 def test_smatrix_denominator_vanishes_at_poles():

@@ -23,6 +23,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 SEEDS = range(101, 111)
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -31,8 +32,10 @@ SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_T
 def edge_runs(work_dir: str) -> list[list[str]]:
     """Runs near the special cases of the program: sweeps through t1 = 0 and
     across the band edges, zero and huge couplings under every method and
-    format, every wavefunction index, weakly bound oracle runs, and config
-    files that are not valid UTF-8."""
+    format, every wavefunction index, weakly bound oracle runs, config files
+    that are not valid UTF-8, transmission CSV whose fields leave the array
+    formatter's fast range or straddle its row chunks, and a lead hopping so
+    small that the companion matrix overflows."""
     runs = []
     for start, stop, steps, eps_d in (("-1", "1", "21", "0.3"), ("-0.0", "-1", "11", "0.5"),
                                       ("0", "1", "11", "-2"), ("-0.5", "0.5", "2", "3"),
@@ -65,6 +68,18 @@ def edge_runs(work_dir: str) -> list[list[str]]:
         runs.append(["poles", "--config", path])
         runs.append(["sweep", "--param", "t1", "--from", "0", "--to", "1", "--steps", "3",
                      "--config", path])
+    grid = ["--kmin", "0.05", "--kmax", "3.09"]
+    for t in ("1e17", "1e-6"):
+        runs.append(["transmission", *grid, "--steps", "301", "--t", t, "--t1", "0.5",
+                     "--eps-d", "0.3"])
+    for steps in ("511", "512", "513"):
+        runs.append(["transmission", *grid, "--steps", steps, "--t1", "0.7", "--eps-d", "-1.1"])
+    # through the antiresonance at E = eps_d, where T falls below 1e-4
+    runs.append(["transmission", "--kmin", "1.70", "--kmax", "1.74", "--steps", "401",
+                 "--t1", "1", "--eps-d", "0.3"])
+    runs.append(["poles", "--t", "1e-300", "--t1", "1e10"])
+    runs.append(["sweep", "--param", "t1", "--t", "1e-300", "--from", "1e9", "--to", "1e10",
+                 "--steps", "2"])
     return runs
 
 
@@ -93,7 +108,11 @@ def child(tree: str, runs_path: str, out_path: str) -> None:
     hashes = []
     for _, argv in runs:
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # a fresh warnings state per run, as in a new process: otherwise a
+        # warning shows only in the first run that raises it
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("default")
             try:
                 code = repr(main(argv))
             except Exception as exc:  # noqa: BLE001 - an escape is an outcome too
