@@ -2,7 +2,12 @@
 
 Every float is written with 17 significant digits, ``'%.17g' % x``, which
 round-trips any double.  ``format_float`` formats one value; ``csv_rows``
-formats an (m, c) array in numpy and writes the same bytes.
+formats an (m, c) array in numpy and writes the same bytes.  The two array
+writers use ``csv_rows``: ``scattering.sweep_rows_csv`` (``transmission``)
+and ``cli.cmd_sweep`` (``sweep``, which joins each line to its class
+label).  ``dumps`` and ``wavefunction_csv`` format value by value.
+``csv_rows`` builds its tables on its first call, so the other commands
+never pay for them.
 
 Why ``csv_rows`` is exact.  Take 1e-4 <= |x| < 1e16 and d = floor(log10|x|)
 in [-4, 15].  Then q = 16 - d lies in [1, 20], so 10**q is an exact double,
@@ -33,6 +38,9 @@ exponent, |x| >= 1e16, inf, nan and the rejected ones) goes through
 
 from __future__ import annotations
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
 
 # rows per pass of csv_rows: at 8 columns no temporary is above 48 kB, so
@@ -42,12 +50,22 @@ CSV_CHUNK = 256
 
 _U64 = np.uint64
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's split of a double
-# q = 16 - d in [0, 21], for a log10 one off at either end of the range
-_POW10 = 10.0 ** np.arange(22)  # exact up to 10**22
-_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
 # a record that ``'%.17g' % x`` fills in after the NULs are gone
 _FALLBACK = np.frombuffer(b"%.17g\0\0\0", "<u8")[0]
+
+
+class _Tables(NamedTuple):
+    """The lookup tables of ``csv_rows``, from :func:`_tables`."""
+
+    pow10: np.ndarray  # 10**q for q = 16 - d in [0, 21], a log10 one off included
+    pow10_hi: np.ndarray  # Veltkamp's split: pow10 = pow10_hi + pow10_lo
+    pow10_lo: np.ndarray
+    digits: np.ndarray  # ASCII of the 4 digits of g < 10**4, a byte each
+    last: np.ndarray  # (4, 10**4) significant digits through group j
+    place: np.ndarray  # (9, 20) integer mask, fraction mask, constant bytes
+    shift: np.ndarray  # (20,) bits the fraction digits move, per exponent
+    length: np.ndarray  # (20 * 18,) record length per exponent and digits kept
+    length_mask: np.ndarray  # (3, 24) mask of the first n bytes of a record
 
 
 def _words(record: bytes) -> list[int]:
@@ -55,11 +73,16 @@ def _words(record: bytes) -> list[int]:
     return [int.from_bytes(record[i:i + 8], "little") for i in (0, 8, 16)]
 
 
-def _tables():
-    """Digit, length and placement tables, built once at import.  The digit
-    tables use the integer operations of ``_digits``: numpy maps the code of
-    each kind of loop on first use, so new kinds would cost resident memory.
-    The small tables are plain Python."""
+@functools.cache
+def _tables() -> _Tables:
+    """Digit, length and placement tables, built on the first call of
+    ``csv_rows`` (about 1 ms and 0.8 MB of resident memory), so commands
+    that never write through it do not pay for them.  The digit tables use
+    the integer operations of ``_digits``: numpy maps the code of each kind
+    of loop on first use, so new kinds would cost resident memory.  The
+    small tables are plain Python."""
+    pow10 = 10.0 ** np.arange(22)  # exact up to 10**22
+    pow10_hi = pow10 * _SPLIT - (pow10 * _SPLIT - pow10)
     g = np.arange(10000)
     digits = np.zeros(10000, _U64)
     sig = (g != 0).astype(np.uint8)
@@ -90,14 +113,12 @@ def _tables():
         # digits: the point goes with the last fraction digit
         length += [start + keep - first if keep > first else start - 1 for keep in range(18)]
     length_mask = [_words(b"\xff" * n + b"\0" * (24 - n)) for n in range(24)]
-    return (digits, last, np.array(place, _U64).T.copy(), np.array(shift, _U64),
-            np.array(length), np.array(length_mask, _U64).T.copy())
+    return _Tables(pow10, pow10_hi, pow10 - pow10_hi, digits, last,
+                   np.array(place, _U64).T.copy(), np.array(shift, _U64),
+                   np.array(length), np.array(length_mask, _U64).T.copy())
 
 
-_DIGITS, _LAST, _PLACE, _SHIFT, _LENGTH, _LENGTH_MASK = _tables()
-
-
-def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _decimal(x: np.ndarray, tab: _Tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The correctly rounded 17-digit integer n and the decimal exponent d of
     each value, and the mask of the values that these are exact for; n = d = 0
     elsewhere."""
@@ -107,11 +128,11 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d = np.floor(np.log10(a)).astype(np.int64)
     q = 16 - d
     # x * 10**q = ph + pl exactly
-    b_hi, b_lo = _POW10_HI.take(q), _POW10_LO.take(q)
+    b_hi, b_lo = tab.pow10_hi.take(q), tab.pow10_lo.take(q)
     c = a * _SPLIT
     a_hi = c - (c - a)
     a_lo = a - a_hi
-    ph = a * _POW10.take(q)
+    ph = a * tab.pow10.take(q)
     pl = ((a_hi * b_hi - ph) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
     floor_pl = np.floor(pl)
     n = ph.astype(np.int64) + floor_pl.astype(np.int64)
@@ -126,7 +147,7 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return n, d, fast
 
 
-def _digits(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _digits(n: np.ndarray, tab: _Tables) -> tuple[np.ndarray, np.ndarray]:
     """The 17 ASCII digits of each n, digit j in byte j of the three words of
     a (3, len(n)) array, and how many of them are significant (0 for n = 0)."""
     # groups of 4, 4, 4, 4 and 1 digits from the left
@@ -139,37 +160,39 @@ def _digits(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     g2 = lo8 // 10**4
     g3 = lo8 - g2 * 10**4
     words = np.empty((3, n.size), _U64)
-    np.bitwise_or(_DIGITS.take(g0), _DIGITS.take(g1) << _U64(32), out=words[0])
-    np.bitwise_or(_DIGITS.take(g2), _DIGITS.take(g3) << _U64(32), out=words[1])
+    table = tab.digits
+    np.bitwise_or(table.take(g0), table.take(g1) << _U64(32), out=words[0])
+    np.bitwise_or(table.take(g2), table.take(g3) << _U64(32), out=words[1])
     np.add(g4, ord("0"), out=words[2], casting="unsafe")
-    keep = np.maximum(_LAST[0].take(g0), _LAST[1].take(g1))
-    np.maximum(keep, _LAST[2].take(g2), out=keep)
-    np.maximum(keep, _LAST[3].take(g3), out=keep)
+    last = tab.last
+    keep = np.maximum(last[0].take(g0), last[1].take(g1))
+    np.maximum(keep, last[2].take(g2), out=keep)
+    np.maximum(keep, last[3].take(g3), out=keep)
     keep[g4 != 0] = 17
     return words, keep
 
 
-def _records(x: np.ndarray, sep: np.ndarray) -> str:
+def _records(x: np.ndarray, sep: np.ndarray, tab: _Tables) -> str:
     """CSV text of the flat values ``x`` of whole rows; ``sep`` holds the
     separator word of each value, row after row."""
-    n, d, fast = _decimal(x)
+    n, d, fast = _decimal(x, tab)
     # zeros print from n = 0; the other values not kept go to '%.17g' below
     slow = np.flatnonzero(~fast & (x != 0))
-    digits, keep = _digits(n)
+    digits, keep = _digits(n, tab)
     row = d + 4
-    k = _SHIFT.take(row)
-    length = _LENGTH.take(row * 18 + keep)  # keep in [0, 17]
+    k = tab.shift.take(row)
+    length = tab.length.take(row * 18 + keep)  # keep in [0, 17]
     # the digits moved right by one byte (integer part) and by k bytes
     # (fraction), 8 bits per byte, carrying across the words
     out = digits << _U64(8)
     out[1:] |= digits[:2] >> _U64(56)
-    out &= _PLACE[0:3].take(row, axis=1)
+    out &= tab.place[0:3].take(row, axis=1)
     frac = digits << k
     frac[1:] |= digits[:2] >> (_U64(64) - k)
-    frac &= _PLACE[3:6].take(row, axis=1)
+    frac &= tab.place[3:6].take(row, axis=1)
     out |= frac
-    out |= _PLACE[6:9].take(row, axis=1)
-    out &= _LENGTH_MASK.take(length, axis=1)
+    out |= tab.place[6:9].take(row, axis=1)
+    out &= tab.length_mask.take(length, axis=1)
     out[0] |= np.signbit(x) * _U64(ord("-"))
     out[:, slow] = 0
     out[0, slow] = _FALLBACK
@@ -187,8 +210,9 @@ def csv_rows(values: np.ndarray) -> str:
     sep = np.full((CSV_CHUNK, c), ord(","), _U64)
     sep[:, -1] = ord("\n")
     sep = sep.ravel() << _U64(56)
+    tab = _tables()
     with np.errstate(all="ignore"):
-        return "".join(_records(values[lo:lo + CSV_CHUNK].ravel(), sep)
+        return "".join(_records(values[lo:lo + CSV_CHUNK].ravel(), sep, tab)
                        for lo in range(0, m, CSV_CHUNK))
 
 

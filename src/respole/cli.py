@@ -9,6 +9,10 @@ allocate, 3 numerical failure.
 ``main(argv)`` may be called any number of times in one process. The parser
 is built once, at import, and each call finds its command function in this
 module by name, so a ``cmd_*`` rebound after import is the one that runs.
+
+Floats print as ``'%.17g'`` does: ``poles`` fills row templates, ``oracle``
+and ``wavefunction`` format value by value, and the rows of ``sweep`` and
+``transmission`` go through the array formatter ``_format.csv_rows``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._format import dumps, format_float
+from ._format import csv_rows, dumps, format_float
 from .errors import NumericalError, ParameterError
 from .feshbach import feshbach_pole_search
 from .model import DeviceSpec, device_from_json, json_number, make_tdot, tdot_params
@@ -64,8 +68,9 @@ def _json_record(pad: str) -> str:
 # enum values with no quote, backslash or newline, so "%s" needs no escaping.
 POLE_JSON_RECORD = {indent: _json_record(" " * indent) for indent in (0, 2)}
 POLE_JSON_BOTH = '{\n  "siegert": %s,\n  "feshbach": %s,\n  "max_dz": %s\n}\n'
+# the sweep's columns: the seven float fields of a poles._pole_rows row, which
+# cmd_sweep formats with csv_rows, and the class label it joins to each line
 POLE_SWEEP_HEADER = "param,z_re,z_im,k_re,k_im,E_re,E_im,class"
-POLE_SWEEP_ROW = ",".join(["%.17g"] * (_ROW_WIDTH - 1) + ["%s"])
 # numpy refuses, with a ValueError, an array whose size in bytes overflows its
 # index type; the grids hold at most complex values, so a longer grid is an
 # input too large to allocate
@@ -219,8 +224,11 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
         fields += point
         # the label is the last field of each row
         multisets.append(tuple(sorted(point[_ROW_WIDTH - 1::_ROW_WIDTH])))
-    body = (POLE_SWEEP_HEADER + ("\n" + POLE_SWEEP_ROW) * (len(fields) // _ROW_WIDTH)
-            ) % tuple(fields)
+    labels = fields[_ROW_WIDTH - 1::_ROW_WIDTH]
+    del fields[_ROW_WIDTH - 1::_ROW_WIDTH]
+    # zip stops at the last label, before the empty string after the final "\n"
+    numbers = csv_rows(np.array(fields, float).reshape(-1, _ROW_WIDTH - 1)).split("\n")
+    body = "\n".join([POLE_SWEEP_HEADER, *map(",".join, zip(numbers, labels))])
     changes = [
         f"# classification change at {args.param}={format_float(v)}: "
         f"{'+'.join(before)} -> {'+'.join(after)}"

@@ -1,5 +1,9 @@
 """The array formatter ``_format.csv_rows`` against ``'%.17g'``, value by value."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import respole
 from respole._format import CSV_CHUNK, csv_rows, format_float
 
 
@@ -89,3 +94,28 @@ def test_log_ten_off_by_one_ulp_still_prints_exactly(monkeypatch):
     for toward in (-np.inf, np.inf):
         monkeypatch.setattr(np, "log10", lambda a, t=toward: np.nextafter(exact(a), t))
         assert csv_rows(values) == printf_rows(values)
+
+
+def test_tables_are_built_on_the_first_call_only():
+    # commands that write no array CSV never build the tables; the first
+    # csv_rows call builds them and every later call reuses them
+    script = textwrap.dedent("""
+        import contextlib, io
+        import numpy as np
+        from respole import _format
+        from respole.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["poles", "--t1", "0.5", "--method", "both", "--format", "csv"],
+                         ["oracle", "--t1", "0.5", "--sites", "20"],
+                         ["wavefunction", "--pole-index", "0"]):
+                assert main(argv) == 0, argv
+        assert _format._tables.cache_info().currsize == 0
+        assert _format.csv_rows(np.full((1, 2), 0.5)) == "0.5,0.5\\n"
+        _format.csv_rows(np.ones((_format.CSV_CHUNK + 1, 3)))
+        info = _format._tables.cache_info()
+        assert (info.misses, info.hits) == (1, 1), info
+    """)
+    src = os.path.dirname(os.path.dirname(respole.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

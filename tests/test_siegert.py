@@ -24,7 +24,7 @@ from respole import (
     secular_residual,
     solve_poles,
 )
-from respole._format import format_float
+from respole._format import CSV_CHUNK, format_float
 from respole.cli import main
 from respole.dispersion import energy_from_z, k_from_z
 from respole.poles import (
@@ -605,6 +605,16 @@ def reference_sweep_csv(param, start, stop, steps, **model):
     return "\n".join(lines + (changes or ["# no classification changes"])) + "\n"
 
 
+# a coupled point gives 4 rows and a t1 = 0 point 1, so these land the row
+# count on either side of the formatter's chunk: all points decoupled,
+# all coupled, and a t1 grid whose middle point is exactly 0
+CHUNK_EDGE_SWEEPS = {
+    CSV_CHUNK - 1: ("eps-d", -3.0, 3.0, CSV_CHUNK - 1, {"t1": 0.0}),
+    CSV_CHUNK: ("eps-d", -3.0, 3.0, CSV_CHUNK // 4, {"t1": 0.4}),
+    CSV_CHUNK + 1: ("t1", -1.0, 1.0, CSV_CHUNK // 4 + 1, {"eps_d": 0.3}),
+}
+
+
 @pytest.mark.parametrize("param, start, stop, steps, model", [
     ("t1", -1.0, 1.0, 21, {"eps_d": 0.3}),
     ("t1", -0.5, 2.5, 31, {"eps_d": -3.0, "t": 1.3}),
@@ -613,14 +623,28 @@ def reference_sweep_csv(param, start, stop, steps, **model):
     ("eps-d", -2.5, 2.5, 41, {"t1": 1e-7}),
     ("eps-d", -4.0, 4.0, 301, {"t1": 0.1}),
     ("t1", 0.0, 3.0, 301, {"eps_d": 2.0}),
+    *CHUNK_EDGE_SWEEPS.values(),
+    # z, k and E spread from 1e-25 to 1e10: fields on both sides of 1e-4
+    ("eps-d", -3.0, 3.0, 41, {"t": 1e-9, "t1": 0.5}),
+    # the whole model scaled by 1e-9: every parameter and energy below 1e-4
+    ("eps-d", -3e-9, 3e-9, 61, {"t": 1e-9, "t1": 3e-10}),
+    ("t1", -0.0, -1.0, 11, {"eps_d": 0.5}),
 ], ids=["t1_through_0", "t1_outside_band", "eps_d_decoupled", "eps_d_edges", "eps_d_weak",
-        "eps_d_workload", "t1_workload_band_edge"])
+        "eps_d_workload", "t1_workload_band_edge", "rows_chunk_minus_1", "rows_chunk",
+        "rows_chunk_plus_1", "tiny_lead_hopping", "tiny_model", "t1_from_minus_zero"])
 def test_sweep_csv_matches_per_point_solves(param, start, stop, steps, model, capsys):
     flags = [f"--{k.replace('_', '-')}={v!r}" for k, v in model.items()]
     code = main(["sweep", "--param", param, f"--from={start!r}", f"--to={stop!r}",
                  "--steps", str(steps), *flags])
     assert code == 0
     assert capsys.readouterr().out == reference_sweep_csv(param, start, stop, steps, **model)
+
+
+@pytest.mark.parametrize("rows", CHUNK_EDGE_SWEEPS)
+def test_chunk_edge_sweeps_have_their_row_counts(rows):
+    param, start, stop, steps, model = CHUNK_EDGE_SWEEPS[rows]
+    lines = reference_sweep_csv(param, start, stop, steps, **model).splitlines()
+    assert sum(not line.startswith("#") for line in lines[1:]) == rows
 
 
 @pytest.mark.parametrize("spec", [

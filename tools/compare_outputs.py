@@ -33,9 +33,9 @@ def edge_runs(work_dir: str) -> list[list[str]]:
     """Runs near the special cases of the program: sweeps through t1 = 0 and
     across the band edges, zero and huge couplings under every method and
     format, every wavefunction index, weakly bound oracle runs, config files
-    that are not valid UTF-8, transmission CSV whose fields leave the array
-    formatter's fast range or straddle its row chunks, and a lead hopping so
-    small that the companion matrix overflows."""
+    that are not valid UTF-8, sweep and transmission CSV whose fields leave
+    the array formatter's fast range or straddle its row chunks, and a lead
+    hopping so small that the companion matrix overflows."""
     runs = []
     for start, stop, steps, eps_d in (("-1", "1", "21", "0.3"), ("-0.0", "-1", "11", "0.5"),
                                       ("0", "1", "11", "-2"), ("-0.5", "0.5", "2", "3"),
@@ -48,6 +48,16 @@ def edge_runs(work_dir: str) -> list[list[str]]:
                          "--steps", "41", "--t1", t1])
     runs.append(["sweep", "--param", "eps-d", "--from", "-2", "--to", "2", "--steps", "3",
                  "--t1", "1e-7", "--t", "1.0"])
+    # 255, 256 and 257 rows, around the array formatter's 256-row chunk: a
+    # t1 = 0 point gives 1 row and a coupled point 4
+    for param, start, stop, steps, model in (("eps-d", "-3", "3", "255", ("--t1", "0")),
+                                             ("eps-d", "-3", "3", "64", ("--t1", "0.4")),
+                                             ("t1", "-1", "1", "65", ("--eps-d", "0.3"))):
+        runs.append(["sweep", "--param", param, "--from", start, "--to", stop, "--steps", steps,
+                     *model])
+    # fields from 1e-25 to 1e10, on both sides of the formatter's fast range
+    runs.append(["sweep", "--param", "eps-d", "--from", "-3", "--to", "3", "--steps", "41",
+                 "--t", "1e-9", "--t1", "0.5"])
     for t1 in ("0", "-0.0", "1e16", "1e-7", "0.5"):
         for fmt in ("table", "csv", "json"):
             for method in ("siegert", "feshbach", "both"):
