@@ -31,7 +31,7 @@ from .errors import NumericalError, ParameterError
 from .feshbach import feshbach_pole_search
 from .model import DeviceSpec, device_from_json, json_number, make_tdot, tdot_params
 from .oracle import build_report, pole_set_distance
-from .poles import _ROW_WIDTH
+from .poles import _CODE_LABELS
 from .scattering import sweep_rows_csv, transmission_sweep
 from .siegert import solve_poles, solve_tdot_sweep
 from .wavefunction import evaluate, wavefunction_csv
@@ -68,7 +68,7 @@ def _json_record(pad: str) -> str:
 # enum values with no quote, backslash or newline, so "%s" needs no escaping.
 POLE_JSON_RECORD = {indent: _json_record(" " * indent) for indent in (0, 2)}
 POLE_JSON_BOTH = '{\n  "siegert": %s,\n  "feshbach": %s,\n  "max_dz": %s\n}\n'
-# the sweep's columns: the seven float fields of a poles._pole_rows row, which
+# the sweep's columns: the (rows, 7) float table of solve_tdot_sweep, which
 # cmd_sweep formats with csv_rows, and the class label it joins to each line
 POLE_SWEEP_HEADER = "param,z_re,z_im,k_re,k_im,E_re,E_im,class"
 # numpy refuses, with a ValueError, an array whose size in bytes overflows its
@@ -205,6 +205,13 @@ def cmd_transmission(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> N
     _emit(sweep_rows_csv(transmission_sweep(spec, k_min, k_max, steps)), args.out)
 
 
+def _multiset(counts) -> str:
+    """A sweep point's classes, sorted by name and joined by "+", from its
+    row count per class of ``_CODE_LABELS``."""
+    return "+".join(sorted(name for name, n in zip(_CODE_LABELS, counts.tolist())
+                           for _ in range(n)))
+
+
 def cmd_sweep(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
     if args.steps < 2:
         raise ParameterError(f"sweep needs at least 2 steps, got {args.steps}")
@@ -217,23 +224,15 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
     # an overflow gives inf, which the solver rejects
     with np.errstate(over="ignore"):
         values = (args.start + (args.stop - args.start) * np.arange(args.steps)
-                  / (args.steps - 1)).tolist()
-    fields = []
-    multisets = []
-    for point in solve_tdot_sweep(spec, args.param.replace("-", "_"), values):
-        fields += point
-        # the label is the last field of each row
-        multisets.append(tuple(sorted(point[_ROW_WIDTH - 1::_ROW_WIDTH])))
-    labels = fields[_ROW_WIDTH - 1::_ROW_WIDTH]
-    del fields[_ROW_WIDTH - 1::_ROW_WIDTH]
+                  / (args.steps - 1))
+    table, labels, counts = solve_tdot_sweep(spec, args.param.replace("-", "_"), values)
     # zip stops at the last label, before the empty string after the final "\n"
-    numbers = csv_rows(np.array(fields, float).reshape(-1, _ROW_WIDTH - 1)).split("\n")
+    numbers = csv_rows(table).split("\n")
     body = "\n".join([POLE_SWEEP_HEADER, *map(",".join, zip(numbers, labels))])
     changes = [
-        f"# classification change at {args.param}={format_float(v)}: "
-        f"{'+'.join(before)} -> {'+'.join(after)}"
-        for v, before, after in zip(values[1:], multisets, multisets[1:])
-        if after != before
+        f"# classification change at {args.param}={format_float(values[i + 1])}: "
+        f"{_multiset(counts[i])} -> {_multiset(counts[i + 1])}"
+        for i in np.flatnonzero((counts[1:] != counts[:-1]).any(axis=1)).tolist()
     ]
     _emit("\n".join([body, *(changes or ["# no classification changes"])]) + "\n", args.out)
 

@@ -1,10 +1,18 @@
 """Discrete-state records, their classification in the complex k plane, and
 the sorted pole list both routes build from their roots.
 
-One scalar pass, ``_pole_rows``, turns secular roots into their k, E and
-class, for both routes' pole lists and for the T-dot sweep's CSV rows;
-``classify`` applies its class rule to one z.  This module owns the layout of
-those rows: ``_ROW_WIDTH`` fields per pole, the label last.
+Two passes turn secular roots into their k, E and class.  The scalar
+``_pole_rows`` serves one device's few roots: both routes' pole lists and
+``classify``, which applies its class rule to one z.  The array pass
+``_pole_table`` serves a stack of many devices' roots, the T-dot sweep's.
+It repeats the scalar pass's float operations in numpy, in the same order,
+so every field and class is the same to the last bit (its docstring gives
+the argument per operation); below about 80 roots numpy's per-call cost
+makes it the slower one.  This module owns the layout of the rows:
+``_ROW_WIDTH`` fields per pole, the class last, and the class codes of the
+array pass, whose CSV names are ``_CODE_LABELS``.  Both routes' pole lists
+read a root near z = +-1 whose state misses the contact as the exact
+band-edge double root (``_band_edge_roots``).
 
 Pole taxonomy for a single-band lead: bound states sit on the lines
 Re k = 0 or Re k = pi with Im k > 0; anti-bound states sit on the same lines
@@ -30,6 +38,10 @@ CLASSIFY_TOL = 1e-9
 # a contact amplitude below this fraction of the largest one means the state
 # misses the contact, and dividing by it would only scale up rounding noise
 CONTACT_PIN_TOL = 1e-12
+# a root of a state that misses the contact this close to z = +-1 is the
+# band-edge double root of its level, which an eigensolve splits by about
+# sqrt(eps) = 1.5e-8 (see _band_edge_roots)
+_EDGE_ROOT_TOL = 1e-7
 
 
 class PoleClass(str, Enum):
@@ -79,24 +91,47 @@ def poles_from_roots(roots, null_vectors, t: float, contact: int) -> list[Spectr
 
     Amplitudes are scaled so the contact reads exactly 1; a state that misses
     the contact (|v_c| <= CONTACT_PIN_TOL * max|v|) has its largest entry
-    pinned to 1 instead.  k, E and the class come from :func:`_pole_rows`.  A
-    root that is zero or not finite raises NumericalError.
+    pinned to 1 instead, and its root, if within ``_EDGE_ROOT_TOL`` of
+    z = +-1, is the band-edge double root +-1 (:func:`_band_edge_roots`).
+    k, E and the class come from :func:`_pole_rows`.  A root that is zero or
+    not finite raises NumericalError.
     """
-    roots, order = sorted_roots(roots)
     # complex before dividing: numpy divides complex numbers by multiplying
     # with a reciprocal, which can differ from real division in the last bit
-    v = np.asarray(null_vectors, dtype=complex)[order]
-    rows = np.arange(roots.size)
+    v = np.asarray(null_vectors, dtype=complex)
     mag = np.abs(v)
-    pin = np.where(mag[:, contact] > CONTACT_PIN_TOL * mag.max(axis=-1),
-                   contact, mag.argmax(axis=-1))
+    seen = mag[:, contact] > CONTACT_PIN_TOL * mag.max(axis=-1)
+    if not seen.all():
+        roots = _band_edge_roots(np.asarray(roots, dtype=complex), ~seen)
+    roots, order = sorted_roots(roots)
+    v, mag, seen = v[order], mag[order], seen[order]
+    rows = np.arange(roots.size)
+    pin = np.where(seen, contact, mag.argmax(axis=-1))
     amps = v / v[rows, pin][:, None]
     amps[rows, pin] = 1.0
     zs = roots.tolist()
-    f = _pole_rows(None, zs, t)
+    f = _pole_rows(zs, t)
     return [SpectralPole(z, complex(kr, ki), complex(er, ei), c, amps=tuple(a), contact=contact)
-            for z, (_, _, _, kr, ki, er, ei, c), a in zip(zs, zip(*[iter(f)] * _ROW_WIDTH),
-                                                           amps.tolist())]
+            for z, (_, _, kr, ki, er, ei, c), a in zip(zs, zip(*[iter(f)] * _ROW_WIDTH),
+                                                        amps.tolist())]
+
+
+def _band_edge_roots(roots: np.ndarray, misses_contact: np.ndarray) -> np.ndarray:
+    """The roots, with each one whose state misses the contact and that lies
+    within ``_EDGE_ROOT_TOL`` of z = +-1 set to +-1 exactly.
+
+    A level lam of the device block whose eigenvector misses the contact
+    gives the two roots of its own factor -t z**2 - lam z - t.  At the band
+    edge, lam = -+2t, they meet in the double root z = +-1 with a single
+    state.  There a root moves by the square root of a perturbation: the
+    outgoing-wave route's eigensolve, backward stable, returns the pair
+    split by about sqrt(eps), and a level one double off the edge, which
+    the Feshbach route solves in closed form, splits it by as much.  Read
+    through this rule, a root within the tolerance (a level within about
+    1e-14 t of the edge) is the exact double root in both routes.
+    """
+    edge = np.where(roots.real < 0, -1.0, 1.0)
+    return np.where(misses_contact & (np.abs(roots - edge) <= _EDGE_ROOT_TOL), edge, roots)
 
 
 def sorted_roots(roots) -> tuple[np.ndarray, np.ndarray]:
@@ -110,32 +145,34 @@ def sorted_roots(roots) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(roots, order, axis=-1), order
 
 
-# the classes a root can take, in the order of the labels of _pole_rows
+# the classes a root can take, in the order of _pole_table's class codes
 _ROOT_CLASSES = (PoleClass.BOUND_LOWER, PoleClass.BOUND_UPPER, PoleClass.ANTI_BOUND,
                  PoleClass.RESONANT, PoleClass.ANTI_RESONANT, PoleClass.THRESHOLD)
-# the same classes by their CSV names
-_ROOT_LABELS = tuple(c.value for c in _ROOT_CLASSES)
-# the fields of one pole row: head, Re z, Im z, Re k, Im k, Re E, Im E, label
-_ROW_WIDTH = 8
+# the CSV names of those codes, then of code 6, the Decoupled level of a
+# T-dot with t1 = 0, which no secular root takes
+_CODE_LABELS = tuple(c.value for c in (*_ROOT_CLASSES, PoleClass.DECOUPLED))
+# the fields of one pole row: Re z, Im z, Re k, Im k, Re E, Im E, class
+_ROW_WIDTH = 7
 _TWO_PI = 2.0 * math.pi
 
 
-def _pole_rows(head, zs, t: float, labels=_ROOT_CLASSES) -> list:
-    """The flat list of the ``_ROW_WIDTH`` values ``head, Re z, Im z, Re k,
-    Im k, Re E, Im E, label`` of each finite nonzero root z of ``zs``, in
-    order.  ``labels`` names the classes of ``_ROOT_CLASSES`` in order.
+def _pole_rows(zs, t: float) -> list:
+    """The flat list of the ``_ROW_WIDTH`` values ``Re z, Im z, Re k, Im k,
+    Re E, Im E, class`` of each finite nonzero root z of ``zs``, in order;
+    the class is a member of ``_ROOT_CLASSES``.
 
-    This is the one scalar pass from roots to pole fields.  k = -i Log z with
-    Re k folded into (-pi, pi] and E = -t(z + 1/z) take the very operations
-    of ``k_from_z`` and ``energy_from_z``, so each value equals theirs to the
-    last bit (numpy's complex log and abs differ in the last bit).  The class
-    rule is :func:`classify`'s: CLASSIFY_TOL bounds the unit-circle
-    (threshold) test and the distance of Re k from the lines {0, pi},
-    measured on the zone circle so values just below -pi count as near +pi.
-    A root in the upper half plane off those lines raises
-    ClassificationError.
+    This is the scalar pass from roots to pole fields, for the few roots of
+    one device.  k = -i Log z with Re k folded into (-pi, pi] and
+    E = -t(z + 1/z) take the very operations of ``k_from_z`` and
+    ``energy_from_z``, so each value equals theirs to the last bit (numpy's
+    complex log and abs differ in the last bit).  The class rule is
+    :func:`classify`'s: CLASSIFY_TOL bounds the unit-circle (threshold) test
+    and the distance of Re k from the lines {0, pi}, measured on the zone
+    circle so values just below -pi count as near +pi.  A root in the upper
+    half plane off those lines raises ClassificationError.
+    :func:`_pole_table` is the same pass over a stack of roots.
     """
-    bound_lower, bound_upper, anti_bound, resonant, anti_resonant, threshold = labels
+    bound_lower, bound_upper, anti_bound, resonant, anti_resonant, threshold = _ROOT_CLASSES
     rows = []
     for z in zs:
         k = -1j * cmath.log(z)
@@ -151,16 +188,92 @@ def _pole_rows(head, zs, t: float, labels=_ROOT_CLASSES) -> list:
             elif abs(math.remainder(kr - math.pi, _TWO_PI)) <= CLASSIFY_TOL:
                 label = bound_upper
             else:
-                raise ClassificationError(
-                    f"pole at k = {complex(kr, ki)} lies in the upper half plane off the "
-                    "bound-state lines; no state of this model can sit there"
-                )
+                raise ClassificationError(_off_the_lines(kr, ki))
         elif abs(kr) <= CLASSIFY_TOL or abs(math.remainder(kr - math.pi, _TWO_PI)) <= CLASSIFY_TOL:
             label = anti_bound
         else:
             label = resonant if kr > 0 else anti_resonant
-        rows += (head, z.real, z.imag, kr, ki, E.real, E.imag, label)
+        rows += (z.real, z.imag, kr, ki, E.real, E.imag, label)
     return rows
+
+
+def _off_the_lines(kr: float, ki: float) -> str:
+    """The message of the ClassificationError for a root at k = kr + i ki in
+    the upper half plane off the bound-state lines."""
+    return (f"pole at k = {complex(kr, ki)} lies in the upper half plane off the "
+            "bound-state lines; no state of this model can sit there")
+
+
+def _pole_table(roots: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_pole_rows` over a stack: for an (..., r) array of finite
+    nonzero roots, the (..., r, 6) fields Re z, Im z, Re k, Im k, Re E, Im E
+    and the (..., r) class codes, indices into ``_ROOT_CLASSES``.  The values
+    equal those of ``_pole_rows`` on each root to the last bit, and the first
+    root (in C order) that ``_pole_rows`` would raise on raises the same
+    error.
+
+    Only ``cmath.log`` stays scalar, mapped over the roots with no Python
+    code per root.  Every other step repeats CPython's own float64
+    operations in the same order, so the bits are the same:
+
+    - k = -1j * L is CPython's complex product with (-0.0, -1.0), and the
+      fold adds 2 pi where Re k <= -pi;
+    - 1.0 / z is CPython's complex quotient of (1.0, 0.0) by z, which
+      divides through by the part of z larger in magnitude (the real part
+      on a tie), z + 1/z its sum and -t * (z + 1/z) its product with
+      (-t, 0.0);
+    - |z| is ``np.hypot``, which has no SIMD loop and runs the C library's
+      ``hypot``, as Python's complex ``abs`` does; a modulus beyond the
+      float range raises Python's OverflowError;
+    - ``abs(math.remainder(x, 2 pi))`` for x = Re k - pi is
+      min(|x|, |x + 2 pi|).  After the fold x lies in [-2 pi, 0], where the
+      exact remainder is x or x + 2 pi, whichever is smaller in magnitude.
+      When that is x + 2 pi, -x lies in [pi, 2 pi], so the sum is exact
+      (Sterbenz's lemma); when it is x, the rounded sum cannot fall below
+      |x|.
+
+    numpy's complex ``log`` and ``abs`` round differently in the last bit,
+    so they are not used.  The fixed cost of a few dozen numpy calls (about
+    60 us) makes this pass slower than ``_pole_rows`` below about 80 roots,
+    so a single device's pole list keeps the scalar pass.
+    """
+    z = np.ravel(roots)
+    zr, zi = z.real, z.imag
+    log = np.fromiter(map(cmath.log, z.tolist()), complex, z.size)
+    lr, li = log.real, log.imag
+    # Python's float arithmetic gives inf and nan without a warning
+    with np.errstate(all="ignore"):
+        kr = -0.0 * lr - -1.0 * li
+        ki = -0.0 * li + -1.0 * lr
+        kr = np.where(kr <= -math.pi, kr + _TWO_PI, kr)
+        wide = abs(zr) >= abs(zi)
+        big, small = np.where(wide, zr, zi), np.where(wide, zi, zr)
+        ratio = small / big
+        denom = big + small * ratio
+        inv_r = np.where(wide, 1.0 + 0.0 * ratio, 1.0 * ratio + 0.0) / denom
+        inv_i = np.where(wide, 0.0 - 1.0 * ratio, 0.0 * ratio - 1.0) / denom
+        wr, wi = zr + inv_r, zi + inv_i
+        er = -t * wr - 0.0 * wi
+        ei = -t * wi + 0.0 * wr
+        modulus = np.hypot(zr, zi)
+    x = kr - math.pi
+    on_zero = abs(kr) <= CLASSIFY_TOL
+    on_pi = np.minimum(abs(x), abs(x + _TWO_PI)) <= CLASSIFY_TOL
+    threshold = abs(modulus - 1.0) <= CLASSIFY_TOL
+    upper = ki > 0
+    codes = np.where(kr > 0, 3, 4)
+    codes[on_zero | on_pi] = 2
+    codes[upper & on_pi] = 1
+    codes[upper & on_zero] = 0
+    codes[threshold] = 5
+    bad = np.isinf(modulus) | (upper & ~on_zero & ~on_pi & ~threshold)
+    if bad.any():
+        i = int(bad.argmax())
+        if np.isinf(modulus[i]):
+            raise OverflowError("absolute value too large")
+        raise ClassificationError(_off_the_lines(kr[i], ki[i]))
+    fields = np.stack((zr, zi, kr, ki, er, ei), axis=-1)
+    return fields.reshape(*np.shape(roots), 6), codes.reshape(np.shape(roots))
 
 
 def decoupled_poles(spec: DeviceSpec) -> list[SpectralPole] | None:
@@ -187,13 +300,13 @@ def decoupled_poles(spec: DeviceSpec) -> list[SpectralPole] | None:
     ]
 
 
-def _decoupled_rows(head, spec: DeviceSpec) -> list:
+def _decoupled_rows(spec: DeviceSpec) -> list:
     """The records of ``decoupled_poles(spec)`` as a flat list of rows in the
-    layout of :func:`_pole_rows`, labelled by their CSV name."""
+    layout of :func:`_pole_rows`."""
     rows = []
     for p in decoupled_poles(spec):
         z, k, E = p.z, p.k, p.E
-        rows += (head, z.real, z.imag, k.real, k.imag, E.real, E.imag, p.pole_class.value)
+        rows += (z.real, z.imag, k.real, k.imag, E.real, E.imag, p.pole_class)
     return rows
 
 
@@ -204,4 +317,4 @@ def classify(z: complex) -> PoleClass:
         raise ParameterError("Bloch factor z must be nonzero")
     if not cmath.isfinite(z):
         raise ClassificationError(f"Bloch factor z = {z} is not finite")
-    return _pole_rows(None, (z,), 1.0)[-1]
+    return _pole_rows((z,), 1.0)[-1]

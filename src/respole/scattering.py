@@ -10,9 +10,13 @@ system with right-hand side (1, 0, ...), so the two are proportional
 through i v_g.
 
 A sweep over k comes back as one ``ScatteringSweep`` of column arrays, one
-row per k; ``scattering_solve`` is the batch of one and reads row 0.
-``sweep_rows_csv`` writes a sweep through the array formatter
-``_format.csv_rows``, whose fields are byte for byte those of ``%.17g``.
+row per k; ``scattering_solve`` is the batch of one and reads row 0.  T and
+R are Python's ``abs(c) ** 2`` of each amplitude to the last bit, computed
+over the column (``_abs_squared``): the C library's ``hypot`` through
+``np.hypot``, the square as h * h, and Python's own ``pow`` for the few
+squares that lie near a rounding midpoint.  ``sweep_rows_csv`` writes a
+sweep through the array formatter ``_format.csv_rows``, whose fields are
+byte for byte those of ``%.17g``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._format import csv_rows
+from ._format import _SPLIT, csv_rows
 from .dispersion import group_velocity
 from .errors import NumericalError, ParameterError
 from .feshbach import self_energy
@@ -129,15 +133,49 @@ def _solve_inner(
     return energies, amps
 
 
+def _abs_squared(c: np.ndarray) -> np.ndarray:
+    """Python's ``abs(c) ** 2`` of each complex value, to the last bit.
+
+    Python's complex ``abs`` is the C library's ``hypot``, and so is
+    ``np.hypot``, which has no SIMD loop (numpy's complex ``abs`` has one and
+    rounds differently).  Python's ``h ** 2`` is the C library's ``pow``,
+    which is not correctly rounded: glibc states a worst case a little above
+    0.5 ulp, taken here as below 0.55 ulp.  It can then differ from the
+    correctly rounded h * h only if the exact square lies within 0.05 ulp of
+    a midpoint between two doubles, where the residual r = h**2 - h * h is
+    at least 0.45 ulp.  Dekker's product gives r exactly, and a value keeps
+    h * h where |r| is below 0.45 of the gap from h * h down to the next
+    double (at a power of two, the narrower of its two gaps).  Every other
+    finite value goes through Python itself: the residuals at or above that,
+    and the squares outside [1e-290, 1e300], zero included, where the split
+    could overflow or the residual's parts underflow.
+    """
+    with np.errstate(all="ignore"):
+        h = np.hypot(c.real, c.imag)
+        sq = h * h
+        big = h * _SPLIT
+        hi = big - (big - h)
+        lo = h - hi
+        residual = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
+        gap = sq - np.nextafter(sq, 0.0)
+    fast = (sq >= 1e-290) & (sq <= 1e300) & (abs(residual) < 0.45 * gap)
+    # Python's abs is inf if a part is infinite, else a nan of its own,
+    # whatever the payload of the nan part; either squares to itself
+    other = ~np.isfinite(c)
+    sq[other] = np.where(np.isnan(h[other]), math.nan, math.inf)
+    slow = np.flatnonzero(~fast & ~other)
+    if slow.size:
+        sq[slow] = [abs(v) ** 2 for v in c[slow].tolist()]
+    return sq
+
+
 def _sweep(spec: DeviceSpec, ks: list[float]) -> ScatteringSweep:
     energies, amps = _solve_inner(spec, ks, incident=True)
     c_amp = amps[:, spec.contact].copy()
     b_amp = c_amp - 1.0
-    # Python abs on complex scalars: np.abs rounds the last bit differently
     return ScatteringSweep(
         k=np.array(ks), E=energies, B=b_amp, C=c_amp, amps=amps,
-        T=np.array([abs(c) ** 2 for c in c_amp.tolist()]),
-        R=np.array([abs(b) ** 2 for b in b_amp.tolist()]),
+        T=_abs_squared(c_amp), R=_abs_squared(b_amp),
     )
 
 

@@ -13,8 +13,11 @@ so one eigensolve of its block companion matrix gives both at once.  Devices
 that share the lead and the contact site, such as the points of a parameter
 sweep, stack into one eigensolve.  A T-dot sweep (``solve_tdot_sweep``) needs
 only the roots: it takes them from an eigenvalue-only solve of the stack,
-computes no amplitudes, and hands each point's sorted roots to the scalar
-pass ``poles._pole_rows``, which turns them into rows of k, E and class.
+computes no amplitudes, and hands the whole stack of sorted roots to the
+array pass ``poles._pole_table``, which gives k, E and a class code per
+root, bit for bit those of the scalar pass ``poles._pole_rows`` that the
+pole list of one device uses.  The sweep's table, labels and class counts
+are built from those arrays, with no Python bytecode run per root.
 For the T-type dot the determinant is the quartic
 
     t^2 z^4 + t eps_d z^3 + t1^2 z^2 - t eps_d z - t^2 = 0,
@@ -32,11 +35,11 @@ import numpy as np
 from .errors import NumericalError, ParameterError
 from .model import DeviceSpec, make_tdot, p_space_hamiltonian, tdot_params
 from .poles import (
-    _ROOT_LABELS,
+    _CODE_LABELS,
     PoleClass,
     SpectralPole,
     _decoupled_rows,
-    _pole_rows,
+    _pole_table,
     decoupled_poles,
     poles_from_roots,
     sorted_roots,
@@ -178,19 +181,24 @@ def solve_poles(spec: DeviceSpec) -> list[SpectralPole]:
     return poles_from_roots(*poly_roots(secular_polynomial(h, t, c)), t, c)
 
 
-def solve_tdot_sweep(spec: DeviceSpec, name: str, values) -> list[list]:
+def solve_tdot_sweep(spec: DeviceSpec, name: str, values) -> tuple[np.ndarray, list, np.ndarray]:
     """The poles of the T-dot ``spec`` with its parameter ``name`` ("t1" or
-    "eps_d") set to each of ``values`` in turn, one flat list of rows per
-    value in the layout of ``poles._pole_rows``, headed by the value and
-    labelled by the class's CSV name: the rows of a coupled point's secular
-    roots, sorted by (Re z, Im z), or of the ``decoupled_poles`` of a point
-    with t1 = 0.  No amplitudes are computed.
+    "eps_d") set to each of ``values`` in turn, as three arrays of rows:
 
-    ``spec`` must have the T-dot shape of ``make_tdot``; any other device
-    raises ParameterError.  The device blocks of all coupled points are built
-    from the grid at once and their roots found by one stacked, eigenvalue-
-    only eigensolve.  Each point's roots, and so its z, k, E and class, equal
-    those of ``solve_poles`` on its own T-dot to the last bit.
+    - the (rows, 7) float table of value, Re z, Im z, Re k, Im k, Re E and
+      Im E, point after point: a coupled point's secular roots sorted by
+      (Re z, Im z), or the ``decoupled_poles`` of a point with t1 = 0;
+    - the class of each row by its CSV name;
+    - the (points, 7) count of each point's rows per class, in the order of
+      ``poles._CODE_LABELS``: the point's classes as a multiset.
+
+    No amplitudes are computed.  ``spec`` must have the T-dot shape of
+    ``make_tdot``; any other device raises ParameterError.  The device blocks
+    of all coupled points are built from the grid at once, their roots found
+    by one stacked, eigenvalue-only eigensolve, and k, E and class by one
+    array pass, ``poles._pole_table``, over the whole stack.  Each point's
+    roots, and so its z, k, E and class, equal those of ``solve_poles`` on
+    its own T-dot to the last bit.
     """
     params = tdot_params(spec)
     if params is None:
@@ -208,9 +216,21 @@ def solve_tdot_sweep(spec: DeviceSpec, name: str, values) -> list[list]:
     h = np.zeros((int(coupled.sum()), 2, 2))
     h[:, 0, 1] = h[:, 1, 0] = -t1[coupled]
     h[:, 1, 1] = eps_d[coupled]
-    solved = iter(sorted_roots(_eigenvalues_only(secular_polynomial(h, t, 0)))[0].tolist())
-    return [
-        _pole_rows(v, next(solved), t, _ROOT_LABELS) if c
-        else _decoupled_rows(v, make_tdot(t, a, e))
-        for v, c, a, e in zip(values.tolist(), coupled.tolist(), t1.tolist(), eps_d.tolist())
-    ]
+    roots = sorted_roots(_eigenvalues_only(secular_polynomial(h, t, 0)))[0]
+    fields, codes = _pole_table(roots, t)
+    # a row per root of a coupled point, one for the level of a point with t1 = 0
+    per_point = np.where(coupled, roots.shape[-1], 1)
+    point = np.repeat(np.arange(values.size), per_point)
+    on_root = coupled[point]
+    table = np.empty((point.size, 7))
+    table[:, 0] = values[point]
+    table[on_root, 1:] = fields.reshape(-1, 6)
+    row_codes = np.full(point.size, _CODE_LABELS.index(PoleClass.DECOUPLED.value))
+    row_codes[on_root] = codes.ravel()
+    first = np.cumsum(per_point) - per_point
+    for i in np.flatnonzero(~coupled).tolist():
+        table[first[i], 1:] = _decoupled_rows(make_tdot(t, t1[i].item(), eps_d[i].item()))[:-1]
+    labels = list(map(_CODE_LABELS.__getitem__, row_codes.tolist()))
+    width = len(_CODE_LABELS)
+    counts = np.bincount(point * width + row_codes, minlength=values.size * width)
+    return table, labels, counts.reshape(values.size, width)

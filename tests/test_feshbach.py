@@ -410,14 +410,17 @@ def stacked_poles_from_roots(roots, null_vectors, t, contact):
     """The poles of an (m, 2n) stack of devices from their roots and (m, 2n,
     n) null vectors, assembled over the stack axis with index grids and the
     public scalar functions: the reference that ``poles_from_roots`` on one
-    device must match bit for bit."""
-    roots, order = sorted_roots(roots)
+    device must match bit for bit.  A root whose state misses the contact
+    within 1e-7 of z = +-1 is the band-edge double root +-1."""
     v = np.asarray(null_vectors, dtype=complex)
-    rows, cols = np.arange(roots.shape[0])[:, None], np.arange(roots.shape[1])
-    v = v[rows, order]
     mag = np.abs(v)
-    pin = np.where(mag[..., contact] > CONTACT_PIN_TOL * mag.max(axis=-1),
-                   contact, mag.argmax(axis=-1))
+    seen = mag[..., contact] > CONTACT_PIN_TOL * mag.max(axis=-1)
+    roots = np.asarray(roots, dtype=complex)
+    edge = np.where(roots.real < 0, -1.0, 1.0)
+    roots, order = sorted_roots(np.where(~seen & (np.abs(roots - edge) <= 1e-7), edge, roots))
+    rows, cols = np.arange(roots.shape[0])[:, None], np.arange(roots.shape[1])
+    v, mag, seen = v[rows, order], mag[rows, order], seen[rows, order]
+    pin = np.where(seen, contact, mag.argmax(axis=-1))
     amps = v / v[rows, cols, pin][..., None]
     amps[rows, cols, pin] = 1.0
     return [

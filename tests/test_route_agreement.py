@@ -8,7 +8,8 @@ hold, at an exceptional point: a pole set with two poles within
 1e-6 * max(1, |z|) of each other.  A ClassificationError is never
 acceptable: it means a root landed where no pole of the model can sit.
 Devices drawn the way the benchmark draws them must be solved by both
-routes, with the same classes.
+routes, with the same classes.  A level the contact does not see at (or
+within a few doubles of) the band edge is a double root z = +-1 in both.
 """
 
 import math
@@ -192,3 +193,41 @@ def test_workload_devices_agree_with_the_same_classes(spec):
             assert dz <= ROUTE_TOL * abs(p.z), (spec, p.z, dz)
     assert (sorted(p.pole_class.value for p in siegert)
             == sorted(p.pole_class.value for p in feshbach)), spec
+
+
+def band_edge_star(t, leaves, edge, ulps, hopping, contact_level):
+    """A contact site with ``leaves`` identical side sites at a level
+    ``ulps`` doubles away from the band edge -2t * edge: the contact does
+    not see leaves - 1 of the levels, each a double root at z = edge (or a
+    pair about sqrt(eps) apart)."""
+    level = -2.0 * t * edge
+    for _ in range(abs(ulps)):
+        level = math.nextafter(level, math.copysign(math.inf, ulps))
+    return DeviceSpec(
+        n_sites=1 + leaves,
+        onsite=(contact_level,) + (level,) * leaves,
+        hoppings=tuple((0, j, hopping) for j in range(1, leaves + 1)),
+        contact=0,
+        lead_t=t,
+    )
+
+
+@pytest.mark.parametrize("leaves", [2, 3, 4])
+@pytest.mark.parametrize("edge", [-1.0, 1.0])
+@pytest.mark.parametrize("t", [0.5, 1.0, 1.3])
+def test_levels_hidden_at_the_band_edge(t, edge, leaves):
+    # both routes give every hidden level's pair as the exact double root
+    # z = edge, with the same classes, and agree on the other poles
+    for ulps in range(-6, 7):
+        for hopping in (-1.0, 0.7):
+            for contact_level in (0.0, 0.3):
+                spec = band_edge_star(t, leaves, edge, ulps, hopping, contact_level)
+                siegert, feshbach = solve_poles(spec), feshbach_pole_search(spec)
+                for poles in (siegert, feshbach):
+                    assert sum(p.z == edge for p in poles) == 2 * (leaves - 1), spec
+                for a, b in ((siegert, feshbach), (feshbach, siegert)):
+                    for p in a:
+                        dz = min(abs(p.z - q.z) for q in b)
+                        assert dz <= ROUTE_TOL * abs(p.z), (spec, p.z, dz)
+                assert (sorted(p.pole_class.value for p in siegert)
+                        == sorted(p.pole_class.value for p in feshbach)), spec

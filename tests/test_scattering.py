@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import re
@@ -6,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from respole import (
@@ -26,7 +29,7 @@ from respole import (
 )
 from respole._format import CSV_CHUNK, format_float
 from respole.cli import main
-from respole.scattering import SOLVE_CHUNK, SWEEP_HEADER, sweep_rows_csv
+from respole.scattering import SOLVE_CHUNK, SWEEP_HEADER, _abs_squared, sweep_rows_csv
 
 
 def independent_2x2_solve(t, t1, ed, k, rhs0):
@@ -392,3 +395,93 @@ def test_singular_point_past_first_chunk_is_named():
     spec = make_tdot(1.0, 0.0, -2.0 * math.cos(k_bad))
     with pytest.raises(NumericalError, match=re.escape(f"singular at k = {k_bad}") + "$"):
         transmission_sweep(spec, 0.2, 2.9, len(ks))
+
+
+def python_abs_squared(v: complex) -> float:
+    """``abs(v) ** 2``.  For a v with a part that is not finite, CPython's
+    complex abs returns inf if a part is infinite and else a nan of its own,
+    but on the nan path it leaves errno as it was, so a stale ERANGE from an
+    earlier libm call makes it raise OverflowError; the value is written
+    out here."""
+    if cmath.isfinite(v):
+        return abs(v) ** 2
+    return math.inf if cmath.isinf(v) else math.nan
+
+
+def assert_abs_squared_is_python(values):
+    """The T/R column of ``values`` is Python's ``abs(c) ** 2`` of each, bit
+    for bit; or both raise the same error, that of the first value that
+    Python's square overflows."""
+    c = np.array(values, dtype=complex)
+    try:
+        ref = np.array([python_abs_squared(v) for v in c.tolist()])
+    except OverflowError as exc:
+        with pytest.raises(OverflowError) as got:
+            _abs_squared(c)
+        assert str(got.value) == str(exc)
+        return
+    got = _abs_squared(c)
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+                min_size=1, max_size=8))
+def test_abs_squared_on_any_bit_pattern(bits):
+    # nan payloads, +-inf, +-0, subnormals and every exponent
+    parts = np.array(bits, dtype=np.uint64).view(float)
+    values = np.empty(len(parts), complex)
+    values.real, values.imag = parts[:, 0], parts[:, 1]
+    assert_abs_squared_is_python(values)
+
+
+# moduli whose square lies near a midpoint between two doubles: the C
+# library's pow(x, 2) may round them the other way than x * x, and on
+# glibc 2.36 it does for each of these
+POW_MIDPOINTS = [0.11204792820010268, 0.08947526957284335, 0.4266997193518904,
+                 0.48459686213666525, 0.052159749329441174, 0.2766063813683321,
+                 0.3082865005087723, 1.3964943176580127, 0.938684407053467,
+                 1.110364335394407, 0.977434230222296, 1.4018738756025906]
+
+
+def test_abs_squared_near_rounding_midpoints():
+    for x in POW_MIDPOINTS:
+        # the exact residual of x * x is at least 0.45 of the gap below it,
+        # so the value goes through Python's pow
+        sq = x * x
+        residual = Fraction(x) ** 2 - Fraction(sq)
+        assert abs(residual) >= 0.45 * Fraction(sq - math.nextafter(sq, 0.0))
+    values = [complex(s * x, 0.0) for x in POW_MIDPOINTS for s in (1.0, -1.0)]
+    values += [complex(0.0, x) for x in POW_MIDPOINTS]
+    assert_abs_squared_is_python(values)
+
+
+def test_abs_squared_on_special_values():
+    tiny = 5e-324
+    values = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+              complex(tiny, 0.0), complex(-tiny, tiny), complex(1e-310, -2.5e-309),
+              complex(2.2250738585072014e-308, 0.0), complex(1e-160, 1e-160),
+              complex(math.inf, 0.0), complex(-math.inf, math.nan), complex(math.nan, 1.0),
+              complex(0.0, math.nan), complex(math.nan, math.inf), complex(1.0, -math.inf)]
+    assert_abs_squared_is_python(values)
+    # a square beyond the float range raises Python's OverflowError
+    assert_abs_squared_is_python([0.5, complex(1e200, 0.0), complex(1e300, 1e300)])
+    with pytest.raises(OverflowError):
+        _abs_squared(np.array([0.5, 1e200], dtype=complex))
+
+
+def test_abs_squared_at_the_edges_of_the_fast_range():
+    # squares just inside and outside [1e-290, 1e300], on the real and
+    # imaginary axis and at an angle
+    values = []
+    for edge in (1e-290, 1e300):
+        h = math.sqrt(edge)
+        for _ in range(4):
+            h = math.nextafter(h, 0.0)
+        for _ in range(9):
+            values += [complex(h, 0.0), complex(0.0, -h), complex(0.6 * h, 0.8 * h)]
+            h = math.nextafter(h, math.inf)
+    sq = [abs(v) ** 2 for v in values]
+    assert min(sq) < 1e-290 < max(x for x in sq if x < 1.0)
+    assert min(x for x in sq if x > 1.0) < 1e300 < max(sq)
+    assert_abs_squared_is_python(values)

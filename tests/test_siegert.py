@@ -34,7 +34,11 @@ from respole.poles import (
     decoupled_poles,
     poles_from_roots,
     sorted_roots,
+    _CODE_LABELS,
+    _ROOT_CLASSES,
+    _band_edge_roots,
     _pole_rows,
+    _pole_table,
 )
 from respole.siegert import _eigenvalues_only, poly_roots, secular_polynomial, solve_tdot_sweep
 
@@ -341,7 +345,7 @@ def reference_class(z):
 def pass_fields(z, t):
     """(k, E, class) of one root from the scalar pass, as complex numbers and
     a PoleClass."""
-    _, zr, zi, kr, ki, er, ei, cls = _pole_rows(None, [z], t)
+    zr, zi, kr, ki, er, ei, cls = _pole_rows([z], t)
     assert repr(complex(zr, zi)) == repr(complex(z))
     return complex(kr, ki), complex(er, ei), cls
 
@@ -384,7 +388,40 @@ def awkward_roots():
     for m in (0.5, 2.0):
         for d in (0.5 * CLASSIFY_TOL, 1.5 * CLASSIFY_TOL):
             zs += [cmath.rect(m, a) for a in (d, -d, math.pi - d, d - math.pi)]
+    # off the axes with |z| within an ulp of 1 +- CLASSIFY_TOL, where numpy's
+    # complex abs and the C library's hypot round to opposite sides of the
+    # threshold band
+    zs += [complex(-0.8982057522372497, -0.4395752775667852),
+           complex(0.527836423879105, -0.8493460470423806),
+           complex(0.9429834513022862, -0.3328396138833669),
+           complex(-0.720500965697066, -0.693453932449442),
+           complex(-0.6124072361179518, -0.7905424562604915),
+           complex(0.7415801703126871, -0.6708642552700256),
+           complex(-0.9905284332642779, -0.13730777434295224)]
+    # |Re z| = |Im z| exactly, where the complex quotient 1/z changes from
+    # dividing through by Re z to dividing through by Im z
+    for m in mags[:6] + [0.7071067811865476, 0.7071067811865475, 3.0]:
+        zs += [complex(sr * m, si * m) for sr in (1.0, -1.0) for si in (1.0, -1.0)]
     return zs
+
+
+def table_equals_pole_rows(roots, t):
+    """The array pass on a stack of roots equals the scalar pass on each of
+    its rows, value for value by repr; or both raise the same error, that of
+    the first root (in C order) the scalar pass rejects."""
+    roots = np.asarray(roots, dtype=complex)
+    try:
+        ref = [_pole_rows(row, t) for row in roots.tolist()]
+    except (ClassificationError, OverflowError) as exc:
+        with pytest.raises(type(exc)) as got:
+            _pole_table(roots, t)
+        assert str(got.value) == str(exc)
+        return
+    fields, codes = _pole_table(roots, t)
+    assert fields.shape == (*roots.shape, 6) and codes.shape == roots.shape
+    got = [[v for f, c in zip(frow, crow) for v in (*f, _ROOT_CLASSES[c])]
+           for frow, crow in zip(fields.tolist(), codes.tolist())]
+    assert repr(got) == repr(ref)
 
 
 def rows_equal_scalar_functions(z, t):
@@ -403,22 +440,49 @@ def rows_equal_scalar_functions(z, t):
     assert repr(pass_fields(z, t)) == repr(ref)
 
 
-@settings(max_examples=400, deadline=None)
-@given(z=st.one_of(
+ROOTS = st.one_of(
     st.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300, allow_nan=False,
                        allow_infinity=False),
     st.sampled_from(awkward_roots()),
     st.builds(lambda m, s: s * m, st.floats(1e-150, 1e150), st.sampled_from((-1.0, 1.0)))
     .map(complex),
-), t=st.floats(1e-3, 1e3))
-def test_pole_rows_property(z, t):
+    # the lower half plane, where every root is a state
+    st.builds(complex, st.floats(-1e150, 1e150), st.floats(-1e150, -1e-150)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(zs=st.lists(ROOTS, min_size=1, max_size=12), t=st.floats(1e-3, 1e3))
+def test_pole_rows_property(zs, t):
     # repr tells -0.0 from 0.0 and every last bit
-    rows_equal_scalar_functions(z, t)
+    for z in zs:
+        rows_equal_scalar_functions(z, t)
+    # the array pass on the roots as one row and, if they split evenly, as two
+    table_equals_pole_rows([zs], t)
+    if len(zs) % 2 == 0:
+        table_equals_pole_rows(np.reshape(zs, (2, -1)), t)
 
 
 def test_pole_rows_on_awkward_roots():
-    for z in awkward_roots():
+    zs = awkward_roots()
+    for z in zs:
         rows_equal_scalar_functions(z, 0.7)
+    # the array pass on every root that is a state, as one stack, and on
+    # each root that raises, after two that do not
+    states, errors = [], []
+    for z in zs:
+        try:
+            _pole_rows([z], 0.7)
+        except ClassificationError:
+            errors.append(z)
+        else:
+            states.append(z)
+    assert len(states) > 150 and len(errors) > 20
+    for t in (0.7, 1.0, 1e-3, 1e3):
+        table_equals_pole_rows(np.reshape(states, (1, -1)), t)
+        table_equals_pole_rows(np.reshape(states[:len(states) // 2 * 2], (-1, 2)), t)
+        for z in errors:
+            table_equals_pole_rows([[Q, -Q], [z, states[-1]]], t)
     # the fold: Log of the negative real axis with -0.0 imaginary part is -pi i,
     # which the pass moves to +pi
     (k, _, cls) = pass_fields(complex(-0.5, -0.0), 1.0)
@@ -431,12 +495,25 @@ def test_upper_half_plane_root_raises_through_the_pass():
     z = 0.5 + 0.5j
     with pytest.raises(ClassificationError) as ref:
         classify(z)
-    for call in (lambda: _pole_rows(0.0, [Q, z], 1.0),
+    for call in (lambda: _pole_rows([Q, z], 1.0),
+                 lambda: _pole_table(np.array([[Q, 1.2], [z, 0.5 + 0.6j]]), 1.0),
                  lambda: poles_from_roots(np.array([Q, z, -Q, 2.0]), np.ones((4, 2)), 1.0, 0)):
         with pytest.raises(ClassificationError) as got:
             call()
         assert str(got.value) == str(ref.value)
         assert "upper half plane" in str(got.value)
+
+
+def test_band_edge_roots_snap_only_states_that_miss_the_contact():
+    near = [complex(-1.0, 3e-8), complex(-1.0 + 9e-8, 0.0), complex(1.0, -5e-8),
+            complex(1.0 - 1e-8, 0.0)]
+    far = [complex(-1.0, 2e-7), complex(1.0 + 1.5e-7, 0.0), 1j, -0.5 + 0j]
+    roots = np.array(near + far)
+    got = _band_edge_roots(roots, np.ones(roots.size, dtype=bool))
+    assert repr(got.tolist()) == repr([-1 + 0j, -1 + 0j, 1 + 0j, 1 + 0j] + far)
+    # a root whose state the contact sees keeps its value
+    got = _band_edge_roots(roots, np.zeros(roots.size, dtype=bool))
+    assert got.tobytes() == roots.tobytes()
 
 
 @pytest.mark.parametrize("bad", [0.0, math.nan, complex(math.inf, 1.0)])
@@ -691,25 +768,42 @@ def test_eigenvalue_only_roots_equal_poly_roots_bit_for_bit():
 
 
 def test_tdot_sweep_points_equal_solve_poles():
-    # every point's rows (value, z, k, E, class name), to the last bit,
-    # against the solve of the point's own T-dot; the values include t1 = 0
-    # and -0.0, whose points are decoupled
+    # every point's rows (value, z, k, E), class names and class counts, to
+    # the last bit, against the solve of the point's own T-dot; the values
+    # include t1 = 0 and -0.0, whose points are decoupled
     cases = [
         ("t1", 1.3, 0.4, [-1.0, -0.0, 0.0, 1e-7, 0.5, 2.0]),
         ("eps_d", 0.8, 0.6, [-2.5, -1.6, -1.6000000001, 0.0, 1.6, 3.0]),
         ("eps_d", 1.0, -0.0, [-3.0, 0.0, 2.0]),
+        ("t1", 1.0, 0.3, [0.0, 0.0, 0.0]),
+        ("t1", 1.0, 0.3, [0.5, 0.5]),
     ]
     for name, t, other, values in cases:
         spec = make_tdot(t, other, 0.1) if name == "eps_d" else make_tdot(t, 1.0, other)
-        got = solve_tdot_sweep(spec, name, values)
-        assert len(got) == len(values)
-        for v, point in zip(values, got):
+        table, labels, counts = solve_tdot_sweep(spec, name, values)
+        assert counts.shape == (len(values), len(_CODE_LABELS))
+        assert table.shape == (len(labels), 7) and counts.sum() == len(labels)
+        ends = np.cumsum(counts.sum(axis=1)).tolist()
+        for v, lo, hi, count in zip(values, [0, *ends], ends, counts.tolist()):
             point_spec = make_tdot(t, v, other) if name == "t1" else make_tdot(t, other, v)
-            ref = []
-            for p in solve_poles(point_spec):
-                ref += (v, p.z.real, p.z.imag, p.k.real, p.k.imag, p.E.real, p.E.imag,
-                        p.pole_class.value)
-            assert repr(point) == repr(ref)
+            ref = solve_poles(point_spec)
+            rows = [[v, p.z.real, p.z.imag, p.k.real, p.k.imag, p.E.real, p.E.imag] for p in ref]
+            assert repr(table[lo:hi].tolist()) == repr(rows)
+            assert labels[lo:hi] == [p.pole_class.value for p in ref]
+            assert count == [sum(p.pole_class.value == c for p in ref) for c in _CODE_LABELS]
+
+
+def test_pole_table_raises_the_first_error_of_the_scalar_pass():
+    # a root off the bound-state lines in the upper half plane, and a root
+    # whose modulus is beyond the float range (Python's abs raises)
+    huge = complex(1.5e308, -1.5e308)
+    off = 0.5 + 0.5j
+    for stack, error in (([[Q, off], [huge, -Q]], ClassificationError),
+                         ([[Q, huge], [off, -Q]], OverflowError),
+                         ([[huge]], OverflowError)):
+        with pytest.raises(error):
+            _pole_rows(np.ravel(stack).tolist(), 1.0)
+        table_equals_pole_rows(stack, 1.0)
 
 
 def _grid(h, m, steps, sign):

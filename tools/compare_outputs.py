@@ -30,12 +30,13 @@ SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_T
 
 
 def edge_runs(work_dir: str) -> list[list[str]]:
-    """Runs near the special cases of the program: sweeps through t1 = 0 and
-    across the band edges, zero and huge couplings under every method and
-    format, every wavefunction index, weakly bound oracle runs, config files
-    that are not valid UTF-8, sweep and transmission CSV whose fields leave
-    the array formatter's fast range or straddle its row chunks, and a lead
-    hopping so small that the companion matrix overflows."""
+    """Runs near the special cases of the program: sweeps through t1 = 0, at
+    t1 = 0 only and across the band edges, zero and huge couplings under
+    every method and format, every wavefunction index, weakly bound oracle
+    runs, config files that are not valid UTF-8, sweep and transmission CSV
+    whose fields leave the array formatter's fast range or straddle its row
+    chunks, transmission through two antiresonances, where T falls below
+    1e-4, and a lead hopping so small that the companion matrix overflows."""
     runs = []
     for start, stop, steps, eps_d in (("-1", "1", "21", "0.3"), ("-0.0", "-1", "11", "0.5"),
                                       ("0", "1", "11", "-2"), ("-0.5", "0.5", "2", "3"),
@@ -55,6 +56,14 @@ def edge_runs(work_dir: str) -> list[list[str]]:
                                              ("t1", "-1", "1", "65", ("--eps-d", "0.3"))):
         runs.append(["sweep", "--param", param, "--from", start, "--to", stop, "--steps", steps,
                      *model])
+    # every point decoupled: a t1 range of one value, and t1 = 0 over eps-d;
+    # then t1 over [-1, 1] with an even and an odd number of points
+    runs.append(["sweep", "--param", "t1", "--from", "0", "--to", "0", "--steps", "3"])
+    runs.append(["sweep", "--param", "eps-d", "--t1", "0", "--from", "-2", "--to", "2",
+                 "--steps", "3"])
+    for steps in ("40", "41"):
+        runs.append(["sweep", "--param", "t1", "--from", "-1", "--to", "1", "--steps", steps,
+                     "--eps-d", "-2.5"])
     # fields from 1e-25 to 1e10, on both sides of the formatter's fast range
     runs.append(["sweep", "--param", "eps-d", "--from", "-3", "--to", "3", "--steps", "41",
                  "--t", "1e-9", "--t1", "0.5"])
@@ -87,6 +96,8 @@ def edge_runs(work_dir: str) -> list[list[str]]:
     # through the antiresonance at E = eps_d, where T falls below 1e-4
     runs.append(["transmission", "--kmin", "1.70", "--kmax", "1.74", "--steps", "401",
                  "--t1", "1", "--eps-d", "0.3"])
+    runs.append(["transmission", "--kmin", "0.90", "--kmax", "0.95", "--steps", "257",
+                 "--t1", "0.4", "--eps-d", "-1.2"])
     runs.append(["poles", "--t", "1e-300", "--t1", "1e10"])
     runs.append(["sweep", "--param", "t1", "--t", "1e-300", "--from", "1e9", "--to", "1e10",
                  "--steps", "2"])
