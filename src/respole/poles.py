@@ -1,18 +1,17 @@
 """Discrete-state records, their classification in the complex k plane, and
 the sorted pole list both routes build from their roots.
 
-Two passes turn secular roots into their k, E and class.  The scalar
-``_pole_rows`` serves one device's few roots: both routes' pole lists and
-``classify``, which applies its class rule to one z.  The array pass
-``_pole_table`` serves a stack of many devices' roots, the T-dot sweep's.
-It repeats the scalar pass's float operations in numpy, in the same order,
-so every field and class is the same to the last bit (its docstring gives
-the argument per operation); below about 80 roots numpy's per-call cost
-makes it the slower one.  This module owns the layout of the rows:
-``_ROW_WIDTH`` fields per pole, the class last, and the class codes of the
-array pass, whose CSV names are ``_CODE_LABELS``.  Both routes' pole lists
-read a root near z = +-1 whose state misses the contact as the exact
-band-edge double root (``_band_edge_roots``).
+One scalar definition turns a secular root into its k, E and class:
+``k_from_z`` and ``energy_from_z`` of ``dispersion`` and :func:`classify`
+here.  Both routes' pole lists are built from them, root by root.  The array
+form ``_pole_table`` serves a stack of many devices' roots, the T-dot
+sweep's.  It repeats the scalar functions' float operations in numpy, in the
+same order, so every field and class is the same to the last bit (its
+docstring gives the argument per operation); below about 80 roots numpy's
+per-call cost makes it the slower one.  Its class codes index ``PoleClass``
+in declaration order, and their CSV names are ``_CODE_LABELS``.  Both
+routes' pole lists read a root near z = +-1 whose state misses the contact
+as the exact band-edge double root (``_band_edge_roots``).
 
 Pole taxonomy for a single-band lead: bound states sit on the lines
 Re k = 0 or Re k = pi with Im k > 0; anti-bound states sit on the same lines
@@ -30,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dispersion import k_from_z, z_pair_from_energy
+from .dispersion import energy_from_z, k_from_z, z_pair_from_energy
 from .errors import BandEdgeError, ClassificationError, NumericalError, ParameterError
 from .model import DeviceSpec, tdot_params
 
@@ -44,6 +43,7 @@ CONTACT_PIN_TOL = 1e-12
 _EDGE_ROOT_TOL = 1e-7
 
 
+# declared in the order of _pole_table's class codes
 class PoleClass(str, Enum):
     BOUND_LOWER = "BoundLower"
     BOUND_UPPER = "BoundUpper"
@@ -93,8 +93,9 @@ def poles_from_roots(roots, null_vectors, t: float, contact: int) -> list[Spectr
     the contact (|v_c| <= CONTACT_PIN_TOL * max|v|) has its largest entry
     pinned to 1 instead, and its root, if within ``_EDGE_ROOT_TOL`` of
     z = +-1, is the band-edge double root +-1 (:func:`_band_edge_roots`).
-    k, E and the class come from :func:`_pole_rows`.  A root that is zero or
-    not finite raises NumericalError.
+    k, E and the class come from :func:`k_from_z`, :func:`energy_from_z` and
+    :func:`classify`.  A root that is zero or not finite raises
+    NumericalError.
     """
     # complex before dividing: numpy divides complex numbers by multiplying
     # with a reciprocal, which can differ from real division in the last bit
@@ -109,11 +110,9 @@ def poles_from_roots(roots, null_vectors, t: float, contact: int) -> list[Spectr
     pin = np.where(seen, contact, mag.argmax(axis=-1))
     amps = v / v[rows, pin][:, None]
     amps[rows, pin] = 1.0
-    zs = roots.tolist()
-    f = _pole_rows(zs, t)
-    return [SpectralPole(z, complex(kr, ki), complex(er, ei), c, amps=tuple(a), contact=contact)
-            for z, (_, _, kr, ki, er, ei, c), a in zip(zs, zip(*[iter(f)] * _ROW_WIDTH),
-                                                        amps.tolist())]
+    return [SpectralPole(z, k_from_z(z), energy_from_z(z, t), classify(z), amps=tuple(a),
+                         contact=contact)
+            for z, a in zip(roots.tolist(), amps.tolist())]
 
 
 def _band_edge_roots(roots: np.ndarray, misses_contact: np.ndarray) -> np.ndarray:
@@ -145,56 +144,11 @@ def sorted_roots(roots) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(roots, order, axis=-1), order
 
 
-# the classes a root can take, in the order of _pole_table's class codes
-_ROOT_CLASSES = (PoleClass.BOUND_LOWER, PoleClass.BOUND_UPPER, PoleClass.ANTI_BOUND,
-                 PoleClass.RESONANT, PoleClass.ANTI_RESONANT, PoleClass.THRESHOLD)
-# the CSV names of those codes, then of code 6, the Decoupled level of a
-# T-dot with t1 = 0, which no secular root takes
-_CODE_LABELS = tuple(c.value for c in (*_ROOT_CLASSES, PoleClass.DECOUPLED))
-# the fields of one pole row: Re z, Im z, Re k, Im k, Re E, Im E, class
-_ROW_WIDTH = 7
+# the CSV names of the class codes: PoleClass is declared in code order.  A
+# secular root takes codes 0-5; code 6 is the Decoupled level of a T-dot
+# with t1 = 0
+_CODE_LABELS = tuple(c.value for c in PoleClass)
 _TWO_PI = 2.0 * math.pi
-
-
-def _pole_rows(zs, t: float) -> list:
-    """The flat list of the ``_ROW_WIDTH`` values ``Re z, Im z, Re k, Im k,
-    Re E, Im E, class`` of each finite nonzero root z of ``zs``, in order;
-    the class is a member of ``_ROOT_CLASSES``.
-
-    This is the scalar pass from roots to pole fields, for the few roots of
-    one device.  k = -i Log z with Re k folded into (-pi, pi] and
-    E = -t(z + 1/z) take the very operations of ``k_from_z`` and
-    ``energy_from_z``, so each value equals theirs to the last bit (numpy's
-    complex log and abs differ in the last bit).  The class rule is
-    :func:`classify`'s: CLASSIFY_TOL bounds the unit-circle (threshold) test
-    and the distance of Re k from the lines {0, pi}, measured on the zone
-    circle so values just below -pi count as near +pi.  A root in the upper
-    half plane off those lines raises ClassificationError.
-    :func:`_pole_table` is the same pass over a stack of roots.
-    """
-    bound_lower, bound_upper, anti_bound, resonant, anti_resonant, threshold = _ROOT_CLASSES
-    rows = []
-    for z in zs:
-        k = -1j * cmath.log(z)
-        kr, ki = k.real, k.imag
-        if kr <= -math.pi:
-            kr += _TWO_PI
-        E = -t * (z + 1.0 / z)
-        if abs(abs(z) - 1.0) <= CLASSIFY_TOL:
-            label = threshold
-        elif ki > 0:
-            if abs(kr) <= CLASSIFY_TOL:
-                label = bound_lower
-            elif abs(math.remainder(kr - math.pi, _TWO_PI)) <= CLASSIFY_TOL:
-                label = bound_upper
-            else:
-                raise ClassificationError(_off_the_lines(kr, ki))
-        elif abs(kr) <= CLASSIFY_TOL or abs(math.remainder(kr - math.pi, _TWO_PI)) <= CLASSIFY_TOL:
-            label = anti_bound
-        else:
-            label = resonant if kr > 0 else anti_resonant
-        rows += (z.real, z.imag, kr, ki, E.real, E.imag, label)
-    return rows
 
 
 def _off_the_lines(kr: float, ki: float) -> str:
@@ -205,12 +159,12 @@ def _off_the_lines(kr: float, ki: float) -> str:
 
 
 def _pole_table(roots: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_pole_rows` over a stack: for an (..., r) array of finite
-    nonzero roots, the (..., r, 6) fields Re z, Im z, Re k, Im k, Re E, Im E
-    and the (..., r) class codes, indices into ``_ROOT_CLASSES``.  The values
-    equal those of ``_pole_rows`` on each root to the last bit, and the first
-    root (in C order) that ``_pole_rows`` would raise on raises the same
-    error.
+    """The array form of :func:`k_from_z`, :func:`energy_from_z` and
+    :func:`classify`: for an (..., r) array of finite nonzero roots, the
+    (..., r, 6) fields Re z, Im z, Re k, Im k, Re E, Im E and the (..., r)
+    class codes, indices into ``PoleClass``.  The values equal those of the
+    three scalar functions on each root to the last bit, and the first root
+    (in C order) that ``classify`` rejects raises the same error.
 
     Only ``cmath.log`` stays scalar, mapped over the roots with no Python
     code per root.  Every other step repeats CPython's own float64
@@ -234,8 +188,8 @@ def _pole_table(roots: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
 
     numpy's complex ``log`` and ``abs`` round differently in the last bit,
     so they are not used.  The fixed cost of a few dozen numpy calls (about
-    60 us) makes this pass slower than ``_pole_rows`` below about 80 roots,
-    so a single device's pole list keeps the scalar pass.
+    60 us) makes this form slower than the scalar functions below about 80
+    roots, so a single device's pole list keeps them.
     """
     z = np.ravel(roots)
     zr, zi = z.real, z.imag
@@ -300,21 +254,28 @@ def decoupled_poles(spec: DeviceSpec) -> list[SpectralPole] | None:
     ]
 
 
-def _decoupled_rows(spec: DeviceSpec) -> list:
-    """The records of ``decoupled_poles(spec)`` as a flat list of rows in the
-    layout of :func:`_pole_rows`."""
-    rows = []
-    for p in decoupled_poles(spec):
-        z, k, E = p.z, p.k, p.E
-        rows += (z.real, z.imag, k.real, k.imag, E.real, E.imag, p.pole_class)
-    return rows
-
-
 def classify(z: complex) -> PoleClass:
-    """Label a pole by its position in the complex k plane, by the class
-    rule of :func:`_pole_rows`.  A z that is not finite has no place."""
+    """Label a pole by its position in the complex k plane, k = k_from_z(z).
+
+    CLASSIFY_TOL bounds the unit-circle (threshold) test and the distance of
+    Re k from the lines {0, pi}, measured on the zone circle so values just
+    below -pi count as near +pi.  A root in the upper half plane off those
+    lines raises ClassificationError; a z that is not finite has no place.
+    """
     if z == 0:
         raise ParameterError("Bloch factor z must be nonzero")
     if not cmath.isfinite(z):
         raise ClassificationError(f"Bloch factor z = {z} is not finite")
-    return _pole_rows((z,), 1.0)[-1]
+    k = k_from_z(z)
+    kr, ki = k.real, k.imag
+    if abs(abs(z) - 1.0) <= CLASSIFY_TOL:
+        return PoleClass.THRESHOLD
+    if ki > 0:
+        if abs(kr) <= CLASSIFY_TOL:
+            return PoleClass.BOUND_LOWER
+        if abs(math.remainder(kr - math.pi, _TWO_PI)) <= CLASSIFY_TOL:
+            return PoleClass.BOUND_UPPER
+        raise ClassificationError(_off_the_lines(kr, ki))
+    if abs(kr) <= CLASSIFY_TOL or abs(math.remainder(kr - math.pi, _TWO_PI)) <= CLASSIFY_TOL:
+        return PoleClass.ANTI_BOUND
+    return PoleClass.RESONANT if kr > 0 else PoleClass.ANTI_RESONANT

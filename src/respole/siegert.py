@@ -14,10 +14,11 @@ that share the lead and the contact site, such as the points of a parameter
 sweep, stack into one eigensolve.  A T-dot sweep (``solve_tdot_sweep``) needs
 only the roots: it takes them from an eigenvalue-only solve of the stack,
 computes no amplitudes, and hands the whole stack of sorted roots to the
-array pass ``poles._pole_table``, which gives k, E and a class code per
-root, bit for bit those of the scalar pass ``poles._pole_rows`` that the
-pole list of one device uses.  The sweep's table, labels and class counts
-are built from those arrays, with no Python bytecode run per root.
+array form ``poles._pole_table``, which gives k, E and a class code per
+root, bit for bit those of the scalar functions ``k_from_z``,
+``energy_from_z`` and ``classify`` that build the pole list of one device.
+The sweep's table, labels and class counts are built from those arrays,
+with no Python bytecode run per root.
 For the T-type dot the determinant is the quartic
 
     t^2 z^4 + t eps_d z^3 + t1^2 z^2 - t eps_d z - t^2 = 0,
@@ -38,7 +39,6 @@ from .poles import (
     _CODE_LABELS,
     PoleClass,
     SpectralPole,
-    _decoupled_rows,
     _pole_table,
     decoupled_poles,
     poles_from_roots,
@@ -195,8 +195,8 @@ def solve_tdot_sweep(spec: DeviceSpec, name: str, values) -> tuple[np.ndarray, l
     No amplitudes are computed.  ``spec`` must have the T-dot shape of
     ``make_tdot``; any other device raises ParameterError.  The device blocks
     of all coupled points are built from the grid at once, their roots found
-    by one stacked, eigenvalue-only eigensolve, and k, E and class by one
-    array pass, ``poles._pole_table``, over the whole stack.  Each point's
+    by one stacked, eigenvalue-only eigensolve, and k, E and class by the
+    array form ``poles._pole_table`` over the whole stack.  Each point's
     roots, and so its z, k, E and class, equal those of ``solve_poles`` on
     its own T-dot to the last bit.
     """
@@ -229,7 +229,8 @@ def solve_tdot_sweep(spec: DeviceSpec, name: str, values) -> tuple[np.ndarray, l
     row_codes[on_root] = codes.ravel()
     first = np.cumsum(per_point) - per_point
     for i in np.flatnonzero(~coupled).tolist():
-        table[first[i], 1:] = _decoupled_rows(make_tdot(t, t1[i].item(), eps_d[i].item()))[:-1]
+        p = decoupled_poles(make_tdot(t, t1[i].item(), eps_d[i].item()))[0]
+        table[first[i], 1:] = p.z.real, p.z.imag, p.k.real, p.k.imag, p.E.real, p.E.imag
     labels = list(map(_CODE_LABELS.__getitem__, row_codes.tolist()))
     width = len(_CODE_LABELS)
     counts = np.bincount(point * width + row_codes, minlength=values.size * width)

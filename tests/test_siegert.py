@@ -35,9 +35,7 @@ from respole.poles import (
     poles_from_roots,
     sorted_roots,
     _CODE_LABELS,
-    _ROOT_CLASSES,
     _band_edge_roots,
-    _pole_rows,
     _pole_table,
 )
 from respole.siegert import _eigenvalues_only, poly_roots, secular_polynomial, solve_tdot_sweep
@@ -321,7 +319,7 @@ def test_classify_rejects_non_finite(z):
 
 def reference_class(z):
     """The class rule written out on its own, from k_from_z: the reference
-    that classify and the scalar pass must both follow."""
+    that classify and the array form _pole_table must both follow."""
     k = k_from_z(z)
     if abs(abs(z) - 1.0) <= CLASSIFY_TOL:
         return PoleClass.THRESHOLD
@@ -342,18 +340,10 @@ def reference_class(z):
     return PoleClass.RESONANT if k.real > 0 else PoleClass.ANTI_RESONANT
 
 
-def pass_fields(z, t):
-    """(k, E, class) of one root from the scalar pass, as complex numbers and
-    a PoleClass."""
-    zr, zi, kr, ki, er, ei, cls = _pole_rows([z], t)
-    assert repr(complex(zr, zi)) == repr(complex(z))
-    return complex(kr, ki), complex(er, ei), cls
-
-
-def test_pole_rows_equal_the_scalar_functions():
-    # the scalar pass inlines k_from_z, energy_from_z and the class rule: the
-    # same k, E and class as those functions, on every class and near each
-    # boundary (unit circle, Re k = 0 and +-pi, the zone wrap)
+def test_classify_and_pole_table_follow_the_class_rule():
+    # classify gives the class of the rule written out on its own, and the
+    # array form the k, E and class of the scalar functions, on every class
+    # and near each boundary (unit circle, Re k = 0 and +-pi, the zone wrap)
     rng = np.random.default_rng(31)
     zs = [Q, -Q, 1j * P, -1j * P, 1.2, -1.2, complex(-1.2, -1e-15), complex(-1.2, 1e-15),
           1j, 1.0 + 1e-12, complex(0.5, 1e-10), complex(-0.5, -1e-10), -0.5 - 0.0j]
@@ -361,12 +351,12 @@ def test_pole_rows_equal_the_scalar_functions():
         # inside the unit circle only the real axis holds states
         zs.append(complex(r * np.cos(phase), r * np.sin(phase)) if r > 1
                   else complex(r * np.sign(phase)))
+    assert len(zs) == 3013
     for z in map(complex, zs):
-        ref = (k_from_z(z), energy_from_z(z, 0.7), reference_class(z))
-        assert classify(z) is ref[2]
-        assert repr(pass_fields(z, 0.7)) == repr(ref)
+        assert classify(z) is reference_class(z)
+    table_equals_scalar_functions([zs], 0.7)
     with pytest.raises(ClassificationError, match="upper half plane"):
-        pass_fields(0.5 + 0.5j, 0.7)
+        classify(0.5 + 0.5j)
 
 
 def awkward_roots():
@@ -405,13 +395,21 @@ def awkward_roots():
     return zs
 
 
-def table_equals_pole_rows(roots, t):
-    """The array pass on a stack of roots equals the scalar pass on each of
-    its rows, value for value by repr; or both raise the same error, that of
-    the first root (in C order) the scalar pass rejects."""
+def scalar_fields(z, t):
+    """Re z, Im z, Re k, Im k, Re E, Im E and the class of one root, from the
+    scalar functions."""
+    k, E = k_from_z(z), energy_from_z(z, t)
+    return (z.real, z.imag, k.real, k.imag, E.real, E.imag, classify(z))
+
+
+def table_equals_scalar_functions(roots, t):
+    """The array form on a stack of roots equals k_from_z, energy_from_z and
+    classify on each root, value for value by repr; or both raise the same
+    error, that of the first root (in C order) the scalar functions
+    reject."""
     roots = np.asarray(roots, dtype=complex)
     try:
-        ref = [_pole_rows(row, t) for row in roots.tolist()]
+        ref = [scalar_fields(z, t) for z in roots.ravel().tolist()]
     except (ClassificationError, OverflowError) as exc:
         with pytest.raises(type(exc)) as got:
             _pole_table(roots, t)
@@ -419,25 +417,22 @@ def table_equals_pole_rows(roots, t):
         return
     fields, codes = _pole_table(roots, t)
     assert fields.shape == (*roots.shape, 6) and codes.shape == roots.shape
-    got = [[v for f, c in zip(frow, crow) for v in (*f, _ROOT_CLASSES[c])]
-           for frow, crow in zip(fields.tolist(), codes.tolist())]
-    assert repr(got) == repr(ref)
+    # root by root, so that a mismatch reports one root
+    for f, c, r in zip(fields.reshape(-1, 6).tolist(), codes.ravel().tolist(), ref, strict=True):
+        assert repr((*f, list(PoleClass)[c])) == repr(r)
 
 
-def rows_equal_scalar_functions(z, t):
-    """The pass's fields of z equal k_from_z, energy_from_z and the class
-    rule by repr, and classify gives the same class; or all three raise the
-    same ClassificationError."""
+def classify_follows_the_class_rule(z):
+    """classify gives the class of the rule written out on its own, or both
+    raise the same ClassificationError."""
     try:
-        ref = (k_from_z(z), energy_from_z(z, t), reference_class(z))
+        ref = reference_class(z)
     except ClassificationError as exc:
-        for call in (lambda: pass_fields(z, t), lambda: classify(z)):
-            with pytest.raises(ClassificationError) as got:
-                call()
-            assert str(got.value) == str(exc)
+        with pytest.raises(ClassificationError) as got:
+            classify(z)
+        assert str(got.value) == str(exc)
         return
-    assert classify(z) is ref[2]
-    assert repr(pass_fields(z, t)) == repr(ref)
+    assert classify(z) is ref
 
 
 ROOTS = st.one_of(
@@ -453,50 +448,49 @@ ROOTS = st.one_of(
 
 @settings(max_examples=400, deadline=None)
 @given(zs=st.lists(ROOTS, min_size=1, max_size=12), t=st.floats(1e-3, 1e3))
-def test_pole_rows_property(zs, t):
+def test_pole_table_property(zs, t):
     # repr tells -0.0 from 0.0 and every last bit
     for z in zs:
-        rows_equal_scalar_functions(z, t)
-    # the array pass on the roots as one row and, if they split evenly, as two
-    table_equals_pole_rows([zs], t)
+        classify_follows_the_class_rule(z)
+    # the array form on the roots as one row and, if they split evenly, as two
+    table_equals_scalar_functions([zs], t)
     if len(zs) % 2 == 0:
-        table_equals_pole_rows(np.reshape(zs, (2, -1)), t)
+        table_equals_scalar_functions(np.reshape(zs, (2, -1)), t)
 
 
-def test_pole_rows_on_awkward_roots():
+def test_pole_table_on_awkward_roots():
     zs = awkward_roots()
     for z in zs:
-        rows_equal_scalar_functions(z, 0.7)
-    # the array pass on every root that is a state, as one stack, and on
+        classify_follows_the_class_rule(z)
+    # the array form on every root that is a state, as one stack, and on
     # each root that raises, after two that do not
     states, errors = [], []
     for z in zs:
         try:
-            _pole_rows([z], 0.7)
+            classify(z)
         except ClassificationError:
             errors.append(z)
         else:
             states.append(z)
     assert len(states) > 150 and len(errors) > 20
     for t in (0.7, 1.0, 1e-3, 1e3):
-        table_equals_pole_rows(np.reshape(states, (1, -1)), t)
-        table_equals_pole_rows(np.reshape(states[:len(states) // 2 * 2], (-1, 2)), t)
+        table_equals_scalar_functions(np.reshape(states, (1, -1)), t)
+        table_equals_scalar_functions(np.reshape(states[:len(states) // 2 * 2], (-1, 2)), t)
         for z in errors:
-            table_equals_pole_rows([[Q, -Q], [z, states[-1]]], t)
+            table_equals_scalar_functions([[Q, -Q], [z, states[-1]]], t)
     # the fold: Log of the negative real axis with -0.0 imaginary part is -pi i,
-    # which the pass moves to +pi
-    (k, _, cls) = pass_fields(complex(-0.5, -0.0), 1.0)
-    assert k.real == math.pi and cls is PoleClass.BOUND_UPPER
+    # which k_from_z moves to +pi
+    z = complex(-0.5, -0.0)
+    assert k_from_z(z).real == math.pi and classify(z) is PoleClass.BOUND_UPPER
 
 
 def test_upper_half_plane_root_raises_through_the_pass():
     # off the bound-state lines in the upper half plane: the same error from
-    # classify, from the pass and from a route's pole assembly
+    # classify, from the array form and from a route's pole assembly
     z = 0.5 + 0.5j
     with pytest.raises(ClassificationError) as ref:
         classify(z)
-    for call in (lambda: _pole_rows([Q, z], 1.0),
-                 lambda: _pole_table(np.array([[Q, 1.2], [z, 0.5 + 0.6j]]), 1.0),
+    for call in (lambda: _pole_table(np.array([[Q, 1.2], [z, 0.5 + 0.6j]]), 1.0),
                  lambda: poles_from_roots(np.array([Q, z, -Q, 2.0]), np.ones((4, 2)), 1.0, 0)):
         with pytest.raises(ClassificationError) as got:
             call()
@@ -793,7 +787,7 @@ def test_tdot_sweep_points_equal_solve_poles():
             assert count == [sum(p.pole_class.value == c for p in ref) for c in _CODE_LABELS]
 
 
-def test_pole_table_raises_the_first_error_of_the_scalar_pass():
+def test_pole_table_raises_the_first_error_of_classify():
     # a root off the bound-state lines in the upper half plane, and a root
     # whose modulus is beyond the float range (Python's abs raises)
     huge = complex(1.5e308, -1.5e308)
@@ -802,8 +796,8 @@ def test_pole_table_raises_the_first_error_of_the_scalar_pass():
                          ([[Q, huge], [off, -Q]], OverflowError),
                          ([[huge]], OverflowError)):
         with pytest.raises(error):
-            _pole_rows(np.ravel(stack).tolist(), 1.0)
-        table_equals_pole_rows(stack, 1.0)
+            [classify(z) for z in np.ravel(stack).tolist()]
+        table_equals_scalar_functions(stack, 1.0)
 
 
 def _grid(h, m, steps, sign):

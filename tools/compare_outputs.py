@@ -36,7 +36,9 @@ def edge_runs(work_dir: str) -> list[list[str]]:
     runs, config files that are not valid UTF-8, sweep and transmission CSV
     whose fields leave the array formatter's fast range or straddle its row
     chunks, transmission through two antiresonances, where T falls below
-    1e-4, and a lead hopping so small that the companion matrix overflows."""
+    1e-4, a lead hopping so small that the companion matrix overflows, and
+    three devices at the class boundaries under every command that solves
+    one device."""
     runs = []
     for start, stop, steps, eps_d in (("-1", "1", "21", "0.3"), ("-0.0", "-1", "11", "0.5"),
                                       ("0", "1", "11", "-2"), ("-0.5", "0.5", "2", "3"),
@@ -87,6 +89,30 @@ def edge_runs(work_dir: str) -> list[list[str]]:
         runs.append(["poles", "--config", path])
         runs.append(["sweep", "--param", "t1", "--from", "0", "--to", "1", "--steps", "3",
                      "--config", path])
+    # devices at the class boundaries of the per-device path: one site (roots
+    # z = +-1, Threshold), three side sites at 2t (band-edge double roots with
+    # pinned amplitudes) and a mirror chain with the contact in the middle
+    # (levels the contact does not see)
+    for name, model in (
+            ("one_site.json", {"n_sites": 1, "onsite": [0.0], "hoppings": [], "contact": 0,
+                               "lead_t": 1.0}),
+            ("edge_star.json", {"n_sites": 4, "onsite": [0.3, 2.0, 2.0, 2.0],
+                                "hoppings": [[0, 1, -1.0], [0, 2, -1.0], [0, 3, -1.0]],
+                                "contact": 0, "lead_t": 1.0}),
+            ("mirror_chain.json", {"n_sites": 5, "onsite": [0.4, -0.2, 0.1, -0.2, 0.4],
+                                   "hoppings": [[0, 1, -0.8], [1, 2, -0.5], [2, 3, -0.5],
+                                                [3, 4, -0.8]],
+                                   "contact": 2, "lead_t": 1.0})):
+        path = os.path.join(work_dir, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"model": model}, fh)
+        for fmt in ("table", "csv", "json"):
+            for method in ("siegert", "feshbach", "both"):
+                runs.append(["poles", "--config", path, "--method", method, "--format", fmt])
+        for index in range(-1, 11):
+            runs.append(["wavefunction", "--config", path, "--pole-index", str(index),
+                         "--xmax", "6"])
+        runs.append(["oracle", "--config", path, "--sites", "200"])
     grid = ["--kmin", "0.05", "--kmax", "3.09"]
     for t in ("1e17", "1e-6"):
         runs.append(["transmission", *grid, "--steps", "301", "--t", t, "--t1", "0.5",
