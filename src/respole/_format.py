@@ -5,9 +5,10 @@ round-trips any double.  ``format_float`` formats one value; ``csv_rows``
 formats an (m, c) array in numpy and writes the same bytes.  The two array
 writers use ``csv_rows``: ``scattering.sweep_rows_csv`` (``transmission``)
 and ``cli.cmd_sweep`` (``sweep``, which joins each line to its class
-label).  ``dumps`` and ``wavefunction_csv`` format value by value.
-``csv_rows`` builds its tables on its first call, so the other commands
-never pay for them.
+label).  ``wavefunction_csv`` formats value by value.  ``dumps`` is the
+reference layout of the JSON that ``cli`` writes from fixed templates
+(``poles`` and ``oracle``); no command calls it.  ``csv_rows`` builds its
+tables on its first call, so the other commands never pay for them.
 
 Why ``csv_rows`` is exact.  Take 1e-4 <= |x| < 1e16 and d = floor(log10|x|)
 in [-4, 15].  Then q = 16 - d lies in [1, 20], so 10**q is an exact double,

@@ -10,8 +10,9 @@ allocate, 3 numerical failure.
 is built once, at import, and each call finds its command function in this
 module by name, so a ``cmd_*`` rebound after import is the one that runs.
 
-Floats print as ``'%.17g'`` does: ``poles`` fills row templates, ``oracle``
-and ``wavefunction`` format value by value, and the rows of ``sweep`` and
+Floats print as ``'%.17g'`` does: ``poles`` and ``oracle`` fill fixed
+templates, whose JSON is byte for byte what ``_format.dumps`` writes,
+``wavefunction`` formats value by value, and the rows of ``sweep`` and
 ``transmission`` go through the array formatter ``_format.csv_rows``.
 """
 
@@ -26,7 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._format import csv_rows, dumps, format_float
+from ._format import csv_rows, format_float
 from .errors import NumericalError, ParameterError
 from .feshbach import feshbach_pole_search
 from .model import DeviceSpec, device_from_json, json_number, make_tdot, tdot_params
@@ -68,6 +69,14 @@ def _json_record(pad: str) -> str:
 # enum values with no quote, backslash or newline, so "%s" needs no escaping.
 POLE_JSON_RECORD = {indent: _json_record(" " * indent) for indent in (0, 2)}
 POLE_JSON_BOTH = '{\n  "siegert": %s,\n  "feshbach": %s,\n  "max_dz": %s\n}\n'
+# The oracle report as ``dumps`` lays it out: the item of one pole in the
+# "poles" list, and the whole object, whose two energy lists hold one value
+# per line.  Class strings need no escaping, as in POLE_JSON_RECORD.
+ORACLE_JSON_POLE = ('    {\n      "z": [\n        %.17g,\n        %.17g\n      ],\n'
+                    '      "residual": %.17g,\n      "lattice_row_dev": %.17g,\n'
+                    '      "class": "%s"\n    }')
+ORACLE_JSON = ('{\n  "poles": %s,\n  "bound_compare": {\n    "siegert": %s,\n'
+               '    "lattice": %s,\n    "max_abs_diff": %s\n  }\n}\n')
 # the sweep's columns: the (rows, 7) float table of solve_tdot_sweep, which
 # cmd_sweep formats with csv_rows, and the class label it joins to each line
 POLE_SWEEP_HEADER = "param,z_re,z_im,k_re,k_im,E_re,E_im,class"
@@ -162,13 +171,31 @@ def _pole_csv(poles) -> str:
     return "\n".join([",".join(POLE_COLUMNS), *rows]) + "\n"
 
 
+def _json_list(items: list[str], indent: int) -> str:
+    """A list of formatted items, each already indented by ``indent`` + 2,
+    exactly as ``dumps`` writes it at ``indent``."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
+
+
 def _pole_json(poles, indent: int) -> str:
     """The list of pole records exactly as ``dumps`` writes it at ``indent``."""
-    if not poles:
-        return "[]"
     record = POLE_JSON_RECORD[indent]
-    rows = [record % _pole_row(p) for p in poles]
-    return "[\n" + ",\n".join(rows) + "\n" + " " * indent + "]"
+    return _json_list([record % _pole_row(p) for p in poles], indent)
+
+
+def _oracle_json(report: dict) -> str:
+    """``dumps(report) + "\\n"`` of a ``build_report`` report, from
+    ``ORACLE_JSON``."""
+    poles = [ORACLE_JSON_POLE % (*p["z"], p["residual"], p["lattice_row_dev"], p["class"])
+             for p in report["poles"]]
+    bound = report["bound_compare"]
+    energies = [_json_list(["      %.17g" % e for e in bound[side]], 4)
+                for side in ("siegert", "lattice")]
+    diff = bound["max_abs_diff"]
+    return ORACLE_JSON % (_json_list(poles, 2), *energies,
+                          "null" if diff is None else format_float(diff))
 
 
 def cmd_poles(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
@@ -255,8 +282,7 @@ def cmd_oracle(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
     # the oracle never builds the lattice, but one whose even sector (sites + n
     # rows) no array could hold as a matrix stays an input error, as documented
     _check_grid(max(sites + spec.n_sites, 0) ** 2)
-    report = build_report(spec, sites)
-    _emit(dumps(report) + "\n", args.out)
+    _emit(_oracle_json(build_report(spec, sites)), args.out)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -274,34 +274,43 @@ class PoleResidual:
 def pole_residual_report(
     spec: DeviceSpec, poles: list[SpectralPole]
 ) -> list[PoleResidual]:
-    """Secular and Schroedinger-row residuals for each pole.
+    """Secular and Schroedinger-row residuals for each pole, as Python floats.
 
     Rows checked: lead sites x in {1, 2}, the contact row, and every other
     device row, all using the reconstructed lead amplitudes.  psi(-x) is
     psi(x) bit for bit, so the mirror rows at x = -1, -2 are the same numbers.
+
+    Each device row is sum_j h_ij a_j in Python complex arithmetic: h_ij as
+    the complex (h_ij, 0.0) times a_j, added left to right from 0j.  These are
+    the operations numpy performs on an ``np.float64`` entry times a complex,
+    so the row is the one that numpy scalars give, without their per-operation
+    cost.  ``sum`` is not used: newer CPythons sum with compensation.  A row whose
+    parts are finite but whose modulus is not reads inf, as numpy's abs
+    gives it.
     """
     secular = secular_residual(spec, np.array([p.z for p in poles], dtype=complex))
-    hp = p_space_hamiltonian(spec)
-    t = spec.lead_t
+    h = [[complex(x) for x in row] for row in p_space_hamiltonian(spec).tolist()]
+    t, contact = spec.lead_t, spec.contact
     out = []
-    for pole, sec in zip(poles, secular):
-        E = pole.E
+    for pole, sec in zip(poles, secular.tolist()):
+        E, amps = pole.E, pole.amps
         psi = [q_space_reconstruct(pole, x) for x in range(4)]
         # 2 before 1: max of a list with a NaN depends on the order, and the
         # mirrored rows come as -2, -1, 1, 2
         devs = [abs(-t * (psi[x - 1] + psi[x + 1]) - E * psi[x]) for x in (2, 1)]
-        for i in range(spec.n_sites):
-            row = sum(hp[i, j] * pole.amps[j] for j in range(spec.n_sites))
-            if i == spec.contact:
+        for i, h_row in enumerate(h):
+            row = 0j
+            for h_ij, a in zip(h_row, amps):
+                row += h_ij * a
+            if i == contact:
                 row += -t * (psi[1] + psi[1])
-            devs.append(abs(row - E * pole.amps[i]))
-        out.append(
-            PoleResidual(
-                z=pole.z,
-                secular=abs(complex(sec)),
-                lattice_row_dev=max(devs),
-            )
-        )
+            try:
+                devs.append(abs(row - E * amps[i]))
+            except OverflowError:
+                # finite parts whose modulus is past the float range: numpy's
+                # abs gives inf, where Python's raises
+                devs.append(math.inf)
+        out.append(PoleResidual(z=pole.z, secular=abs(sec), lattice_row_dev=max(devs)))
     return out
 
 

@@ -3,15 +3,17 @@ the sorted pole list both routes build from their roots.
 
 One scalar definition turns a secular root into its k, E and class:
 ``k_from_z`` and ``energy_from_z`` of ``dispersion`` and :func:`classify`
-here.  Both routes' pole lists are built from them, root by root.  The array
-form ``_pole_table`` serves a stack of many devices' roots, the T-dot
-sweep's.  It repeats the scalar functions' float operations in numpy, in the
-same order, so every field and class is the same to the last bit (its
-docstring gives the argument per operation); below about 80 roots numpy's
-per-call cost makes it the slower one.  Its class codes index ``PoleClass``
-in declaration order, and their CSV names are ``_CODE_LABELS``.  Both
-routes' pole lists read a root near z = +-1 whose state misses the contact
-as the exact band-edge double root (``_band_edge_roots``).
+here.  Both routes' pole lists are built from them, root by root, and hand
+``classify``'s rule (``_class_of``) the k they already have, so each root
+takes one complex log.  The array form ``_pole_table`` serves a stack of
+many devices' roots, the T-dot sweep's.  It repeats the scalar functions'
+float operations in numpy, in the same order, so every field and class is
+the same to the last bit (its docstring gives the argument per operation);
+below about 80 roots numpy's per-call cost makes it the slower one.  Its
+class codes index ``PoleClass`` in declaration order, and their CSV names
+are ``_CODE_LABELS``.  Both routes' pole lists read a root near z = +-1
+whose state misses the contact as the exact band-edge double root
+(``_band_edge_roots``).
 
 Pole taxonomy for a single-band lead: bound states sit on the lines
 Re k = 0 or Re k = pi with Im k > 0; anti-bound states sit on the same lines
@@ -94,8 +96,8 @@ def poles_from_roots(roots, null_vectors, t: float, contact: int) -> list[Spectr
     pinned to 1 instead, and its root, if within ``_EDGE_ROOT_TOL`` of
     z = +-1, is the band-edge double root +-1 (:func:`_band_edge_roots`).
     k, E and the class come from :func:`k_from_z`, :func:`energy_from_z` and
-    :func:`classify`.  A root that is zero or not finite raises
-    NumericalError.
+    the rule of :func:`classify`, which is given that k.  A root that is zero
+    or not finite raises NumericalError.
     """
     # complex before dividing: numpy divides complex numbers by multiplying
     # with a reciprocal, which can differ from real division in the last bit
@@ -110,9 +112,12 @@ def poles_from_roots(roots, null_vectors, t: float, contact: int) -> list[Spectr
     pin = np.where(seen, contact, mag.argmax(axis=-1))
     amps = v / v[rows, pin][:, None]
     amps[rows, pin] = 1.0
-    return [SpectralPole(z, k_from_z(z), energy_from_z(z, t), classify(z), amps=tuple(a),
-                         contact=contact)
-            for z, a in zip(roots.tolist(), amps.tolist())]
+    poles = []
+    for z, a in zip(roots.tolist(), amps.tolist()):
+        k = k_from_z(z)
+        poles.append(SpectralPole(z, k, energy_from_z(z, t), _class_of(z, k), amps=tuple(a),
+                                  contact=contact))
+    return poles
 
 
 def _band_edge_roots(roots: np.ndarray, misses_contact: np.ndarray) -> np.ndarray:
@@ -266,7 +271,12 @@ def classify(z: complex) -> PoleClass:
         raise ParameterError("Bloch factor z must be nonzero")
     if not cmath.isfinite(z):
         raise ClassificationError(f"Bloch factor z = {z} is not finite")
-    k = k_from_z(z)
+    return _class_of(z, k_from_z(z))
+
+
+def _class_of(z: complex, k: complex) -> PoleClass:
+    """The class rule of :func:`classify` for a finite nonzero z and its
+    k = k_from_z(z), which a caller that has k already passes in."""
     kr, ki = k.real, k.imag
     if abs(abs(z) - 1.0) <= CLASSIFY_TOL:
         return PoleClass.THRESHOLD

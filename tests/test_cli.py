@@ -18,6 +18,7 @@ import respole.wavefunction
 from respole import (
     DeviceSpec,
     ParameterError,
+    build_report,
     feshbach_pole_search,
     make_tdot,
     pole_set_distance,
@@ -858,3 +859,43 @@ def test_poles_json_on_tdots_matches_dumps(tdot, cmd, short):
     # a bare flag followed by its value, which may be a negative exponent form
     flags = ["--t1", repr(t1), "--eps-d", repr(eps_d)]
     assert_poles_json_matches_dumps(cmd, flags, make_tdot(1.0, t1, eps_d), short)
+
+
+def assert_oracle_json_matches_dumps(flags, spec, sites):
+    """``oracle`` stdout is ``dumps`` of ``build_report`` and a newline, or
+    the command fails with the error ``build_report`` raises; returns it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["oracle", *flags, "--sites", str(sites)])
+    try:
+        expected = dumps(build_report(spec, sites)) + "\n"
+    except (ParameterError, NumericalError):
+        assert code in (2, 3) and out.getvalue() == ""
+        return out.getvalue()
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue() == expected
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(data=st.data(), sites=st.integers(10, 400))
+def test_oracle_json_on_random_devices_matches_dumps(n, data, sites):
+    spec = data.draw(json_devices(n))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "device.json"
+        cfg.write_text(json.dumps({"model": asdict(spec)}))
+        assert_oracle_json_matches_dumps(["--config", str(cfg)], spec, sites)
+
+
+@pytest.mark.parametrize("t, t1, eps_d, sites, shown", [
+    (1.0, 0.0, 0.5, 200, '"siegert": [],\n    "lattice": [],\n    "max_abs_diff": 0\n'),
+    (1.0, 0.25, 3.0, 10, '"max_abs_diff": null\n'),
+    (1e-160, 1.0, 0.3, 50, ""),
+    (1.0, 1e8, 0.3, 50, '"class": "Resonant"'),
+], ids=["decoupled", "counts_differ", "tiny_lead", "huge_coupling"])
+def test_oracle_json_on_tdots_matches_dumps(t, t1, eps_d, sites, shown):
+    # the tiny lead hopping fails in the outgoing-wave route, with no output
+    flags = ["--t", repr(t), "--t1", repr(t1), "--eps-d", repr(eps_d)]
+    out = assert_oracle_json_matches_dumps(flags, make_tdot(t, t1, eps_d), sites)
+    assert shown in out if shown else out == ""

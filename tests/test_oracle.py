@@ -606,8 +606,16 @@ def mirrored_residual_report(spec, poles):
 
 
 def assert_residuals_match_the_mirrored_rows(spec, poles):
+    """Each report field is a Python float with the bits of the reference's."""
     got = pole_residual_report(spec, poles)
-    assert [repr(r) for r in got] == [repr(r) for r in mirrored_residual_report(spec, poles)]
+    ref = mirrored_residual_report(spec, poles)
+    assert len(got) == len(ref)
+    for r, m in zip(got, ref):
+        assert repr(r.z) == repr(m.z)
+        for field in ("secular", "lattice_row_dev"):
+            value = getattr(r, field)
+            assert type(value) is float
+            assert value.hex() == float(getattr(m, field)).hex()
 
 
 def off_root(pole, factor):
@@ -646,6 +654,13 @@ def test_residual_report_matches_the_mirrored_rows_on_stars_and_fake_poles():
     huge = [replace(fake, z=z, E=energy_from_z(z, 1e10)) for z in (1e102 + 0j, -1e102j)]
     assert all(math.isnan(r.lattice_row_dev) for r in mirrored_residual_report(spec, huge))
     assert_residuals_match_the_mirrored_rows(spec, huge)
+    # a device row with finite parts whose modulus overflows: numpy's abs gives
+    # inf, and so must the report, where Python's abs would raise
+    spec = DeviceSpec(1, (0.0,), (), 0, 1.0)
+    wide = replace(fake, z=0.5 + 0j, E=1.0 + 0j, amps=(complex(7e307, 7e307),))
+    with np.errstate(over="ignore"):
+        assert mirrored_residual_report(spec, [wide])[0].lattice_row_dev == math.inf
+        assert_residuals_match_the_mirrored_rows(spec, [wide])
 
 
 def test_bound_energies_come_out_ascending():

@@ -32,13 +32,14 @@ SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_T
 def edge_runs(work_dir: str) -> list[list[str]]:
     """Runs near the special cases of the program: sweeps through t1 = 0, at
     t1 = 0 only and across the band edges, zero and huge couplings under
-    every method and format, every wavefunction index, weakly bound oracle
-    runs, config files that are not valid UTF-8, sweep and transmission CSV
-    whose fields leave the array formatter's fast range or straddle its row
-    chunks, transmission through two antiresonances, where T falls below
-    1e-4, a lead hopping so small that the companion matrix overflows, and
-    three devices at the class boundaries under every command that solves
-    one device."""
+    every method and format, every wavefunction index, weakly bound,
+    decoupled, tiny-hopping and strongly coupled oracle runs, config files
+    that are not valid UTF-8, sweep and transmission CSV whose fields leave
+    the array formatter's fast range or straddle its row chunks,
+    transmission through two antiresonances, where T falls below 1e-4, a
+    lead hopping so small that the companion matrix overflows, and three
+    devices at the class boundaries under every command that solves one
+    device (the one-site device under ``oracle`` as well)."""
     runs = []
     for start, stop, steps, eps_d in (("-1", "1", "21", "0.3"), ("-0.0", "-1", "11", "0.5"),
                                       ("0", "1", "11", "-2"), ("-0.5", "0.5", "2", "3"),
@@ -82,6 +83,13 @@ def edge_runs(work_dir: str) -> list[list[str]]:
         for eps_d in ("-3", "3", "2", "-2"):
             for sites in ("10", "200"):
                 runs.append(["oracle", "--t1", t1, "--eps-d", eps_d, "--sites", sites])
+    # the oracle JSON at its edges: decoupled T-dots (empty energy lists, at
+    # the default and at the fewest sites), a lead hopping so small that the
+    # outgoing-wave route fails, and a huge coupling
+    for model in (("--t1", "0"), ("--t1", "0", "--eps-d", "3", "--sites", "10"),
+                  ("--t", "1e-160", "--t1", "1", "--eps-d", "0.3", "--sites", "50"),
+                  ("--t1", "1e8", "--eps-d", "0.3", "--sites", "50")):
+        runs.append(["oracle", *model])
     for name, raw in (("utf16.json", b"\xff\xfe\x00\x7b"), ("latin1.json", b'{"t1": "\xe9"}')):
         path = os.path.join(work_dir, name)
         with open(path, "wb") as fh:
