@@ -83,12 +83,15 @@ def secular_residual(spec: DeviceSpec, z: complex | np.ndarray) -> complex | np.
     # the diagonal of every matrix, as a strided view of the flat rows
     m.reshape(flat.size, n * n)[:, ::n + 1] += (-t * (flat + 1.0 / flat))[:, None]
     m[:, c, c] += 2.0 * t * flat
-    if n == 1:
-        det = m[:, 0, 0]
-    elif n == 2:
-        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-    else:
-        det = np.linalg.det(m)
+    # a product past the float range reads inf or nan, as it should; numpy's
+    # warning would only add noise to stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n == 1:
+            det = m[:, 0, 0]
+        elif n == 2:
+            det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+        else:
+            det = np.linalg.det(m)
     return complex(det[0]) if zs.ndim == 0 else det
 
 

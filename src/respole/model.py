@@ -43,14 +43,12 @@ class DeviceSpec:
         if len(self.onsite) != self.n_sites:
             raise ParameterError("onsite length must equal n_sites")
         for i, e in enumerate(self.onsite):
-            _check_real(e, f"onsite energy of site {i}")
-            if not math.isfinite(e):
+            if not math.isfinite(_as_real(e, f"onsite energy of site {i}")):
                 raise ParameterError(f"onsite energy of site {i} must be finite, got {e}")
         _as_index(self.contact, "contact index")
         if not (0 <= self.contact < self.n_sites):
             raise ParameterError(f"contact index {self.contact} out of range")
-        _check_real(self.lead_t, "lead hopping t")
-        if not (math.isfinite(self.lead_t) and self.lead_t > 0):
+        if not (math.isfinite(_as_real(self.lead_t, "lead hopping t")) and self.lead_t > 0):
             raise ParameterError(f"lead hopping t must be finite and > 0, got {self.lead_t}")
         seen = set()
         for i, j, amp in self.hoppings:
@@ -58,8 +56,7 @@ class DeviceSpec:
             _as_index(j, "hopping index")
             if not (0 <= i < self.n_sites and 0 <= j < self.n_sites) or i == j:
                 raise ParameterError(f"bad hopping pair ({i}, {j})")
-            _check_real(amp, f"hopping amplitude on ({i}, {j})")
-            if not math.isfinite(amp):
+            if not math.isfinite(_as_real(amp, f"hopping amplitude on ({i}, {j})")):
                 raise ParameterError(f"hopping amplitude on ({i}, {j}) must be finite, got {amp}")
             key = (min(i, j), max(i, j))
             if key in seen:
@@ -78,11 +75,16 @@ def _as_index(value, what: str) -> int:
     raise ParameterError(f"{what} must be an integer, got {value!r}")
 
 
-def _check_real(value, what: str) -> None:
-    """ParameterError naming ``what`` unless value is a real number, numpy
-    scalars included, and not a bool."""
+def _as_real(value, what: str) -> float:
+    """``float(value)``, or a ParameterError naming ``what`` unless value is a
+    real number, numpy scalars included, and not a bool, whose float exists:
+    an integer too large for a float is refused too."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ParameterError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterError(f"{what} is too large for a float") from None
 
 
 def make_tdot(t: float, t1: float, eps_d: float) -> DeviceSpec:

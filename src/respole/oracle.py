@@ -20,10 +20,11 @@ with g_N the end-site Green's function of the bare chain (Economou, Green's
 Functions in Quantum Physics, sec. 5), U_N the Chebyshev polynomials of the
 second kind and P_c the projector on the contact.  The bound states are the
 roots of E = lambda_j(M(E)) outside the band.  Sylvester's law of inertia
-counts the even-sector eigenvalues below any shift s as the chain levels
-below s plus the negative eigenvalues of the Schur complement M(s) - s, and
-these counts certify every reported energy.  No step grows with N: no
-lattice matrix is built and no eigensolve is larger than n x n.
+counts the even-sector eigenvalues below a shift s outside the band as the
+chain levels below s (all or none) plus the negative eigenvalues of the
+Schur complement M(s) - s, and these counts certify every reported energy.
+No step grows with N: no lattice matrix is built and no eigensolve is
+larger than n x n.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ MAX_NEWTON = 100
 # ends it: the secular function's scale, and what one ulp of kappa moves E by
 NEWTON_ULPS = 32
 EPS = float(np.finfo(float).eps)
+# the reporting edge, as a multiple of the band edge 2t: eigenvalues within
+# 5e-13 of it, relative to t, count as inside the band (at t = 1 it is 2 + 1e-12)
+EDGE = 1.0 + 5e-13
 
 
 def finite_lattice_hamiltonian(spec: DeviceSpec, N: int) -> np.ndarray:
@@ -91,39 +95,17 @@ def _decay(N: int, kappa: float) -> tuple[float, float]:
     return ratio, ratio * ((N + 1) * (2.0 + b) / b - N * (2.0 + a) / a)
 
 
-def _chain(N: int, x: float) -> tuple[int, float]:
-    """The bare chain's levels below E = 2 t x, and t g_N(E), for finite x.
-
-    Outside the band, |x| = cosh(k): every level lies below E > 2t and none
-    below E < -2t, and t g_N = sign(x) sinh(N k) / sinh((N + 1) k)
-    (``_decay``, which also takes the band edge |x| = 1).  Inside, x = cos(phi)
-    and t g_N = sin(N phi) / sin((N + 1) phi).  There level j lies below E
-    when j > y = (N + 1) phi / pi, which N - floor(y) levels do, and
-    sin((N + 1) phi) = (-1)**floor(y) sin(pi (y - floor(y))).  Both come from
-    the same rounded y, so the count and the sign of g_N flip together at a
-    level: E on a level counts as just below it, and g_N there is infinite
-    with the sign of its limit from below.
-    """
-    if abs(x) >= 1.0:
-        return (N if x > 0.0 else 0), math.copysign(_decay(N, math.acosh(abs(x)))[0], x)
-    phi = math.acos(x)
-    y = (N + 1) * phi / math.pi
-    m = math.floor(y)
-    top = (-1.0) ** m * math.sin(N * phi)
-    bottom = math.sin(math.pi * (y - m))
-    return N - m, (top / bottom if bottom else math.copysign(math.inf, top))
-
-
 def _inertia(hp: np.ndarray, contact: int, t: float, N: int, shifts) -> np.ndarray:
-    """The number of eigenvalues of the even sector below each shift.
+    """The number of eigenvalues of the even sector below each shift, for
+    shifts outside the band, |s| >= 2t.
 
     By Sylvester's law of inertia, h - s has as many negative eigenvalues as
-    its chain block, which are the bare chain's levels below s, plus its Schur
-    complement M(s) - s on the device (``_chain`` gives both).  The Schur
-    complements go to one stacked ``eigvalsh``, after a congruence that scales
-    their contact row and column so that the contact entry is at most 1 in
-    size: an infinite or huge entry (s on or near a chain level) then leaves
-    the other rows intact.
+    its chain block, which are the bare chain's levels below s (all N above
+    the band, none below it), plus its Schur complement M(s) - s on the
+    device.  At |s| = 2 t cosh(k), t g_N(s) = sign(s) sinh(N k) / sinh((N + 1) k)
+    (``_decay``), at most 1 in size, so every Schur complement is as finite
+    as h_P and s; they go to one stacked ``eigvalsh``.  A shift inside the
+    band is a NumericalError: g_N has a pole at every chain level there.
 
     Everything is first scaled by the power of two that brings max|H| into
     [1/2, 1), which is exact.
@@ -131,22 +113,20 @@ def _inertia(hp: np.ndarray, contact: int, t: float, N: int, shifts) -> np.ndarr
     shifts = np.asarray(shifts, dtype=float)
     if not np.isfinite(shifts).all():
         raise NumericalError("inertia count met a non-finite shift")
+    x = shifts / (2.0 * t)
+    if (np.abs(x) < 1.0).any():
+        raise NumericalError("inertia count met a shift inside the band")
     _, exp = math.frexp(_max_entry(hp, t))
-    below, ratio = zip(*(_chain(N, s / (2.0 * t)) for s in shifts.tolist()))
-    with np.errstate(all="ignore"):
-        schur = np.ldexp(hp, -exp) - np.ldexp(shifts, -exp)[:, None, None] * np.eye(len(hp))
-        entry = schur[:, contact, contact] + np.ldexp(2.0 * t, -exp) * np.array(ratio)
-        scale = 1.0 / np.sqrt(np.maximum(1.0, np.abs(entry)))
-    schur[:, contact, :] *= scale[:, None]
-    schur[:, :, contact] *= scale[:, None]
-    schur[:, contact, contact] = np.clip(entry, -1.0, 1.0)
+    ratio = [math.copysign(_decay(N, math.acosh(abs(v)))[0], v) for v in x.tolist()]
+    schur = np.ldexp(hp, -exp) - np.ldexp(shifts, -exp)[:, None, None] * np.eye(len(hp))
+    schur[:, contact, contact] += np.ldexp(2.0 * t, -exp) * np.array(ratio)
     if not np.isfinite(schur).all():
         raise NumericalError("inertia count met a non-finite Schur complement")
     try:
         evals = np.linalg.eigvalsh(schur)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("Schur complement eigensolve failed to converge") from exc
-    return np.array(below) + np.count_nonzero(evals < 0.0, axis=1)
+    return np.where(shifts > 0.0, N, 0) + np.count_nonzero(evals < 0.0, axis=1)
 
 
 def _bound_roots(hp: np.ndarray, contact: int, t: float, N: int,
@@ -161,7 +141,7 @@ def _bound_roots(hp: np.ndarray, contact: int, t: float, N: int,
     n_low lowest and n_high highest branches hold these eigenvalues.  Each is
     found by Newton in k, with F'(k) = 2 t sinh(k) - 2 t (d/dk ratio) v_c**2
     from the branch's eigenvector (Hellmann-Feynman), kept inside a bracket:
-    F < 0 at the reporting edge 2t + 1e-12, and F > 0 where 2 t cosh(k) is
+    F < 0 at the reporting edge 2 t EDGE, and F > 0 where 2 t cosh(k) is
     2 (||h_P||_inf + 2t), twice a bound on |lambda_j|.  It starts from
     lambda_j(M) at the edge, where F >= 0.  Each step is one stacked n x n
     ``eigh`` of all the roots still moving.
@@ -174,7 +154,7 @@ def _bound_roots(hp: np.ndarray, contact: int, t: float, N: int,
     # 2 t cosh(k) must stay finite up to the bracket's top
     if not norm / t < 1e300:
         raise NumericalError(f"device energies {norm:.3e} out of range for lead hopping {t:.3e}")
-    edge, top = math.acosh((two_t + 1e-12) / two_t), math.acosh(norm / t)
+    edge, top = math.acosh(EDGE), math.acosh(norm / t)
     m = np.repeat(hp[None], 2, axis=0)
     m[:, contact, contact] += np.array([-two_t, two_t]) * _decay(N, edge)[0]
     try:
@@ -226,22 +206,26 @@ def bound_energies_from_truncation(spec: DeviceSpec, N: int) -> list[float]:
     levels lie strictly inside the band, and its even sector is the device
     block with the chain of lead pairs eliminated exactly (see the module
     docstring), so the cost does not depend on N.  The inertia counts
-    (``_inertia``) at +-(2t + 1e-12) give how many eigenvalues lie below and
-    above the band, and ``_bound_roots`` finds them.
+    (``_inertia``) at the reporting edges +-2 t EDGE, relative to t, give how
+    many eigenvalues lie below and above the band, and ``_bound_roots`` finds
+    them.
 
     Each one is then self-checked by inertia counts: with
     delta = 1e-10 * max|H| * dim and dim = N + n, the eigenvalue E_i of
     lattice index i (from 0, ascending) needs at most i eigenvalues below
     E_i - delta and at least i + 1 below E_i + delta.  So every E_i lies
     within delta of the true eigenvalue of the same index, and a missed or
-    repeated eigenvalue fails the check.
+    repeated eigenvalue fails the check.  A shift that crosses the edge
+    toward the band is moved onto it: above the band, at most
+    dim - n_high <= i eigenvalues lie below any shift under the edge, and
+    below the band the mirror holds, so the edge counts settle that half.
     """
     if N < 10:
         raise ParameterError(f"truncation oracle needs N >= 10, got N={N}")
     hp = p_space_hamiltonian(spec)
     c, t = spec.contact, spec.lead_t
     dim = N + spec.n_sites
-    edge = 2.0 * t + 1e-12
+    edge = 2.0 * t * EDGE
     n_low, below_top = _inertia(hp, c, t, N, [-edge, edge]).tolist()
     n_high = dim - below_top
     if not n_low + n_high:
@@ -250,7 +234,10 @@ def bound_energies_from_truncation(spec: DeviceSpec, N: int) -> list[float]:
     bound = 1e-10 * _max_entry(hp, t) * dim
     index = np.concatenate([np.arange(n_low), np.arange(dim - n_high, dim)])
     k = len(evals)
-    below = _inertia(hp, c, t, N, np.concatenate([evals - bound, evals + bound]))
+    minus, plus = evals - bound, evals + bound
+    minus[n_low:] = np.maximum(minus[n_low:], edge)
+    plus[:n_low] = np.minimum(plus[:n_low], -edge)
+    below = _inertia(hp, c, t, N, np.concatenate([minus, plus]))
     bad = np.flatnonzero((below[:k] > index) | (below[k:] <= index))
     if bad.size:
         i = bad[0]

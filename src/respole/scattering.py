@@ -30,7 +30,7 @@ from ._format import _SPLIT, csv_rows
 from .dispersion import group_velocity
 from .errors import NumericalError, ParameterError
 from .feshbach import self_energy
-from .model import DeviceSpec, _as_index, _check_real, p_space_hamiltonian
+from .model import DeviceSpec, _as_index, _as_real, p_space_hamiltonian
 
 # k values per stacked solve: enough to amortise the per-call overhead, few
 # enough that the (chunk, n, n) stack stays a few hundred kB
@@ -82,8 +82,7 @@ class GreenPair:
 
 def _check_k(k: float) -> float:
     """k as a float, if it is a real number (never a bool) inside (0, pi)."""
-    _check_real(k, "wave number")
-    k = float(k)
+    k = _as_real(k, "wave number")
     if not 0.0 < k < math.pi:
         raise ParameterError(f"wave number must lie strictly inside (0, pi), got {k}")
     return k
@@ -208,8 +207,8 @@ def transmission_sweep(
 ) -> ScatteringSweep:
     """Scattering solutions on a uniform k grid, endpoints included.  The
     endpoints are real numbers, never bools, and ``steps`` an integer."""
-    _check_real(k_min, "wave number")
-    _check_real(k_max, "wave number")
+    _as_real(k_min, "wave number")
+    _as_real(k_max, "wave number")
     if not 0.0 < k_min < k_max < math.pi:
         raise ParameterError(
             f"need 0 < k_min < k_max < pi, got k_min={k_min}, k_max={k_max}"

@@ -93,6 +93,17 @@ def test_secular_residual_off_root_value():
     assert val == pytest.approx(-quartic(1, 1, 0, 0.5) / 0.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_secular_residual_past_the_float_range_is_silent(n):
+    # the 2x2 product and numpy's det overflow at these poles: the residual
+    # reads inf, and no RuntimeWarning (an error in this suite) is printed
+    onsite = (-1e150, 1e150, 0.0)[:n]
+    bonds = ((0, 1, -1e150), (1, 2, -1e150))[:n - 1]
+    spec = DeviceSpec(n, onsite, bonds, 0, 1e300)
+    residual = secular_residual(spec, np.array([p.z for p in solve_poles(spec)]))
+    assert np.isinf(residual).any()
+
+
 def test_residual_times_z_power_is_polynomial():
     rng = np.random.default_rng(31)
     for spec in (make_tdot(1.0, 1.0, 0.3), GEN_DEVICE):

@@ -131,6 +131,17 @@ def test_device_rejects_fields_of_the_wrong_type(field, value, message):
         DeviceSpec(**{**GOOD_FIELDS, field: value})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("onsite", (0.0, 10**400), "onsite energy of site 1 is too large for a float"),
+    ("hoppings", ((0, 1, -10**400),), "hopping amplitude on (0, 1) is too large for a float"),
+    ("lead_t", 10**400, "lead hopping t is too large for a float"),
+], ids=["onsite", "hopping", "lead_t"])
+def test_device_refuses_integers_too_large_for_a_float(field, value, message):
+    # a typed error, as the JSON path gives, not math.isfinite's OverflowError
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        DeviceSpec(**{**GOOD_FIELDS, field: value})
+
+
 def test_device_accepts_numpy_integers_and_reals():
     spec = DeviceSpec(
         n_sites=np.int64(2), onsite=(np.float32(0.0), np.float64(0.5)),

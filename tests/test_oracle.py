@@ -33,7 +33,7 @@ from respole import (
 )
 from respole.poles import BOUND_CLASSES
 from respole._format import dumps
-from respole.oracle import PoleResidual
+from respole.oracle import EDGE, PoleResidual
 from test_cli import json_devices
 from test_feshbach import star_of_identical_dots
 
@@ -79,10 +79,29 @@ def inertia(spec, N, shifts):
                                    N, shifts)
 
 
+def outside_band(rng, t, size):
+    """``size`` shifts with 2t <= |s| <= 5t, on both sides of the band."""
+    return t * rng.choice([-1.0, 1.0], size=size) * rng.uniform(2.0, 5.0, size=size)
+
+
+def record_shifts(monkeypatch):
+    """Patch the oracle's inertia count to record every shift it is given;
+    returns the list the shifts go to."""
+    seen = []
+    count = respole.oracle._inertia
+
+    def recording(hp, contact, t, N, shifts):
+        seen.extend(np.asarray(shifts, dtype=float).tolist())
+        return count(hp, contact, t, N, shifts)
+
+    monkeypatch.setattr(respole.oracle, "_inertia", recording)
+    return seen
+
+
 def dense_bound_energies(spec, N):
     """Reference: every eigenvalue of the full 2N + n lattice outside the band."""
     evals = np.linalg.eigvalsh(finite_lattice_hamiltonian(spec, N))
-    return sorted(float(e) for e in evals if abs(e) > 2.0 * spec.lead_t + 1e-12)
+    return sorted(float(e) for e in evals if abs(e) > 2.0 * spec.lead_t * EDGE)
 
 
 def test_small_lattice_assembly():
@@ -428,10 +447,7 @@ def test_inertia_counts_the_eigenvalues_below_each_shift(N):
         t = spec.lead_t
         h = even_sector(spec, N)
         evals = np.linalg.eigvalsh(h)
-        levels = -2.0 * t * np.cos(np.pi * np.arange(1, N + 1) / (N + 1))
-        shifts = np.concatenate([[0.0, -0.0, 2.0 * t, -2.0 * t],
-                                 levels[rng.choice(N, size=5, replace=False)],
-                                 t * rng.uniform(-5.0, 5.0, size=20)])
+        shifts = np.concatenate([[2.0 * t, -2.0 * t], outside_band(rng, t, 20)])
         got = inertia(spec, N, shifts)
         # an eigenvalue within rounding of a shift may fall either side of it
         tol = 1e-12 * np.max(np.abs(h)) * h.shape[0]
@@ -444,16 +460,16 @@ def test_inertia_counts_the_eigenvalues_below_each_shift(N):
     assert unambiguous >= 0.95 * total
 
 
-@pytest.mark.parametrize("N", [11, 37])
-def test_inertia_through_zero_pivots(N):
-    # shift 0 is a level of the bare chain when N is odd: g_N has a pole
-    # there, the contact entry of the Schur complement is infinite, and the
-    # chain count and the sign of the pole must still add up to the exact count
-    for eps_d in (0.3, -0.3, 1.7):
-        spec = make_tdot(1.0, 1.0, eps_d)
-        evals = np.linalg.eigvalsh(even_sector(spec, N))
-        assert np.min(np.abs(evals)) > 1e-3
-        assert inertia(spec, N, np.array([0.0])) == [np.sum(evals < 0.0)]
+@pytest.mark.parametrize("shift", [0.0, -0.0, 1.0, -1.9, 0.5 * (1.0 + math.sqrt(5.0)),
+                                   np.nextafter(2.0, 0.0), np.nextafter(-2.0, 0.0)])
+def test_inertia_inside_the_band_is_a_numerical_error(shift):
+    # g_N has a pole at every level of the bare chain inside the band, and
+    # no count the oracle needs is taken there: 0 and the golden ratio are
+    # chain levels at N = 11 and N = 9
+    spec = make_tdot(1.0, 1.0, 0.3)
+    for N in (9, 11):
+        with pytest.raises(NumericalError, match="inside the band"):
+            inertia(spec, N, np.array([3.0, shift, -3.0]))
 
 
 def scaled_exactly(x, e):
@@ -471,9 +487,7 @@ def test_inertia_is_invariant_under_power_of_two_scaling():
     for spec in inertia_devices():
         for N in (11, 37):
             t = spec.lead_t
-            levels = -2.0 * t * np.cos(np.pi * np.arange(1, N + 1) / (N + 1))
-            shifts = np.concatenate([[0.0, 2.0 * t, -2.0 * t], levels[:5],
-                                     t * rng.uniform(-5.0, 5.0, size=20)])
+            shifts = np.concatenate([[2.0 * t, -2.0 * t], outside_band(rng, t, 20)])
             exact = inertia(spec, N, shifts).tolist()
             for e in (-1060, -1040, 1000):
                 onsite = [scaled_exactly(x, e) for x in spec.onsite]
@@ -513,23 +527,59 @@ def test_inertia_matches_the_ldlt_recurrence():
     # the closed form in the chain's Green's function against the pivots of
     # the chain rows eliminated one by one, both exact, on the same shifts
     spec, N = make_tdot(1.0, 1.0, 0.3), 40
-    shifts = np.linspace(-3.0, 51.0, 200)
+    shifts = np.concatenate([np.linspace(-3.0, -2.0, 20), np.linspace(2.0, 51.0, 180)])
     assert inertia(spec, N, shifts).tolist() == ldlt_inertia(even_sector(spec, N), N,
                                                              shifts).tolist()
 
 
-def test_bound_states_within_the_bound_of_the_band_edge():
+def test_bound_states_within_the_bound_of_the_band_edge(monkeypatch):
     # bound states so weak that E + delta (below the band) and E - delta
-    # (above it) lie inside the band, where the count comes from the chain's
-    # levels and g_N in phi instead of kappa
+    # (above it) lie inside the band: the self-check moves those shifts onto
+    # the reporting edge, whose counts already certify that half of the check
     spec, N = make_tdot(1.0, 0.099951, 0.0), 400
     bound = certificate_bound(spec, N)
     ref = dense_bound_energies(spec, N)
     assert len(ref) == 2 and all(2.0 < abs(e) < 2.0 + bound for e in ref)
+    shifts = record_shifts(monkeypatch)
     got = bound_energies_from_truncation(spec, N)
     assert len(got) == 2
     for a, b in zip(got, ref):
         assert abs(a - b) <= 1e-14 * abs(b)
+    assert len(shifts) == 6 and min(map(abs, shifts)) == 2.0 * EDGE
+
+
+def test_every_shift_lies_outside_the_band(monkeypatch):
+    # on the acceptance grid of T-dots at N = 200, as criterion 9 runs it
+    shifts = record_shifts(monkeypatch)
+    for t1 in T1_GRID:
+        for ed in EPS_GRID:
+            bound_energies_from_truncation(make_tdot(1.0, t1, ed), 200)
+    assert len(shifts) > 2 * len(T1_GRID) * len(EPS_GRID)
+    assert min(map(abs, shifts)) >= 2.0 * EDGE
+
+
+def scaled_device(spec, scale):
+    """Every energy of the device, the lead hopping included, times scale."""
+    return DeviceSpec(spec.n_sites, tuple(e * scale for e in spec.onsite),
+                      tuple((i, j, a * scale) for i, j, a in spec.hoppings), spec.contact,
+                      spec.lead_t * scale)
+
+
+def test_bound_energies_scale_with_the_lead_hopping():
+    # the reporting edge is relative to t: a uniformly scaled device keeps its
+    # bound states, down to t = 1e-170 and up to 1e100
+    rng = np.random.default_rng(29)
+    specs = [make_tdot(1.0, t1, ed) for t1, ed in ((0.5, 0.3), (1.0, 0.0), (0.25, -3.0))]
+    for n in range(1, 7):
+        specs.append(replace(device_with_contact(rng, n, int(rng.integers(0, n))), lead_t=1.0))
+    for spec in specs:
+        exact = bound_energies_from_truncation(spec, 200)
+        assert exact
+        for scale in (1e-170, 1e-13, 2.0 ** -40, 1e100):
+            got = bound_energies_from_truncation(scaled_device(spec, scale), 200)
+            assert len(got) == len(exact), (spec, scale)
+            for a, b in zip(got, exact):
+                assert abs(a / (spec.lead_t * scale) - b) <= 1e-12 * abs(b), (spec, scale)
 
 
 def test_truncation_that_loses_a_weakly_bound_state():
@@ -539,7 +589,7 @@ def test_truncation_that_loses_a_weakly_bound_state():
     sieg = [p for p in solve_poles(spec) if p.pole_class in BOUND_CLASSES]
     ref = dense_bound_energies(spec, N)
     assert len(sieg) == 2 and len(ref) == 1
-    edge = 2.0 + 1e-12
+    edge = 2.0 * EDGE
     counts = inertia(spec, N, [-edge, edge]).tolist()
     evals = np.linalg.eigvalsh(even_sector(spec, N))
     assert counts == [np.sum(evals < -edge), np.sum(evals < edge)]
@@ -578,7 +628,7 @@ def test_bound_energies_move_only_in_the_last_bits():
     for spec, N in specs:
         got = bound_energies_from_truncation(spec, N)
         ref = [e for e in np.linalg.eigh(even_sector(spec, N))[0]
-               if abs(e) > 2.0 * spec.lead_t + 1e-12]
+               if abs(e) > 2.0 * spec.lead_t * EDGE]
         assert len(got) == len(ref)
         for a, b in zip(got, ref):
             assert abs(a - b) <= 1e-14 * max(1.0, abs(b))

@@ -33,8 +33,8 @@ def edge_runs(work_dir: str) -> list[list[str]]:
     """Runs near the special cases of the program: sweeps through t1 = 0, at
     t1 = 0 only and across the band edges, zero and huge couplings under
     every method and format, every wavefunction index, weakly bound,
-    decoupled, tiny-hopping and strongly coupled oracle runs, config files
-    that are not valid UTF-8, sweep and transmission CSV whose fields leave
+    decoupled, tiny-hopping, strongly coupled and uniformly scaled oracle
+    runs, config files that are not valid UTF-8, sweep and transmission CSV whose fields leave
     the array formatter's fast range or straddle its row chunks,
     transmission through two antiresonances, where T falls below 1e-4, a
     lead hopping so small that the companion matrix overflows, and three
@@ -85,10 +85,15 @@ def edge_runs(work_dir: str) -> list[list[str]]:
                 runs.append(["oracle", "--t1", t1, "--eps-d", eps_d, "--sites", sites])
     # the oracle JSON at its edges: decoupled T-dots (empty energy lists, at
     # the default and at the fewest sites), a lead hopping so small that the
-    # outgoing-wave route fails, and a huge coupling
+    # outgoing-wave route fails, a huge coupling, bound states so weak that
+    # their self-check shifts cross the reporting edge, and one T-dot scaled
+    # uniformly to a tiny and to a huge lead hopping
     for model in (("--t1", "0"), ("--t1", "0", "--eps-d", "3", "--sites", "10"),
                   ("--t", "1e-160", "--t1", "1", "--eps-d", "0.3", "--sites", "50"),
-                  ("--t1", "1e8", "--eps-d", "0.3", "--sites", "50")):
+                  ("--t1", "1e8", "--eps-d", "0.3", "--sites", "50"),
+                  ("--t1", "0.099951", "--eps-d", "0", "--sites", "400"),
+                  ("--t", "1e-13", "--t1", "5e-14", "--eps-d", "3e-14", "--sites", "200"),
+                  ("--t", "1e100", "--t1", "5e99", "--eps-d", "3e99", "--sites", "200")):
         runs.append(["oracle", *model])
     for name, raw in (("utf16.json", b"\xff\xfe\x00\x7b"), ("latin1.json", b'{"t1": "\xe9"}')):
         path = os.path.join(work_dir, name)
