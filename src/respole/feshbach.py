@@ -44,6 +44,8 @@ MAX_ITER = 100
 # that grows is the pull of the other iterates, not noise.
 STALL_BOUND = 1e-6
 EPS = np.finfo(float).eps
+# an Aberth step at most this fraction of |z| ends the iterate's motion
+_MOVING = 4.0 * EPS
 # Adjacent levels of the closed device closer than this fraction of
 # max(t, |lam|) form one cluster; merging them perturbs h by no more than
 # that.  A cluster whose contact weight is below LEVEL_TOL**2 (a contact row
@@ -130,19 +132,33 @@ def _newton_correction(z: np.ndarray, level: np.ndarray, weight: np.ndarray,
     s' = 2 t z (2 sum_J W_J/p_J - z sum_J W_J p_J'/p_J**2).  The sums run over
     P_J = -p_J = (t z + lam_J) z + t.  A P_J that rounds to exactly 0 (at the
     root of a level the contact barely sees) is read as eps t, a value within
-    its rounding error.
+    its rounding error.  The arrays are updated in place, with the operands
+    of every product in the order the formulas give.
     """
     zz = z[:, None]
     tz = t * zz
     q = tz + level
-    big_p = q * zz + t
-    inverse = 1.0 / np.where(big_p == 0.0, EPS * t, big_p)
-    slope = (q + tz) * inverse
+    inverse = q * zz
+    inverse += t
+    if np.count_nonzero(inverse) < inverse.size:
+        inverse[inverse == 0.0] = EPS * t
+    np.divide(1.0, inverse, out=inverse)
+    # q becomes P_J'/P_J = (2 t z + lam_J)/P_J, then P_J'/P_J**2
+    q += tz
+    q *= inverse
+    slope_sum = np.add.reduce(q, 1)
     total = inverse @ weight
+    q *= inverse
     c = 2.0 * t * z
-    s = 1.0 - c * z * total
-    ds = c * (z * ((slope * inverse) @ weight) - 2.0 * total)
-    return s / (s * slope.sum(axis=1) + ds)
+    s = c * z
+    s *= total
+    np.subtract(1.0, s, out=s)
+    ds = z * (q @ weight)
+    ds -= 2.0 * total
+    np.multiply(c, ds, out=ds)
+    np.multiply(s, slope_sum, out=slope_sum)
+    slope_sum += ds
+    return np.divide(s, slope_sum, out=s)
 
 
 def _aberth_roots(level: np.ndarray, weight: np.ndarray, t: float) -> np.ndarray:
@@ -159,34 +175,54 @@ def _aberth_roots(level: np.ndarray, weight: np.ndarray, t: float) -> np.ndarray
     with the conjugate of its partner, the root nearest its conjugate (itself,
     for a real root, which so loses its imaginary rounding), and each pair
     comes out exactly conjugate.
+
+    A step makes about 45 numpy calls on arrays of 2m or (2m)**2 entries,
+    whose fixed cost, not the arithmetic, sets its time on small devices, so
+    the iterates, the gap matrix and the masks are updated in place and one
+    reduction checks that every step is finite.
     """
     z = np.array(default_seeds(level.size), dtype=complex)
+    # the matrix products of _newton_correction would cast real weights anew
+    # at every step
+    weight = weight.astype(complex)
     # the diagonal of the gap matrix, kept out of the sum over the other iterates
     own = np.diag(np.full(z.size, np.inf))
+    gap = np.empty_like(own, dtype=complex)
+    column = z[:, None]
     last_step = np.full(z.size, np.inf)
     moving = np.ones(z.size, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(MAX_ITER):
             ratio = _newton_correction(z, level, weight, t)
-            step = ratio / (1.0 - ratio * (1.0 / (z[:, None] - z + own)).sum(axis=1))
+            np.subtract(column, z, out=gap)
+            gap += own
+            np.divide(1.0, gap, out=gap)
+            step = ratio * np.add.reduce(gap, 1)
+            np.subtract(1.0, step, out=step)
+            np.divide(ratio, step, out=step)
             size = np.abs(step)
-            if not np.isfinite(size).all():
+            # the largest |w_i|, nan if any is nan
+            if not math.isfinite(np.maximum.reduce(size)):
                 raise NumericalError("Aberth step is not finite (coinciding iterates)")
             size_z = np.abs(z)
             # not stalled: still shrinking, or still above STALL_BOUND |z|
-            move = moving & ((size < last_step) | (size > STALL_BOUND * size_z))
-            z = np.where(move, z - step, z)
-            moving = move & (size > 4.0 * EPS * size_z)
+            move = size < last_step
+            move |= size > STALL_BOUND * size_z
+            move &= moving
+            np.subtract(z, step, out=z, where=move)
+            moving = size > _MOVING * size_z
+            moving &= move
             last_step = size
-            if not moving.any():
+            if not np.count_nonzero(moving):
                 break
         else:
             raise NumericalError(f"{moving.sum()} of {z.size} Aberth iterates still moving")
     radius = z.size * np.abs(ratio) + np.where(move, size, 0.0)
-    if not np.all(np.abs(z[:, None] - z) + own > radius[:, None] + radius):
+    disjoint = np.abs(column - z) + own > radius[:, None] + radius
+    if np.count_nonzero(disjoint) < disjoint.size:
         raise NumericalError("Aberth roots overlap: an exceptional point cannot be certified")
-    partner = np.abs(z[:, None] - z.conj()).argmin(axis=1)
-    if np.any(partner[partner] != np.arange(z.size)):
+    partner = np.abs(column - z.conj()).argmin(axis=1)
+    if np.count_nonzero(partner[partner] != np.arange(z.size)):
         raise NumericalError("Aberth roots are not closed under conjugation")
     return 0.5 * (z + z[partner].conj())
 
@@ -194,7 +230,8 @@ def _aberth_roots(level: np.ndarray, weight: np.ndarray, t: float) -> np.ndarray
 def _level_roots(level: float, t: float) -> np.ndarray:
     """The two z with E(z) = level, the roots of -t (z**2 + 1) - level z: a
     conjugate pair on the unit circle inside the band, a real reciprocal pair
-    outside it."""
+    outside it.  In Python float arithmetic, a level past the float range
+    gives inf and nan without a warning."""
     disc = (level - 2.0 * t) * (level + 2.0 * t)
     if disc < 0:
         root = complex(-level, math.sqrt(-disc)) / (2.0 * t)
@@ -223,8 +260,8 @@ def _resolvent_weights(z: np.ndarray, level: np.ndarray, weight: np.ndarray,
         inverse = 1.0 / d
         terms = weight * inverse
         terms[rows, near] = 0.0
-        bound = 1.0 / (2.0 * t * np.abs(z)) + np.abs(terms).sum(axis=1)
-        secular = (-1.0 / (2.0 * t * z) - terms.sum(axis=1)) / w_near
+        bound = 1.0 / (2.0 * t * np.abs(z)) + np.add.reduce(np.abs(terms), 1)
+        secular = (-1.0 / (2.0 * t * z) - np.add.reduce(terms, 1)) / w_near
     scale = np.abs(energy) + np.abs(level[near])
     inverse[rows, near] = np.where(np.abs(d_near) ** 2 * bound < w_near * scale,
                                    secular, inverse[rows, near])
@@ -254,23 +291,28 @@ def feshbach_pole_search(spec: DeviceSpec) -> list[SpectralPole]:
         return decoupled
     t, c = spec.lead_t, spec.contact
     lam, u = np.linalg.eigh(p_space_hamiltonian(spec))
-    split = np.diff(lam) > LEVEL_TOL * max(t, np.abs(lam).max())
-    label = np.concatenate(([0], np.cumsum(split)))
+    # levels past the float range are split by an inf gap; numpy's warning
+    # would only add noise to stderr
+    with np.errstate(over="ignore"):
+        split = lam[1:] - lam[:-1] > LEVEL_TOL * max(t, np.maximum.reduce(np.abs(lam)))
+    label = np.zeros(lam.size, dtype=np.intp)
+    np.cumsum(split, out=label[1:])
     size = np.bincount(label)
     level = np.bincount(label, lam) / size
     weight = np.bincount(label, u[c] ** 2)
     visible = weight > LEVEL_TOL**2
-    z = _aberth_roots(level[visible], weight[visible], t)
-    inverse = _resolvent_weights(z, level[visible], weight[visible], t)
+    seen_level, seen_weight = level[visible], weight[visible]
+    z = _aberth_roots(seen_level, seen_weight, t)
+    inverse = _resolvent_weights(z, seen_level, seen_weight, t)
     # each eigenvector's U_cj / (E - lam_J); 0 for those of unseen clusters
     coefficients = inverse[:, (np.cumsum(visible) - 1)[label]] * u[c]
     roots = [z]
     vectors = [np.where(visible[label], coefficients, 0.0) @ u.T]
-    for j in np.flatnonzero(size - visible):
+    for j in (size - visible).nonzero()[0]:
         members = u[:, label == j]
         if visible[j]:
             # the combinations of the cluster's eigenvectors orthogonal to the contact
             members = members @ np.linalg.svd(members[c:c + 1])[2][1:].T
-        roots.append(np.tile(_level_roots(level[j], t), members.shape[1]))
+        roots.append(np.tile(_level_roots(float(level[j]), t), members.shape[1]))
         vectors.append(np.repeat(members.T, 2, axis=0))
     return poles_from_roots(np.concatenate(roots), np.concatenate(vectors), t, c)

@@ -78,7 +78,10 @@ def _as_index(value, what: str) -> int:
 def _as_real(value, what: str) -> float:
     """``float(value)``, or a ParameterError naming ``what`` unless value is a
     real number, numpy scalars included, and not a bool, whose float exists:
-    an integer too large for a float is refused too."""
+    an integer too large for a float is refused too.  A float, the common
+    case, is returned before the slow ABC check."""
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ParameterError(f"{what} must be a real number, got {value!r}")
     try:
@@ -126,6 +129,9 @@ def json_number(raw, cast, what: str):
     a string, a boolean, any other value, a non-integral number where
     ``cast`` is int, or an integer too large for a float is a ParameterError
     naming ``what``."""
+    if type(raw) is cast:
+        # already a JSON number of the wanted type, which cast leaves as it is
+        return raw
     if (isinstance(raw, bool) or not isinstance(raw, (int, float))
             or (cast is int and isinstance(raw, float) and not raw.is_integer())):
         raise ParameterError(f"bad {what}: {raw!r}")

@@ -305,17 +305,25 @@ def pole_set_distance(a: list[SpectralPole], b: list[SpectralPole]) -> float:
     """Symmetric max nearest-neighbor |dz| between two pole sets.
 
     Infinite when the counts differ (a missing pole is a full failure, not a
-    small distance).
+    small distance), 0.0 for two empty sets.  Every |x - y| is ``np.hypot``
+    of the parts of the difference, which runs the C library's ``hypot``, as
+    Python's complex ``abs`` does, so the distance is the float that
+    ``abs`` gives pair by pair.  As with ``abs``, a difference whose parts
+    are finite but whose modulus is past the float range raises
+    OverflowError; one with an infinite part reads inf.
     """
     if len(a) != len(b):
         return math.inf
     if not a:
         return 0.0
-    za = [p.z for p in a]
-    zb = [p.z for p in b]
-    d_ab = max(min(abs(x - y) for y in zb) for x in za)
-    d_ba = max(min(abs(x - y) for y in za) for x in zb)
-    return max(d_ab, d_ba)
+    # Python's complex arithmetic gives inf without a warning
+    with np.errstate(over="ignore"):
+        diff = np.array([p.z for p in a])[:, None] - np.array([p.z for p in b])
+        dist = np.hypot(diff.real, diff.imag)
+    if math.isinf(np.maximum.reduce(dist, None)) and (np.isinf(dist) & np.isfinite(diff)).any():
+        raise OverflowError("absolute value too large")
+    return float(max(np.maximum.reduce(np.minimum.reduce(dist, 1)),
+                     np.maximum.reduce(np.minimum.reduce(dist, 0))))
 
 
 def build_report(spec: DeviceSpec, N: int) -> dict:

@@ -103,20 +103,19 @@ def poles_from_roots(roots, null_vectors, t: float, contact: int) -> list[Spectr
     # with a reciprocal, which can differ from real division in the last bit
     v = np.asarray(null_vectors, dtype=complex)
     mag = np.abs(v)
-    seen = mag[:, contact] > CONTACT_PIN_TOL * mag.max(axis=-1)
-    if not seen.all():
+    seen = mag[:, contact] > CONTACT_PIN_TOL * np.maximum.reduce(mag, -1)
+    pin = np.where(seen, contact, mag.argmax(axis=-1))
+    if np.count_nonzero(seen) < seen.size:
         roots = _band_edge_roots(np.asarray(roots, dtype=complex), ~seen)
     roots, order = sorted_roots(roots)
-    v, mag, seen = v[order], mag[order], seen[order]
+    v, pin = v[order], pin[order]
     rows = np.arange(roots.size)
-    pin = np.where(seen, contact, mag.argmax(axis=-1))
     amps = v / v[rows, pin][:, None]
     amps[rows, pin] = 1.0
     poles = []
     for z, a in zip(roots.tolist(), amps.tolist()):
         k = k_from_z(z)
-        poles.append(SpectralPole(z, k, energy_from_z(z, t), _class_of(z, k), amps=tuple(a),
-                                  contact=contact))
+        poles.append(SpectralPole(z, k, energy_from_z(z, t), _class_of(z, k), tuple(a), contact))
     return poles
 
 
@@ -143,10 +142,15 @@ def sorted_roots(roots) -> tuple[np.ndarray, np.ndarray]:
     (Re z, Im z), with the (m, 2n) order that sorts them.  A root that is
     zero or not finite raises NumericalError."""
     roots = np.asarray(roots, dtype=complex)
-    if not np.all(np.isfinite(roots) & (roots != 0)):
+    # a nan counts as nonzero, a zero as finite
+    if not np.count_nonzero(np.isfinite(roots)) == np.count_nonzero(roots) == roots.size:
         raise NumericalError("a secular root is zero or not finite")
-    order = np.lexsort((roots.imag, roots.real))
-    return np.take_along_axis(roots, order, axis=-1), order
+    # numpy orders complex numbers by (Re z, Im z); a stable sort keeps the
+    # order of equal roots (+0.0 and -0.0 are equal), so the values and their
+    # order agree, as np.lexsort((z.imag, z.real)) would give them
+    values = roots.copy()
+    values.sort(kind="stable")
+    return values, roots.argsort(kind="stable")
 
 
 # the CSV names of the class codes: PoleClass is declared in code order.  A

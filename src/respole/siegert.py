@@ -56,19 +56,25 @@ def secular_polynomial(h: np.ndarray, t: float, contact: int) -> np.ndarray:
     t and the contact site gives (m, 3, n, n).
     """
     h = np.asarray(h, dtype=float)
-    eye = np.eye(h.shape[-1])
-    lead = -t * eye
-    lead[contact, contact] = t
+    # -t * I, with -0.0 off its diagonal
+    lead = -t * np.eye(h.shape[-1])
     coeffs = np.empty((*h.shape[:-2], 3, *h.shape[-2:]))
-    coeffs[..., 0, :, :] = -t * eye
-    coeffs[..., 1, :, :] = -h
+    coeffs[..., 0, :, :] = lead
+    np.negative(h, out=coeffs[..., 1, :, :])
+    lead[contact, contact] = t
     coeffs[..., 2, :, :] = lead
     return coeffs
 
 
 def _companion(coeffs: np.ndarray) -> np.ndarray:
     """The block companion matrices [[0, I], [-B0, -B1]] of a (3, n, n) or
-    (m, 3, n, n) coefficient stack with diagonal, invertible A2."""
+    (m, 3, n, n) coefficient stack with diagonal, invertible A2.
+
+    A2 is refused unless its nonzero entries are exactly its diagonal ones
+    and none of those is nan: counted, with nan as nonzero, its nonzero
+    entries and its nonzero diagonal entries must both number n per matrix.
+    A -0.0 off the diagonal is a zero; an inf on it is accepted.
+    """
     coeffs = np.asarray(coeffs)
     if (coeffs.ndim not in (3, 4) or coeffs.shape[-3] != 3
             or coeffs.shape[-2] != coeffs.shape[-1]):
@@ -78,20 +84,18 @@ def _companion(coeffs: np.ndarray) -> np.ndarray:
     a2 = coeffs[..., 2, :, :]
     lead = np.diagonal(a2, axis1=-2, axis2=-1)
     n = lead.shape[-1]
-    diag = np.zeros_like(a2)
-    diag[..., range(n), range(n)] = lead
-    if np.any(a2 != diag) or np.any(lead == 0):
+    if (np.count_nonzero(a2) != lead.size or np.count_nonzero(lead) != lead.size
+            or np.isnan(lead).any()):
         raise ParameterError("leading coefficient must be an invertible diagonal matrix")
     companion = np.zeros((*coeffs.shape[:-3], 2 * n, 2 * n),
                          dtype=np.result_type(coeffs, 1.0))
     companion[..., :n, n:] = np.eye(n)
+    scale = lead[..., :, None]
     # an overflow to inf here fails the eigensolve, which raises the typed
     # error; numpy's warning would only add noise to stderr
     with np.errstate(over="ignore"):
-        companion[..., n:, :] = (
-            -np.concatenate((coeffs[..., 0, :, :], coeffs[..., 1, :, :]), axis=-1)
-            / lead[..., :, None]
-        )
+        companion[..., n:, :n] = -coeffs[..., 0, :, :] / scale
+        companion[..., n:, n:] = -coeffs[..., 1, :, :] / scale
     return companion
 
 

@@ -153,6 +153,24 @@ def test_companion_overflow_prints_only_the_typed_error(capsys, argv):
         assert err == "numerical failure: companion eigensolve did not converge\n"
 
 
+@pytest.mark.parametrize("model, message", [
+    # the level gap overflows in the Feshbach set-up
+    ({"n_sites": 2, "onsite": [1e308, -1e308], "hoppings": [[0, 1, 1e308]], "contact": 0,
+      "lead_t": 1.0}, "Aberth step is not finite (coinciding iterates)"),
+    # a level the contact does not see, whose closed-form roots overflow
+    ({"n_sites": 2, "onsite": [0, 1e200], "hoppings": [[0, 1, 1.0]], "contact": 0,
+      "lead_t": 1.0}, "a secular root is zero or not finite"),
+])
+def test_huge_levels_print_only_the_typed_error(capsys, tmp_path, model, message):
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"model": model}), encoding="utf-8")
+    for action in ("error", "default"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            code, out, err = run(capsys, "poles", "--method", "feshbach", "--config", str(config))
+        assert (code, out, err) == (3, "", f"numerical failure: {message}\n")
+
+
 def test_transmission_sweep_output(capsys):
     code, out, _ = run(
         capsys, "transmission", "--t", "1", "--t1", "1", "--eps-d", "0.3",

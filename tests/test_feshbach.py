@@ -25,7 +25,7 @@ from respole import (
     z_pair_from_energy,
 )
 from respole.dispersion import energy_from_z, k_from_z
-from respole.poles import CONTACT_PIN_TOL, SpectralPole, classify, poles_from_roots, sorted_roots
+from respole.poles import CONTACT_PIN_TOL, SpectralPole, classify, poles_from_roots
 from respole.siegert import poly_roots, secular_polynomial
 from test_cli import json_devices
 from test_siegert import assert_matches, mp_companion_roots
@@ -417,6 +417,14 @@ def test_weakly_coupled_dot_amplitudes_match_mpmath(t1):
                 assert abs(pole.amp_d - amp_d) <= 1e-12 * max(1.0, abs(amp_d)), (eps_d, pole)
 
 
+def reference_sorted_roots(roots):
+    """Each row of a stack of roots sorted by (Re z, Im z) with
+    ``np.lexsort``, and the order that sorts it: the reference for
+    ``sorted_roots``."""
+    order = np.lexsort((roots.imag, roots.real))
+    return np.take_along_axis(roots, order, axis=-1), order
+
+
 def stacked_poles_from_roots(roots, null_vectors, t, contact):
     """The poles of an (m, 2n) stack of devices from their roots and (m, 2n,
     n) null vectors, assembled over the stack axis with index grids and the
@@ -428,7 +436,8 @@ def stacked_poles_from_roots(roots, null_vectors, t, contact):
     seen = mag[..., contact] > CONTACT_PIN_TOL * mag.max(axis=-1)
     roots = np.asarray(roots, dtype=complex)
     edge = np.where(roots.real < 0, -1.0, 1.0)
-    roots, order = sorted_roots(np.where(~seen & (np.abs(roots - edge) <= 1e-7), edge, roots))
+    roots, order = reference_sorted_roots(
+        np.where(~seen & (np.abs(roots - edge) <= 1e-7), edge, roots))
     rows, cols = np.arange(roots.shape[0])[:, None], np.arange(roots.shape[1])
     v, mag, seen = v[rows, order], mag[rows, order], seen[rows, order]
     pin = np.where(seen, contact, mag.argmax(axis=-1))
@@ -482,3 +491,100 @@ def test_stars_match_the_stacked_pole_assembly_with_the_pin_moved():
         # the combinations of identical dots miss the hub, so their
         # largest entry, not the contact, is pinned to 1
         assert any(p.amp0 != 1.0 for p in poles)
+
+
+def reference_newton_correction(z, level, weight, t):
+    """f/f' of ``_newton_correction``, written with a fresh array per
+    operation: the reference that the in-place form must match bit for bit."""
+    zz = z[:, None]
+    tz = t * zz
+    q = tz + level
+    big_p = q * zz + t
+    inverse = 1.0 / np.where(big_p == 0.0, respole.feshbach.EPS * t, big_p)
+    slope = (q + tz) * inverse
+    total = inverse @ weight
+    c = 2.0 * t * z
+    s = 1.0 - c * z * total
+    ds = c * (z * ((slope * inverse) @ weight) - 2.0 * total)
+    return s / (s * slope.sum(axis=1) + ds)
+
+
+def reference_aberth_roots(level, weight, t):
+    """``_aberth_roots`` with a fresh array per operation and
+    ``reference_newton_correction``: the roots, or the message of the
+    NumericalError, that the in-place form must give bit for bit."""
+    eps = respole.feshbach.EPS
+    z = np.array(respole.feshbach.default_seeds(level.size), dtype=complex)
+    own = np.diag(np.full(z.size, np.inf))
+    last_step = np.full(z.size, np.inf)
+    moving = np.ones(z.size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(respole.feshbach.MAX_ITER):
+            ratio = reference_newton_correction(z, level, weight, t)
+            step = ratio / (1.0 - ratio * (1.0 / (z[:, None] - z + own)).sum(axis=1))
+            size = np.abs(step)
+            if not np.isfinite(size).all():
+                return "Aberth step is not finite (coinciding iterates)"
+            size_z = np.abs(z)
+            move = moving & ((size < last_step)
+                             | (size > respole.feshbach.STALL_BOUND * size_z))
+            z = np.where(move, z - step, z)
+            moving = move & (size > 4.0 * eps * size_z)
+            last_step = size
+            if not moving.any():
+                break
+        else:
+            return f"{moving.sum()} of {z.size} Aberth iterates still moving"
+    radius = z.size * np.abs(ratio) + np.where(move, size, 0.0)
+    if not np.all(np.abs(z[:, None] - z) + own > radius[:, None] + radius):
+        return "Aberth roots overlap: an exceptional point cannot be certified"
+    partner = np.abs(z[:, None] - z.conj()).argmin(axis=1)
+    if np.any(partner[partner] != np.arange(z.size)):
+        return "Aberth roots are not closed under conjugation"
+    return 0.5 * (z + z[partner].conj())
+
+
+def bit_identity_devices():
+    """Seeded random devices of 1-8 sites, stars of identical dots (the
+    cluster path) and near-threshold T-dots (t1 <= 1e-3, eps_d = +-2)."""
+    rng = np.random.default_rng(89)
+    for n in range(1, 9):
+        for _ in range(12):
+            yield dense_random_device(rng, n)
+    for _ in range(24):
+        yield star_of_identical_dots(rng)
+    for eps_d in (-2.0, 2.0):
+        for t1 in np.exp(rng.uniform(math.log(1e-6), math.log(1e-3), 12)).tolist():
+            yield make_tdot(1.0, t1, eps_d)
+
+
+def dense_random_device(rng, n):
+    """n sites, each pair bonded with probability 0.6, any contact and lead
+    hopping."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6]
+    return DeviceSpec(n, tuple(rng.uniform(-2.5, 2.5, n).tolist()),
+                      tuple((i, j, float(rng.uniform(-1.5, 1.5))) for i, j in pairs),
+                      int(rng.integers(n)), float(rng.uniform(0.5, 2.0)))
+
+
+def test_routes_equal_the_allocating_forms_bit_for_bit():
+    # every root of the Aberth iteration, and every field of both routes'
+    # poles (z, k, E, class and amplitudes, by repr, so signed zeros too)
+    checked = []
+
+    def both_forms(level, weight, t):
+        try:
+            roots = aberth(level, weight, t)
+        except NumericalError as exc:
+            assert str(exc) == reference_aberth_roots(level, weight, t)
+            raise
+        want = reference_aberth_roots(level, weight, t)
+        assert roots.dtype == want.dtype and roots.tobytes() == want.tobytes()
+        checked.append(level.size)
+        return roots
+
+    aberth = respole.feshbach._aberth_roots
+    with mock.patch.object(respole.feshbach, "_aberth_roots", both_forms):
+        for spec in bit_identity_devices():
+            assert_routes_match_the_stacked_assembly(spec)
+    assert len(checked) >= 140 and set(checked) == set(range(1, 9))

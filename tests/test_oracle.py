@@ -35,7 +35,7 @@ from respole.poles import BOUND_CLASSES
 from respole._format import dumps
 from respole.oracle import EDGE, PoleResidual
 from test_cli import json_devices
-from test_feshbach import star_of_identical_dots
+from test_feshbach import bit_identity_devices, star_of_identical_dots
 
 T1_GRID = (0.25, 0.5, 1.0, 1.5, 2.0)
 EPS_GRID = (-3.0, -2.0, -1.0, -0.3, 0.0, 0.3, 1.0, 2.0, 3.0)
@@ -266,6 +266,57 @@ def test_pole_set_distance():
     assert pole_set_distance(a, b) < 1e-9
     assert pole_set_distance(a, a[:3]) == math.inf
     assert pole_set_distance([], []) == 0.0
+
+
+def reference_pole_set_distance(a, b):
+    """``pole_set_distance`` as a generator of Python complex ``abs`` over
+    every pair: the reference that the ``np.hypot`` form must match bit for
+    bit, OverflowError included."""
+    if len(a) != len(b):
+        return math.inf
+    if not a:
+        return 0.0
+    za = [p.z for p in a]
+    zb = [p.z for p in b]
+    d_ab = max(min(abs(x - y) for y in zb) for x in za)
+    d_ba = max(min(abs(x - y) for y in za) for x in zb)
+    return max(d_ab, d_ba)
+
+
+def distance_outcome(distance, a, b):
+    """The distance as its repr, or the OverflowError's message."""
+    try:
+        return repr(distance(a, b))
+    except OverflowError as exc:
+        return f"OverflowError: {exc}"
+
+
+def at(zs):
+    """Poles with the given Bloch factors; only z matters to the distance."""
+    pole = solve_poles(make_tdot(1.0, 1.0, 0.0))[0]
+    return [replace(pole, z=complex(z)) for z in zs]
+
+
+def test_pole_set_distance_equals_the_generator_bit_for_bit():
+    cases = []
+    for spec in bit_identity_devices():
+        siegert, feshbach = solve_poles(spec), feshbach_pole_search(spec)
+        cases += [(siegert, feshbach), (feshbach, siegert), (siegert, siegert[::-1])]
+    huge = 1.5e308
+    cases += [
+        (at([1, 2]), at([1])), (at([]), at([3j])), (at([]), at([])),
+        # finite parts whose modulus is past the float range: abs raises
+        (at([complex(huge, huge), 1]), at([0.5, 0.25j])),
+        # a part that overflows in the difference: abs reads inf
+        (at([huge, 1]), at([-huge, 2])),
+        # signed zeros and equal sets
+        (at([complex(-0.0, 1), complex(0.0, -0.0)]), at([complex(0.0, 1), -0.0])),
+        (at([0.5, -0.5]), at([0.5, -0.5])),
+    ]
+    outcomes = [distance_outcome(reference_pole_set_distance, a, b) for a, b in cases]
+    assert [distance_outcome(pole_set_distance, a, b) for a, b in cases] == outcomes
+    assert {"inf", "0.0", "OverflowError: absolute value too large"} <= set(outcomes)
+    assert type(pole_set_distance(*cases[0])) is float
 
 
 def test_build_report_structure():

@@ -38,7 +38,13 @@ from respole.poles import (
     _band_edge_roots,
     _pole_table,
 )
-from respole.siegert import _eigenvalues_only, poly_roots, secular_polynomial, solve_tdot_sweep
+from respole.siegert import (
+    _companion,
+    _eigenvalues_only,
+    poly_roots,
+    secular_polynomial,
+    solve_tdot_sweep,
+)
 
 P = math.sqrt((1.0 + math.sqrt(5.0)) / 2.0)
 Q = 1.0 / P
@@ -212,6 +218,74 @@ def test_poly_roots_validation():
         poly_roots(np.array([np.eye(2), np.eye(2), np.diag([1.0, 0.0])]))
     with pytest.raises(ParameterError):
         poly_roots(np.array([np.eye(2), np.eye(2), [[1.0, 0.5], [0.0, 1.0]]]))
+
+
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+def test_poly_roots_refuses_a_nan_leading_coefficient(where):
+    a2 = np.diag([1.0, -1.0, 1.0])
+    a2[(1, 1) if where == "diagonal" else (0, 2)] = np.nan
+    with pytest.raises(ParameterError):
+        poly_roots(np.array([np.eye(3), np.eye(3), a2]))
+
+
+def test_poly_roots_refuses_a_stack_with_one_bad_member():
+    rng = np.random.default_rng(14)
+    stack = rng.normal(size=(4, 3, 3, 3))
+    stack[:, 2] = np.eye(3) * rng.choice((-1.0, 1.0), (4, 1, 3))
+    poly_roots(stack)
+    # a -0.0 off the diagonal is a zero, and an infinite entry on it is kept
+    stack[1, 2, 0, 1] = -0.0
+    stack[3, 2, 2, 2] = np.inf
+    _companion(stack)
+    for bad in ((2, 2, 1, 1, 0.0), (2, 2, 1, 1, -0.0), (0, 2, 2, 0, 1e-300),
+                (3, 2, 0, 0, np.nan), (1, 2, 2, 1, np.nan)):
+        member = stack.copy()
+        member[bad[:4]] = bad[4]
+        with pytest.raises(ParameterError):
+            poly_roots(member)
+    # a zero on one member's diagonal and a nonzero off another's keep the
+    # stack's count of nonzero entries, and are refused all the same
+    member = stack.copy()
+    member[0, 2, 1, 1] = 0.0
+    member[2, 2, 0, 1] = 0.5
+    with pytest.raises(ParameterError):
+        poly_roots(member)
+
+
+def reference_companion(coeffs):
+    """The block companion matrices of a stack, with the lower block built
+    from one concatenation: the reference for ``_companion``."""
+    n = coeffs.shape[-1]
+    lead = np.diagonal(coeffs[..., 2, :, :], axis1=-2, axis2=-1)
+    companion = np.zeros((*coeffs.shape[:-3], 2 * n, 2 * n), dtype=np.result_type(coeffs, 1.0))
+    companion[..., :n, n:] = np.eye(n)
+    with np.errstate(over="ignore"):
+        companion[..., n:, :] = (
+            -np.concatenate((coeffs[..., 0, :, :], coeffs[..., 1, :, :]), axis=-1)
+            / lead[..., :, None])
+    return companion
+
+
+def test_companion_and_sort_equal_their_references_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for n in range(1, 9):
+        # signed-zero, tiny and huge entries, a stack of one and of five
+        h = rng.choice((0.0, -0.0, 1.0, 1e-300, 1e300), (5, n, n)) * rng.normal(size=(5, n, n))
+        h = h + h.swapaxes(-1, -2)
+        for t in (1.0, 0.3, 1e-300):
+            for stack in (secular_polynomial(h[0], t, n - 1), secular_polynomial(h, t, 0)):
+                got, want = _companion(stack), reference_companion(stack)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # rows with ties in Re z, Im z or both, signed zeros among them
+    parts = np.array([0.0, -0.0, 1.0, -1.0, 0.5])
+    roots = rng.choice(parts, (200, 12)) + 1j * rng.choice(parts, (200, 12))
+    roots = np.where(roots == 0, 2.0, roots)
+    for stack in (roots, roots[7]):
+        got, got_order = sorted_roots(stack)
+        want_order = np.lexsort((stack.imag, stack.real))
+        want = np.take_along_axis(stack, want_order, axis=-1)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got_order, want_order)
 
 
 def test_poly_roots_stack_matches_single_solves():

@@ -37,9 +37,11 @@ def edge_runs(work_dir: str) -> list[list[str]]:
     runs, config files that are not valid UTF-8, sweep and transmission CSV whose fields leave
     the array formatter's fast range or straddle its row chunks,
     transmission through two antiresonances, where T falls below 1e-4, a
-    lead hopping so small that the companion matrix overflows, and three
+    lead hopping so small that the companion matrix overflows, three
     devices at the class boundaries under every command that solves one
-    device (the one-site device under ``oracle`` as well)."""
+    device (the one-site device under ``oracle`` as well), the Feshbach
+    route on two devices with levels past the float range, and both routes
+    on a star of identical dots and on a dense 8-site device."""
     runs = []
     for start, stop, steps, eps_d in (("-1", "1", "21", "0.3"), ("-0.0", "-1", "11", "0.5"),
                                       ("0", "1", "11", "-2"), ("-0.5", "0.5", "2", "3"),
@@ -126,6 +128,28 @@ def edge_runs(work_dir: str) -> list[list[str]]:
             runs.append(["wavefunction", "--config", path, "--pole-index", str(index),
                          "--xmax", "6"])
         runs.append(["oracle", "--config", path, "--sites", "200"])
+    # the Feshbach route on levels past the float range, which must print
+    # only the typed error; a star of identical dots (a level repeated on
+    # combinations the contact does not see) and a dense 8-site device, both
+    # routes
+    dense = [[i, j, round(0.1 * (i - j) + 0.05 * (i * j % 7) - 0.6, 3)]
+             for i in range(8) for j in range(i + 1, 8)]
+    for name, model, method in (
+            ("huge_split.json", {"n_sites": 2, "onsite": [1e308, -1e308],
+                                 "hoppings": [[0, 1, 1e308]], "contact": 0, "lead_t": 1.0},
+             "feshbach"),
+            ("huge_level.json", {"n_sites": 2, "onsite": [0, 1e200], "hoppings": [[0, 1, 1.0]],
+                                 "contact": 0, "lead_t": 1.0}, "feshbach"),
+            ("identical_star.json", {"n_sites": 5, "onsite": [-0.3, 0.4, 0.4, 0.4, 0.4],
+                                     "hoppings": [[0, 1, -0.7], [0, 2, 0.7], [0, 3, -0.7],
+                                                  [0, 4, -0.7]],
+                                     "contact": 0, "lead_t": 1.0}, "both"),
+            ("dense_8.json", {"n_sites": 8, "onsite": [0.3, -1.2, 0.8, 1.9, -0.4, -2.1, 1.1, 0.0],
+                              "hoppings": dense, "contact": 3, "lead_t": 1.3}, "both")):
+        path = os.path.join(work_dir, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"model": model}, fh)
+        runs.append(["poles", "--config", path, "--method", method, "--format", "json"])
     grid = ["--kmin", "0.05", "--kmax", "3.09"]
     for t in ("1e17", "1e-6"):
         runs.append(["transmission", *grid, "--steps", "301", "--t", t, "--t1", "0.5",
