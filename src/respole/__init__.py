@@ -12,7 +12,6 @@ from .dispersion import (
 )
 from .errors import BandEdgeError, ClassificationError, NumericalError, ParameterError
 from .feshbach import (
-    build_h_eff,
     feshbach_pole_search,
     q_space_reconstruct,
     secular_residual,
@@ -28,17 +27,12 @@ from .model import (
 from .oracle import (
     bound_energies_from_truncation,
     build_report,
-    finite_lattice_hamiltonian,
     pole_residual_report,
     pole_set_distance,
 )
-from .poles import PoleClass, SpectralPole, classify
+from .poles import PoleClass, SpectralPole
 from .scattering import (
-    GreenPair,
-    ScatteringSolution,
     ScatteringSweep,
-    green_function,
-    scattering_solve,
     transmission_sweep,
     verify_green_identity,
 )
@@ -54,25 +48,19 @@ __all__ = [
     "ClassificationError",
     "ClosedFormEps0",
     "DeviceSpec",
-    "GreenPair",
     "NumericalError",
     "ParameterError",
     "PoleClass",
-    "ScatteringSolution",
     "ScatteringSweep",
     "SpectralPole",
     "WavefunctionSample",
     "bound_energies_from_truncation",
-    "build_h_eff",
     "build_report",
-    "classify",
     "closed_form_eps0",
     "device_from_json",
     "energy_from_z",
     "evaluate",
     "feshbach_pole_search",
-    "finite_lattice_hamiltonian",
-    "green_function",
     "group_velocity",
     "k_from_z",
     "make_tdot",
@@ -81,7 +69,6 @@ __all__ = [
     "pole_residual_report",
     "pole_set_distance",
     "q_space_reconstruct",
-    "scattering_solve",
     "secular_residual",
     "self_energy",
     "solve_poles",

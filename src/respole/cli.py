@@ -158,7 +158,7 @@ def _emit(text: str, out_path: str | None) -> None:
         raise ParameterError(f"cannot write output file: {exc}")
 
 
-def _pole_table(poles) -> str:
+def _pole_text(poles) -> str:
     header = f"{'z':>42} {'k':>42} {'E':>42} {'class':>13}"
     lines = [header]
     for p in poles:
@@ -216,7 +216,7 @@ def cmd_poles(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
         if dz is not None:
             text += f"# max_dz = {format_float(dz)}\n"
     else:
-        text = _pole_table(poles)
+        text = _pole_text(poles)
         if dz is not None:
             text += f"max |dz| between methods = {format_float(dz)}\n"
     _emit(text, args.out)

@@ -78,17 +78,15 @@ def _max_entry(hp: np.ndarray, t: float) -> float:
 
 
 def _decay(N: int, kappa: float) -> tuple[float, float]:
-    """sinh(N k) / sinh((N + 1) k) at k = kappa >= 0, and its derivative in k.
+    """sinh(N k) / sinh((N + 1) k) at k = kappa > 0, and its derivative in k.
 
-    This is |t g_N(E)| at |E| = 2 t cosh(k), outside the band: the infinite
-    lead's e^-k times the wall's (1 - e^(-2Nk)) / (1 - e^(-2(N+1)k)), taken
-    with ``expm1`` so that it neither overflows nor cancels.  The derivative
-    is the ratio times N coth(N k) - (N + 1) coth((N + 1) k).  At the band
-    edge k = 0 both quotients are 0 / 0, and their limits N / (N + 1) and 0
-    are taken instead.
+    This is |t g_N(E)| at |E| = 2 t cosh(k), strictly outside the band: the
+    infinite lead's e^-k times the wall's (1 - e^(-2Nk)) / (1 - e^(-2(N+1)k)),
+    taken with ``expm1`` so that it neither overflows nor cancels.  The
+    derivative is the ratio times N coth(N k) - (N + 1) coth((N + 1) k).
+    k = 0 never comes: ``_inertia`` refuses the band edge, and
+    ``_bound_roots`` keeps k at or above acosh(EDGE).
     """
-    if kappa == 0.0:
-        return N / (N + 1), 0.0
     a, b = math.expm1(-2.0 * N * kappa), math.expm1(-2.0 * (N + 1) * kappa)
     ratio = math.exp(-kappa) * a / b
     # coth(y) = -(2 + expm1(-2y)) / expm1(-2y)
@@ -97,7 +95,7 @@ def _decay(N: int, kappa: float) -> tuple[float, float]:
 
 def _inertia(hp: np.ndarray, contact: int, t: float, N: int, shifts) -> np.ndarray:
     """The number of eigenvalues of the even sector below each shift, for
-    shifts outside the band, |s| >= 2t.
+    shifts strictly outside the band, |s| > 2t.
 
     By Sylvester's law of inertia, h - s has as many negative eigenvalues as
     its chain block, which are the bare chain's levels below s (all N above
@@ -105,7 +103,8 @@ def _inertia(hp: np.ndarray, contact: int, t: float, N: int, shifts) -> np.ndarr
     device.  At |s| = 2 t cosh(k), t g_N(s) = sign(s) sinh(N k) / sinh((N + 1) k)
     (``_decay``), at most 1 in size, so every Schur complement is as finite
     as h_P and s; they go to one stacked ``eigvalsh``.  A shift inside the
-    band is a NumericalError: g_N has a pole at every chain level there.
+    band is a NumericalError, as g_N has a pole at every chain level there;
+    so is one on its edge, since the oracle counts only from 2 t EDGE out.
 
     Everything is first scaled by the power of two that brings max|H| into
     [1/2, 1), which is exact.
@@ -114,7 +113,7 @@ def _inertia(hp: np.ndarray, contact: int, t: float, N: int, shifts) -> np.ndarr
     if not np.isfinite(shifts).all():
         raise NumericalError("inertia count met a non-finite shift")
     x = shifts / (2.0 * t)
-    if (np.abs(x) < 1.0).any():
+    if (np.abs(x) <= 1.0).any():
         raise NumericalError("inertia count met a shift inside the band")
     _, exp = math.frexp(_max_entry(hp, t))
     ratio = [math.copysign(_decay(N, math.acosh(abs(v)))[0], v) for v in x.tolist()]

@@ -18,11 +18,11 @@ from respole import (
     normalize_bound,
     pole_residual_report,
     pole_set_distance,
-    scattering_solve,
     solve_poles,
     verify_green_identity,
 )
 from respole.cli import main
+from respole.scattering import scattering_solve
 from respole.wavefunction import evaluate
 
 T1_GRID = (0.25, 0.5, 1.0, 1.5, 2.0)

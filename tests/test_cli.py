@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import signal
 import tempfile
 import warnings
@@ -917,3 +918,39 @@ def test_oracle_json_on_tdots_matches_dumps(t, t1, eps_d, sites, shown):
     flags = ["--t", repr(t), "--t1", repr(t1), "--eps-d", repr(eps_d)]
     out = assert_oracle_json_matches_dumps(flags, make_tdot(t, t1, eps_d), sites)
     assert shown in out if shown else out == ""
+
+
+def band_edge_devices(count: int = 40) -> list[dict]:
+    """Seeded devices of 1-5 sites whose levels sit at or near the band edges
+    +-2t: onsite energies drawn from +-2t, 0 and random values, bonds that are
+    absent (isolated sites), of zero amplitude or random, any contact."""
+    rng = random.Random(29)
+    devices = []
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        t = rng.choice((1.0, 1.0, rng.uniform(0.5, 2.0)))
+        onsite = [rng.choice((2.0 * t, -2.0 * t, 0.0, rng.uniform(-2.5, 2.5) * t))
+                  for _ in range(n)]
+        bonds = [[i, j, rng.choice((0.0, rng.uniform(-2.0, 2.0) * t))]
+                 for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        devices.append({"n_sites": n, "onsite": onsite, "hoppings": bonds,
+                        "contact": rng.randrange(n), "lead_t": t})
+    return devices
+
+
+def test_no_exception_escapes_the_cli_on_band_edge_devices(tmp_path):
+    # every solving command either succeeds or fails with a typed error
+    for d, model in enumerate(band_edge_devices()):
+        cfg = tmp_path / f"device_{d}.json"
+        cfg.write_text(json.dumps({"model": model}))
+        runs = [["poles", "--method", method, "--format", fmt]
+                for method in ("siegert", "feshbach", "both") for fmt in ("table", "csv", "json")]
+        runs += [["oracle", "--sites", "50"],
+                 ["transmission", "--kmin", "0.1", "--kmax", "3", "--steps", "7"]]
+        runs += [["wavefunction", "--pole-index", str(i), "--xmax", "6"]
+                 for i in range(2 * model["n_sites"])]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([*argv, "--config", str(cfg)])
+            assert code in (0, 2, 3), (model, argv)

@@ -14,7 +14,6 @@ from respole import (
     NumericalError,
     ParameterError,
     PoleClass,
-    build_h_eff,
     feshbach_pole_search,
     make_tdot,
     p_space_hamiltonian,
@@ -25,6 +24,7 @@ from respole import (
     z_pair_from_energy,
 )
 from respole.dispersion import energy_from_z, k_from_z
+from respole.feshbach import build_h_eff
 from respole.poles import CONTACT_PIN_TOL, SpectralPole, classify, poles_from_roots
 from respole.siegert import poly_roots, secular_polynomial
 from test_cli import json_devices

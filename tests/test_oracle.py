@@ -17,11 +17,9 @@ from respole import (
     SpectralPole,
     bound_energies_from_truncation,
     build_report,
-    classify,
     closed_form_eps0,
     energy_from_z,
     feshbach_pole_search,
-    finite_lattice_hamiltonian,
     k_from_z,
     make_tdot,
     p_space_hamiltonian,
@@ -31,9 +29,9 @@ from respole import (
     secular_residual,
     solve_poles,
 )
-from respole.poles import BOUND_CLASSES
+from respole.poles import BOUND_CLASSES, classify
 from respole._format import dumps
-from respole.oracle import EDGE, PoleResidual
+from respole.oracle import EDGE, PoleResidual, finite_lattice_hamiltonian
 from test_cli import json_devices
 from test_feshbach import bit_identity_devices, star_of_identical_dots
 
@@ -498,7 +496,7 @@ def test_inertia_counts_the_eigenvalues_below_each_shift(N):
         t = spec.lead_t
         h = even_sector(spec, N)
         evals = np.linalg.eigvalsh(h)
-        shifts = np.concatenate([[2.0 * t, -2.0 * t], outside_band(rng, t, 20)])
+        shifts = outside_band(rng, t, 20)
         got = inertia(spec, N, shifts)
         # an eigenvalue within rounding of a shift may fall either side of it
         tol = 1e-12 * np.max(np.abs(h)) * h.shape[0]
@@ -512,11 +510,11 @@ def test_inertia_counts_the_eigenvalues_below_each_shift(N):
 
 
 @pytest.mark.parametrize("shift", [0.0, -0.0, 1.0, -1.9, 0.5 * (1.0 + math.sqrt(5.0)),
-                                   np.nextafter(2.0, 0.0), np.nextafter(-2.0, 0.0)])
+                                   np.nextafter(2.0, 0.0), np.nextafter(-2.0, 0.0), 2.0, -2.0])
 def test_inertia_inside_the_band_is_a_numerical_error(shift):
     # g_N has a pole at every level of the bare chain inside the band, and
-    # no count the oracle needs is taken there: 0 and the golden ratio are
-    # chain levels at N = 11 and N = 9
+    # no count the oracle needs is taken there or on the band edge: 0 and
+    # the golden ratio are chain levels at N = 11 and N = 9
     spec = make_tdot(1.0, 1.0, 0.3)
     for N in (9, 11):
         with pytest.raises(NumericalError, match="inside the band"):
@@ -538,7 +536,7 @@ def test_inertia_is_invariant_under_power_of_two_scaling():
     for spec in inertia_devices():
         for N in (11, 37):
             t = spec.lead_t
-            shifts = np.concatenate([[2.0 * t, -2.0 * t], outside_band(rng, t, 20)])
+            shifts = outside_band(rng, t, 20)
             exact = inertia(spec, N, shifts).tolist()
             for e in (-1060, -1040, 1000):
                 onsite = [scaled_exactly(x, e) for x in spec.onsite]
@@ -578,7 +576,7 @@ def test_inertia_matches_the_ldlt_recurrence():
     # the closed form in the chain's Green's function against the pivots of
     # the chain rows eliminated one by one, both exact, on the same shifts
     spec, N = make_tdot(1.0, 1.0, 0.3), 40
-    shifts = np.concatenate([np.linspace(-3.0, -2.0, 20), np.linspace(2.0, 51.0, 180)])
+    shifts = np.concatenate([np.linspace(-3.0, -2.0, 20)[:-1], np.linspace(2.0, 51.0, 180)[1:]])
     assert inertia(spec, N, shifts).tolist() == ldlt_inertia(even_sector(spec, N), N,
                                                              shifts).tolist()
 

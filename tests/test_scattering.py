@@ -16,12 +16,8 @@ from respole import (
     NumericalError,
     ParameterError,
     PoleClass,
-    ScatteringSolution,
     ScatteringSweep,
-    build_h_eff,
-    green_function,
     make_tdot,
-    scattering_solve,
     secular_residual,
     solve_poles,
     transmission_sweep,
@@ -29,7 +25,16 @@ from respole import (
 )
 from respole._format import CSV_CHUNK, format_float
 from respole.cli import main
-from respole.scattering import SOLVE_CHUNK, SWEEP_HEADER, _abs_squared, sweep_rows_csv
+from respole.feshbach import build_h_eff
+from respole.scattering import (
+    SOLVE_CHUNK,
+    SWEEP_HEADER,
+    ScatteringSolution,
+    _abs_squared,
+    green_function,
+    scattering_solve,
+    sweep_rows_csv,
+)
 
 
 def independent_2x2_solve(t, t1, ed, k, rhs0):

@@ -15,8 +15,6 @@ from respole import (
     NumericalError,
     ParameterError,
     PoleClass,
-    build_h_eff,
-    classify,
     closed_form_eps0,
     feshbach_pole_search,
     make_tdot,
@@ -27,10 +25,12 @@ from respole import (
 from respole._format import CSV_CHUNK, format_float
 from respole.cli import main
 from respole.dispersion import energy_from_z, k_from_z
+from respole.feshbach import build_h_eff
 from respole.poles import (
     CONTACT_PIN_TOL,
     SpectralPole,
     CLASSIFY_TOL,
+    classify,
     decoupled_poles,
     poles_from_roots,
     sorted_roots,

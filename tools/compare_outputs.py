@@ -41,7 +41,8 @@ def edge_runs(work_dir: str) -> list[list[str]]:
     devices at the class boundaries under every command that solves one
     device (the one-site device under ``oracle`` as well), the Feshbach
     route on two devices with levels past the float range, and both routes
-    on a star of identical dots and on a dense 8-site device."""
+    on a star of identical dots, on a dense 8-site device and on a device
+    with an isolated level at -2t beside a weakly bound state."""
     runs = []
     for start, stop, steps, eps_d in (("-1", "1", "21", "0.3"), ("-0.0", "-1", "11", "0.5"),
                                       ("0", "1", "11", "-2"), ("-0.5", "0.5", "2", "3"),
@@ -130,8 +131,10 @@ def edge_runs(work_dir: str) -> list[list[str]]:
         runs.append(["oracle", "--config", path, "--sites", "200"])
     # the Feshbach route on levels past the float range, which must print
     # only the typed error; a star of identical dots (a level repeated on
-    # combinations the contact does not see) and a dense 8-site device, both
-    # routes
+    # combinations the contact does not see), a dense 8-site device and an
+    # isolated site at exactly -2t, both routes (there the outgoing-wave route
+    # splits the band-edge double root into a bound and an antibound pole
+    # 2.1e-8 from z = 1, and the Feshbach route gives z = 1 twice)
     dense = [[i, j, round(0.1 * (i - j) + 0.05 * (i * j % 7) - 0.6, 3)]
              for i in range(8) for j in range(i + 1, 8)]
     for name, model, method in (
@@ -145,7 +148,11 @@ def edge_runs(work_dir: str) -> list[list[str]]:
                                                   [0, 4, -0.7]],
                                      "contact": 0, "lead_t": 1.0}, "both"),
             ("dense_8.json", {"n_sites": 8, "onsite": [0.3, -1.2, 0.8, 1.9, -0.4, -2.1, 1.1, 0.0],
-                              "hoppings": dense, "contact": 3, "lead_t": 1.3}, "both")):
+                              "hoppings": dense, "contact": 3, "lead_t": 1.3}, "both"),
+            ("isolated_edge_level.json",
+             {"n_sites": 4, "onsite": [2.0, 0.00017811426057442727, 0.02031493381749817, -2.0],
+              "hoppings": [[0, 1, -2.0], [0, 2, 0.020724554901682537]], "contact": 0,
+              "lead_t": 1.0}, "both")):
         path = os.path.join(work_dir, name)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"model": model}, fh)
