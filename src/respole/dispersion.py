@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import BandEdgeError, ParameterError
+from .errors import BandEdgeError, NumericalError, ParameterError
 
 # |discriminant| below this multiple of t^2 counts as a band edge, where the
 # two Bloch roots merge and branch selection is ill-conditioned.
@@ -45,19 +45,30 @@ def z_pair_from_energy(E: complex, t: float) -> tuple[complex, complex]:
 
     The roots multiply to 1 (one per sheet).  For real E inside the band the
     retarded root is the one with Im z > 0 (i.e. 0 < k < pi); otherwise the
-    first-sheet root |z| < 1 comes first.
+    first-sheet root |z| < 1 comes first.  They are formed in units of 2**e,
+    where the largest of t, |Re E| and |Im E| lies in [1/2, 1): that leaves
+    every root and the band-edge test unchanged, exactly, and E*E in range.
+    Where t is so far below |E| that the roots, about |E|/t and t/|E|, lie
+    outside the float range, NumericalError is raised.
     """
     if not t > 0:
         raise ParameterError(f"lead hopping t must be > 0, got {t}")
     E = complex(E)
-    disc = E * E - 4.0 * t * t
-    if abs(disc) < BAND_EDGE_TOL * t * t:
+    e = math.frexp(max(t, abs(E.real), abs(E.imag)))[1]
+    energy, hop = complex(math.ldexp(E.real, -e), math.ldexp(E.imag, -e)), math.ldexp(t, -e)
+    disc = energy * energy - 4.0 * hop * hop
+    if abs(disc) < BAND_EDGE_TOL * hop * hop:
         raise BandEdgeError(f"energy {E} sits on a band edge (double Bloch root)")
     sq = cmath.sqrt(disc)
-    # form the larger root first, then its exact-reciprocal partner
-    za = (-E + sq) / (2.0 * t)
-    zb = (-E - sq) / (2.0 * t)
-    big = za if abs(za) >= abs(zb) else zb
+    # form the larger root first, then its exact-reciprocal partner; a
+    # hopping that underflows to 0 here puts it past the float range too
+    big = complex(math.inf)
+    if hop:
+        za = (-energy + sq) / (2.0 * hop)
+        zb = (-energy - sq) / (2.0 * hop)
+        big = za if abs(za) >= abs(zb) else zb
+    if not cmath.isfinite(big):
+        raise NumericalError(f"the Bloch roots of energy {E} at t = {t} leave the float range")
     small = 1.0 / big
     if abs(abs(big) - abs(small)) <= 1e-12:
         # both on the unit circle: retarded means Im z > 0

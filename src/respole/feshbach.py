@@ -22,8 +22,9 @@ Appl. 439 (2013) 1130) on the secular function of the remaining levels, whose
 Newton ratio is a sum of rational terms with no matrix inverse.  This route
 solves the real symmetric eigenproblem of the closed device; the outgoing-wave
 route solves the non-symmetric companion of the open one, so the two routes
-share no eigensolve.  ``secular_residual`` evaluates det(E(z) - H_eff(z))
-directly, from the matrix E(z) - H_eff(z) built at each z.
+share no eigensolve.  Scaling h and t by 2**e scales E and leaves z and
+the states as they are, so the route solves in units of 2**e where
+max(t, |h_ij|) lies in [1/2, 1): exactly, and no step overflows unless z does.
 """
 
 from __future__ import annotations
@@ -39,17 +40,15 @@ from .poles import SpectralPole, decoupled_poles, poles_from_roots
 START_RADIUS = 1.3
 # Aberth steps before an iterate that is still moving counts as a failure
 MAX_ITER = 100
-# An Aberth correction that stops shrinking means the root has reached the
-# rounding floor only once it is below this fraction of |z|; a larger one
-# that grows is the pull of the other iterates, not noise.
+# An Aberth correction that stops shrinking is at the rounding floor only
+# below this fraction of |z|; above it, growth is the other iterates' pull.
 STALL_BOUND = 1e-6
 EPS = np.finfo(float).eps
 # an Aberth step at most this fraction of |z| ends the iterate's motion
 _MOVING = 4.0 * EPS
-# Adjacent levels of the closed device closer than this fraction of
-# max(t, |lam|) form one cluster; merging them perturbs h by no more than
-# that.  A cluster whose contact weight is below LEVEL_TOL**2 (a contact row
-# below LEVEL_TOL) is one the contact does not see.
+# Adjacent levels closer than this fraction of max(t, |lam|) form one
+# cluster, which perturbs h by no more than that; one whose contact weight is
+# below LEVEL_TOL**2 (a contact row below LEVEL_TOL) the contact does not see.
 LEVEL_TOL = 1e-13
 
 
@@ -74,19 +73,22 @@ def build_h_eff(spec: DeviceSpec, z: complex) -> np.ndarray:
 def secular_residual(spec: DeviceSpec, z: complex | np.ndarray) -> complex | np.ndarray:
     """det(E(z) I - H_eff(z)), zero exactly at the discrete states: a complex
     for a scalar z, an array for a 1-D array of z.  One and two sites use the
-    exact 1x1 and 2x2 products of the matrix entries."""
+    exact 1x1 and 2x2 products, in units of 2**e where max(t, |h_ij|) lies
+    in [1/2, 1), so they overflow only where the determinant does (numpy's
+    det works from its logarithm)."""
     zs = np.asarray(z, dtype=complex)
     if not np.all(zs):
         raise ParameterError("Bloch factor z must be nonzero")
-    flat, n, t, c = zs.reshape(-1), spec.n_sites, spec.lead_t, spec.contact
+    flat, n, c, h = zs.reshape(-1), spec.n_sites, spec.contact, p_space_hamiltonian(spec)
+    e = math.frexp(max(spec.lead_t, np.maximum.reduce(np.abs(h), None)))[1] if n < 3 else 0
+    t = math.ldexp(spec.lead_t, -e)
     # E(z) I - H_eff(z) at each z, stacked to (len(flat), n, n)
     m = np.empty((flat.size, n, n), dtype=complex)
-    m[...] = -p_space_hamiltonian(spec)
+    m[...] = -np.ldexp(h, -e)
     # the diagonal of every matrix, as a strided view of the flat rows
     m.reshape(flat.size, n * n)[:, ::n + 1] += (-t * (flat + 1.0 / flat))[:, None]
     m[:, c, c] += 2.0 * t * flat
-    # a product past the float range reads inf or nan, as it should; numpy's
-    # warning would only add noise to stderr
+    # numpy's overflow warning would only add noise to stderr
     with np.errstate(over="ignore", invalid="ignore"):
         if n == 1:
             det = m[:, 0, 0]
@@ -94,15 +96,13 @@ def secular_residual(spec: DeviceSpec, z: complex | np.ndarray) -> complex | np.
             det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
         else:
             det = np.linalg.det(m)
+        np.ldexp(det.view(float), n * e, out=det.view(float))
     return complex(det[0]) if zs.ndim == 0 else det
 
 
 def q_space_reconstruct(pole: SpectralPole, x: int) -> complex:
-    """Lead amplitude at site x: z**|x| times the contact amplitude.
-
-    NumericalError where z**|x| leaves the float range, which Python's complex
-    power reports as an OverflowError.
-    """
+    """Lead amplitude at site x: z**|x| times the contact amplitude;
+    NumericalError where z**|x| leaves the float range (an OverflowError)."""
     if x == 0:
         return pole.amp0
     try:
@@ -176,10 +176,9 @@ def _aberth_roots(level: np.ndarray, weight: np.ndarray, t: float) -> np.ndarray
     for a real root, which so loses its imaginary rounding), and each pair
     comes out exactly conjugate.
 
-    A step makes about 45 numpy calls on arrays of 2m or (2m)**2 entries,
-    whose fixed cost, not the arithmetic, sets its time on small devices, so
-    the iterates, the gap matrix and the masks are updated in place and one
-    reduction checks that every step is finite.
+    A step's 45 numpy calls, not its arithmetic, set its time on small
+    devices, so its arrays are updated in place and one reduction checks
+    that every step is finite.
     """
     z = np.array(default_seeds(level.size), dtype=complex)
     # the matrix products of _newton_correction would cast real weights anew
@@ -230,8 +229,10 @@ def _aberth_roots(level: np.ndarray, weight: np.ndarray, t: float) -> np.ndarray
 def _level_roots(level: float, t: float) -> np.ndarray:
     """The two z with E(z) = level, the roots of -t (z**2 + 1) - level z: a
     conjugate pair on the unit circle inside the band, a real reciprocal pair
-    outside it.  In Python float arithmetic, a level past the float range
-    gives inf and nan without a warning."""
+    outside it.  They are formed in units of 2**e, where max(|level|, t) lies
+    in [1/2, 1), so the discriminant neither underflows nor overflows."""
+    e = math.frexp(max(abs(level), t))[1]
+    level, t = math.ldexp(level, -e), math.ldexp(t, -e)
     disc = (level - 2.0 * t) * (level + 2.0 * t)
     if disc < 0:
         root = complex(-level, math.sqrt(-disc)) / (2.0 * t)
@@ -283,18 +284,17 @@ def feshbach_pole_search(spec: DeviceSpec) -> list[SpectralPole]:
     (E - h)^-1 e_c = U (U_c / (E - lam)), with the merged levels and the
     contact rows of the unseen clusters set to 0.  Iterates still moving
     after MAX_ITER steps, or discs that overlap (an exceptional point of the
-    visible part), raise NumericalError.  A dot with zero coupling gives its
-    single Decoupled level.
+    visible part), raise NumericalError.  All but E runs in units of 2**e.
+    A dot with zero coupling gives its single Decoupled level.
     """
     decoupled = decoupled_poles(spec)
     if decoupled is not None:
         return decoupled
-    t, c = spec.lead_t, spec.contact
-    lam, u = np.linalg.eigh(p_space_hamiltonian(spec))
-    # levels past the float range are split by an inf gap; numpy's warning
-    # would only add noise to stderr
-    with np.errstate(over="ignore"):
-        split = lam[1:] - lam[:-1] > LEVEL_TOL * max(t, np.maximum.reduce(np.abs(lam)))
+    c, h = spec.contact, p_space_hamiltonian(spec)
+    e = math.frexp(max(spec.lead_t, np.maximum.reduce(np.abs(h), None)))[1]
+    t = math.ldexp(spec.lead_t, -e)
+    lam, u = np.linalg.eigh(np.ldexp(h, -e))
+    split = lam[1:] - lam[:-1] > LEVEL_TOL * max(t, np.maximum.reduce(np.abs(lam)))
     label = np.zeros(lam.size, dtype=np.intp)
     np.cumsum(split, out=label[1:])
     size = np.bincount(label)
@@ -313,6 +313,6 @@ def feshbach_pole_search(spec: DeviceSpec) -> list[SpectralPole]:
         if visible[j]:
             # the combinations of the cluster's eigenvectors orthogonal to the contact
             members = members @ np.linalg.svd(members[c:c + 1])[2][1:].T
-        roots.append(np.tile(_level_roots(float(level[j]), t), members.shape[1]))
+        roots.append(np.tile(_level_roots(level[j], t), members.shape[1]))
         vectors.append(np.repeat(members.T, 2, axis=0))
-    return poles_from_roots(np.concatenate(roots), np.concatenate(vectors), t, c)
+    return poles_from_roots(np.concatenate(roots), np.concatenate(vectors), spec.lead_t, c)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import re
 import signal
 import tempfile
 import warnings
@@ -154,22 +155,46 @@ def test_companion_overflow_prints_only_the_typed_error(capsys, argv):
         assert err == "numerical failure: companion eigensolve did not converge\n"
 
 
-@pytest.mark.parametrize("model, message", [
-    # the level gap overflows in the Feshbach set-up
-    ({"n_sites": 2, "onsite": [1e308, -1e308], "hoppings": [[0, 1, 1e308]], "contact": 0,
-      "lead_t": 1.0}, "Aberth step is not finite (coinciding iterates)"),
-    # a level the contact does not see, whose closed-form roots overflow
-    ({"n_sites": 2, "onsite": [0, 1e200], "hoppings": [[0, 1, 1.0]], "contact": 0,
-      "lead_t": 1.0}, "a secular root is zero or not finite"),
-])
-def test_huge_levels_print_only_the_typed_error(capsys, tmp_path, model, message):
+HUGE_SPLIT = {"n_sites": 2, "onsite": [1e308, -1e308], "hoppings": [[0, 1, 1e308]], "contact": 0,
+              "lead_t": 1.0}
+# a level the contact does not see, 1e200 times the lead hopping
+HUGE_LEVEL = {"n_sites": 2, "onsite": [0, 1e200], "hoppings": [[0, 1, 1.0]], "contact": 0,
+              "lead_t": 1.0}
+
+
+@pytest.mark.parametrize("model, method, message", [
+    # levels past the float range: eigh returns them, the Aberth iteration
+    # cannot settle
+    (HUGE_SPLIT, "feshbach", "4 of 4 Aberth iterates still moving"),
+    # the outgoing-wave companion holds h/t = 1e200 itself, which no
+    # power-of-two unit removes
+    (HUGE_LEVEL, "siegert", "a secular root is zero or not finite"),
+], ids=["huge_split", "huge_level_siegert"])
+def test_huge_levels_print_only_the_typed_error(capsys, tmp_path, model, method, message):
     config = tmp_path / "huge.json"
     config.write_text(json.dumps({"model": model}), encoding="utf-8")
     for action in ("error", "default"):
         with warnings.catch_warnings():
             warnings.simplefilter(action, RuntimeWarning)
-            code, out, err = run(capsys, "poles", "--method", "feshbach", "--config", str(config))
+            code, out, err = run(capsys, "poles", "--method", method, "--config", str(config))
         assert (code, out, err) == (3, "", f"numerical failure: {message}\n")
+
+
+def test_feshbach_route_solves_a_level_1e200_above_the_lead(capsys, tmp_path):
+    # in units of 2**e the level reads about 0.7 and the lead hopping 1e-200:
+    # the unseen level's closed-form pair and the visible level's threshold
+    # pair are all in range
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"model": HUGE_LEVEL}), encoding="utf-8")
+    code, out, err = run(capsys, "poles", "--method", "feshbach", "--config", str(config),
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    poles = [(complex(p["z_re"], p["z_im"]), p["class"]) for p in json.loads(out)]
+    expected = [(-1e200, "AntiBound"), (-1.0, "Threshold"), (-1e-200, "BoundUpper"),
+                (1.0, "Threshold")]
+    assert [c for _, c in poles] == [c for _, c in expected]
+    for (z, _), (want, _) in zip(poles, expected):
+        assert abs(z - want) <= 1e-15 * abs(want)
 
 
 def test_transmission_sweep_output(capsys):
@@ -954,3 +979,40 @@ def test_no_exception_escapes_the_cli_on_band_edge_devices(tmp_path):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main([*argv, "--config", str(cfg)])
             assert code in (0, 2, 3), (model, argv)
+
+
+EXTREME_SCALES = ("1e-300", "1e-160", "1e-8", "1", "1e8", "1e154", "1e160", "1e300")
+
+
+def test_extreme_energy_scales_give_poles_or_one_typed_error(tmp_path):
+    # T-dots whose t and t1 run from 1e-300 to 1e300, and two uncoupled
+    # sites at level 0 on a lead hopping of 1e-300 and 1e-310: every command
+    # exits 0, 2 or 3, prints no nan and writes at most its one error line
+    devices = [["--t", t, "--t1", t1, "--eps-d", eps_d] for t in EXTREME_SCALES
+               for t1 in EXTREME_SCALES for eps_d in ("0.3", "-2", "1e150")]
+    for lead_t in (1e-300, 1e-310):
+        cfg = tmp_path / f"uncoupled_{lead_t!r}.json"
+        cfg.write_text(json.dumps({"model": {"n_sites": 2, "onsite": [0.0, 0.0], "hoppings": [],
+                                             "contact": 0, "lead_t": lead_t}}))
+        devices.append(["--config", str(cfg)])
+    codes = {}
+    for device in devices:
+        t1 = device[3] if device[0] == "--t" else "1"
+        runs = [("poles", "--method", method) for method in ("siegert", "feshbach", "both")]
+        runs += [("sweep", "--param", "t1", "--from", "0", "--to", t1, "--steps", "2"),
+                 ("oracle", "--sites", "20"), ("wavefunction", "--pole-index", "0", "--xmax", "6")]
+        for argv in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, *device])
+            codes[argv, tuple(device)] = code
+            assert code in (0, 2, 3), (argv, device)
+            assert not re.search(r"\bnan\b", out.getvalue(), re.IGNORECASE), (argv, device)
+            lines = err.getvalue().splitlines()
+            assert len(lines) == (code != 0), (argv, device, err.getvalue())
+            assert all(line.startswith(("error: ", "numerical failure: ")) for line in lines)
+    # where the outgoing-wave route solves a large-hopping T-dot, so do both routes
+    for (argv, device), code in codes.items():
+        if argv == ("poles", "--method", "siegert") and code == 0 and device[0] == "--t" \
+                and float(device[1]) >= 1e154:
+            assert codes[("poles", "--method", "both"), device] == 0, device

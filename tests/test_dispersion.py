@@ -6,6 +6,7 @@ import pytest
 
 from respole import (
     BandEdgeError,
+    NumericalError,
     ParameterError,
     energy_from_z,
     group_velocity,
@@ -114,6 +115,28 @@ def test_band_edges_raise():
         z_pair_from_energy(-2.0, 1.0)
     with pytest.raises(ParameterError):
         z_pair_from_energy(0.0, 0.0)
+
+
+def test_z_pair_is_invariant_under_power_of_two_scaling():
+    # the pair of (2**e E, 2**e t) is the pair of (E, t) to the last bit,
+    # with E * E far past the float range at the large scales
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        t = rng.uniform(0.2, 3.0)
+        E = complex(rng.normal(scale=3), rng.choice((0.0, rng.normal(scale=3))))
+        if abs(E * E - 4 * t * t) < 1e-6:
+            continue
+        pair = repr(z_pair_from_energy(E, t))
+        for e in (-1000, -600, 600, 1000):
+            scaled = complex(math.ldexp(E.real, e), math.ldexp(E.imag, e))
+            assert repr(z_pair_from_energy(scaled, math.ldexp(t, e))) == pair, (E, t, e)
+
+
+@pytest.mark.parametrize("E, t", [(1e150, 1e-300), (-1e300, 1e-20), (1e10, 5e-324)])
+def test_z_pair_outside_the_float_range_is_a_numerical_error(E, t):
+    # the roots, about E/t and t/E, are past the float range
+    with pytest.raises(NumericalError, match="leave the float range"):
+        z_pair_from_energy(E, t)
 
 
 def test_group_velocity():

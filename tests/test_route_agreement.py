@@ -10,13 +10,16 @@ acceptable: it means a root landed where no pole of the model can sit.
 Devices drawn the way the benchmark draws them must be solved by both
 routes, with the same classes.  A level the contact does not see at (or
 within a few doubles of) the band edge is a double root z = +-1 in both.
+Scaling a device's energies and lead hopping by 2**e changes no z, k, class
+or amplitude of either route by a bit, and scales every E by 2**e.
 """
 
 import math
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
+from test_oracle import scaled_exactly
 
 from respole import (
     ClassificationError,
@@ -231,3 +234,46 @@ def test_levels_hidden_at_the_band_edge(t, edge, leaves):
                         assert dz <= ROUTE_TOL * abs(p.z), (spec, p.z, dz)
                 assert (sorted(p.pole_class.value for p in siegert)
                         == sorted(p.pole_class.value for p in feshbach)), spec
+
+
+def scaled_device(spec: DeviceSpec, e: int) -> DeviceSpec | None:
+    """``spec`` with every onsite energy, bond and the lead hopping times
+    2**e, or None where one of them does not scale exactly."""
+    onsite = [scaled_exactly(x, e) for x in spec.onsite]
+    bonds = [(i, j, scaled_exactly(a, e)) for i, j, a in spec.hoppings]
+    lead = scaled_exactly(spec.lead_t, e)
+    if None in (lead, *onsite, *(a for _, _, a in bonds)):
+        return None
+    return DeviceSpec(spec.n_sites, tuple(onsite), tuple(bonds), spec.contact, lead)
+
+
+def _outcome(solver, spec):
+    try:
+        return solver(spec)
+    except (ParameterError, NumericalError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+decoupled_tdots = st.builds(lambda t, eps_d: make_tdot(t, 0.0, eps_d),
+                            log_uniform(0.1, 10.0), st.floats(-3.0, 3.0))
+
+
+@PROPERTY
+@given(st.one_of(devices(), decoupled_tdots), st.integers(-1000, 1000))
+def test_routes_are_invariant_under_power_of_two_scaling(spec, e):
+    scaled = scaled_device(spec, e)
+    assume(scaled is not None)
+    for solver in (solve_poles, feshbach_pole_search):
+        poles, moved = _outcome(solver, spec), _outcome(solver, scaled)
+        if isinstance(poles, str):
+            assert moved == poles, (solver.__name__, spec, e)
+            continue
+        assert len(moved) == len(poles), (solver.__name__, spec, e)
+        for p, q in zip(poles, moved):
+            assert repr((p.z, p.k, p.pole_class, p.amps)) == repr((q.z, q.k, q.pole_class, q.amps))
+            # E = -t (z + 1/z) scales with t, unless a part falls into the
+            # subnormal range and loses a bit there
+            for part, moved_part in ((p.E.real, q.E.real), (p.E.imag, q.E.imag)):
+                exact = scaled_exactly(part, e)
+                if exact is not None:
+                    assert repr(moved_part) == repr(exact), (solver.__name__, spec, e, p.E, q.E)

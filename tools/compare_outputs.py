@@ -42,7 +42,9 @@ def edge_runs(work_dir: str) -> list[list[str]]:
     device (the one-site device under ``oracle`` as well), the Feshbach
     route on two devices with levels past the float range, and both routes
     on a star of identical dots, on a dense 8-site device and on a device
-    with an isolated level at -2t beside a weakly bound state."""
+    with an isolated level at -2t beside a weakly bound state, and T-dots,
+    Decoupled levels and two uncoupled sites at energy scales from 1e-310
+    to 1e300."""
     runs = []
     for start, stop, steps, eps_d in (("-1", "1", "21", "0.3"), ("-0.0", "-1", "11", "0.5"),
                                       ("0", "1", "11", "-2"), ("-0.5", "0.5", "2", "3"),
@@ -171,6 +173,27 @@ def edge_runs(work_dir: str) -> list[list[str]]:
     runs.append(["poles", "--t", "1e-300", "--t1", "1e10"])
     runs.append(["sweep", "--param", "t1", "--t", "1e-300", "--from", "1e9", "--to", "1e10",
                  "--steps", "2"])
+    # extreme energy scales: T-dots whose h/t leaves the float range in one
+    # form or another, Decoupled levels whose Bloch roots do, and two
+    # uncoupled sites at level 0 on a tiny lead hopping
+    for model in (("--method", "feshbach", "--t", "1e154", "--t1", "1", "--eps-d", "0.3"),
+                  ("--method", "both", "--t", "1e154", "--t1", "1", "--eps-d", "0.3"),
+                  ("--method", "both", "--t", "1e160", "--t1", "1e160", "--eps-d", "3e159"),
+                  ("--method", "both", "--t", "1e-8", "--t1", "1", "--eps-d", "-2"),
+                  ("--method", "both", "--t", "1e-300", "--t1", "1e-100", "--eps-d", "-2"),
+                  ("--t", "1", "--t1", "0", "--eps-d", "1e300", "--format", "csv"),
+                  ("--t", "1e154", "--t1", "0", "--eps-d", "0.3", "--format", "csv"),
+                  ("--t", "1e-300", "--t1", "0", "--eps-d", "0"),
+                  ("--t", "1e-300", "--t1", "0", "--eps-d", "1e150")):
+        runs.append(["poles", *model])
+    runs.append(["sweep", "--param", "t1", "--from", "0", "--to", "1", "--steps", "2",
+                 "--t", "1e160", "--eps-d", "0.3"])
+    for lead_t in (1.0, 1e-300, 1e-310):
+        path = os.path.join(work_dir, f"uncoupled_{lead_t!r}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"model": {"n_sites": 2, "onsite": [0.0, 0.0], "hoppings": [],
+                                 "contact": 0, "lead_t": lead_t}}, fh)
+        runs.append(["poles", "--config", path, "--method", "feshbach"])
     return runs
 
 
