@@ -30,7 +30,8 @@ from . import __version__
 from ._format import csv_rows, format_float
 from .errors import NumericalError, ParameterError
 from .feshbach import feshbach_pole_search
-from .model import DeviceSpec, device_from_json, json_number, make_tdot, tdot_params
+from .model import (DeviceSpec, _as_index, _as_real, _json_index, device_from_json, make_tdot,
+                    tdot_params)
 from .oracle import build_report, pole_set_distance
 from .poles import _CODE_LABELS
 from .scattering import sweep_rows_csv, transmission_sweep
@@ -119,15 +120,15 @@ def _load_config(path: str | None) -> dict:
 
 
 def _resolve(args: argparse.Namespace, cfg: dict, key: str, cast=float):
-    """flag > config > default; a config value that ``cast`` rejects, a
-    boolean, or a non-integral number where ``cast`` is int is a
-    ParameterError, as the matching flag would be."""
+    """flag > config > default; a config value is checked by ``_as_real``, or
+    where ``cast`` is int by ``_as_index`` after ``_json_index``."""
     val = getattr(args, key, None)
     if val is not None:
         return val
     if key not in cfg:
         return DEFAULTS.get(key)
-    return json_number(cfg[key], cast, f"config value for {key}")
+    what = f"config value for {key}"
+    return _as_index(_json_index(cfg[key]), what) if cast is int else _as_real(cfg[key], what)
 
 
 def _resolve_device(args: argparse.Namespace, cfg: dict) -> DeviceSpec:

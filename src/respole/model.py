@@ -5,7 +5,8 @@ sits on an infinite uniform 1D lead with hopping ``lead_t``.  The T-type dot
 is the 2-site device built by ``make_tdot(t, t1, eps_d)``: the lead site 0
 (the contact) plus one dot level eps_d side-coupled to it with hopping -t1.
 ``tdot_params`` reads (t, t1, eps_d) back from any device of that shape.
-``DeviceSpec`` checks every field, so a T-dot is checked once, as a device.
+``DeviceSpec`` is the one place a device's numbers are checked, the T-dot's
+and the JSON form's included, and it stores them in one canonical form.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +29,9 @@ class DeviceSpec:
     hoppings: undirected bonds (i, j, amplitude), each pair stored once.
     contact: index of the site that carries the lead.
     lead_t: hopping on the lead, > 0.
+
+    Each field is stored as Python int, float or tuples, whatever numbers and
+    sequences built it, so ``==``, ``hash`` and ``dataclasses.asdict`` see one form.
     """
 
     n_sites: int
@@ -37,31 +41,36 @@ class DeviceSpec:
     lead_t: float
 
     def __post_init__(self):
-        _as_index(self.n_sites, "n_sites")
-        if self.n_sites < 1:
+        n = _as_index(self.n_sites, "n_sites")
+        if n < 1:
             raise ParameterError("device needs at least one site")
-        if len(self.onsite) != self.n_sites:
+        onsite = _as_tuple(self.onsite, "onsite")
+        if len(onsite) != n:
             raise ParameterError("onsite length must equal n_sites")
-        for i, e in enumerate(self.onsite):
-            if not math.isfinite(_as_real(e, f"onsite energy of site {i}")):
-                raise ParameterError(f"onsite energy of site {i} must be finite, got {e}")
-        _as_index(self.contact, "contact index")
-        if not (0 <= self.contact < self.n_sites):
-            raise ParameterError(f"contact index {self.contact} out of range")
-        if not (math.isfinite(_as_real(self.lead_t, "lead hopping t")) and self.lead_t > 0):
-            raise ParameterError(f"lead hopping t must be finite and > 0, got {self.lead_t}")
-        seen = set()
-        for i, j, amp in self.hoppings:
-            _as_index(i, "hopping index")
-            _as_index(j, "hopping index")
-            if not (0 <= i < self.n_sites and 0 <= j < self.n_sites) or i == j:
+        onsite = tuple([_as_finite(e, f"onsite energy of site {i}") for i, e in enumerate(onsite)])
+        contact = _as_index(self.contact, "contact index")
+        if not 0 <= contact < n:
+            raise ParameterError(f"contact index {contact} out of range")
+        lead_t = _as_real(self.lead_t, "lead hopping t")
+        if not (math.isfinite(lead_t) and lead_t > 0):
+            raise ParameterError(f"lead hopping t must be finite and > 0, got {lead_t}")
+        bonds = {}
+        for bond in _as_tuple(self.hoppings, "hoppings"):
+            try:
+                i, j, amp = bond
+            except (TypeError, ValueError):
+                raise ParameterError(f"hopping {bond!r} is not (i, j, amplitude)") from None
+            i, j = _as_index(i, "hopping index"), _as_index(j, "hopping index")
+            if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ParameterError(f"bad hopping pair ({i}, {j})")
-            if not math.isfinite(_as_real(amp, f"hopping amplitude on ({i}, {j})")):
-                raise ParameterError(f"hopping amplitude on ({i}, {j}) must be finite, got {amp}")
+            amp = _as_finite(amp, f"hopping amplitude on ({i}, {j})")
             key = (min(i, j), max(i, j))
-            if key in seen:
+            if key in bonds:
                 raise ParameterError(f"duplicate hopping pair {key}")
-            seen.add(key)
+            bonds[key] = (i, j, amp)
+        # the canonical fields, written past the frozen __setattr__ in one call
+        self.__dict__.update(n_sites=n, onsite=onsite, hoppings=tuple(bonds.values()),
+                             contact=contact, lead_t=lead_t)
 
 
 def _as_index(value, what: str) -> int:
@@ -90,14 +99,30 @@ def _as_real(value, what: str) -> float:
         raise ParameterError(f"{what} is too large for a float") from None
 
 
+def _as_finite(value, what: str) -> float:
+    """``_as_real(value, what)``, which must also be finite."""
+    x = _as_real(value, what)
+    if not math.isfinite(x):
+        raise ParameterError(f"{what} must be finite, got {x}")
+    return x
+
+
+def _as_tuple(value, what: str) -> tuple:
+    """``tuple(value)``, or a ParameterError naming ``what`` if value is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ParameterError(f"{what} must be a sequence, got {value!r}") from None
+
+
 def make_tdot(t: float, t1: float, eps_d: float) -> DeviceSpec:
     """Build the T-type dot: lead site 0 (contact) plus dot site 1.
 
     t is the lead hopping (> 0), t1 the dot-lead coupling (0 leaves the dot
     level decoupled) and eps_d the dot's onsite energy.
     """
-    return DeviceSpec(n_sites=2, onsite=(0.0, eps_d), hoppings=((0, 1, -t1),),
-                      contact=0, lead_t=t)
+    return DeviceSpec(n_sites=2, onsite=(0.0, eps_d), contact=0, lead_t=t,
+                      hoppings=((0, 1, -_as_real(t1, "hopping amplitude on (0, 1)")),))
 
 
 def tdot_params(spec: DeviceSpec) -> tuple[float, float, float] | None:
@@ -115,60 +140,35 @@ def tdot_params(spec: DeviceSpec) -> tuple[float, float, float] | None:
 
 def p_space_hamiltonian(spec: DeviceSpec) -> np.ndarray:
     """Real symmetric matrix of the device block (onsite + internal bonds)."""
-    h = np.zeros((spec.n_sites, spec.n_sites))
-    for i in range(spec.n_sites):
-        h[i, i] = spec.onsite[i]
+    h = np.diag(spec.onsite)
     for i, j, amp in spec.hoppings:
-        h[i, j] = amp
-        h[j, i] = amp
+        h[i, j] = h[j, i] = amp
     return h
 
 
-def json_number(raw, cast, what: str):
-    """``cast(raw)`` for a value read from JSON.  Only a JSON number is one:
-    a string, a boolean, any other value, a non-integral number where
-    ``cast`` is int, or an integer too large for a float is a ParameterError
-    naming ``what``."""
-    if type(raw) is cast:
-        # already a JSON number of the wanted type, which cast leaves as it is
-        return raw
-    if (isinstance(raw, bool) or not isinstance(raw, (int, float))
-            or (cast is int and isinstance(raw, float) and not raw.is_integer())):
-        raise ParameterError(f"bad {what}: {raw!r}")
-    try:
-        return cast(raw)
-    except OverflowError as exc:
-        raise ParameterError(f"bad {what}: {exc}") from exc
+def _json_index(raw):
+    """2.0 as 2, since JSON has one number type; any other value as it is."""
+    return int(raw) if type(raw) is float and raw.is_integer() else raw
 
 
 def device_from_json(obj: dict) -> DeviceSpec:
     """Parse a device from its JSON form; accepts the ``{"tdot": {...}}`` shorthand.
 
-    Every number goes through ``json_number``: site counts and indices must
-    be integral, and no field may be a boolean.
+    ``DeviceSpec`` checks every value; an integral float such as 2.0 counts
+    as an integer for ``n_sites``, ``contact`` and the hopping indices.
     """
     if not isinstance(obj, dict):
         raise ParameterError("device JSON must be an object")
-    shape = "tdot shorthand" if "tdot" in obj else "device JSON"
-
-    def num(raw, field, cast=float):
-        return json_number(raw, cast, f"{shape} value for {field}")
-
+    shape, keys = (("tdot shorthand", ("t", "t1", "eps_d")) if "tdot" in obj
+                   else ("device JSON", [f.name for f in fields(DeviceSpec)]))
     try:
-        if "tdot" in obj:
-            td = obj["tdot"]
-            return make_tdot(*(num(td[k], k) for k in ("t", "t1", "eps_d")))
-        return DeviceSpec(
-            n_sites=num(obj["n_sites"], "n_sites", int),
-            onsite=tuple(num(e, "onsite") for e in obj["onsite"]),
-            hoppings=tuple(
-                (num(i, "hoppings", int), num(j, "hoppings", int), num(a, "hoppings"))
-                for i, j, a in obj["hoppings"]
-            ),
-            contact=num(obj["contact"], "contact", int),
-            lead_t=num(obj["lead_t"], "lead_t"),
-        )
-    except ParameterError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+        values = [obj.get("tdot", obj)[k] for k in keys]
+    except (KeyError, TypeError) as exc:
         raise ParameterError(f"bad {shape}: {exc}") from exc
+    if "tdot" in obj:
+        return make_tdot(*values)
+    n_sites, onsite, hoppings, contact, lead_t = values
+    if isinstance(hoppings, list):
+        hoppings = [[*map(_json_index, bond[:2]), *bond[2:]] if isinstance(bond, list) else bond
+                    for bond in hoppings]
+    return DeviceSpec(_json_index(n_sites), onsite, hoppings, _json_index(contact), lead_t)

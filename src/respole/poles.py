@@ -146,11 +146,10 @@ def sorted_roots(roots) -> tuple[np.ndarray, np.ndarray]:
     if not np.count_nonzero(np.isfinite(roots)) == np.count_nonzero(roots) == roots.size:
         raise NumericalError("a secular root is zero or not finite")
     # numpy orders complex numbers by (Re z, Im z); a stable sort keeps the
-    # order of equal roots (+0.0 and -0.0 are equal), so the values and their
-    # order agree, as np.lexsort((z.imag, z.real)) would give them
-    values = roots.copy()
-    values.sort(kind="stable")
-    return values, roots.argsort(kind="stable")
+    # order of equal roots (+0.0 and -0.0 are equal), as
+    # np.lexsort((z.imag, z.real)) would give them
+    order = roots.argsort(kind="stable")
+    return np.take_along_axis(roots, order, axis=-1), order
 
 
 # the CSV names of the class codes: PoleClass is declared in code order.  A

@@ -146,8 +146,7 @@ class ClosedFormEps0:
 
 def closed_form_eps0(t: float, t1: float) -> ClosedFormEps0:
     """The four poles of the T-dot with eps_d = 0, in closed form."""
-    if not t > 0:
-        raise ParameterError(f"lead hopping t must be > 0, got {t}")
+    t, t1, _ = tdot_params(make_tdot(t, t1, 0.0))
     if t1 == 0:
         raise ParameterError("closed form needs a coupled dot (t1 != 0)")
     p = math.sqrt((t1 * t1 + math.sqrt(4.0 * t**4 + t1**4)) / (2.0 * t * t))
@@ -233,7 +232,7 @@ def solve_tdot_sweep(spec: DeviceSpec, name: str, values) -> tuple[np.ndarray, l
     row_codes[on_root] = codes.ravel()
     first = np.cumsum(per_point) - per_point
     for i in np.flatnonzero(~coupled).tolist():
-        p = decoupled_poles(make_tdot(t, t1[i].item(), eps_d[i].item()))[0]
+        p = decoupled_poles(make_tdot(t, t1[i], eps_d[i]))[0]
         table[first[i], 1:] = p.z.real, p.z.imag, p.k.real, p.k.imag, p.E.real, p.E.imag
     labels = list(map(_CODE_LABELS.__getitem__, row_codes.tolist()))
     width = len(_CODE_LABELS)

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from dataclasses import asdict
@@ -173,3 +174,74 @@ def test_json_rejects_garbage():
         device_from_json({"n_sites": 2})
     with pytest.raises(ParameterError):
         device_from_json([1, 2, 3])
+
+
+def _numpy_spec():
+    return DeviceSpec(
+        n_sites=np.int64(2), onsite=(np.float32(0.0), np.float64(0.5)),
+        hoppings=((np.int32(0), np.int64(1), np.float64(-0.8)),),
+        contact=np.int8(0), lead_t=np.float64(1.0),
+    )
+
+
+def _list_spec():
+    return DeviceSpec(n_sites=2, onsite=[0, 0.5], hoppings=[[0, 1, -0.8]], contact=0, lead_t=1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_tdot(1.0, True, 0.0),
+     "hopping amplitude on (0, 1) must be a real number, got True"),
+    (lambda: make_tdot(1.0, "0.5", 0.0),
+     "hopping amplitude on (0, 1) must be a real number, got '0.5'"),
+    (lambda: DeviceSpec(2, (0.0, 0.0), ((0, 1),), 0, 1.0),
+     "hopping (0, 1) is not (i, j, amplitude)"),
+    (lambda: DeviceSpec(**{**GOOD_FIELDS, "hoppings": (5,)}), "hopping 5 is not (i, j, amplitude)"),
+    (lambda: DeviceSpec(**{**GOOD_FIELDS, "onsite": 5.0}), "onsite must be a sequence, got 5.0"),
+    (lambda: DeviceSpec(**{**GOOD_FIELDS, "hoppings": 5}), "hoppings must be a sequence, got 5"),
+], ids=["tdot_t1_bool", "tdot_t1_string", "two_element_hopping", "scalar_hopping",
+        "scalar_onsite", "scalar_hoppings"])
+def test_malformed_device_is_a_parameter_error(build, message):
+    # make_tdot checks t1 before negating it, and a malformed container or
+    # hopping is a typed error, not Python's own TypeError or ValueError
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize("build", [_list_spec, _numpy_spec], ids=["lists", "numpy_scalars"])
+def test_device_stores_python_ints_floats_and_tuples(build):
+    spec = build()
+    reference = DeviceSpec(**GOOD_FIELDS)
+    assert spec == reference and hash(spec) == hash(reference)
+    assert type(spec.n_sites) is int and type(spec.contact) is int
+    assert type(spec.lead_t) is float and type(spec.onsite) is tuple
+    assert all(type(e) is float for e in spec.onsite)
+    assert type(spec.hoppings) is tuple
+    assert [tuple(map(type, bond)) for bond in spec.hoppings] == [(int, int, float)]
+    # README: json.dumps({"model": dataclasses.asdict(spec)}) writes the device
+    assert json.dumps({"model": asdict(spec)}) == json.dumps({"model": asdict(reference)})
+
+
+@pytest.mark.parametrize("build", [_list_spec, _numpy_spec], ids=["lists", "numpy_scalars"])
+def test_json_roundtrip_of_any_built_device(build):
+    spec = build()
+    assert device_from_json(json.loads(json.dumps(asdict(spec)))) == spec
+
+
+@pytest.mark.parametrize("model, message", [
+    ({"tdot": {"t": 1, "t1": True, "eps_d": 0}},
+     "hopping amplitude on (0, 1) must be a real number, got True"),
+    ({"tdot": {"t": "1", "t1": 0.5, "eps_d": 0}}, "lead hopping t must be a real number, got '1'"),
+    ({**asdict(DeviceSpec(**GOOD_FIELDS)), "contact": 0.5},
+     "contact index must be an integer, got 0.5"),
+    ({**asdict(DeviceSpec(**GOOD_FIELDS)), "hoppings": [[0, 1]]},
+     "hopping [0, 1] is not (i, j, amplitude)"),
+    ({**asdict(DeviceSpec(**GOOD_FIELDS)), "onsite": 0.5}, "onsite must be a sequence, got 0.5"),
+    ({**asdict(DeviceSpec(**GOOD_FIELDS)), "lead_t": 10**400},
+     "lead hopping t is too large for a float"),
+], ids=["tdot_bool", "tdot_string", "fractional_index", "two_element_hopping", "scalar_onsite",
+        "int_beyond_float"])
+def test_json_device_is_checked_by_the_device(model, message):
+    # the JSON form has no checks of its own: DeviceSpec's message names the field
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        device_from_json(model)
+

@@ -628,6 +628,11 @@ def test_closed_form_validation():
         closed_form_eps0(1.0, 0.0)
     with pytest.raises(ParameterError):
         closed_form_eps0(0.0, 1.0)
+    # t and t1 are checked as make_tdot checks them
+    with pytest.raises(ParameterError, match="^lead hopping t must be finite and > 0, got inf$"):
+        closed_form_eps0(math.inf, 1.0)
+    with pytest.raises(ParameterError, match="must be a real number, got True$"):
+        closed_form_eps0(1.0, True)
 
 
 def test_solve_poles_matches_closed_form():

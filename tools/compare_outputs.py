@@ -44,7 +44,7 @@ def edge_runs(work_dir: str) -> list[list[str]]:
     on a star of identical dots, on a dense 8-site device and on a device
     with an isolated level at -2t beside a weakly bound state, and T-dots,
     Decoupled levels and two uncoupled sites at energy scales from 1e-310
-    to 1e300."""
+    to 1e300, and config files whose values are malformed."""
     runs = []
     for start, stop, steps, eps_d in (("-1", "1", "21", "0.3"), ("-0.0", "-1", "11", "0.5"),
                                       ("0", "1", "11", "-2"), ("-0.5", "0.5", "2", "3"),
@@ -194,6 +194,43 @@ def edge_runs(work_dir: str) -> list[list[str]]:
             json.dump({"model": {"n_sites": 2, "onsite": [0.0, 0.0], "hoppings": [],
                                  "contact": 0, "lead_t": lead_t}}, fh)
         runs.append(["poles", "--config", path, "--method", "feshbach"])
+    # malformed config values, in a full device, in the T-dot shorthand and at
+    # the top level: a boolean, a number given as a string, an integral and a
+    # non-integral float where an integer belongs, an integer too large for a
+    # float, a two-element hopping and a container of the wrong kind
+    good = {"n_sites": 2, "onsite": [0.0, 0.5], "hoppings": [[0, 1, -0.8]], "contact": 0,
+            "lead_t": 1.0}
+    tdot = {"t": 1.0, "t1": 0.5, "eps_d": 0.3}
+    malformed = [(name, cfg, ["poles"]) for name, cfg in (
+        ("device_bool", {"model": {**good, "contact": True}}),
+        ("device_bool_amp", {"model": {**good, "hoppings": [[0, 1, False]]}}),
+        ("device_string", {"model": {**good, "onsite": ["0", 0.5]}}),
+        ("device_integral_floats", {"model": {**good, "n_sites": 2.0, "contact": 0.0,
+                                              "hoppings": [[0.0, 1.0, -0.8]]}}),
+        ("device_fraction", {"model": {**good, "hoppings": [[0, 0.5, -0.8]]}}),
+        ("device_int_beyond_float", {"model": {**good, "lead_t": 10**400}}),
+        ("device_pair", {"model": {**good, "hoppings": [[0, 1]]}}),
+        ("device_scalar_onsite", {"model": {**good, "onsite": 0.5}}),
+        ("device_scalar_hoppings", {"model": {**good, "hoppings": 5}}),
+        ("tdot_bool", {"model": {"tdot": {**tdot, "t1": True}}}),
+        ("tdot_string", {"model": {"tdot": {**tdot, "eps_d": "0.3"}}}),
+        ("tdot_integral_floats", {"model": {"tdot": {**tdot, "t": 1.0, "t1": 2.0}}}),
+        ("tdot_int_beyond_float", {"model": {"tdot": {**tdot, "t": 10**400}}}),
+        ("tdot_list", {"model": {"tdot": [1.0, 0.5, 0.3]}}),
+        ("tdot_missing", {"model": {"tdot": {"t": 1.0, "t1": 0.5}}}),
+        ("top_bool", {"t1": True}),
+        ("top_string", {"eps_d": "0.3"}),
+        ("top_int_beyond_float", {"t": 10**400}))]
+    for i, value in enumerate((30.0, 30.5, True, "30")):
+        malformed.append((f"sites_{i}", {"sites": value}, ["oracle", "--t1", "0.5"]))
+    for i, value in enumerate((5.0, 5.5, True, "5")):
+        malformed.append((f"steps_{i}", {"kmin": 0.2, "kmax": 3, "steps": value},
+                          ["transmission"]))
+    for name, cfg, command in malformed:
+        path = os.path.join(work_dir, f"{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        runs.append([*command, "--config", path])
     return runs
 
 
