@@ -2,13 +2,15 @@
 
 Every float is written with 17 significant digits, ``'%.17g' % x``, which
 round-trips any double.  ``format_float`` formats one value; ``csv_rows``
-formats an (m, c) array in numpy and writes the same bytes.  The two array
+formats an (m, c) array in numpy and writes the same bytes, optionally
+followed by a text column of names given as integer codes.  The two array
 writers use ``csv_rows``: ``scattering.sweep_rows_csv`` (``transmission``)
-and ``cli.cmd_sweep`` (``sweep``, which joins each line to its class
-label).  ``wavefunction_csv`` formats value by value.  ``dumps`` is the
-reference layout of the JSON that ``cli`` writes from fixed templates
-(``poles`` and ``oracle``); no command calls it.  ``csv_rows`` builds its
-tables on its first call, so the other commands never pay for them.
+and ``cli.cmd_sweep`` (``sweep``, whose class column is the text column, by
+the codes of ``poles._CODE_LABELS``).  ``wavefunction_csv`` formats value by
+value.  ``dumps`` is the reference layout of the JSON that ``cli`` writes
+from fixed templates (``poles`` and ``oracle``); no command calls it.
+``csv_rows`` builds its tables on its first call, so the other commands
+never pay for them.
 
 Why ``csv_rows`` is exact.  Take 1e-4 <= |x| < 1e16 and d = floor(log10|x|)
 in [-4, 15].  Then q = 16 - d lies in [1, 20], so 10**q is an exact double,
@@ -34,7 +36,14 @@ zeros leave, and the separator in the last byte.  Deleting the NULs from all
 records gives the CSV text.  Zeros print as ``0`` or ``-0`` on the same
 path.  Every other value (|x| < 1e-4, which ``'%.17g'`` writes with an
 exponent, |x| >= 1e16, inf, nan and the rejected ones) goes through
-``'%.17g'`` itself.
+``'%.17g'`` itself.  A text column adds one more record per row, taken from
+a small word table of the names: the name, NUL padding and ``\n`` in the
+last byte; the last number's separator is then ``,``.
+
+``csv_rows`` works in passes of ``CSV_CHUNK`` rows.  A pass makes about 60
+numpy calls whatever its size, so larger passes pay that fixed cost less
+often, until the pass's temporaries outgrow what the allocator serves from
+its heap (see ``CSV_CHUNK``).
 """
 
 from __future__ import annotations
@@ -44,10 +53,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-# rows per pass of csv_rows: at 8 columns no temporary is above 48 kB, so
-# the allocator serves them from its heap, and the dozen or so alive at once
-# add little to the resident set (512 rows measured 0.5 MB more at the peak)
-CSV_CHUNK = 256
+# rows per pass of csv_rows.  At 8 columns (9 with a label) the largest
+# temporaries, three words per value, stay below 128 kB, glibc's default
+# mmap threshold, so the heap serves them pass after pass.  At 1024 rows
+# each is mapped and page-faulted afresh: with that threshold fixed, the
+# transmission benchmark ran about 15 % slower than at 256 rows on a 2-core
+# Xeon.  Peak RSS of the benchmark's seed-101 sweep items was 33.0, 33.6,
+# 34.6 and 34.8 MB at 256, 512, 1024 and 4096 rows, of its transmission
+# items 34.2, 34.5, 34.1 and 36.6 MB
+CSV_CHUNK = 512
 
 _U64 = np.uint64
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's split of a double
@@ -173,9 +187,11 @@ def _digits(n: np.ndarray, tab: _Tables) -> tuple[np.ndarray, np.ndarray]:
     return words, keep
 
 
-def _records(x: np.ndarray, sep: np.ndarray, tab: _Tables) -> str:
+def _records(x: np.ndarray, sep: np.ndarray, tab: _Tables,
+             label: np.ndarray | None = None) -> str:
     """CSV text of the flat values ``x`` of whole rows; ``sep`` holds the
-    separator word of each value, row after row."""
+    separator word of each value, row after row.  ``label``, if given, is
+    the (rows, 3) words of each row's closing text record."""
     n, d, fast = _decimal(x, tab)
     # zeros print from n = 0; the other values not kept go to '%.17g' below
     slow = np.flatnonzero(~fast & (x != 0))
@@ -198,23 +214,46 @@ def _records(x: np.ndarray, sep: np.ndarray, tab: _Tables) -> str:
     out[:, slow] = 0
     out[0, slow] = _FALLBACK
     out[2] |= sep[:x.size]
-    text = out.T.tobytes().translate(None, b"\0").decode("ascii")
+    if label is None:
+        buf = out.T
+    else:
+        buf = np.empty((len(label), x.size // len(label) + 1, 3), _U64)
+        buf[:, :-1] = out.T.reshape(len(label), -1, 3)
+        buf[:, -1] = label
+    text = buf.tobytes().translate(None, b"\0").decode("ascii")
     return text % tuple(x[slow].tolist()) if slow.size else text
 
 
-def csv_rows(values: np.ndarray) -> str:
+def csv_rows(values: np.ndarray, codes: np.ndarray | None = None, names: tuple = ()) -> str:
     """CSV lines of an (m, c) float array, ``\\n`` endings: field for field the
-    text of :func:`format_float`, computed in numpy (see the module notes)."""
+    text of :func:`format_float`, computed in numpy (see the module notes).
+
+    With ``codes``, each line ends in one more field, ``names[codes[i]]``:
+    a text of at most 23 ASCII characters with no NUL and no ``%``."""
     values = np.asarray(values, dtype=float)
     m, c = values.shape
-    # "," or "\n" in the top byte of each record's third word
+    # "," or "\n" in the top byte of each record's third word; with a label
+    # the last number is followed by ",", and the label record ends in "\n"
     sep = np.full((CSV_CHUNK, c), ord(","), _U64)
-    sep[:, -1] = ord("\n")
+    words = None
+    if codes is None:
+        sep[:, -1] = ord("\n")
+    else:
+        codes = np.asarray(codes)
+        if codes.shape != (m,):
+            raise ValueError(f"need one code per row, got shape {codes.shape} for {m} rows")
+        raw = [name.encode("ascii") for name in names]
+        if any(len(b) > 23 or b"\0" in b or b"%" in b for b in raw):
+            raise ValueError("a label must be at most 23 ASCII bytes, with no NUL and no %")
+        words = np.frombuffer(b"".join(b.ljust(23, b"\0") + b"\n" for b in raw),
+                              "<u8").astype(_U64).reshape(-1, 3)
     sep = sep.ravel() << _U64(56)
     tab = _tables()
     with np.errstate(all="ignore"):
-        return "".join(_records(values[lo:lo + CSV_CHUNK].ravel(), sep, tab)
-                       for lo in range(0, m, CSV_CHUNK))
+        return "".join(
+            _records(values[lo:lo + CSV_CHUNK].ravel(), sep, tab,
+                     None if words is None else words.take(codes[lo:lo + CSV_CHUNK], axis=0))
+            for lo in range(0, m, CSV_CHUNK))
 
 
 def format_float(x: float) -> str:

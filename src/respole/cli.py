@@ -13,7 +13,8 @@ module by name, so a ``cmd_*`` rebound after import is the one that runs.
 Floats print as ``'%.17g'`` does: ``poles`` and ``oracle`` fill fixed
 templates, whose JSON is byte for byte what ``_format.dumps`` writes,
 ``wavefunction`` formats value by value, and the rows of ``sweep`` and
-``transmission`` go through the array formatter ``_format.csv_rows``.
+``transmission`` go through the array formatter ``_format.csv_rows``, which
+also writes the class name that ends each ``sweep`` row.
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ ORACLE_JSON_POLE = ('    {\n      "z": [\n        %.17g,\n        %.17g\n      ]
                     '      "class": "%s"\n    }')
 ORACLE_JSON = ('{\n  "poles": %s,\n  "bound_compare": {\n    "siegert": %s,\n'
                '    "lattice": %s,\n    "max_abs_diff": %s\n  }\n}\n')
-# the sweep's columns: the (rows, 7) float table of solve_tdot_sweep, which
-# cmd_sweep formats with csv_rows, and the class label it joins to each line
+# the sweep's columns: the (rows, 7) float table of solve_tdot_sweep and the
+# class name of each row's code, both written by csv_rows
 POLE_SWEEP_HEADER = "param,z_re,z_im,k_re,k_im,E_re,E_im,class"
 # numpy refuses, with a ValueError, an array whose size in bytes overflows its
 # index type; the grids hold at most complex values, so a longer grid is an
@@ -253,16 +254,15 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
     with np.errstate(over="ignore"):
         values = (args.start + (args.stop - args.start) * np.arange(args.steps)
                   / (args.steps - 1))
-    table, labels, counts = solve_tdot_sweep(spec, args.param.replace("-", "_"), values)
-    # zip stops at the last label, before the empty string after the final "\n"
-    numbers = csv_rows(table).split("\n")
-    body = "\n".join([POLE_SWEEP_HEADER, *map(",".join, zip(numbers, labels))])
+    table, codes, counts = solve_tdot_sweep(spec, args.param.replace("-", "_"), values)
     changes = [
         f"# classification change at {args.param}={format_float(values[i + 1])}: "
         f"{_multiset(counts[i])} -> {_multiset(counts[i + 1])}"
         for i in np.flatnonzero((counts[1:] != counts[:-1]).any(axis=1)).tolist()
     ]
-    _emit("\n".join([body, *(changes or ["# no classification changes"])]) + "\n", args.out)
+    # one join, so the text of a long sweep is copied once
+    _emit("".join([POLE_SWEEP_HEADER, "\n", csv_rows(table, codes, _CODE_LABELS),
+                   "\n".join(changes or ["# no classification changes"]), "\n"]), args.out)
 
 
 def cmd_wavefunction(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:

@@ -159,11 +159,13 @@ def device_from_json(obj: dict) -> DeviceSpec:
     """
     if not isinstance(obj, dict):
         raise ParameterError("device JSON must be an object")
+    if "tdot" in obj and not isinstance(obj["tdot"], dict):
+        raise ParameterError("tdot shorthand must be an object with t, t1 and eps_d")
     shape, keys = (("tdot shorthand", ("t", "t1", "eps_d")) if "tdot" in obj
                    else ("device JSON", [f.name for f in fields(DeviceSpec)]))
     try:
         values = [obj.get("tdot", obj)[k] for k in keys]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ParameterError(f"bad {shape}: {exc}") from exc
     if "tdot" in obj:
         return make_tdot(*values)

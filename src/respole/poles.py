@@ -138,17 +138,20 @@ def _band_edge_roots(roots: np.ndarray, misses_contact: np.ndarray) -> np.ndarra
 
 
 def sorted_roots(roots) -> tuple[np.ndarray, np.ndarray]:
-    """A stack of (m, 2n) secular roots as complex, each row sorted by
-    (Re z, Im z), with the (m, 2n) order that sorts them.  A root that is
-    zero or not finite raises NumericalError."""
+    """One device's (2n,) secular roots or an (m, 2n) stack of them, as
+    complex, each row sorted by (Re z, Im z), with the order that sorts
+    them.  A root that is zero or not finite raises NumericalError."""
     roots = np.asarray(roots, dtype=complex)
     # a nan counts as nonzero, a zero as finite
     if not np.count_nonzero(np.isfinite(roots)) == np.count_nonzero(roots) == roots.size:
         raise NumericalError("a secular root is zero or not finite")
     # numpy orders complex numbers by (Re z, Im z); a stable sort keeps the
     # order of equal roots (+0.0 and -0.0 are equal), as
-    # np.lexsort((z.imag, z.real)) would give them
+    # np.lexsort((z.imag, z.real)) would give them.  One device's row is
+    # indexed directly: take_along_axis's set-up costs more than its sort
     order = roots.argsort(kind="stable")
+    if roots.ndim == 1:
+        return roots[order], order
     return np.take_along_axis(roots, order, axis=-1), order
 
 

@@ -17,8 +17,9 @@ computes no amplitudes, and hands the whole stack of sorted roots to the
 array form ``poles._pole_table``, which gives k, E and a class code per
 root, bit for bit those of the scalar functions ``k_from_z``,
 ``energy_from_z`` and ``classify`` that build the pole list of one device.
-The sweep's table, labels and class counts are built from those arrays,
-with no Python bytecode run per root.
+The sweep's table, class codes and class counts are built from those
+arrays, with no Python bytecode run per root; ``cli`` writes the codes as
+the CSV's class column through ``_format.csv_rows``.
 For the T-type dot the determinant is the quartic
 
     t^2 z^4 + t eps_d z^3 + t1^2 z^2 - t eps_d z - t^2 = 0,
@@ -184,14 +185,16 @@ def solve_poles(spec: DeviceSpec) -> list[SpectralPole]:
     return poles_from_roots(*poly_roots(secular_polynomial(h, t, c)), t, c)
 
 
-def solve_tdot_sweep(spec: DeviceSpec, name: str, values) -> tuple[np.ndarray, list, np.ndarray]:
+def solve_tdot_sweep(spec: DeviceSpec, name: str,
+                     values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The poles of the T-dot ``spec`` with its parameter ``name`` ("t1" or
     "eps_d") set to each of ``values`` in turn, as three arrays of rows:
 
     - the (rows, 7) float table of value, Re z, Im z, Re k, Im k, Re E and
       Im E, point after point: a coupled point's secular roots sorted by
       (Re z, Im z), or the ``decoupled_poles`` of a point with t1 = 0;
-    - the class of each row by its CSV name;
+    - the class code of each row, an index into ``poles._CODE_LABELS``
+      (the CSV names);
     - the (points, 7) count of each point's rows per class, in the order of
       ``poles._CODE_LABELS``: the point's classes as a multiset.
 
@@ -234,7 +237,6 @@ def solve_tdot_sweep(spec: DeviceSpec, name: str, values) -> tuple[np.ndarray, l
     for i in np.flatnonzero(~coupled).tolist():
         p = decoupled_poles(make_tdot(t, t1[i], eps_d[i]))[0]
         table[first[i], 1:] = p.z.real, p.z.imag, p.k.real, p.k.imag, p.E.real, p.E.imag
-    labels = list(map(_CODE_LABELS.__getitem__, row_codes.tolist()))
     width = len(_CODE_LABELS)
     counts = np.bincount(point * width + row_codes, minlength=values.size * width)
-    return table, labels, counts.reshape(values.size, width)
+    return table, row_codes, counts.reshape(values.size, width)

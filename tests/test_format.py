@@ -13,12 +13,19 @@ from hypothesis import strategies as st
 
 import respole
 from respole._format import CSV_CHUNK, csv_rows, format_float
+from respole.poles import _CODE_LABELS
 
 
 def printf_rows(values):
     """Oracle: the stdlib formatter, one field at a time."""
     return "".join(",".join(format_float(v) for v in row) + "\n"
                    for row in np.asarray(values).tolist())
+
+
+def printf_labelled_rows(values, codes, names):
+    """Oracle for the label column: each row's fields, then its name."""
+    return "".join(",".join([*map(format_float, row), names[c]]) + "\n"
+                   for row, c in zip(np.asarray(values).tolist(), codes.tolist(), strict=True))
 
 
 def ulps(x, count):
@@ -78,12 +85,57 @@ def test_any_bit_pattern_matches_printf(bits, columns):
     assert csv_rows(values) == printf_rows(values)
 
 
-@pytest.mark.parametrize("rows,columns", [(1, 1), (1, 8), (CSV_CHUNK - 1, 8),
-                                          (CSV_CHUNK, 8), (CSV_CHUNK + 1, 8), (0, 8)])
+# both sides of a pass boundary, and the same counts around 256 rows, inside
+# a pass
+@pytest.mark.parametrize("rows,columns", [(1, 1), (1, 8), (255, 8), (256, 8), (257, 8),
+                                          (CSV_CHUNK - 1, 8), (CSV_CHUNK, 8),
+                                          (CSV_CHUNK + 1, 8), (0, 8)])
 def test_shapes_and_chunk_edges(rows, columns):
     rng = np.random.default_rng(rows)
     values = rng.standard_normal((rows, columns)) * 10.0 ** rng.integers(-6, 18, (rows, columns))
     assert csv_rows(values) == printf_rows(values)
+
+
+@pytest.mark.parametrize("columns", [7, 8])
+@pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1])
+def test_label_column_at_chunk_edges(rows, columns):
+    rng = np.random.default_rng(1000 * columns + rows)
+    values = rng.standard_normal((rows, columns)) * 10.0 ** rng.integers(-6, 18, (rows, columns))
+    codes = rng.integers(0, len(_CODE_LABELS), rows)
+    text = csv_rows(values, codes, _CODE_LABELS)
+    assert text == printf_labelled_rows(values, codes, _CODE_LABELS)
+    assert text.count("\n") == rows
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_label_column_after_special_values(sign):
+    # zeros, subnormals, inf and nan go through '%.17g', whose records sit
+    # before the label; values at 1e-4 and 1e16 bound the fast range
+    special = [0.0, 5e-324, 2.2250738585072014e-308, np.inf, np.nan,
+               *ulps(1e-4, 2), *ulps(1e16, 2)]
+    values = np.array([sign * v for v in special] * 7).reshape(-1, 7)
+    codes = np.arange(len(values)) % len(_CODE_LABELS)
+    assert csv_rows(values, codes, _CODE_LABELS) == printf_labelled_rows(
+        values, codes, _CODE_LABELS)
+    # every row of special values alone, so a whole row takes the slow path
+    for v in special:
+        row = np.full((1, 7), sign * v)
+        assert csv_rows(row, codes[:1], _CODE_LABELS) == printf_labelled_rows(
+            row, codes[:1], _CODE_LABELS)
+
+
+def test_label_names_fill_their_whole_record():
+    # 23 bytes leave room only for the closing newline; a name with "%"
+    # would be read by the '%.17g' fill-in, and one of 24 bytes has no room
+    names = ("x" * 23, "", "a,b")
+    values = np.array([[1.5, -0.0], [np.nan, 2.0], [1e-7, 3.0]])
+    codes = np.array([0, 1, 2])
+    assert csv_rows(values, codes, names) == printf_labelled_rows(values, codes, names)
+    for bad in ("x" * 24, "50%", "a\0b"):
+        with pytest.raises(ValueError, match="label"):
+            csv_rows(values, codes, (bad, "", ""))
+    with pytest.raises(ValueError, match="one code per row"):
+        csv_rows(values, codes[:2], names)
 
 
 def test_log_ten_off_by_one_ulp_still_prints_exactly(monkeypatch):

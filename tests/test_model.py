@@ -176,6 +176,15 @@ def test_json_rejects_garbage():
         device_from_json([1, 2, 3])
 
 
+@pytest.mark.parametrize("tdot", [[1.0, 0.5, 0.3], "1 0.5 0.3", 0.5, None],
+                         ids=["list", "string", "number", "null"])
+def test_tdot_shorthand_that_is_not_an_object_says_what_it_needs(tdot):
+    # not Python's own "list indices must be integers" text
+    message = "tdot shorthand must be an object with t, t1 and eps_d"
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        device_from_json({"tdot": tdot})
+
+
 def _numpy_spec():
     return DeviceSpec(
         n_sites=np.int64(2), onsite=(np.float32(0.0), np.float64(0.5)),

@@ -342,7 +342,10 @@ def test_sweep_csv_matches_printf_on_workload_grids():
         assert sweep_rows_csv(sweep) == reference_csv(sweep_rows(sweep))
 
 
-@pytest.mark.parametrize("steps", [CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1, 2 * CSV_CHUNK + 37])
+# both sides of the first and after the second pass boundary, and the same
+# counts around 256 rows, inside a pass
+@pytest.mark.parametrize("steps", [255, 256, 257, 549, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1,
+                                   2 * CSV_CHUNK + 37])
 def test_sweep_csv_matches_printf_at_chunk_edges(steps):
     sweep = transmission_sweep(make_tdot(1.0, 0.7, -1.1), 0.05, 3.09, steps)
     assert sweep_rows_csv(sweep) == reference_csv(sweep_rows(sweep))

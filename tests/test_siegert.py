@@ -755,14 +755,23 @@ def reference_sweep_csv(param, start, stop, steps, **model):
     return "\n".join(lines + (changes or ["# no classification changes"])) + "\n"
 
 
-# a coupled point gives 4 rows and a t1 = 0 point 1, so these land the row
-# count on either side of the formatter's chunk: all points decoupled,
-# all coupled, and a t1 grid whose middle point is exactly 0
-CHUNK_EDGE_SWEEPS = {
-    CSV_CHUNK - 1: ("eps-d", -3.0, 3.0, CSV_CHUNK - 1, {"t1": 0.0}),
-    CSV_CHUNK: ("eps-d", -3.0, 3.0, CSV_CHUNK // 4, {"t1": 0.4}),
-    CSV_CHUNK + 1: ("t1", -1.0, 1.0, CSV_CHUNK // 4 + 1, {"eps_d": 0.3}),
-}
+def chunk_edge_sweeps(rows):
+    """Sweeps of rows - 1, rows and rows + 1 rows, by row count.  A coupled
+    point gives 4 rows and a t1 = 0 point 1: all points decoupled, all
+    coupled, and a t1 grid whose middle point is exactly 0."""
+    return {
+        rows - 1: ("eps-d", -3.0, 3.0, rows - 1, {"t1": 0.0}),
+        rows: ("eps-d", -3.0, 3.0, rows // 4, {"t1": 0.4}),
+        rows + 1: ("t1", -1.0, 1.0, rows // 4 + 1, {"eps_d": 0.3}),
+    }
+
+
+# row counts on either side of the formatter's pass, and around 256 rows,
+# inside a pass
+CHUNK_EDGE_SWEEPS = {**chunk_edge_sweeps(256), **chunk_edge_sweeps(CSV_CHUNK)}
+# a t1 grid whose middle point is 0 after CSV_CHUNK // 4 coupled points: its
+# Decoupled row is the first of the formatter's second pass
+DECOUPLED_ON_CHUNK_EDGE = ("t1", -1.0, 1.0, CSV_CHUNK // 2 + 1, {"eps_d": -0.7})
 
 
 @pytest.mark.parametrize("param, start, stop, steps, model", [
@@ -774,14 +783,16 @@ CHUNK_EDGE_SWEEPS = {
     ("eps-d", -4.0, 4.0, 301, {"t1": 0.1}),
     ("t1", 0.0, 3.0, 301, {"eps_d": 2.0}),
     *CHUNK_EDGE_SWEEPS.values(),
+    DECOUPLED_ON_CHUNK_EDGE,
     # z, k and E spread from 1e-25 to 1e10: fields on both sides of 1e-4
     ("eps-d", -3.0, 3.0, 41, {"t": 1e-9, "t1": 0.5}),
     # the whole model scaled by 1e-9: every parameter and energy below 1e-4
     ("eps-d", -3e-9, 3e-9, 61, {"t": 1e-9, "t1": 3e-10}),
     ("t1", -0.0, -1.0, 11, {"eps_d": 0.5}),
 ], ids=["t1_through_0", "t1_outside_band", "eps_d_decoupled", "eps_d_edges", "eps_d_weak",
-        "eps_d_workload", "t1_workload_band_edge", "rows_chunk_minus_1", "rows_chunk",
-        "rows_chunk_plus_1", "tiny_lead_hopping", "tiny_model", "t1_from_minus_zero"])
+        "eps_d_workload", "t1_workload_band_edge", "rows_255", "rows_256", "rows_257",
+        "rows_chunk_minus_1", "rows_chunk", "rows_chunk_plus_1", "decoupled_on_chunk_edge",
+        "tiny_lead_hopping", "tiny_model", "t1_from_minus_zero"])
 def test_sweep_csv_matches_per_point_solves(param, start, stop, steps, model, capsys):
     flags = [f"--{k.replace('_', '-')}={v!r}" for k, v in model.items()]
     code = main(["sweep", "--param", param, f"--from={start!r}", f"--to={stop!r}",
@@ -795,6 +806,12 @@ def test_chunk_edge_sweeps_have_their_row_counts(rows):
     param, start, stop, steps, model = CHUNK_EDGE_SWEEPS[rows]
     lines = reference_sweep_csv(param, start, stop, steps, **model).splitlines()
     assert sum(not line.startswith("#") for line in lines[1:]) == rows
+
+
+def test_decoupled_row_is_the_first_of_a_chunk():
+    lines = reference_sweep_csv(*DECOUPLED_ON_CHUNK_EDGE[:4], **DECOUPLED_ON_CHUNK_EDGE[4])
+    rows = [line for line in lines.splitlines()[1:] if not line.startswith("#")]
+    assert [i for i, row in enumerate(rows) if row.endswith(",Decoupled")] == [CSV_CHUNK]
 
 
 @pytest.mark.parametrize("spec", [
@@ -853,7 +870,8 @@ def test_tdot_sweep_points_equal_solve_poles():
     ]
     for name, t, other, values in cases:
         spec = make_tdot(t, other, 0.1) if name == "eps_d" else make_tdot(t, 1.0, other)
-        table, labels, counts = solve_tdot_sweep(spec, name, values)
+        table, codes, counts = solve_tdot_sweep(spec, name, values)
+        labels = [_CODE_LABELS[c] for c in codes.tolist()]
         assert counts.shape == (len(values), len(_CODE_LABELS))
         assert table.shape == (len(labels), 7) and counts.sum() == len(labels)
         ends = np.cumsum(counts.sum(axis=1)).tolist()

@@ -57,11 +57,21 @@ def edge_runs(work_dir: str) -> list[list[str]]:
                          "--steps", "41", "--t1", t1])
     runs.append(["sweep", "--param", "eps-d", "--from", "-2", "--to", "2", "--steps", "3",
                  "--t1", "1e-7", "--t", "1.0"])
-    # 255, 256 and 257 rows, around the array formatter's 256-row chunk: a
+    # rows around 256 and around the array formatter's passes of 512 rows:
+    # 255-257, 511-513, 1023-1025 and 1028 rows; the t1 grids of 1025 and 2049
+    # rows put their Decoupled row first in a pass (rows 512 and 1024).  A
     # t1 = 0 point gives 1 row and a coupled point 4
     for param, start, stop, steps, model in (("eps-d", "-3", "3", "255", ("--t1", "0")),
                                              ("eps-d", "-3", "3", "64", ("--t1", "0.4")),
-                                             ("t1", "-1", "1", "65", ("--eps-d", "0.3"))):
+                                             ("t1", "-1", "1", "65", ("--eps-d", "0.3")),
+                                             ("eps-d", "-3", "3", "511", ("--t1", "0")),
+                                             ("eps-d", "-3", "3", "128", ("--t1", "0.4")),
+                                             ("t1", "-1", "1", "129", ("--eps-d", "0.3")),
+                                             ("eps-d", "-3", "3", "1023", ("--t1", "0")),
+                                             ("eps-d", "-3", "3", "256", ("--t1", "0.4")),
+                                             ("t1", "-1", "1", "257", ("--eps-d", "0.3")),
+                                             ("eps-d", "-3", "3", "257", ("--t1", "0.4")),
+                                             ("t1", "-1", "1", "513", ("--eps-d", "-0.7"))):
         runs.append(["sweep", "--param", param, "--from", start, "--to", stop, "--steps", steps,
                      *model])
     # every point decoupled: a t1 range of one value, and t1 = 0 over eps-d;
@@ -163,7 +173,7 @@ def edge_runs(work_dir: str) -> list[list[str]]:
     for t in ("1e17", "1e-6"):
         runs.append(["transmission", *grid, "--steps", "301", "--t", t, "--t1", "0.5",
                      "--eps-d", "0.3"])
-    for steps in ("511", "512", "513"):
+    for steps in ("511", "512", "513", "1023", "1024", "1025"):
         runs.append(["transmission", *grid, "--steps", steps, "--t1", "0.7", "--eps-d", "-1.1"])
     # through the antiresonance at E = eps_d, where T falls below 1e-4
     runs.append(["transmission", "--kmin", "1.70", "--kmax", "1.74", "--steps", "401",
