@@ -224,12 +224,15 @@ def _records(x: np.ndarray, sep: np.ndarray, tab: _Tables,
     return text % tuple(x[slow].tolist()) if slow.size else text
 
 
-def csv_rows(values: np.ndarray, codes: np.ndarray | None = None, names: tuple = ()) -> str:
+def csv_rows(values: np.ndarray, codes: np.ndarray | None = None, names: tuple = (),
+             header: str = "", trailer: str = "") -> str:
     """CSV lines of an (m, c) float array, ``\\n`` endings: field for field the
     text of :func:`format_float`, computed in numpy (see the module notes).
 
     With ``codes``, each line ends in one more field, ``names[codes[i]]``:
-    a text of at most 23 ASCII characters with no NUL and no ``%``."""
+    a text of at most 23 ASCII characters with no NUL and no ``%``.
+    ``header`` and ``trailer`` go before and after the lines, in the one join
+    of the passes, so a caller's table is copied once."""
     values = np.asarray(values, dtype=float)
     m, c = values.shape
     # "," or "\n" in the top byte of each record's third word; with a label
@@ -250,10 +253,10 @@ def csv_rows(values: np.ndarray, codes: np.ndarray | None = None, names: tuple =
     sep = sep.ravel() << _U64(56)
     tab = _tables()
     with np.errstate(all="ignore"):
-        return "".join(
-            _records(values[lo:lo + CSV_CHUNK].ravel(), sep, tab,
-                     None if words is None else words.take(codes[lo:lo + CSV_CHUNK], axis=0))
-            for lo in range(0, m, CSV_CHUNK))
+        passes = [_records(values[lo:lo + CSV_CHUNK].ravel(), sep, tab,
+                           None if words is None else words.take(codes[lo:lo + CSV_CHUNK], axis=0))
+                  for lo in range(0, m, CSV_CHUNK)]
+    return "".join([header, *passes, trailer])
 
 
 def format_float(x: float) -> str:

@@ -260,9 +260,10 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:
         f"{_multiset(counts[i])} -> {_multiset(counts[i + 1])}"
         for i in np.flatnonzero((counts[1:] != counts[:-1]).any(axis=1)).tolist()
     ]
-    # one join, so the text of a long sweep is copied once
-    _emit("".join([POLE_SWEEP_HEADER, "\n", csv_rows(table, codes, _CODE_LABELS),
-                   "\n".join(changes or ["# no classification changes"]), "\n"]), args.out)
+    # csv_rows joins header, rows and changes at once, so a long sweep is copied once
+    _emit(csv_rows(table, codes, _CODE_LABELS, header=POLE_SWEEP_HEADER + "\n",
+                   trailer="\n".join(changes or ["# no classification changes"]) + "\n"),
+          args.out)
 
 
 def cmd_wavefunction(args: argparse.Namespace, cfg: dict, spec: DeviceSpec) -> None:

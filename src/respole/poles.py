@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .dispersion import energy_from_z, k_from_z, z_pair_from_energy
-from .errors import BandEdgeError, ClassificationError, NumericalError, ParameterError
+from .errors import BandEdgeError, ClassificationError, NumericalError
 from .model import DeviceSpec, tdot_params
 
 CLASSIFY_TOL = 1e-9
@@ -271,10 +271,9 @@ def classify(z: complex) -> PoleClass:
     CLASSIFY_TOL bounds the unit-circle (threshold) test and the distance of
     Re k from the lines {0, pi}, measured on the zone circle so values just
     below -pi count as near +pi.  A root in the upper half plane off those
-    lines raises ClassificationError; a z that is not finite has no place.
+    lines raises ClassificationError; a z that is not finite has no place,
+    and ``k_from_z`` refuses z = 0 with a ParameterError.
     """
-    if z == 0:
-        raise ParameterError("Bloch factor z must be nonzero")
     if not cmath.isfinite(z):
         raise ClassificationError(f"Bloch factor z = {z} is not finite")
     return _class_of(z, k_from_z(z))

@@ -7,16 +7,16 @@ A unit wave incident from the left fixes the inner amplitudes through
 with continuity A + B = C = amp0 across the contact and A = 1.  The
 lattice Green's function with the source on the contact solves the same
 system with right-hand side (1, 0, ...), so the two are proportional
-through i v_g.
+through i v_g; ``verify_green_identity`` solves both and compares them.
 
-A sweep over k comes back as one ``ScatteringSweep`` of column arrays, one
-row per k; ``scattering_solve`` is the batch of one and reads row 0.  T and
-R are Python's ``abs(c) ** 2`` of each amplitude to the last bit, computed
-over the column (``_abs_squared``): the C library's ``hypot`` through
-``np.hypot``, the square as h * h, and Python's own ``pow`` for the few
-squares that lie near a rounding midpoint.  ``sweep_rows_csv`` writes a
-sweep through the array formatter ``_format.csv_rows``, whose fields are
-byte for byte those of ``%.17g``.
+Every solve comes back as one ``ScatteringSweep`` of column arrays, one row
+per k: ``transmission_sweep`` on a uniform grid, ``scattering_solve`` as
+the sweep of one row.  T and R are Python's ``abs(c) ** 2`` of each
+amplitude to the last bit, computed over the column (``_abs_squared``): the
+C library's ``hypot`` through ``np.hypot``, the square as h * h, and
+Python's own ``pow`` for the few squares that lie near a rounding midpoint.
+``sweep_rows_csv`` writes a sweep through the array formatter
+``_format.csv_rows``, whose fields are byte for byte those of ``%.17g``.
 """
 
 from __future__ import annotations
@@ -37,23 +37,10 @@ from .model import DeviceSpec, _as_index, _as_real, p_space_hamiltonian
 SOLVE_CHUNK = 256
 
 
-@dataclass(frozen=True)
-class ScatteringSolution:
-    """Amplitudes and probabilities at one real k in (0, pi), for a unit
-    incident wave: B reflected, C transmitted."""
-
-    k: float
-    E: float
-    B: complex
-    C: complex
-    amps: tuple[complex, ...]
-    T: float
-    R: float
-
-
 @dataclass(frozen=True, eq=False)
 class ScatteringSweep:
-    """Scattering solutions on a k grid as columns, row i at ``k[i]``.
+    """Scattering solutions on a k grid as columns, row i at ``k[i]``; the
+    solve at one k is the sweep of one row.
 
     ``k``, ``E``, ``T`` and ``R`` are float arrays of shape (m,), ``B`` and
     ``C`` complex arrays of shape (m,), and ``amps`` the (m, n) inner
@@ -68,16 +55,6 @@ class ScatteringSweep:
     amps: np.ndarray
     T: np.ndarray
     R: np.ndarray
-
-
-@dataclass(frozen=True)
-class GreenPair:
-    """Retarded resolvent elements with the source on the contact site:
-    G00 on the contact, ``values`` on every site in site order."""
-
-    k: float
-    G00: complex
-    values: tuple[complex, ...]
 
 
 def _check_k(k: float) -> float:
@@ -178,28 +155,19 @@ def _sweep(spec: DeviceSpec, ks: list[float]) -> ScatteringSweep:
     )
 
 
-def scattering_solve(spec: DeviceSpec, k: float) -> ScatteringSolution:
-    """Solve the left-incidence scattering problem at real k with A = 1."""
-    sweep = _sweep(spec, [_check_k(k)])
-    row = {name: getattr(sweep, name).tolist()[0] for name in ("k", "E", "B", "C", "T", "R")}
-    return ScatteringSolution(**row, amps=tuple(sweep.amps[0].tolist()))
-
-
-def green_function(spec: DeviceSpec, k: float) -> GreenPair:
-    """Retarded Green's function elements (contact column) at real k."""
-    k = _check_k(k)
-    g = _solve_inner(spec, [k], incident=False)[1][0].tolist()
-    return GreenPair(k=k, G00=g[spec.contact], values=tuple(g))
+def scattering_solve(spec: DeviceSpec, k: float) -> ScatteringSweep:
+    """Solve the left-incidence scattering problem at real k with A = 1: a
+    sweep of one row."""
+    return _sweep(spec, [_check_k(k)])
 
 
 def verify_green_identity(spec: DeviceSpec, k: float) -> float:
-    """Max deviation of amps == i v_g G (contract: below 1e-12)."""
-    sol = scattering_solve(spec, k)
-    g = green_function(spec, k)
-    factor = 1j * group_velocity(k, spec.lead_t)
-    return float(
-        max(abs(a - factor * gv) for a, gv in zip(sol.amps, g.values))
-    )
+    """Max deviation of amps == i v_g G (contract: below 1e-12), from two
+    solves at k, one per right-hand side."""
+    k = _check_k(k)
+    amps = _solve_inner(spec, [k], incident=True)[1][0]
+    g = _solve_inner(spec, [k], incident=False)[1][0]
+    return float(np.abs(amps - 1j * group_velocity(k, spec.lead_t) * g).max())
 
 
 def transmission_sweep(
@@ -227,4 +195,4 @@ def sweep_rows_csv(sweep: ScatteringSweep) -> str:
     field the text of ``_format.format_float``."""
     columns = (sweep.k, sweep.E, sweep.T, sweep.R,
                sweep.B.real, sweep.B.imag, sweep.C.real, sweep.C.imag)
-    return SWEEP_HEADER + "\n" + csv_rows(np.column_stack(columns))
+    return csv_rows(np.column_stack(columns), header=SWEEP_HEADER + "\n")

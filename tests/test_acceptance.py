@@ -152,7 +152,7 @@ def test_criterion_6_unitarity(capsys):
         spec = make_tdot(1.0, float(rng.uniform(1e-6, 2.0)), float(rng.uniform(-3, 3)))
         for k in rng.uniform(0.01, math.pi - 0.01, size=1000):
             sol = scattering_solve(spec, float(k))
-            worst = max(worst, abs(sol.R + sol.T - 1.0))
+            worst = max(worst, abs(sol.R[0] + sol.T[0] - 1.0))
     ok = worst < 1e-12
     with capsys.disabled():
         report(6, ok, f"20 parameter sets x 1000 k, max|R+T-1|={worst:.2e}")
@@ -161,8 +161,8 @@ def test_criterion_6_unitarity(capsys):
 
 def test_criterion_7_fano_zero(capsys):
     spec = make_tdot(1.0, 1.0, 0.3)
-    t_zero = scattering_solve(spec, math.acos(-0.3 / 2.0)).T
-    t_mid = scattering_solve(spec, math.pi / 2).T
+    t_zero = scattering_solve(spec, math.acos(-0.3 / 2.0)).T[0]
+    t_mid = scattering_solve(spec, math.pi / 2).T[0]
     ok = t_zero < 1e-20 and abs(t_mid - 9.0 / 34.0) < 1e-12
     with capsys.disabled():
         report(7, ok, f"T(k*)={t_zero:.2e}, |T(pi/2)-9/34|={abs(t_mid-9/34):.2e}")

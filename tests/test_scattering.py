@@ -2,8 +2,9 @@ import cmath
 import json
 import math
 import re
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from respole import (
-    DeviceSpec,
     NumericalError,
     ParameterError,
     PoleClass,
@@ -29,12 +29,30 @@ from respole.feshbach import build_h_eff
 from respole.scattering import (
     SOLVE_CHUNK,
     SWEEP_HEADER,
-    ScatteringSolution,
     _abs_squared,
-    green_function,
+    _solve_inner,
     scattering_solve,
     sweep_rows_csv,
 )
+from test_oracle import random_device
+
+
+class Row(NamedTuple):
+    """One k of a sweep as Python numbers, for the per-k references."""
+
+    k: float
+    E: float
+    B: complex
+    C: complex
+    amps: tuple
+    T: float
+    R: float
+
+
+def green_column(spec, k):
+    """The contact column of the retarded Green's function at k, in site
+    order: the inner solve with the unit source on the contact."""
+    return _solve_inner(spec, [k], incident=False)[1][0]
 
 
 def independent_2x2_solve(t, t1, ed, k, rhs0):
@@ -81,10 +99,8 @@ def reference_sweep(spec, k_min, k_max, steps):
         rhs[spec.contact] = 2j * spec.lead_t * math.sin(k)
         amps = np.linalg.solve(m, rhs).tolist()
         c = amps[spec.contact]
-        rows.append(ScatteringSolution(
-            k=k, E=E, B=c - 1.0, C=c, amps=tuple(amps),
-            T=abs(c) ** 2, R=abs(c - 1.0) ** 2,
-        ))
+        rows.append(Row(k=k, E=E, B=c - 1.0, C=c, amps=tuple(amps),
+                        T=abs(c) ** 2, R=abs(c - 1.0) ** 2))
     return rows
 
 
@@ -108,22 +124,6 @@ def reference_csv(rows):
     return "\n".join(lines) + "\n"
 
 
-def random_device(rng, n):
-    """A chain with extra random bonds; the contact is never site 0."""
-    bonds = {(i, i + 1): -rng.uniform(0.3, 1.5) for i in range(n - 1)}
-    for i in range(n):
-        for j in range(i + 2, n):
-            if rng.uniform() < 0.3:
-                bonds[(i, j)] = rng.uniform(-1.5, 1.5)
-    return DeviceSpec(
-        n_sites=n,
-        onsite=tuple(rng.uniform(-2.0, 2.0, size=n).tolist()),
-        hoppings=tuple((i, j, a) for (i, j), a in bonds.items()),
-        contact=int(rng.integers(1, n)),
-        lead_t=float(rng.uniform(0.5, 2.0)),
-    )
-
-
 def extrapolate_to_zero(xs, ys):
     ys = list(ys)
     n = len(xs)
@@ -135,28 +135,28 @@ def extrapolate_to_zero(xs, ys):
 
 def test_fano_point_transmission():
     sol = scattering_solve(make_tdot(1.0, 1.0, 0.3), math.pi / 2)
-    assert sol.T == pytest.approx(9.0 / 34.0, abs=1e-12)
-    assert sol.R == pytest.approx(25.0 / 34.0, abs=1e-12)
+    assert sol.T[0] == pytest.approx(9.0 / 34.0, abs=1e-12)
+    assert sol.R[0] == pytest.approx(25.0 / 34.0, abs=1e-12)
     oracle = independent_2x2_solve(1.0, 1.0, 0.3, math.pi / 2, 2j)
-    assert sol.C == pytest.approx(complex(oracle[0]), abs=1e-12)
-    assert abs(sol.amps[1] - oracle[1]) < 1e-12
+    assert sol.C[0] == pytest.approx(complex(oracle[0]), abs=1e-12)
+    assert abs(sol.amps[0, 1] - oracle[1]) < 1e-12
 
 
 def test_transmission_zero_at_dot_level():
     k_star = math.acos(-0.15)
     sol = scattering_solve(make_tdot(1.0, 1.0, 0.3), k_star)
-    assert sol.T < 1e-20
+    assert sol.T[0] < 1e-20
 
 
 def test_decoupled_limit_transmits_perfectly():
     sol = scattering_solve(make_tdot(1.0, 1e-8, 0.0), math.pi / 3)
-    assert sol.T == pytest.approx(1.0, abs=1e-12)
+    assert sol.T[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transmission_zero_tracks_dot_level():
     for ed in (-1.5, -0.3, 0.9, 1.9):
         sol = scattering_solve(make_tdot(1.0, 0.8, ed), math.acos(-ed / 2.0))
-        assert sol.T < 1e-20
+        assert sol.T[0] < 1e-20
 
 
 def test_continuity_and_unitarity():
@@ -167,9 +167,9 @@ def test_continuity_and_unitarity():
         spec = make_tdot(1.0, t1, ed)
         for k in rng.uniform(0.01, math.pi - 0.01, size=50):
             sol = scattering_solve(spec, float(k))
-            assert abs(1.0 + sol.B - sol.C) < 1e-12
-            assert sol.C == sol.amps[0]
-            assert abs(sol.R + sol.T - 1.0) < 1e-12
+            assert abs(1.0 + sol.B[0] - sol.C[0]) < 1e-12
+            assert sol.C[0] == sol.amps[0, 0]
+            assert abs(sol.R[0] + sol.T[0] - 1.0) < 1e-12
 
 
 def test_k_domain_validation():
@@ -179,19 +179,31 @@ def test_k_domain_validation():
             scattering_solve(spec, bad)
 
 
-@pytest.mark.parametrize("solve", [scattering_solve, green_function])
+# the two entry points that take one k: the scattering solve, and the check
+# of the identity that solves the Green's function column at that k
+K_SOLVES = [scattering_solve, pytest.param(verify_green_identity, id="green_function")]
+
+
+def result_bits(result):
+    """The bytes of every column of a sweep, or of one float."""
+    if isinstance(result, ScatteringSweep):
+        return [getattr(result, f.name).tobytes() for f in fields(result)]
+    assert type(result) is float
+    return np.float64(result).tobytes()
+
+
+@pytest.mark.parametrize("solve", K_SOLVES)
 @pytest.mark.parametrize(
     "k", [1, np.int64(1), np.float32(1.0), np.float64(1.0), Fraction(1)],
     ids=["int", "int64", "float32", "float64", "fraction"],
 )
 def test_k_accepts_any_real_number(solve, k):
+    # k becomes a float first: the k column is float64 and every bit agrees
     spec = make_tdot(1.0, 0.7, 0.3)
-    got = solve(spec, k)
-    assert type(got.k) is float
-    assert got == solve(spec, 1.0)
+    assert result_bits(solve(spec, k)) == result_bits(solve(spec, 1.0))
 
 
-@pytest.mark.parametrize("solve", [scattering_solve, green_function])
+@pytest.mark.parametrize("solve", K_SOLVES)
 @pytest.mark.parametrize("k", [True, False, np.bool_(True), "1.0", 1 + 0j, None],
                          ids=["true", "false", "np_bool", "str", "complex", "none"])
 def test_k_rejects_bools_and_non_numbers(solve, k):
@@ -200,13 +212,13 @@ def test_k_rejects_bools_and_non_numbers(solve, k):
 
 
 def test_green_function_values():
-    g = green_function(make_tdot(1.0, 1.0, 0.3), math.pi / 2)
+    g00, gd0 = green_column(make_tdot(1.0, 1.0, 0.3), math.pi / 2).tolist()
     # 2x2 inverse: G00 = (E - ed)/det, Gd0 = -t1/det with det = -1 - 0.6i
     det = complex(-1.0, -0.6)
-    assert g.G00 == pytest.approx(-0.3 / det, abs=1e-12)
-    assert g.values[1] == pytest.approx(-1.0 / det, abs=1e-12)
-    assert g.G00 == pytest.approx(0.22058824 - 0.13235294j, abs=1e-7)
-    assert g.values[1] == pytest.approx(0.73529412 - 0.44117647j, abs=1e-7)
+    assert g00 == pytest.approx(-0.3 / det, abs=1e-12)
+    assert gd0 == pytest.approx(-1.0 / det, abs=1e-12)
+    assert g00 == pytest.approx(0.22058824 - 0.13235294j, abs=1e-7)
+    assert gd0 == pytest.approx(0.73529412 - 0.44117647j, abs=1e-7)
 
 
 def test_green_function_residual_invariant():
@@ -214,31 +226,30 @@ def test_green_function_residual_invariant():
     for _ in range(50):
         spec = make_tdot(1.0, rng.uniform(0.1, 2.0), rng.uniform(-2.5, 2.5))
         k = float(rng.uniform(0.05, math.pi - 0.05))
-        g = green_function(spec, k)
         z = complex(math.cos(k), math.sin(k))
         E = -2 * math.cos(k)
         m = E * np.eye(2) - build_h_eff(spec, z)
-        resid = m @ np.array(g.values) - np.array([1.0, 0.0])
+        resid = m @ green_column(spec, k) - np.array([1.0, 0.0])
         assert np.max(np.abs(resid)) < 1e-12
 
 
 def test_green_function_decoupled_limit():
     # residual dot level at t1 = 1e-12 shifts G00 from -i/(2 t sin k) at the
     # 1e-9 level because E(pi/2) only rounds to ~1e-16, not exactly 0
-    g = green_function(make_tdot(1.0, 1e-12, 0.0), math.pi / 2)
-    assert abs(g.G00 - (-0.5j)) < 1e-8
+    g00 = green_column(make_tdot(1.0, 1e-12, 0.0), math.pi / 2)[0]
+    assert abs(g00 - (-0.5j)) < 1e-8
 
 
 def test_green_function_against_lattice_resolvent():
     # independent route: finite-lattice resolvent, eta ladder extrapolated
     k = math.pi / 2
-    g = green_function(make_tdot(1.0, 1.0, 0.3), k)
+    g = green_column(make_tdot(1.0, 1.0, 0.3), k)
     etas = [3.2e-2, 2.4e-2, 1.6e-2, 1.2e-2, 8e-3]
     pairs = [lattice_resolvent(1.0, 0.3, 1.0, k, e, 30000) for e in etas]
     g00 = extrapolate_to_zero(etas, [p[0] for p in pairs])
     gd0 = extrapolate_to_zero(etas, [p[1] for p in pairs])
-    assert abs(g00 - g.G00) < 1e-6
-    assert abs(gd0 - g.values[1]) < 1e-6
+    assert abs(g00 - g[0]) < 1e-6
+    assert abs(gd0 - g[1]) < 1e-6
 
 
 def test_green_identity_examples():
@@ -326,7 +337,7 @@ def test_sweep_csv_shape():
 def sweep_rows(sweep):
     """The rows of a sweep as records for ``reference_csv``."""
     names = ("k", "E", "B", "C", "T", "R")
-    return [ScatteringSolution(**dict(zip(names, row)), amps=())
+    return [Row(**dict(zip(names, row)), amps=())
             for row in zip(*(getattr(sweep, name).tolist() for name in names))]
 
 
@@ -386,9 +397,15 @@ def test_batched_sweep_matches_per_k_solves_bit_for_bit(tmp_path, capsys):
     for idx, spec in enumerate(specs):
         k_min, k_max = 0.05 + 0.01 * idx, math.pi - 0.07
         ref = reference_sweep(spec, k_min, k_max, steps)
-        assert_columns_equal(transmission_sweep(spec, k_min, k_max, steps), ref)
+        sweep = transmission_sweep(spec, k_min, k_max, steps)
+        assert_columns_equal(sweep, ref)
         for i in (0, SOLVE_CHUNK, steps - 1):
-            assert scattering_solve(spec, ref[i].k) == ref[i]
+            # the one-k solve is the sweep's row i, bytes and all
+            one = scattering_solve(spec, ref[i].k)
+            for f in fields(sweep):
+                got, row = getattr(one, f.name), getattr(sweep, f.name)[i:i + 1]
+                assert (got.dtype, got.shape) == (row.dtype, row.shape), f.name
+                assert got.tobytes() == row.tobytes(), f.name
         cfg = tmp_path / f"dev{idx}.json"
         cfg.write_text(json.dumps({"model": asdict(spec)}))
         code = main(["transmission", "--config", str(cfg), "--kmin", repr(k_min),

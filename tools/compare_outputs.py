@@ -7,9 +7,11 @@ four benchmark workloads for seeds 101-110, generated once by
 ``bench/workloads.py`` of CHANGE_TREE (its config files go to a temporary
 directory both trees read), plus a fixed list of edge runs.  One child
 process per tree calls ``respole.cli.main`` in process for every run, with
-one BLAS thread, and hashes its stdout, stderr and exit code; an exception
-that escapes ``main`` counts as its type and message.  The runs whose hashes
-differ are printed, and the script exits 1 if any differ, else 0.
+one BLAS thread, and hashes its stdout, stderr and exit code, and for a run
+with ``--out`` the bytes of the file it wrote (or that it wrote none); an
+exception that escapes ``main`` counts as its type and message.  The runs
+whose hashes differ are printed, and the script exits 1 if any differ, else
+0.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ def edge_runs(work_dir: str) -> list[list[str]]:
     on a star of identical dots, on a dense 8-site device and on a device
     with an isolated level at -2t beside a weakly bound state, and T-dots,
     Decoupled levels and two uncoupled sites at energy scales from 1e-310
-    to 1e300, and config files whose values are malformed."""
+    to 1e300, config files whose values are malformed, and sweep and
+    transmission CSV written to a file with ``--out``, one pass and several,
+    and to a path that cannot be written."""
     runs = []
     for start, stop, steps, eps_d in (("-1", "1", "21", "0.3"), ("-0.0", "-1", "11", "0.5"),
                                       ("0", "1", "11", "-2"), ("-0.5", "0.5", "2", "3"),
@@ -241,6 +245,20 @@ def edge_runs(work_dir: str) -> list[list[str]]:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(cfg, fh)
         runs.append([*command, "--config", path])
+    # the CSV commands written to a file: one pass and several (with the
+    # classification-change lines after a sweep's rows), and a directory as
+    # the path, which is an input error
+    out_dir = os.path.join(work_dir, "out")
+    os.mkdir(out_dir)
+    for i, argv in enumerate((
+            ["sweep", "--param", "eps-d", "--from", "-3", "--to", "3", "--steps", "41",
+             "--t1", "0.5"],
+            ["sweep", "--param", "t1", "--from", "-1", "--to", "1", "--steps", "257",
+             "--eps-d", "0.3"],
+            ["transmission", *grid, "--steps", "301", "--t1", "0.4", "--eps-d", "-1.2"],
+            ["transmission", *grid, "--steps", "1025", "--t1", "0.7", "--eps-d", "-1.1"])):
+        runs.append([*argv, "--out", os.path.join(out_dir, f"{argv[0]}_{i}.csv")])
+    runs.append(["transmission", *grid, "--steps", "5", "--out", out_dir])
     return runs
 
 
@@ -268,6 +286,9 @@ def child(tree: str, runs_path: str, out_path: str) -> None:
         runs = json.load(fh)
     hashes = []
     for _, argv in runs:
+        written = argv[argv.index("--out") + 1] if "--out" in argv else None
+        if written is not None and os.path.isfile(written):
+            os.remove(written)  # left by the other tree's run
         out, err = io.StringIO(), io.StringIO()
         # a fresh warnings state per run, as in a new process: otherwise a
         # warning shows only in the first run that raises it
@@ -281,6 +302,12 @@ def child(tree: str, runs_path: str, out_path: str) -> None:
         digest = hashlib.sha256()
         for part in (out.getvalue(), err.getvalue(), code):
             digest.update(part.encode("utf-8", "surrogatepass") + b"\0")
+        if written is not None:
+            if os.path.isfile(written):
+                with open(written, "rb") as fh:
+                    digest.update(b"file\0" + fh.read())
+            else:
+                digest.update(b"no file\0")
         hashes.append([digest.hexdigest(), code])
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(hashes, fh)
