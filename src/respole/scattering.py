@@ -11,10 +11,14 @@ through i v_g; ``verify_green_identity`` solves both and compares them.
 
 Every solve comes back as one ``ScatteringSweep`` of column arrays, one row
 per k: ``transmission_sweep`` on a uniform grid, ``scattering_solve`` as
-the sweep of one row.  T and R are Python's ``abs(c) ** 2`` of each
-amplitude to the last bit, computed over the column (``_abs_squared``): the
-C library's ``hypot`` through ``np.hypot``, the square as h * h, and
-Python's own ``pow`` for the few squares that lie near a rounding midpoint.
+the sweep of one row.  A sweep does no Python work per k: cos k and sin k
+come from ``np.cos`` and ``np.sin`` over the whole grid (float64 loops that
+call the C library, as ``math.cos`` does), and the stacked solves of
+``_solve_inner`` fill one matrix buffer chunk by chunk.  T and R are
+Python's ``abs(c) ** 2`` of each amplitude to the last bit, computed over
+the stacked C and B columns in one call (``_abs_squared``): the C library's
+``hypot`` through ``np.hypot``, the square as h * h, and Python's own
+``pow`` for the few squares that lie near a rounding midpoint.
 ``sweep_rows_csv`` writes a sweep through the array formatter
 ``_format.csv_rows``, whose fields are byte for byte those of ``%.17g``.
 """
@@ -33,7 +37,10 @@ from .feshbach import self_energy
 from .model import DeviceSpec, _as_index, _as_real, p_space_hamiltonian
 
 # k values per stacked solve: enough to amortise the per-call overhead, few
-# enough that the (chunk, n, n) stack stays a few hundred kB
+# enough that the (chunk, n, n) stack stays a few hundred kB.  From n = 6 on
+# that is above glibc's mmap threshold when it is pinned at 128 kB, so a
+# fresh stack per chunk would be mapped and page-faulted in again each time;
+# ``_solve_inner`` fills one buffer per call instead
 SOLVE_CHUNK = 256
 
 
@@ -66,32 +73,41 @@ def _check_k(k: float) -> float:
 
 
 def _solve_inner(
-    spec: DeviceSpec, ks: list[float], incident: bool
+    spec: DeviceSpec, ks: np.ndarray, incident: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Energies and inner amplitudes (one row per k), one stacked solve per chunk.
+    """Energies and inner amplitudes (one row per k of the float array
+    ``ks``), one stacked solve per chunk.
 
     The source on the contact is 2 i t sin k for a unit incident wave and 1
     for the Green's function column.  Each step rounds exactly as a solve of
-    the single matrix E I - H_eff(z) at that k would.
+    the single matrix E I - H_eff(z) at that k would: cos and sin come from
+    ``np.cos`` and ``np.sin`` over the whole grid, whose float64 loops call
+    the C library as ``math.cos`` and ``math.sin`` do, and E, the source and
+    the contact diagonal are formed once per call.  Each chunk fills a
+    prefix of one matrix buffer and one right-hand-side buffer, allocated
+    once per call, with the operations of E I - h in the same order, so no
+    chunk maps and faults in fresh pages.
     """
     n, c, t = spec.n_sites, spec.contact, spec.lead_t
     h = p_space_hamiltonian(spec).astype(complex)
     eye = np.eye(n, dtype=complex)
-    energies = np.empty(len(ks))
+    cos, sin = np.cos(ks), np.sin(ks)
+    z = np.empty(len(ks), dtype=complex)
+    z.real, z.imag = cos, sin
+    energies = -2.0 * t * cos
+    # the contact diagonal of E I - H_eff(z), with H_eff = h + self_energy(z)
+    contact = energies - (h[c, c] + self_energy(z, t))
+    source = 2j * t * sin if incident else np.ones(len(ks), dtype=complex)
     amps = np.empty((len(ks), n), dtype=complex)
+    m_buf = np.empty((min(len(ks), SOLVE_CHUNK), n, n), dtype=complex)
+    rhs_buf = np.zeros((len(m_buf), n, 1), dtype=complex)
     for lo in range(0, len(ks), SOLVE_CHUNK):
-        chunk = ks[lo:lo + SOLVE_CHUNK]
-        hi = lo + len(chunk)
-        cos = np.fromiter(map(math.cos, chunk), float, len(chunk))
-        sin = np.fromiter(map(math.sin, chunk), float, len(chunk))
-        z = np.empty(len(chunk), dtype=complex)
-        z.real, z.imag = cos, sin
-        e = energies[lo:hi] = -2.0 * t * cos
-        # E I - H_eff(z), with H_eff = h + self_energy(z) on the contact diagonal
-        m = e[:, None, None] * eye - h
-        m[:, c, c] = e - (h[c, c] + self_energy(z, t))
-        rhs = np.zeros((len(chunk), n, 1), dtype=complex)
-        rhs[:, c, 0] = 2j * t * sin if incident else 1.0
+        hi = min(lo + SOLVE_CHUNK, len(ks))
+        m, rhs = m_buf[:hi - lo], rhs_buf[:hi - lo]
+        np.multiply(energies[lo:hi, None, None], eye, out=m)
+        m -= h
+        m[:, c, c] = contact[lo:hi]
+        rhs[:, c, 0] = source[lo:hi]
         try:
             amps[lo:hi] = np.linalg.solve(m, rhs)[:, :, 0]
             ok = bool(np.isfinite(amps[lo:hi]).all())
@@ -99,7 +115,8 @@ def _solve_inner(
             ok = False
         if not ok:
             # error path: solve k by k so the message names the first bad k
-            for j, k in enumerate(chunk):
+            for j in range(hi - lo):
+                k = float(ks[lo + j])
                 try:
                     amps[lo + j] = np.linalg.solve(m[j], rhs[j, :, 0])
                 except np.linalg.LinAlgError as exc:
@@ -110,7 +127,8 @@ def _solve_inner(
 
 
 def _abs_squared(c: np.ndarray) -> np.ndarray:
-    """Python's ``abs(c) ** 2`` of each complex value, to the last bit.
+    """Python's ``abs(c) ** 2`` of each complex value of an array of any
+    shape, to the last bit (the values Python squares go in flat order).
 
     Python's complex ``abs`` is the C library's ``hypot``, and so is
     ``np.hypot``, which has no SIMD loop (numpy's complex ``abs`` has one and
@@ -141,32 +159,35 @@ def _abs_squared(c: np.ndarray) -> np.ndarray:
     sq[other] = np.where(np.isnan(h[other]), math.nan, math.inf)
     slow = np.flatnonzero(~fast & ~other)
     if slow.size:
-        sq[slow] = [abs(v) ** 2 for v in c[slow].tolist()]
+        sq.flat[slow] = [abs(v) ** 2 for v in c.flat[slow].tolist()]
     return sq
 
 
-def _sweep(spec: DeviceSpec, ks: list[float]) -> ScatteringSweep:
+def _sweep(spec: DeviceSpec, ks: np.ndarray) -> ScatteringSweep:
     energies, amps = _solve_inner(spec, ks, incident=True)
-    c_amp = amps[:, spec.contact].copy()
-    b_amp = c_amp - 1.0
+    # C and B = C - 1 as the rows of one stack, squared in one call
+    cb = np.empty((2, len(ks)), dtype=complex)
+    cb[0] = amps[:, spec.contact]
+    np.subtract(cb[0], 1.0, out=cb[1])
+    t_col, r_col = _abs_squared(cb)
     return ScatteringSweep(
-        k=np.array(ks), E=energies, B=b_amp, C=c_amp, amps=amps,
-        T=_abs_squared(c_amp), R=_abs_squared(b_amp),
+        k=ks, E=energies, B=cb[1], C=cb[0], amps=amps, T=t_col, R=r_col,
     )
 
 
 def scattering_solve(spec: DeviceSpec, k: float) -> ScatteringSweep:
     """Solve the left-incidence scattering problem at real k with A = 1: a
     sweep of one row."""
-    return _sweep(spec, [_check_k(k)])
+    return _sweep(spec, np.array([_check_k(k)]))
 
 
 def verify_green_identity(spec: DeviceSpec, k: float) -> float:
     """Max deviation of amps == i v_g G (contract: below 1e-12), from two
     solves at k, one per right-hand side."""
     k = _check_k(k)
-    amps = _solve_inner(spec, [k], incident=True)[1][0]
-    g = _solve_inner(spec, [k], incident=False)[1][0]
+    ks = np.array([k])
+    amps = _solve_inner(spec, ks, incident=True)[1][0]
+    g = _solve_inner(spec, ks, incident=False)[1][0]
     return float(np.abs(amps - 1j * group_velocity(k, spec.lead_t) * g).max())
 
 
@@ -184,7 +205,7 @@ def transmission_sweep(
     steps = _as_index(steps, "steps")
     if steps < 2:
         raise ParameterError(f"sweep needs at least 2 steps, got {steps}")
-    return _sweep(spec, np.linspace(k_min, k_max, steps).tolist())
+    return _sweep(spec, np.linspace(k_min, k_max, steps))
 
 
 SWEEP_HEADER = "k,E,T,R,ReB,ImB,ReC,ImC"

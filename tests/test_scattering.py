@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from respole import (
+    DeviceSpec,
     NumericalError,
     ParameterError,
     PoleClass,
@@ -52,7 +53,7 @@ class Row(NamedTuple):
 def green_column(spec, k):
     """The contact column of the retarded Green's function at k, in site
     order: the inner solve with the unit source on the contact."""
-    return _solve_inner(spec, [k], incident=False)[1][0]
+    return _solve_inner(spec, np.array([k]), incident=False)[1][0]
 
 
 def independent_2x2_solve(t, t1, ed, k, rhs0):
@@ -414,12 +415,60 @@ def test_batched_sweep_matches_per_k_solves_bit_for_bit(tmp_path, capsys):
         assert capsys.readouterr().out == reference_csv(ref)
 
 
+def with_uncoupled_level(n_sites, level, lead_t):
+    """A chain of n_sites - 1 sites with the contact on site 2, and a last
+    site at ``level`` bonded to none: E I - H_eff is singular exactly where
+    E(k) equals the level."""
+    chain = n_sites - 1
+    return DeviceSpec(
+        n_sites=n_sites,
+        onsite=tuple(0.3 * (-1) ** i - 0.1 * i for i in range(chain)) + (level,),
+        hoppings=tuple((i, i + 1, -0.8 + 0.05 * i) for i in range(chain - 1)),
+        contact=2,
+        lead_t=lead_t,
+    )
+
+
 def test_singular_point_past_first_chunk_is_named():
-    ks = np.linspace(0.2, 2.9, SOLVE_CHUNK + 100).tolist()
-    k_bad = ks[SOLVE_CHUNK + 40]
-    spec = make_tdot(1.0, 0.0, -2.0 * math.cos(k_bad))
-    with pytest.raises(NumericalError, match=re.escape(f"singular at k = {k_bad}") + "$"):
-        transmission_sweep(spec, 0.2, 2.9, len(ks))
+    # a T-dot with the bad k in the last, partial chunk; then an 8-site
+    # device over four chunks, with the bad k once in a middle chunk and once
+    # in the last, partial one, which solves in a prefix of the buffers
+    steps_8 = 3 * SOLVE_CHUNK + 60
+    for n_sites, lead_t, steps, bad in ((2, 1.0, SOLVE_CHUNK + 100, SOLVE_CHUNK + 40),
+                                        (8, 1.3, steps_8, SOLVE_CHUNK + 40),
+                                        (8, 1.3, steps_8, 3 * SOLVE_CHUNK + 20)):
+        ks = np.linspace(0.2, 2.9, steps).tolist()
+        k_bad = ks[bad]
+        level = -2.0 * lead_t * math.cos(k_bad)
+        if n_sites == 2:
+            spec = make_tdot(lead_t, 0.0, level)
+        else:
+            spec = with_uncoupled_level(n_sites, level, lead_t)
+        match = re.escape(f"singular at k = {k_bad}") + "$"
+        with pytest.raises(NumericalError, match=match):
+            transmission_sweep(spec, 0.2, 2.9, steps)
+        # the grid without that k solves
+        if bad < steps - 1:
+            assert np.isfinite(transmission_sweep(spec, ks[bad + 1], 2.9, steps - bad - 1).T).all()
+
+
+def test_numpy_cos_and_sin_are_the_c_library_bit_for_bit():
+    # _solve_inner takes cos and sin of the whole k grid with numpy; the CSV
+    # keeps its bits only while numpy's float64 loops call the C library, as
+    # math.cos and math.sin do.  A numpy with its own vectorized float64
+    # sin/cos fails here first.  Random grids of several lengths, workload
+    # grids, and the ends of (0, pi): the smallest subnormal, and the doubles
+    # on either side of pi, alone and inside a longer array
+    rng = np.random.default_rng(34)
+    ends = [5e-324, 1e-323, 2.2250738585072014e-308, 1e-8,
+            math.nextafter(math.pi, 0.0), math.pi, math.nextafter(math.pi, 4.0)]
+    grids = [rng.uniform(0.0, math.pi, size) for size in (1, 3, 8, 17, 255, 256, 257, 100_000)]
+    grids += [np.linspace(0.05, 3.09, steps) for steps in (1000, 2999)]
+    grids += [np.array(ends), np.concatenate([rng.uniform(0.0, math.pi, 61), ends] * 3)]
+    for ks in grids:
+        for vectorized, scalar in ((np.cos, math.cos), (np.sin, math.sin)):
+            expected = np.array([scalar(k) for k in ks.tolist()])
+            assert vectorized(ks).tobytes() == expected.tobytes(), (vectorized, len(ks))
 
 
 def python_abs_squared(v: complex) -> float:
@@ -435,8 +484,9 @@ def python_abs_squared(v: complex) -> float:
 
 def assert_abs_squared_is_python(values):
     """The T/R column of ``values`` is Python's ``abs(c) ** 2`` of each, bit
-    for bit; or both raise the same error, that of the first value that
-    Python's square overflows."""
+    for bit, alone and as the rows of a stack, as ``_sweep`` squares C and
+    B; or both raise the same error, that of the first value that Python's
+    square overflows."""
     c = np.array(values, dtype=complex)
     try:
         ref = np.array([python_abs_squared(v) for v in c.tolist()])
@@ -447,6 +497,8 @@ def assert_abs_squared_is_python(values):
         return
     got = _abs_squared(c)
     assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    stacked = _abs_squared(np.stack([c, c[::-1]]))
+    assert stacked.tobytes() == np.stack([ref, ref[::-1]]).tobytes()
 
 
 @settings(max_examples=300, deadline=None)

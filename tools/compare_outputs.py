@@ -21,6 +21,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -38,8 +39,10 @@ def edge_runs(work_dir: str) -> list[list[str]]:
     decoupled, tiny-hopping, strongly coupled and uniformly scaled oracle
     runs, config files that are not valid UTF-8, sweep and transmission CSV whose fields leave
     the array formatter's fast range or straddle its row chunks,
-    transmission through two antiresonances, where T falls below 1e-4, a
-    lead hopping so small that the companion matrix overflows, three
+    transmission through two antiresonances, where T falls below 1e-4,
+    transmission on 6-8-site devices around one and two solve chunks and on
+    a device singular at one grid k, a lead hopping so small that the
+    companion matrix overflows, three
     devices at the class boundaries under every command that solves one
     device (the one-site device under ``oracle`` as well), the Feshbach
     route on two devices with levels past the float range, and both routes
@@ -184,6 +187,31 @@ def edge_runs(work_dir: str) -> list[list[str]]:
                  "--t1", "1", "--eps-d", "0.3"])
     runs.append(["transmission", "--kmin", "0.90", "--kmax", "0.95", "--steps", "257",
                  "--t1", "0.4", "--eps-d", "-1.2"])
+    # 6-8-site devices on either side of one and two solve chunks of 256 k,
+    # and an 8-site device with an uncoupled level at E(k) of one grid k, in
+    # a middle chunk and alone in the last chunk: exit 3 naming that k
+    step = (3.09 - 0.05) / 512
+    devices = []
+    for n in (6, 7):
+        path = os.path.join(work_dir, f"chain_{n}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"model": {"n_sites": n, "onsite": [0.4 - 0.3 * i for i in range(n)],
+                                 "hoppings": [[i, i + 1, -0.9 + 0.1 * i] for i in range(n - 1)]
+                                 + [[0, n - 1, 0.35]],
+                                 "contact": 1, "lead_t": 1.2}}, fh)
+        devices.append(path)
+    devices.append(os.path.join(work_dir, "dense_8.json"))
+    for path in devices:
+        for steps in ("255", "256", "257", "513"):
+            runs.append(["transmission", "--config", path, *grid, "--steps", steps])
+    for k_bad in (0.05 + 300 * step, 3.09):
+        path = os.path.join(work_dir, f"singular_at_{k_bad!r}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"model": {"n_sites": 8, "onsite": [0.3, -0.5, 0.2, 0.9, -1.1, 0.6, -0.2,
+                                                          -2.0 * math.cos(k_bad)],
+                                 "hoppings": [[i, i + 1, -0.7] for i in range(6)],
+                                 "contact": 2, "lead_t": 1.0}}, fh)
+        runs.append(["transmission", "--config", path, *grid, "--steps", "513"])
     runs.append(["poles", "--t", "1e-300", "--t1", "1e10"])
     runs.append(["sweep", "--param", "t1", "--t", "1e-300", "--from", "1e9", "--to", "1e10",
                  "--steps", "2"])
