@@ -94,35 +94,39 @@ def _solve_inner(
     cos, sin = np.cos(ks), np.sin(ks)
     z = np.empty(len(ks), dtype=complex)
     z.real, z.imag = cos, sin
-    energies = -2.0 * t * cos
-    # the contact diagonal of E I - H_eff(z), with H_eff = h + self_energy(z)
-    contact = energies - (h[c, c] + self_energy(z, t))
-    source = 2j * t * sin if incident else np.ones(len(ks), dtype=complex)
-    amps = np.empty((len(ks), n), dtype=complex)
-    m_buf = np.empty((min(len(ks), SOLVE_CHUNK), n, n), dtype=complex)
-    rhs_buf = np.zeros((len(m_buf), n, 1), dtype=complex)
-    for lo in range(0, len(ks), SOLVE_CHUNK):
-        hi = min(lo + SOLVE_CHUNK, len(ks))
-        m, rhs = m_buf[:hi - lo], rhs_buf[:hi - lo]
-        np.multiply(energies[lo:hi, None, None], eye, out=m)
-        m -= h
-        m[:, c, c] = contact[lo:hi]
-        rhs[:, c, 0] = source[lo:hi]
-        try:
-            amps[lo:hi] = np.linalg.solve(m, rhs)[:, :, 0]
-            ok = bool(np.isfinite(amps[lo:hi]).all())
-        except np.linalg.LinAlgError:
-            ok = False
-        if not ok:
-            # error path: solve k by k so the message names the first bad k
-            for j in range(hi - lo):
-                k = float(ks[lo + j])
-                try:
-                    amps[lo + j] = np.linalg.solve(m[j], rhs[j, :, 0])
-                except np.linalg.LinAlgError as exc:
-                    raise NumericalError(f"inner system singular at k = {k}") from exc
-                if not np.all(np.isfinite(amps[lo + j])):
-                    raise NumericalError(f"inner system ill-conditioned at k = {k}")
+    # once 2t overflows, E is infinite and the fill holds inf and nan, which
+    # the finite check below turns into the typed error; numpy's warnings
+    # would only add noise to stderr
+    with np.errstate(invalid="ignore", over="ignore"):
+        energies = -2.0 * t * cos
+        # the contact diagonal of E I - H_eff(z), with H_eff = h + self_energy(z)
+        contact = energies - (h[c, c] + self_energy(z, t))
+        source = 2j * t * sin if incident else np.ones(len(ks), dtype=complex)
+        amps = np.empty((len(ks), n), dtype=complex)
+        m_buf = np.empty((min(len(ks), SOLVE_CHUNK), n, n), dtype=complex)
+        rhs_buf = np.zeros((len(m_buf), n, 1), dtype=complex)
+        for lo in range(0, len(ks), SOLVE_CHUNK):
+            hi = min(lo + SOLVE_CHUNK, len(ks))
+            m, rhs = m_buf[:hi - lo], rhs_buf[:hi - lo]
+            np.multiply(energies[lo:hi, None, None], eye, out=m)
+            m -= h
+            m[:, c, c] = contact[lo:hi]
+            rhs[:, c, 0] = source[lo:hi]
+            try:
+                amps[lo:hi] = np.linalg.solve(m, rhs)[:, :, 0]
+                ok = bool(np.isfinite(amps[lo:hi]).all())
+            except np.linalg.LinAlgError:
+                ok = False
+            if not ok:
+                # error path: solve k by k so the message names the first bad k
+                for j in range(hi - lo):
+                    k = float(ks[lo + j])
+                    try:
+                        amps[lo + j] = np.linalg.solve(m[j], rhs[j, :, 0])
+                    except np.linalg.LinAlgError as exc:
+                        raise NumericalError(f"inner system singular at k = {k}") from exc
+                    if not np.all(np.isfinite(amps[lo + j])):
+                        raise NumericalError(f"inner system ill-conditioned at k = {k}")
     return energies, amps
 
 

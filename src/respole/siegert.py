@@ -8,10 +8,15 @@ form a quadratic matrix polynomial,
 
 with H_P the device block and P_c the projector on the contact site.  Its 2n
 eigenvalues are every S-matrix pole of the device and its eigenvectors are
-the inner-space amplitudes.  The leading matrix is diagonal with entries +-t,
-so one eigensolve of its block companion matrix gives both at once.  Devices
-that share the lead and the contact site, such as the points of a parameter
-sweep, stack into one eigensolve.  A T-dot sweep (``solve_tdot_sweep``) needs
+the inner-space amplitudes.  The leading matrix is -t D with D = I - 2 P_c,
+its own inverse, so the monic block companion matrix is known in closed form,
+
+    C = [[0, I], [-D, -D H_P / t]],
+
+and ``secular_polynomial`` builds it straight from the device; one
+eigensolve of C gives the poles and amplitudes at once.  Devices that share
+the lead and the contact site, such as the points of a parameter sweep,
+stack into one eigensolve.  A T-dot sweep (``solve_tdot_sweep``) needs
 only the roots: it takes them from an eigenvalue-only solve of the stack,
 computes no amplitudes, and hands the whole stack of sorted roots to the
 array form ``poles._pole_table``, which gives k, E and a class code per
@@ -48,70 +53,41 @@ from .poles import (
 
 
 def secular_polynomial(h: np.ndarray, t: float, contact: int) -> np.ndarray:
-    """Real coefficient stack (A0, A1, A2), ascending powers of z, of
+    """The monic block companion matrix C = [[0, I], [-D, -D h / t]] of
     z (E(z) I - H_eff(z)) = A0 + A1 z + A2 z^2 for the device block h.
 
-    A0 = -t I, A1 = -h and A2 = -t (I - 2 P_c); the determinant of the
-    polynomial is z**n_sites * det(E(z) - H_eff(z)).  An (n, n) block gives a
-    (3, n, n) stack; an (m, n, n) stack of blocks that share the lead hopping
-    t and the contact site gives (m, 3, n, n).
+    A0 = -t I, A1 = -h and A2 = -t D with D = I - 2 P_c, so C is the companion
+    of z^2 I + A2^-1 A1 z + A2^-1 A0, and det(z I - C) det(A2) is
+    z**n_sites * det(E(z) - H_eff(z)).  Each row is divided by its entry of
+    A2, -t on every row but +t on the contact row.  An (n, n) block gives a
+    (2n, 2n) matrix; an (m, n, n) stack of blocks that share the lead hopping
+    t and the contact site gives (m, 2n, 2n).
     """
     h = np.asarray(h, dtype=float)
-    # -t * I, with -0.0 off its diagonal
-    lead = -t * np.eye(h.shape[-1])
-    coeffs = np.empty((*h.shape[:-2], 3, *h.shape[-2:]))
-    coeffs[..., 0, :, :] = lead
-    np.negative(h, out=coeffs[..., 1, :, :])
-    lead[contact, contact] = t
-    coeffs[..., 2, :, :] = lead
-    return coeffs
-
-
-def _companion(coeffs: np.ndarray) -> np.ndarray:
-    """The block companion matrices [[0, I], [-B0, -B1]] of a (3, n, n) or
-    (m, 3, n, n) coefficient stack with diagonal, invertible A2.
-
-    A2 is refused unless its nonzero entries are exactly its diagonal ones
-    and none of those is nan: counted, with nan as nonzero, its nonzero
-    entries and its nonzero diagonal entries must both number n per matrix.
-    A -0.0 off the diagonal is a zero; an inf on it is accepted.
-    """
-    coeffs = np.asarray(coeffs)
-    if (coeffs.ndim not in (3, 4) or coeffs.shape[-3] != 3
-            or coeffs.shape[-2] != coeffs.shape[-1]):
-        raise ParameterError(
-            f"need a (3, n, n) or (m, 3, n, n) coefficient stack, got shape {coeffs.shape}"
-        )
-    a2 = coeffs[..., 2, :, :]
-    lead = np.diagonal(a2, axis1=-2, axis2=-1)
-    n = lead.shape[-1]
-    if (np.count_nonzero(a2) != lead.size or np.count_nonzero(lead) != lead.size
-            or np.isnan(lead).any()):
-        raise ParameterError("leading coefficient must be an invertible diagonal matrix")
-    companion = np.zeros((*coeffs.shape[:-3], 2 * n, 2 * n),
-                         dtype=np.result_type(coeffs, 1.0))
-    companion[..., :n, n:] = np.eye(n)
-    scale = lead[..., :, None]
+    n = h.shape[-1]
+    eye = np.eye(n)
+    lead = np.full((n, 1), -t)
+    lead[contact] = t
+    companion = np.zeros((*h.shape[:-2], 2 * n, 2 * n))
+    companion[..., :n, n:] = eye
+    companion[..., n:, :n] = eye * t / lead
     # an overflow to inf here fails the eigensolve, which raises the typed
     # error; numpy's warning would only add noise to stderr
     with np.errstate(over="ignore"):
-        companion[..., n:, :n] = -coeffs[..., 0, :, :] / scale
-        companion[..., n:, n:] = -coeffs[..., 1, :, :] / scale
+        np.divide(h, lead, out=companion[..., n:, n:])
     return companion
 
 
-def poly_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and null vectors of A0 + A1 z + A2 z^2 with A2 diagonal,
-    for one (3, n, n) coefficient stack or an (m, 3, n, n) stack of them.
+def poly_roots(companion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and null vectors of the secular polynomial, from one
+    (2n, 2n) companion matrix of ``secular_polynomial`` or an (m, 2n, 2n)
+    stack of them.
 
-    Scaling the rows by 1/diag(A2) gives the monic z^2 I + B1 z + B0, whose
-    block companion matrix [[0, I], [-B0, -B1]] has the eigenvectors
-    (v, z v).  One eigensolve over all the companion matrices returns every
-    polynomial's 2n roots, with multiplicity, as the last axis of the first
-    array; row i of the matching (2n, n) block of the second array is the
-    null vector (the last n rows, z v) of root i.
+    The companion's eigenvectors are (v, z v).  One eigensolve over all the
+    matrices returns every polynomial's 2n roots, with multiplicity, as the
+    last axis of the first array; row i of the matching (2n, n) block of the
+    second array is the null vector (the last n rows, z v) of root i.
     """
-    companion = _companion(coeffs)
     n = companion.shape[-1] // 2
     try:
         roots, vectors = np.linalg.eig(companion)
@@ -120,13 +96,13 @@ def poly_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return roots, vectors[..., n:, :].swapaxes(-1, -2)
 
 
-def _eigenvalues_only(coeffs: np.ndarray) -> np.ndarray:
+def _eigenvalues_only(companion: np.ndarray) -> np.ndarray:
     """The roots of :func:`poly_roots` without its null vectors.  LAPACK's
     eigenvalue-only path runs the same balancing, reduction and QR steps on
     the companion matrices, so the roots match ``poly_roots`` bit for bit;
     the tests check that on T-dot stacks."""
     try:
-        return np.linalg.eigvals(_companion(coeffs))
+        return np.linalg.eigvals(companion)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("companion eigensolve did not converge") from exc
 

@@ -155,6 +155,19 @@ def test_companion_overflow_prints_only_the_typed_error(capsys, argv):
         assert err == "numerical failure: companion eigensolve did not converge\n"
 
 
+def test_overflowing_transmission_prints_only_the_typed_error(capsys):
+    # E = -2t cos k overflows at t = 1e308; numpy's warnings from the matrix
+    # fill must not reach stderr, with or without warnings-as-errors
+    argv = ("transmission", "--kmin", "0.05", "--kmax", "3.09", "--steps", "5",
+            "--t", "1e308", "--t1", "0.5", "--eps-d", "0.3")
+    for action in ("error", "default"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "numerical failure: inner system ill-conditioned at k = 0.05\n"
+
+
 HUGE_SPLIT = {"n_sites": 2, "onsite": [1e308, -1e308], "hoppings": [[0, 1, 1e308]], "contact": 0,
               "lead_t": 1.0}
 # a level the contact does not see, 1e200 times the lead hopping

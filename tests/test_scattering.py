@@ -452,6 +452,15 @@ def test_singular_point_past_first_chunk_is_named():
             assert np.isfinite(transmission_sweep(spec, ks[bad + 1], 2.9, steps - bad - 1).T).all()
 
 
+def test_overflowing_energy_is_named_without_a_warning():
+    # with t = 1e308, E = -2t cos k overflows to inf and the matrix fill
+    # holds inf and nan; the sweep names the first k, and under the suite's
+    # warnings-as-errors filter no numpy warning escapes before it
+    spec = make_tdot(1e308, 0.5, 0.3)
+    with pytest.raises(NumericalError, match=re.escape("ill-conditioned at k = 0.05") + "$"):
+        transmission_sweep(spec, 0.05, 3.09, 5)
+
+
 def test_numpy_cos_and_sin_are_the_c_library_bit_for_bit():
     # _solve_inner takes cos and sin of the whole k grid with numpy; the CSV
     # keeps its bits only while numpy's float64 loops call the C library, as

@@ -39,7 +39,6 @@ from respole.poles import (
     _pole_table,
 )
 from respole.siegert import (
-    _companion,
     _eigenvalues_only,
     poly_roots,
     secular_polynomial,
@@ -58,8 +57,38 @@ def quartic(t, t1, ed):
     return [t * t, t * ed, t1 * t1, -t * ed, -t * t]
 
 
-def polynomial_of(spec):
+def companion_of(spec):
     return secular_polynomial(p_space_hamiltonian(spec), spec.lead_t, spec.contact)
+
+
+def reference_coefficients(h, t, contact):
+    """The real coefficient stack (A0, A1, A2), ascending powers of z, of
+    z (E(z) I - H_eff(z)) = A0 + A1 z + A2 z^2 for a device block or an
+    (m, n, n) stack of them: A0 = -t I, A1 = -h, A2 = -t (I - 2 P_c), with
+    (3, n, n) or (m, 3, n, n) shape."""
+    h = np.asarray(h, dtype=float)
+    lead = -t * np.eye(h.shape[-1])
+    coeffs = np.empty((*h.shape[:-2], 3, *h.shape[-2:]))
+    coeffs[..., 0, :, :] = lead
+    np.negative(h, out=coeffs[..., 1, :, :])
+    lead[contact, contact] = t
+    coeffs[..., 2, :, :] = lead
+    return coeffs
+
+
+def reference_companion(coeffs):
+    """The block companion matrices [[0, I], [-A2^-1 A0, -A2^-1 A1]] of a
+    coefficient stack with diagonal A2, with the lower block built from one
+    concatenation: the reference for ``secular_polynomial``."""
+    n = coeffs.shape[-1]
+    lead = np.diagonal(coeffs[..., 2, :, :], axis1=-2, axis2=-1)
+    companion = np.zeros((*coeffs.shape[:-3], 2 * n, 2 * n), dtype=np.result_type(coeffs, 1.0))
+    companion[..., :n, n:] = np.eye(n)
+    with np.errstate(over="ignore"):
+        companion[..., n:, :] = (
+            -np.concatenate((coeffs[..., 0, :, :], coeffs[..., 1, :, :]), axis=-1)
+            / lead[..., :, None])
+    return companion
 
 
 def random_device(rng, n):
@@ -160,122 +189,53 @@ def assert_matches(zs, ref, rel):
 
 
 def test_secular_polynomial_tdot():
-    stack = polynomial_of(make_tdot(1, 1, 0))
-    assert stack.shape == (3, 2, 2) and stack.dtype == float
-    assert np.array_equal(stack[0], -np.eye(2))
-    assert np.array_equal(stack[1], [[0, 1], [1, 0]])
-    assert np.array_equal(stack[2], np.diag([1, -1]))
-    stack = polynomial_of(make_tdot(2, 1, 0.3))
-    assert np.array_equal(stack, [-2 * np.eye(2), [[0, 1], [1, -0.3]], np.diag([2, -2])])
+    companion = companion_of(make_tdot(1, 1, 0))
+    assert companion.shape == (4, 4) and companion.dtype == float
+    assert np.array_equal(companion, [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, -1], [0, -1, 1, 0]])
+    companion = companion_of(make_tdot(2, 1, 0.3))
+    assert np.array_equal(
+        companion, [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, -0.5], [0, -1, 0.5, 0.3 / -2]])
 
 
 def test_secular_polynomial_determinant_identity():
-    # det(A0 + A1 z + A2 z^2) = z^n det(E - H_eff); for a T-dot it is minus the quartic
+    # det(z I - C) det(A2) = det(A0 + A1 z + A2 z^2) = z^n det(E - H_eff);
+    # for a T-dot it is minus the quartic
     rng = np.random.default_rng(5)
     for n in range(1, 9):
         spec = random_device(rng, n)
-        stack = polynomial_of(spec)
+        companion = companion_of(spec)
+        a2 = reference_coefficients(p_space_hamiltonian(spec), spec.lead_t, spec.contact)[2]
         for z in rng.normal(size=3) + 1j * rng.normal(size=3):
-            lhs = np.linalg.det(stack[0] + stack[1] * z + stack[2] * z * z)
+            lhs = np.linalg.det(z * np.eye(2 * n) - companion) * np.linalg.det(a2)
             rhs = z**n * secular_residual(spec, complex(z))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
     for t, t1, ed in [(1, 1, 0), (1, 0.5, 0.3), (2, 1, -1.3), (0.7, 1.4, 2.0)]:
-        stack = polynomial_of(make_tdot(t, t1, ed))
+        companion = companion_of(make_tdot(t, t1, ed))
         for z in (0.3 + 0.4j, -1.2, 2j):
-            lhs = np.linalg.det(stack[0] + stack[1] * z + stack[2] * z * z)
+            lhs = np.linalg.det(z * np.eye(4) - companion) * -t * t
             assert abs(lhs + np.polyval(quartic(t, t1, ed), z)) < 1e-12 * max(1, abs(z)) ** 4
 
 
 def test_poly_roots_quartic():
-    roots, vectors = poly_roots(polynomial_of(make_tdot(1, 1, 0)))
+    roots, vectors = poly_roots(companion_of(make_tdot(1, 1, 0)))
     assert roots.shape == (4,) and vectors.shape == (4, 2)
     assert_matches(roots.tolist(), [Q, -Q, P * 1j, -P * 1j], 1e-14)
-
-
-def test_poly_roots_factorable():
-    # 1 x 1 stacks are scalar quadratics
-    roots = sorted(poly_roots(np.array([[[-1.0]], [[0.0]], [[1.0]]]))[0].real)
-    assert roots == pytest.approx([-1.0, 1.0], abs=1e-15)
-    roots = sorted(poly_roots(np.array([[[2.0]], [[-3.0]], [[1.0]]]))[0].real)
-    assert roots == pytest.approx([1.0, 2.0], abs=1e-15)
-    # a diagonal stack splits into one scalar quadratic per site: z^2 - 1 on
-    # site 0 and z^2 - 5 z + 6 on site 1, each root with its unit vector
-    roots, vectors = poly_roots(
-        np.array([np.diag([-1.0, 6.0]), np.diag([0.0, -5.0]), np.eye(2)])
-    )
-    assert_matches(roots.tolist(), [-1.0, 1.0, 2.0, 3.0], 1e-14)
-    for z, v in zip(roots.real, vectors):
-        site = 0 if abs(z) < 1.5 else 1
-        assert abs(v[1 - site]) < 1e-15 * abs(v[site])
-
-
-def test_poly_roots_validation():
-    with pytest.raises(ParameterError):
-        poly_roots(np.array([-1.0, 0.0, 1.0]))
-    with pytest.raises(ParameterError):
-        poly_roots(np.zeros((2, 2, 2)))
-    with pytest.raises(ParameterError):
-        poly_roots(np.array([np.eye(2), np.eye(2), np.diag([1.0, 0.0])]))
-    with pytest.raises(ParameterError):
-        poly_roots(np.array([np.eye(2), np.eye(2), [[1.0, 0.5], [0.0, 1.0]]]))
-
-
-@pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
-def test_poly_roots_refuses_a_nan_leading_coefficient(where):
-    a2 = np.diag([1.0, -1.0, 1.0])
-    a2[(1, 1) if where == "diagonal" else (0, 2)] = np.nan
-    with pytest.raises(ParameterError):
-        poly_roots(np.array([np.eye(3), np.eye(3), a2]))
-
-
-def test_poly_roots_refuses_a_stack_with_one_bad_member():
-    rng = np.random.default_rng(14)
-    stack = rng.normal(size=(4, 3, 3, 3))
-    stack[:, 2] = np.eye(3) * rng.choice((-1.0, 1.0), (4, 1, 3))
-    poly_roots(stack)
-    # a -0.0 off the diagonal is a zero, and an infinite entry on it is kept
-    stack[1, 2, 0, 1] = -0.0
-    stack[3, 2, 2, 2] = np.inf
-    _companion(stack)
-    for bad in ((2, 2, 1, 1, 0.0), (2, 2, 1, 1, -0.0), (0, 2, 2, 0, 1e-300),
-                (3, 2, 0, 0, np.nan), (1, 2, 2, 1, np.nan)):
-        member = stack.copy()
-        member[bad[:4]] = bad[4]
-        with pytest.raises(ParameterError):
-            poly_roots(member)
-    # a zero on one member's diagonal and a nonzero off another's keep the
-    # stack's count of nonzero entries, and are refused all the same
-    member = stack.copy()
-    member[0, 2, 1, 1] = 0.0
-    member[2, 2, 0, 1] = 0.5
-    with pytest.raises(ParameterError):
-        poly_roots(member)
-
-
-def reference_companion(coeffs):
-    """The block companion matrices of a stack, with the lower block built
-    from one concatenation: the reference for ``_companion``."""
-    n = coeffs.shape[-1]
-    lead = np.diagonal(coeffs[..., 2, :, :], axis1=-2, axis2=-1)
-    companion = np.zeros((*coeffs.shape[:-3], 2 * n, 2 * n), dtype=np.result_type(coeffs, 1.0))
-    companion[..., :n, n:] = np.eye(n)
-    with np.errstate(over="ignore"):
-        companion[..., n:, :] = (
-            -np.concatenate((coeffs[..., 0, :, :], coeffs[..., 1, :, :]), axis=-1)
-            / lead[..., :, None])
-    return companion
 
 
 def test_companion_and_sort_equal_their_references_bit_for_bit():
     rng = np.random.default_rng(15)
     for n in range(1, 9):
-        # signed-zero, tiny and huge entries, a stack of one and of five
+        # signed-zero, tiny and huge entries, a lone block and stacks of one
+        # and of five
         h = rng.choice((0.0, -0.0, 1.0, 1e-300, 1e300), (5, n, n)) * rng.normal(size=(5, n, n))
         h = h + h.swapaxes(-1, -2)
         for t in (1.0, 0.3, 1e-300):
-            for stack in (secular_polynomial(h[0], t, n - 1), secular_polynomial(h, t, 0)):
-                got, want = _companion(stack), reference_companion(stack)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            for contact in sorted({0, n // 2, n - 1}):
+                for block in (h[0], h[:1], h):
+                    got = secular_polynomial(block, t, contact)
+                    want = reference_companion(reference_coefficients(block, t, contact))
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
     # rows with ties in Re z, Im z or both, signed zeros among them
     parts = np.array([0.0, -0.0, 1.0, -1.0, 0.5])
     roots = rng.choice(parts, (200, 12)) + 1j * rng.choice(parts, (200, 12))
@@ -290,26 +250,24 @@ def test_companion_and_sort_equal_their_references_bit_for_bit():
 
 def test_poly_roots_stack_matches_single_solves():
     rng = np.random.default_rng(12)
-    stack = rng.normal(size=(5, 3, 3, 3))
-    stack[:, 2] = np.eye(3) * rng.choice((-1.0, 1.0), (5, 1, 3))
-    roots, vectors = poly_roots(stack)
-    assert roots.shape == (5, 6) and vectors.shape == (5, 6, 3)
-    for i in range(5):
-        r, v = poly_roots(stack[i])
-        assert np.array_equal(roots[i], r) and np.array_equal(vectors[i], v)
-    stack[3, 2, 0, 1] = 0.5
-    with pytest.raises(ParameterError):
-        poly_roots(stack)
-    with pytest.raises(ParameterError):
-        poly_roots(stack[None])
+    for n, contact in ((1, 0), (3, 1), (5, 4)):
+        spec = random_device(rng, n)
+        h = p_space_hamiltonian(spec) + rng.normal(scale=0.3, size=(5, n, n))
+        h = h + h.swapaxes(-1, -2)
+        roots, vectors = poly_roots(secular_polynomial(h, spec.lead_t, contact))
+        assert roots.shape == (5, 2 * n) and vectors.shape == (5, 2 * n, n)
+        for i in range(5):
+            r, v = poly_roots(secular_polynomial(h[i], spec.lead_t, contact))
+            assert np.array_equal(roots[i], r) and np.array_equal(vectors[i], v)
 
 
 def test_poly_roots_null_vectors():
     rng = np.random.default_rng(8)
     for n in (1, 3, 12):
-        stack = rng.normal(size=(3, n, n))
-        stack[2] = np.diag(rng.choice((-1.0, 1.0), n) * rng.uniform(0.5, 2.0, n))
-        roots, vectors = poly_roots(stack)
+        spec = random_device(rng, n)
+        h = p_space_hamiltonian(spec)
+        stack = reference_coefficients(h, spec.lead_t, spec.contact)
+        roots, vectors = poly_roots(secular_polynomial(h, spec.lead_t, spec.contact))
         assert roots.shape == (2 * n,) and vectors.shape == (2 * n, n)
         scale = [np.linalg.norm(a, 2) for a in stack]
         for z, v in zip(roots, vectors):
@@ -848,12 +806,12 @@ def test_eigenvalue_only_roots_equal_poly_roots_bit_for_bit():
         for t1_low in (1e-17, 1e-7, 1e-3):
             h = random_tdot_stack(rng, 150, t1_low)
             h[:10, 1, 1] = rng.choice((-2.0, 2.0), 10) * t  # on the band edges
-            coeffs = secular_polynomial(h, t, 0)
-            fast, ref = _eigenvalues_only(coeffs), poly_roots(coeffs)[0]
+            companion = secular_polynomial(h, t, 0)
+            fast, ref = _eigenvalues_only(companion), poly_roots(companion)[0]
             assert fast.dtype == ref.dtype and fast.tobytes() == ref.tobytes()
             fast, ref = sorted_roots(fast)[0], sorted_roots(ref)[0]
             assert fast.dtype == ref.dtype and fast.tobytes() == ref.tobytes()
-            points += len(coeffs)
+            points += len(companion)
     assert points >= 10_000
 
 

@@ -47,7 +47,11 @@ def edge_runs(work_dir: str) -> list[list[str]]:
     device (the one-site device under ``oracle`` as well), the Feshbach
     route on two devices with levels past the float range, and both routes
     on a star of identical dots, on a dense 8-site device and on a device
-    with an isolated level at -2t beside a weakly bound state, and T-dots,
+    with an isolated level at -2t beside a weakly bound state, the
+    outgoing-wave route and every wavefunction on a one-site device, on
+    chains with the contact last and in the middle and on a device with a
+    -0.0 hopping and a -0.0 onsite level, transmission where E = -2t cos k
+    overflows, and T-dots,
     Decoupled levels and two uncoupled sites at energy scales from 1e-310
     to 1e300, config files whose values are malformed, and sweep and
     transmission CSV written to a file with ``--out``, one pass and several,
@@ -176,7 +180,34 @@ def edge_runs(work_dir: str) -> list[list[str]]:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"model": model}, fh)
         runs.append(["poles", "--config", path, "--method", method, "--format", "json"])
+    # the outgoing-wave companion's contact row and signed zeros: a one-site
+    # device, chains with the contact last and in the middle, and a device
+    # with a -0.0 hopping and a -0.0 onsite level, under the route's JSON and
+    # every wavefunction index
+    for name, model in (
+            ("one_site_level.json", {"n_sites": 1, "onsite": [-0.7], "hoppings": [],
+                                     "contact": 0, "lead_t": 0.8}),
+            ("chain_contact_last.json", {"n_sites": 4, "onsite": [0.2, -0.9, 1.3, 0.5],
+                                         "hoppings": [[0, 1, -0.8], [1, 2, 0.6], [2, 3, -1.1]],
+                                         "contact": 3, "lead_t": 1.1}),
+            ("chain_contact_middle.json", {"n_sites": 5, "onsite": [0.6, -0.3, 0.9, -1.4, 0.1],
+                                           "hoppings": [[0, 1, -0.7], [1, 2, -1.2], [2, 3, 0.5],
+                                                        [3, 4, -0.9]],
+                                           "contact": 2, "lead_t": 0.9}),
+            ("signed_zeros.json", {"n_sites": 3, "onsite": [0.5, -0.0, 1.2],
+                                   "hoppings": [[0, 1, -0.6], [1, 2, -0.0], [0, 2, 0.4]],
+                                   "contact": 1, "lead_t": 1.0})):
+        path = os.path.join(work_dir, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"model": model}, fh)
+        runs.append(["poles", "--config", path, "--method", "siegert", "--format", "json"])
+        for index in range(2 * model["n_sites"]):
+            runs.append(["wavefunction", "--config", path, "--pole-index", str(index),
+                         "--xmax", "6"])
     grid = ["--kmin", "0.05", "--kmax", "3.09"]
+    # E = -2t cos k overflows at t = 1e308: exit 3 naming the first k
+    runs.append(["transmission", *grid, "--steps", "5", "--t", "1e308", "--t1", "0.5",
+                 "--eps-d", "0.3"])
     for t in ("1e17", "1e-6"):
         runs.append(["transmission", *grid, "--steps", "301", "--t", t, "--t1", "0.5",
                      "--eps-d", "0.3"])
