@@ -3,7 +3,8 @@
 A hard-wall copy of the lattice keeps the Hamiltonian real symmetric, so its
 eigenvalues outside the band are its bound states (the only discrete poles
 visible in a real spectrum).  Resonant poles are audited instead by their
-secular residual and by the site-by-site Schroedinger rows.
+secular residual and by the site-by-site Schroedinger rows, which
+``pole_residual_report`` returns as the oracle report's JSON row of each pole.
 
 The truncated lattice is mirror symmetric about the contact.  An odd state
 (psi(-x) = -psi(x)) is zero on the contact; the device touches the lead only
@@ -30,7 +31,6 @@ larger than n x n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -248,19 +248,11 @@ def bound_energies_from_truncation(spec: DeviceSpec, N: int) -> list[float]:
     return evals.tolist()
 
 
-@dataclass(frozen=True)
-class PoleResidual:
-    """Audit record for one pole."""
-
-    z: complex
-    secular: float
-    lattice_row_dev: float
-
-
-def pole_residual_report(
-    spec: DeviceSpec, poles: list[SpectralPole]
-) -> list[PoleResidual]:
-    """Secular and Schroedinger-row residuals for each pole, as Python floats.
+def pole_residual_report(spec: DeviceSpec, poles: list[SpectralPole]) -> list[dict]:
+    """The oracle report's row for each pole: ``{"z": [Re z, Im z],
+    "residual": |det(E - H_eff(z))|, "lattice_row_dev": the largest
+    Schroedinger-row deviation, "class": the pole class's value}``, keys in
+    that order, every number a Python float.
 
     Rows checked: lead sites x in {1, 2}, the contact row, and every other
     device row, all using the reconstructed lead amplitudes.  psi(-x) is
@@ -274,11 +266,11 @@ def pole_residual_report(
     parts are finite but whose modulus is not reads inf, as numpy's abs
     gives it.
     """
-    secular = secular_residual(spec, np.array([p.z for p in poles], dtype=complex))
+    residuals = secular_residual(spec, np.array([p.z for p in poles], dtype=complex))
     h = [[complex(x) for x in row] for row in p_space_hamiltonian(spec).tolist()]
     t, contact = spec.lead_t, spec.contact
     out = []
-    for pole, sec in zip(poles, secular.tolist()):
+    for pole, residual in zip(poles, residuals.tolist()):
         E, amps = pole.E, pole.amps
         psi = [q_space_reconstruct(pole, x) for x in range(4)]
         # 2 before 1: max of a list with a NaN depends on the order, and the
@@ -296,7 +288,8 @@ def pole_residual_report(
                 # finite parts whose modulus is past the float range: numpy's
                 # abs gives inf, where Python's raises
                 devs.append(math.inf)
-        out.append(PoleResidual(z=pole.z, secular=abs(sec), lattice_row_dev=max(devs)))
+        out.append({"z": [pole.z.real, pole.z.imag], "residual": abs(residual),
+                    "lattice_row_dev": max(devs), "class": pole.pole_class.value})
     return out
 
 
@@ -326,9 +319,13 @@ def pole_set_distance(a: list[SpectralPole], b: list[SpectralPole]) -> float:
 
 
 def build_report(spec: DeviceSpec, N: int) -> dict:
-    """JSON-ready audit: per-pole residuals plus the bound-state comparison."""
+    """JSON-ready audit: "poles", the ``pole_residual_report`` rows of
+    ``solve_poles``' poles as returned, and "bound_compare", their ascending
+    bound-state energies ("siegert") beside the truncated lattice's
+    ("lattice") and the largest difference ("max_abs_diff", None when the
+    counts differ)."""
     poles = solve_poles(spec)
-    residuals = pole_residual_report(spec, poles)
+    rows = pole_residual_report(spec, poles)
     siegert_bound = sorted(
         p.E.real for p in poles if p.pole_class in BOUND_CLASSES
     )
@@ -340,15 +337,7 @@ def build_report(spec: DeviceSpec, N: int) -> dict:
     else:
         max_diff = None
     return {
-        "poles": [
-            {
-                "z": [r.z.real, r.z.imag],
-                "residual": r.secular,
-                "lattice_row_dev": r.lattice_row_dev,
-                "class": p.pole_class.value,
-            }
-            for r, p in zip(residuals, poles)
-        ],
+        "poles": rows,
         "bound_compare": {
             "siegert": siegert_bound,
             "lattice": lattice_bound,

@@ -86,8 +86,8 @@ def test_criterion_3_pole_residuals(capsys):
             spec = make_tdot(1.0, t1, ed)
             for poles in (solve_poles(spec), feshbach_pole_search(spec)):
                 for rec in pole_residual_report(spec, poles):
-                    worst_sec = max(worst_sec, rec.secular)
-                    worst_row = max(worst_row, rec.lattice_row_dev)
+                    worst_sec = max(worst_sec, rec["residual"])
+                    worst_row = max(worst_row, rec["lattice_row_dev"])
     ok = worst_sec < 1e-10 and worst_row < 1e-10
     with capsys.disabled():
         report(3, ok, f"max secular={worst_sec:.2e}, max row dev={worst_row:.2e}")

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import respole.cli
+import respole.oracle
 import respole.wavefunction
 from respole import (
     DeviceSpec,
@@ -648,6 +649,54 @@ def test_config_that_is_not_utf8_exits_2(command, raw, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: config file is not valid UTF-8")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["", "missing.json"], ids=["directory", "missing_file"])
+def test_config_file_that_cannot_be_read_exits_2(name, tmp_path, capsys):
+    path = tmp_path / name
+    with pytest.raises(OSError) as exc:
+        open(path, encoding="utf-8")
+    code, out, err = run(capsys, "poles", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot read config file: {exc.value}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"t1": 0.5,', "config file is not valid JSON: Expecting property name enclosed in "
+                    "double quotes: line 1 column 12 (char 11)"),
+    ("[1, 2]", "config file must hold a JSON object"),
+], ids=["truncated", "list"])
+def test_config_file_that_is_not_a_json_object_exits_2(text, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "poles", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["transmission", "--kmin", "0.1", "--steps", "5"],
+     "transmission needs --kmin, --kmax and --steps"),
+    (["sweep", "--param", "t1", "--from", "0", "--to", "1", "--steps", "1"],
+     "sweep needs at least 2 steps, got 1"),
+    (["wavefunction", "--pole-index", "0", "--xmax", "0"], "--xmax must be >= 1, got 0"),
+], ids=["transmission_without_kmax", "sweep_of_one_step", "wavefunction_xmax_0"])
+def test_missing_or_too_small_grid_flags_exit_2(argv, message, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_oracle_newton_that_does_not_converge_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(respole.oracle, "MAX_NEWTON", 1)
+    code, out, err = run(capsys, "oracle", "--t1", "0.5", "--eps-d", "3", "--sites", "50")
+    assert code == 3
+    assert out == ""
+    assert err == ("numerical failure: bound-state Newton iteration failed to converge "
+                   "in 1 steps\n")
 
 
 def test_config_device_accepts_integral_numbers(tmp_path, capsys):

@@ -101,6 +101,8 @@ def test_device_validation():
         DeviceSpec(2, (0.0, 0.0), (), 0, 0.0)  # lead hopping zero
     with pytest.raises(ParameterError):
         DeviceSpec(2, (0.0, float("nan")), (), 0, 1.0)
+    with pytest.raises(ParameterError, match="^device needs at least one site$"):
+        DeviceSpec(0, (), (), 0, 1.0)
 
 
 GOOD_FIELDS = dict(n_sites=2, onsite=(0.0, 0.5), hoppings=((0, 1, -0.8),), contact=0, lead_t=1.0)

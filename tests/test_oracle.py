@@ -31,7 +31,7 @@ from respole import (
 )
 from respole.poles import BOUND_CLASSES, classify
 from respole._format import dumps
-from respole.oracle import EDGE, PoleResidual, finite_lattice_hamiltonian
+from respole.oracle import EDGE, finite_lattice_hamiltonian
 from test_cli import json_devices
 from test_feshbach import bit_identity_devices, star_of_identical_dots
 
@@ -228,13 +228,38 @@ def test_truncation_needs_enough_sites():
         bound_energies_from_truncation(make_tdot(1.0, 1.0, 0.0), 5)
 
 
+def test_bound_state_newton_that_does_not_converge_is_a_numerical_error(monkeypatch):
+    monkeypatch.setattr(respole.oracle, "MAX_NEWTON", 1)
+    with pytest.raises(NumericalError) as exc:
+        bound_energies_from_truncation(make_tdot(1.0, 0.5, 3.0), 50)
+    assert str(exc.value) == "bound-state Newton iteration failed to converge in 1 steps"
+
+
+def test_band_edge_eigensolve_that_does_not_converge_is_a_numerical_error(monkeypatch):
+    # the first eigvalsh call is _inertia's edge count, the second the band-edge solve
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def fails_second(a):
+        calls.append(a.shape)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("forced")
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fails_second)
+    with pytest.raises(NumericalError) as exc:
+        bound_energies_from_truncation(make_tdot(1.0, 0.5, 3.0), 50)
+    assert str(exc.value) == "band-edge eigensolve failed to converge"
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+    assert calls == [(2, 2, 2), (2, 2, 2)]
+
+
 def test_residual_report_closed_form_poles():
     spec = make_tdot(1.0, 1.0, 0.0)
     report = pole_residual_report(spec, solve_poles(spec))
     assert len(report) == 4
     for rec in report:
-        assert rec.secular < 1e-12
-        assert rec.lattice_row_dev < 1e-12
+        assert rec["residual"] < 1e-12
+        assert rec["lattice_row_dev"] < 1e-12
 
 
 def test_residual_report_perturbed_root():
@@ -248,9 +273,9 @@ def test_residual_report_perturbed_root():
         amps=(1.0 + 0j, -1.0 / E),
     )
     (rec,) = pole_residual_report(make_tdot(1.0, 1.0, 0.0), [fake])
-    assert rec.secular == pytest.approx(expected, abs=1e-9)
+    assert rec["residual"] == pytest.approx(expected, abs=1e-9)
     # dot row is exact by construction; the contact row carries det/(E - eps_d)
-    assert rec.lattice_row_dev == pytest.approx(expected / abs(E), abs=1e-9)
+    assert rec["lattice_row_dev"] == pytest.approx(expected / abs(E), abs=1e-9)
 
 
 def test_residual_report_empty():
@@ -328,6 +353,18 @@ def test_build_report_structure():
     bc = report["bound_compare"]
     assert len(bc["siegert"]) == len(bc["lattice"]) == 2
     assert bc["max_abs_diff"] < 1e-8
+
+
+def test_build_report_poles_are_the_residual_report_rows():
+    rng = np.random.default_rng(97)
+    specs = [make_tdot(1.0, t1, ed) for t1 in T1_GRID for ed in (-3.0, -0.3, 0.0, 1.0)]
+    specs += [random_device(rng, n) for n in range(2, 9) for _ in range(2)]
+    for spec in specs:
+        rows = pole_residual_report(spec, solve_poles(spec))
+        assert rows == build_report(spec, 60)["poles"]
+        for row in rows:
+            assert list(row) == ["z", "residual", "lattice_row_dev", "class"]
+            assert row["class"] in {c.value for c in PoleClass}
 
 
 def test_even_sector_plus_bare_chain_is_the_full_spectrum():
@@ -700,21 +737,25 @@ def mirrored_residual_report(spec, poles):
             if i == spec.contact:
                 row += -t * (psi[-1] + psi[1])
             devs.append(abs(row - E * pole.amps[i]))
-        out.append(PoleResidual(z=pole.z, secular=abs(complex(sec)), lattice_row_dev=max(devs)))
+        out.append({"z": [pole.z.real, pole.z.imag], "residual": abs(complex(sec)),
+                    "lattice_row_dev": max(devs), "class": pole.pole_class.value})
     return out
 
 
 def assert_residuals_match_the_mirrored_rows(spec, poles):
-    """Each report field is a Python float with the bits of the reference's."""
+    """Each report row has the reference's keys in order and its class, and
+    each number is a Python float with the bits of the reference's."""
     got = pole_residual_report(spec, poles)
     ref = mirrored_residual_report(spec, poles)
     assert len(got) == len(ref)
     for r, m in zip(got, ref):
-        assert repr(r.z) == repr(m.z)
-        for field in ("secular", "lattice_row_dev"):
-            value = getattr(r, field)
+        assert list(r) == ["z", "residual", "lattice_row_dev", "class"]
+        assert r["class"] == m["class"]
+        for value, expected in [*zip(r["z"], m["z"]),
+                                (r["residual"], m["residual"]),
+                                (r["lattice_row_dev"], m["lattice_row_dev"])]:
             assert type(value) is float
-            assert value.hex() == float(getattr(m, field)).hex()
+            assert value.hex() == float(expected).hex()
 
 
 def off_root(pole, factor):
@@ -751,14 +792,14 @@ def test_residual_report_matches_the_mirrored_rows_on_stars_and_fake_poles():
     # it is inf - inf, a NaN, and max must meet it where the mirrored rows did
     spec = make_tdot(1e10, 1.0, 0.0)
     huge = [replace(fake, z=z, E=energy_from_z(z, 1e10)) for z in (1e102 + 0j, -1e102j)]
-    assert all(math.isnan(r.lattice_row_dev) for r in mirrored_residual_report(spec, huge))
+    assert all(math.isnan(r["lattice_row_dev"]) for r in mirrored_residual_report(spec, huge))
     assert_residuals_match_the_mirrored_rows(spec, huge)
     # a device row with finite parts whose modulus overflows: numpy's abs gives
     # inf, and so must the report, where Python's abs would raise
     spec = DeviceSpec(1, (0.0,), (), 0, 1.0)
     wide = replace(fake, z=0.5 + 0j, E=1.0 + 0j, amps=(complex(7e307, 7e307),))
     with np.errstate(over="ignore"):
-        assert mirrored_residual_report(spec, [wide])[0].lattice_row_dev == math.inf
+        assert mirrored_residual_report(spec, [wide])[0]["lattice_row_dev"] == math.inf
         assert_residuals_match_the_mirrored_rows(spec, [wide])
 
 

@@ -293,6 +293,39 @@ def test_solve_poles_matches_mpmath_on_random_devices():
         assert_matches(zs, mp_companion_roots(spec), 1e-13)
 
 
+def assert_relative_match(zs, ref, rel):
+    """Same count, and each reference root within rel * |root| of its own z."""
+    assert len(zs) == len(ref)
+    left = list(zs)
+    for r in ref:
+        j = min(range(len(left)), key=lambda i: abs(left[i] - r))
+        assert abs(left[j] - r) <= rel * abs(r), (left[j], r)
+        left.pop(j)
+
+
+# Strongly coupled T-dots (t = 1, eps_d = 0.7): the deep bound and anti-bound
+# roots, |z| ~ 1/t1, lose digits in the forward companion, whose norm is t1.
+# Measured relative errors: 8.6e-13 at t1 = 1e4, 3.4e-9 at 1e8, 4.4e-6 at 1e12
+# (ROADMAP item 2); the Feshbach route stays within 3e-16 at all three.
+STRONG_COUPLINGS = [
+    1e4,
+    pytest.param(1e8, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2")),
+    pytest.param(1e12, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2")),
+]
+
+
+@pytest.mark.parametrize("t1", STRONG_COUPLINGS)
+def test_solve_poles_matches_mpmath_relatively_at_strong_coupling(t1):
+    zs = [p.z for p in solve_poles(make_tdot(1.0, t1, 0.7))]
+    assert_relative_match(zs, mp_quartic_roots(1.0, t1, 0.7), 1e-9)
+
+
+@pytest.mark.parametrize("t1", [1e4, 1e8, 1e12])
+def test_feshbach_route_matches_mpmath_relatively_at_strong_coupling(t1):
+    zs = [p.z for p in feshbach_pole_search(make_tdot(1.0, t1, 0.7))]
+    assert_relative_match(zs, mp_quartic_roots(1.0, t1, 0.7), 1e-9)
+
+
 def test_solve_poles_near_threshold_tdots():
     # band-edge dot level with a tiny coupling: two roots pinch together near
     # z = -sign(eps_d), where a rounding in the coefficients moves them most
@@ -781,6 +814,11 @@ def test_decoupled_row_is_the_first_of_a_chunk():
 def test_tdot_sweep_rejects_other_devices(spec):
     with pytest.raises(ParameterError, match="only T-dot models"):
         solve_tdot_sweep(spec, "t1", [0.5, 1.0])
+
+
+def test_tdot_sweep_rejects_a_parameter_other_than_t1_or_eps_d():
+    with pytest.raises(ParameterError, match="^a T-dot sweep varies t1 or eps_d, not 't'$"):
+        solve_tdot_sweep(make_tdot(1.0, 1.0, 0.0), "t", [0.1, 0.2])
 
 
 def random_tdot_stack(rng, m, t1_low):

@@ -55,7 +55,10 @@ def edge_runs(work_dir: str) -> list[list[str]]:
     Decoupled levels and two uncoupled sites at energy scales from 1e-310
     to 1e300, config files whose values are malformed, and sweep and
     transmission CSV written to a file with ``--out``, one pass and several,
-    and to a path that cannot be written."""
+    and to a path that cannot be written, config paths that are a directory
+    or missing, config files of truncated JSON or of a list, and
+    ``transmission``, ``sweep`` and ``wavefunction`` with a grid flag
+    missing or too small."""
     runs = []
     for start, stop, steps, eps_d in (("-1", "1", "21", "0.3"), ("-0.0", "-1", "11", "0.5"),
                                       ("0", "1", "11", "-2"), ("-0.5", "0.5", "2", "3"),
@@ -318,6 +321,19 @@ def edge_runs(work_dir: str) -> list[list[str]]:
             ["transmission", *grid, "--steps", "1025", "--t1", "0.7", "--eps-d", "-1.1"])):
         runs.append([*argv, "--out", os.path.join(out_dir, f"{argv[0]}_{i}.csv")])
     runs.append(["transmission", *grid, "--steps", "5", "--out", out_dir])
+    # the remaining input errors: a config path that is a directory or names
+    # no file, a config file of truncated JSON or of a list, and grid flags
+    # that are missing or too small
+    runs.append(["poles", "--config", work_dir])
+    runs.append(["poles", "--config", os.path.join(work_dir, "missing.json")])
+    for name, text in (("truncated.json", '{"t1": 0.5,'), ("list.json", "[1, 2]")):
+        path = os.path.join(work_dir, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        runs.append(["poles", "--config", path])
+    runs.append(["transmission", "--kmin", "0.1", "--steps", "5"])
+    runs.append(["sweep", "--param", "t1", "--from", "0", "--to", "1", "--steps", "1"])
+    runs.append(["wavefunction", "--pole-index", "0", "--xmax", "0"])
     return runs
 
 
