@@ -15,12 +15,14 @@ never pay for them.
 Why ``csv_rows`` is exact.  Take 1e-4 <= |x| < 1e16 and d = floor(log10|x|)
 in [-4, 15].  Then q = 16 - d lies in [1, 20], so 10**q is an exact double,
 and Dekker's error-free product (Numer. Math. 18 (1971) 224, with Veltkamp's
-split, as numpy has no fma) gives x * 10**q = ph + pl exactly.  ph is an
-integer, being above 2**53.  N = ph + floor(pl), rounded half to even on the
-exact remainder pl - floor(pl), is the correctly rounded 17-digit integer,
-which is what ``'%.17g'`` prints.  The value is kept only if
-10**16 <= N <= 10**17, and N = 10**17 carries: the digits become 10**16 and
-d grows by one.  The range check also catches log10 being off by one:
+split, as numpy has no fma) gives x * 10**q = ph + pl exactly, with |pl| at
+most half an ulp of ph.  N = ph + rint(pl) is the 17-digit integer, and it
+is kept only if 10**16 <= N <= 10**17.  A kept N is the correctly rounded
+one, which is what ``'%.17g'`` prints: ph is then at least 10**16 > 2**53,
+so it is an even integer, and numpy's ``rint`` rounds pl half to even, so
+ph + rint(pl) is ph + pl rounded half to even.  N = 10**17 carries: the
+digits become 10**16 and d grows by one.  The range check also catches
+log10 being off by one:
 
 - d one too high means x * 10**q < 10**16, and N reaches 10**16 only if x
   lies within 5e-17 relative below a power of ten.  No double in range does:
@@ -30,20 +32,24 @@ d grows by one.  The range check also catches log10 being off by one:
   x * 10**q <= 10**17 + 1/2, where the carried digits are the right ones.
 
 Each kept value becomes a 24-byte record in three 64-bit words: a sign byte,
-the body (digits from a 4-digit ASCII table, moved into place by shifts and
-masks that depend only on d), NUL padding past the length that the trailing
-zeros leave, and the separator in the last byte.  Deleting the NULs from all
-records gives the CSV text.  Zeros print as ``0`` or ``-0`` on the same
-path.  Every other value (|x| < 1e-4, which ``'%.17g'`` writes with an
-exponent, |x| >= 1e16, inf, nan and the rejected ones) goes through
-``'%.17g'`` itself.  A text column adds one more record per row, taken from
-a small word table of the names: the name, NUL padding and ``\n`` in the
-last byte; the last number's separator is then ``,``.
+the integer digits from byte 1 on, and fraction digit j at byte 6 + j
+whatever d, NUL padding and the separator in the last byte.  The digits
+come from a 4-digit ASCII table and move into place by two fixed shifts;
+masks per (d, digits kept) place them, add the point and the leading zeros,
+and cut the record after its last significant digit.  Deleting the NULs
+from all records gives the CSV text, so the NULs between the point and the
+fraction, which leave room for the sign and ``0.000`` of d = -4, cost
+nothing.  Zeros print as ``0`` or ``-0`` on the same path.  Every other
+value (|x| < 1e-4, which ``'%.17g'`` writes with an exponent, |x| >= 1e16,
+inf, nan and the rejected ones) goes through ``'%.17g'`` itself.  A text
+column adds one more record per row, taken from a small word table of the
+names: the name, NUL padding and ``\n`` in the last byte; the last number's
+separator is then ``,``.
 
-``csv_rows`` works in passes of ``CSV_CHUNK`` rows.  A pass makes about 60
-numpy calls whatever its size, so larger passes pay that fixed cost less
-often, until the pass's temporaries outgrow what the allocator serves from
-its heap (see ``CSV_CHUNK``).
+``csv_rows`` works in passes of ``CSV_CHUNK`` rows.  A pass makes about 100
+numpy calls whatever its size, most of them one sweep over its values, so
+larger passes pay the fixed cost less often, until the pass's temporaries
+outgrow what the allocator serves from its heap (see ``CSV_CHUNK``).
 """
 
 from __future__ import annotations
@@ -67,6 +73,9 @@ _U64 = np.uint64
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's split of a double
 # a record that ``'%.17g' % x`` fills in after the NULs are gone
 _FALLBACK = np.frombuffer(b"%.17g\0\0\0", "<u8")[0]
+# fraction digit j goes to byte _FRACTION + j of its record, whatever the
+# exponent: right after the longest prefix, the sign and "0.000" of d = -4
+_FRACTION = 6
 
 
 class _Tables(NamedTuple):
@@ -77,10 +86,10 @@ class _Tables(NamedTuple):
     pow10_lo: np.ndarray
     digits: np.ndarray  # ASCII of the 4 digits of g < 10**4, a byte each
     last: np.ndarray  # (4, 10**4) significant digits through group j
-    place: np.ndarray  # (9, 20) integer mask, fraction mask, constant bytes
-    shift: np.ndarray  # (20,) bits the fraction digits move, per exponent
-    length: np.ndarray  # (20 * 18,) record length per exponent and digits kept
-    length_mask: np.ndarray  # (3, 24) mask of the first n bytes of a record
+    # (3, 3, 20 * 18): the integer mask, the fraction mask and the constant
+    # bytes, word by word, per exponent d and digits kept (column
+    # 18 * (d + 4) + keep), each cut to the record's length
+    place: np.ndarray
 
 
 def _words(record: bytes) -> list[int]:
@@ -90,12 +99,12 @@ def _words(record: bytes) -> list[int]:
 
 @functools.cache
 def _tables() -> _Tables:
-    """Digit, length and placement tables, built on the first call of
-    ``csv_rows`` (about 1 ms and 0.8 MB of resident memory), so commands
-    that never write through it do not pay for them.  The digit tables use
-    the integer operations of ``_digits``: numpy maps the code of each kind
-    of loop on first use, so new kinds would cost resident memory.  The
-    small tables are plain Python."""
+    """Digit and placement tables, built on the first call of ``csv_rows``
+    (about 1 ms and 0.8 MB of resident memory), so commands that never
+    write through it do not pay for them.  The digit tables use the integer
+    operations of ``_digits``: numpy maps the code of each kind of loop on
+    first use, so new kinds would cost resident memory.  The small tables
+    are plain Python."""
     pow10 = 10.0 ** np.arange(22)  # exact up to 10**22
     pow10_hi = pow10 * _SPLIT - (pow10 * _SPLIT - pow10)
     g = np.arange(10000)
@@ -108,10 +117,12 @@ def _tables() -> _Tables:
             sig += g - g // (10 * p) * (10 * p) != 0
     # significant digits through group j (digits 4j..4j+3) of the 17; 0 if g == 0
     last = np.stack([sig + (sig != 0) * np.uint8(4 * j) for j in range(4)])
-    # per exponent d (row d + 4), three records: the mask of the integer
-    # digits (moved one byte, past the sign), the mask of the fraction digits
-    # (moved ``shift`` bytes) and the constant bytes
-    place, shift, length = [], [], []
+    # per exponent d and number of significant digits kept (column
+    # 18 * (d + 4) + keep), three records: the mask of the integer digits
+    # (moved one byte, past the sign), the mask of the fraction digits (digit
+    # j moved to byte _FRACTION + j) and the constant bytes, each cut to the
+    # record's length
+    place = []
     for d in range(-4, 16):
         if d >= 0:  # 123.45
             int_mask = b"\0" + b"\xff" * (d + 1)
@@ -119,18 +130,16 @@ def _tables() -> _Tables:
         else:  # 0.0012345
             int_mask = b""
             const = b"\0" + b"0." + b"0" * (-d - 1)
-        start, first = len(const), max(d + 1, 0)  # byte and digit of the fraction
-        frac_mask = b"\0" * start + b"\xff" * (23 - start)
-        place.append([w for r in (int_mask, frac_mask, const)
-                      for w in _words(r.ljust(24, b"\0"))])
-        shift.append(8 * (start - first))
-        # record length, sign byte included, per number of significant
-        # digits: the point goes with the last fraction digit
-        length += [start + keep - first if keep > first else start - 1 for keep in range(18)]
-    length_mask = [_words(b"\xff" * n + b"\0" * (24 - n)) for n in range(24)]
+        first = max(d + 1, 0)  # the first fraction digit
+        frac_mask = b"\0" * (_FRACTION + first) + b"\xff" * (17 - first)
+        for keep in range(18):
+            # record length, sign byte included: through the last
+            # significant fraction digit, else without the point
+            size = _FRACTION + keep if keep > first else len(const) - 1
+            place.append([_words(r[:size].ljust(24, b"\0"))
+                          for r in (int_mask, frac_mask, const)])
     return _Tables(pow10, pow10_hi, pow10 - pow10_hi, digits, last,
-                   np.array(place, _U64).T.copy(), np.array(shift, _U64),
-                   np.array(length), np.array(length_mask, _U64).T.copy())
+                   np.array(place, _U64).transpose(1, 2, 0).copy())
 
 
 def _decimal(x: np.ndarray, tab: _Tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,10 +158,10 @@ def _decimal(x: np.ndarray, tab: _Tables) -> tuple[np.ndarray, np.ndarray, np.nd
     a_lo = a - a_hi
     ph = a * tab.pow10.take(q)
     pl = ((a_hi * b_hi - ph) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    floor_pl = np.floor(pl)
-    n = ph.astype(np.int64) + floor_pl.astype(np.int64)
-    rem = pl - floor_pl
-    n += (rem > 0.5) | ((rem == 0.5) & (n & 1).astype(bool))
+    # ph is even wherever a value is kept, so rounding pl half to even
+    # rounds ph + pl half to even
+    n = ph.astype(np.int64)
+    n += np.rint(pl).astype(np.int64)
     fast &= (n >= 10**16) & (n <= 10**17)
     carry = n == 10**17
     n[carry] = 10**16
@@ -196,20 +205,18 @@ def _records(x: np.ndarray, sep: np.ndarray, tab: _Tables,
     # zeros print from n = 0; the other values not kept go to '%.17g' below
     slow = np.flatnonzero(~fast & (x != 0))
     digits, keep = _digits(n, tab)
-    row = d + 4
-    k = tab.shift.take(row)
-    length = tab.length.take(row * 18 + keep)  # keep in [0, 17]
-    # the digits moved right by one byte (integer part) and by k bytes
+    cell = (d + 4) * 18 + keep  # keep in [0, 17]
+    int_mask, frac_mask, const = tab.place
+    # the digits moved right by one byte (integer part) and by six bytes
     # (fraction), 8 bits per byte, carrying across the words
     out = digits << _U64(8)
     out[1:] |= digits[:2] >> _U64(56)
-    out &= tab.place[0:3].take(row, axis=1)
-    frac = digits << k
-    frac[1:] |= digits[:2] >> (_U64(64) - k)
-    frac &= tab.place[3:6].take(row, axis=1)
+    out &= int_mask.take(cell, axis=1)
+    frac = digits << _U64(8 * _FRACTION)
+    frac[1:] |= digits[:2] >> _U64(64 - 8 * _FRACTION)
+    frac &= frac_mask.take(cell, axis=1)
     out |= frac
-    out |= tab.place[6:9].take(row, axis=1)
-    out &= tab.length_mask.take(length, axis=1)
+    out |= const.take(cell, axis=1)
     out[0] |= np.signbit(x) * _U64(ord("-"))
     out[:, slow] = 0
     out[0, slow] = _FALLBACK

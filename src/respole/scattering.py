@@ -85,12 +85,17 @@ def _solve_inner(
     the C library as ``math.cos`` and ``math.sin`` do, and E, the source and
     the contact diagonal are formed once per call.  Each chunk fills a
     prefix of one matrix buffer and one right-hand-side buffer, allocated
-    once per call, with the operations of E I - h in the same order, so no
-    chunk maps and faults in fresh pages.
+    once per call, so no chunk maps and faults in fresh pages.  A chunk's
+    fill is two copies and a subtraction, with no cast: the entries of E I
+    that the complex product (E + 0i) * I would give, formed once per call,
+    E * 0 + (E * 0 + 0) i everywhere and E + (E * 0 + 0) i on a diagonal
+    view, signed zeros and the nan of an infinite E included; then h,
+    subtracted part by part as a complex subtraction does.  Each entry has
+    the bits of E I - h.
     """
     n, c, t = spec.n_sites, spec.contact, spec.lead_t
     h = p_space_hamiltonian(spec).astype(complex)
-    eye = np.eye(n, dtype=complex)
+    h_parts = h.view(float)  # real and imaginary parts, interleaved
     cos, sin = np.cos(ks), np.sin(ks)
     z = np.empty(len(ks), dtype=complex)
     z.real, z.imag = cos, sin
@@ -99,17 +104,29 @@ def _solve_inner(
     # would only add noise to stderr
     with np.errstate(invalid="ignore", over="ignore"):
         energies = -2.0 * t * cos
+        # the entries of E I, off the diagonal and on it
+        off = np.empty(len(ks), dtype=complex)
+        off.real = energies * 0.0
+        off.imag = off.real + 0.0
+        diag = off.copy()
+        diag.real = energies
         # the contact diagonal of E I - H_eff(z), with H_eff = h + self_energy(z)
         contact = energies - (h[c, c] + self_energy(z, t))
         source = 2j * t * sin if incident else np.ones(len(ks), dtype=complex)
         amps = np.empty((len(ks), n), dtype=complex)
         m_buf = np.empty((min(len(ks), SOLVE_CHUNK), n, n), dtype=complex)
         rhs_buf = np.zeros((len(m_buf), n, 1), dtype=complex)
+        m_diag = m_buf.reshape(len(m_buf), n * n)[:, ::n + 1]
         for lo in range(0, len(ks), SOLVE_CHUNK):
             hi = min(lo + SOLVE_CHUNK, len(ks))
             m, rhs = m_buf[:hi - lo], rhs_buf[:hi - lo]
-            np.multiply(energies[lo:hi, None, None], eye, out=m)
-            m -= h
+            m[...] = off[lo:hi, None, None]
+            m_diag[:hi - lo] = diag[lo:hi, None]
+            # E I - h through numpy's float loop over the parts, which gives
+            # the bits of its complex loop and ran in 31 against 82 us per
+            # 8-site chunk here on a 2-core Xeon
+            m_parts = m.view(float)
+            np.subtract(m_parts, h_parts, out=m_parts)
             m[:, c, c] = contact[lo:hi]
             rhs[:, c, 0] = source[lo:hi]
             try:
@@ -143,7 +160,9 @@ def _abs_squared(c: np.ndarray) -> np.ndarray:
     a midpoint between two doubles, where the residual r = h**2 - h * h is
     at least 0.45 ulp.  Dekker's product gives r exactly, and a value keeps
     h * h where |r| is below 0.45 of the gap from h * h down to the next
-    double (at a power of two, the narrower of its two gaps).  Every other
+    double (at a power of two, the narrower of its two gaps); as h * h is
+    not negative, that double is the one whose bits, read as an integer,
+    are one less.  Every other
     finite value goes through Python itself: the residuals at or above that,
     and the squares outside [1e-290, 1e300], zero included, where the split
     could overflow or the residual's parts underflow.
@@ -155,7 +174,7 @@ def _abs_squared(c: np.ndarray) -> np.ndarray:
         hi = big - (big - h)
         lo = h - hi
         residual = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
-        gap = sq - np.nextafter(sq, 0.0)
+        gap = sq - (sq.view(np.int64) - 1).view(float)
     fast = (sq >= 1e-290) & (sq <= 1e300) & (abs(residual) < 0.45 * gap)
     # Python's abs is inf if a part is infinite, else a nan of its own,
     # whatever the payload of the nan part; either squares to itself

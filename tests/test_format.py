@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import respole
-from respole._format import CSV_CHUNK, csv_rows, format_float
+from respole._format import CSV_CHUNK, _decimal, _digits, _tables, csv_rows, format_float
 from respole.poles import _CODE_LABELS
 
 
@@ -67,6 +67,38 @@ BOUNDARY = [
 def test_boundary_values_match_printf(sign):
     values = np.array([sign * v for v in BOUNDARY]).reshape(-1, 1)
     assert csv_rows(values) == printf_rows(values)
+
+
+def cell_values():
+    """For every exponent d in [-4, 15] and every count of significant digits
+    kept, 1 to 17, the first double, counting up from 10**d through the
+    decimals of that many digits, whose '%.17g' text has exactly that
+    exponent and that many digits."""
+    found = {}
+    for d in range(-4, 16):
+        for keep in range(1, 18):
+            for m in range(10 ** (keep - 1) + 1, 10 ** (keep - 1) + 2000):
+                digits = str(m)[:keep - 1] + str(m % 9 + 1)  # no trailing zero
+                x = float(f"{digits[0]}.{digits[1:]}e{d}")
+                mantissa, exp = format(x, ".16e").split("e")
+                if int(exp) == d and len(mantissa.replace(".", "").rstrip("0")) == keep:
+                    found[d, keep] = x
+                    break
+    return found
+
+
+def test_every_exponent_and_digit_count_matches_printf():
+    # each (exponent, digits kept) cell of the placement table, both signs,
+    # and the zeros, which print from the cell of n = 0
+    found = cell_values()
+    assert sorted(found) == [(d, keep) for d in range(-4, 16) for keep in range(1, 18)]
+    n, d, fast = _decimal(np.array(list(found.values())), _tables())
+    assert fast.all()
+    assert list(zip(d.tolist(), _digits(n, _tables())[1].tolist())) == list(found)
+    for sign in (1.0, -1.0):
+        values = np.array([sign * x for x in found.values()] + [sign * 0.0]).reshape(-1, 1)
+        assert csv_rows(values) == printf_rows(values)
+        assert csv_rows(values.reshape(-1, 11)) == printf_rows(values.reshape(-1, 11))
 
 
 def test_exact_ties_round_half_to_even():

@@ -389,11 +389,24 @@ def test_smatrix_denominator_vanishes_at_poles():
     assert abs(secular_residual(spec, res.z)) < 1e-10
 
 
+SIGNED_ZEROS = DeviceSpec(n_sites=3, onsite=(0.5, -0.0, 1.2),
+                          hoppings=((0, 1, -0.6), (1, 2, -0.0), (0, 2, 0.4)),
+                          contact=1, lead_t=1.0)
+# a 6-site chain with its middle bond missing: the amplitudes past the gap
+# are zeros, whose signs follow the signed zeros of E I - h
+SPARSE_CHAIN = DeviceSpec(n_sites=6, onsite=(0.0, -0.3, 0.0, 0.7, -0.0, 0.2),
+                          hoppings=((0, 1, -0.9), (1, 2, -0.8), (3, 4, -0.6), (4, 5, -0.5)),
+                          contact=2, lead_t=1.1)
+
+
 def test_batched_sweep_matches_per_k_solves_bit_for_bit(tmp_path, capsys):
+    # E = -2t cos k changes sign inside the grid, so the zeros of E I - h
+    # are signed both ways: a device with signed zeros and a sparse chain
+    # hold the matrix fill to the bits of the per-k E I - H_eff
     rng = np.random.default_rng(2024)
     specs = [make_tdot(1.0, 0.7, -0.4)] + [
         random_device(rng, n) for n in (3, 4, 5, 6, 7, 8)
-    ]
+    ] + [SIGNED_ZEROS, SPARSE_CHAIN]
     steps = 2 * SOLVE_CHUNK + 37  # three chunks, the last one partial
     for idx, spec in enumerate(specs):
         k_min, k_max = 0.05 + 0.01 * idx, math.pi - 0.07

@@ -40,8 +40,10 @@ def edge_runs(work_dir: str) -> list[list[str]]:
     runs, config files that are not valid UTF-8, sweep and transmission CSV whose fields leave
     the array formatter's fast range or straddle its row chunks,
     transmission through two antiresonances, where T falls below 1e-4,
-    transmission on 6-8-site devices around one and two solve chunks and on
-    a device singular at one grid k, a lead hopping so small that the
+    transmission on 6-8-site devices around one and two solve chunks, on
+    a device with signed zeros and on a 5-site chain across k = pi/2, where
+    E changes sign, once inside a partial solve chunk, and on a device
+    singular at one grid k, a lead hopping so small that the
     companion matrix overflows, three
     devices at the class boundaries under every command that solves one
     device (the one-site device under ``oracle`` as well), the Feshbach
@@ -238,6 +240,20 @@ def edge_runs(work_dir: str) -> list[list[str]]:
     for path in devices:
         for steps in ("255", "256", "257", "513"):
             runs.append(["transmission", "--config", path, *grid, "--steps", steps])
+    # E = -2t cos k changes sign at k = pi/2, and with it the signed zeros of
+    # E I - h: the signed-zero device and a 5-site chain over the full grid,
+    # and over a grid whose last, partial solve chunk (rows 256-299) crosses
+    # pi/2 between rows 259 and 260
+    chain_5 = os.path.join(work_dir, "chain_5.json")
+    with open(chain_5, "w", encoding="utf-8") as fh:
+        json.dump({"model": {"n_sites": 5, "onsite": [0.0, -0.6, -0.0, 0.9, 0.0],
+                             "hoppings": [[0, 1, -0.8], [1, 2, -1.1], [2, 3, -0.0],
+                                          [3, 4, -0.7], [0, 4, 0.3]],
+                             "contact": 2, "lead_t": 0.9}}, fh)
+    for path in (os.path.join(work_dir, "signed_zeros.json"), chain_5):
+        runs.append(["transmission", "--config", path, *grid, "--steps", "301"])
+        runs.append(["transmission", "--config", path, "--kmin", "0.05", "--kmax", "1.8",
+                     "--steps", "300"])
     for k_bad in (0.05 + 300 * step, 3.09):
         path = os.path.join(work_dir, f"singular_at_{k_bad!r}.json")
         with open(path, "w", encoding="utf-8") as fh:
