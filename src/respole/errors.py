@@ -1,4 +1,6 @@
-"""Exception types shared across the solver modules."""
+"""Exception types shared across the solver modules, and the LAPACK-failure helper."""
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -15,3 +17,11 @@ class NumericalError(RuntimeError):
 
 class ClassificationError(NumericalError):
     """A pole landed where no pole of this model can be (solver bug tripwire)."""
+
+
+def _converged(solve, *args, failure: str):
+    """``solve(*args)`` of ``np.linalg``, its LinAlgError raised as NumericalError(failure)."""
+    try:
+        return solve(*args)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(failure) from exc

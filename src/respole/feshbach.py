@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, _converged
 from .model import DeviceSpec, p_space_hamiltonian
 from .poles import SpectralPole, decoupled_poles, poles_from_roots
 
@@ -85,11 +85,11 @@ def secular_residual(spec: DeviceSpec, z: complex | np.ndarray) -> complex | np.
     # E(z) I - H_eff(z) at each z, stacked to (len(flat), n, n)
     m = np.empty((flat.size, n, n), dtype=complex)
     m[...] = -np.ldexp(h, -e)
-    # the diagonal of every matrix, as a strided view of the flat rows
-    m.reshape(flat.size, n * n)[:, ::n + 1] += (-t * (flat + 1.0 / flat))[:, None]
-    m[:, c, c] += 2.0 * t * flat
-    # numpy's overflow warning would only add noise to stderr
-    with np.errstate(over="ignore", invalid="ignore"):
+    # numpy's overflow and divide warnings would only add noise to stderr
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # the diagonal of every matrix, as a strided view of the flat rows
+        m.reshape(flat.size, n * n)[:, ::n + 1] += (-t * (flat + 1.0 / flat))[:, None]
+        m[:, c, c] += 2.0 * t * flat
         if n == 1:
             det = m[:, 0, 0]
         elif n == 2:
@@ -293,7 +293,8 @@ def feshbach_pole_search(spec: DeviceSpec) -> list[SpectralPole]:
     c, h = spec.contact, p_space_hamiltonian(spec)
     e = math.frexp(max(spec.lead_t, np.maximum.reduce(np.abs(h), None)))[1]
     t = math.ldexp(spec.lead_t, -e)
-    lam, u = np.linalg.eigh(np.ldexp(h, -e))
+    lam, u = _converged(np.linalg.eigh, np.ldexp(h, -e),
+                        failure="closed-device eigensolve did not converge")
     split = lam[1:] - lam[:-1] > LEVEL_TOL * max(t, np.maximum.reduce(np.abs(lam)))
     label = np.zeros(lam.size, dtype=np.intp)
     np.cumsum(split, out=label[1:])
@@ -312,7 +313,8 @@ def feshbach_pole_search(spec: DeviceSpec) -> list[SpectralPole]:
         members = u[:, label == j]
         if visible[j]:
             # the combinations of the cluster's eigenvectors orthogonal to the contact
-            members = members @ np.linalg.svd(members[c:c + 1])[2][1:].T
+            members = members @ _converged(np.linalg.svd, members[c:c + 1],
+                                           failure="cluster deflation did not converge")[2][1:].T
         roots.append(np.tile(_level_roots(level[j], t), members.shape[1]))
         vectors.append(np.repeat(members.T, 2, axis=0))
     return poles_from_roots(np.concatenate(roots), np.concatenate(vectors), spec.lead_t, c)

@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, _converged
 from .feshbach import q_space_reconstruct, secular_residual
 from .model import DeviceSpec, p_space_hamiltonian
 from .poles import BOUND_CLASSES, SpectralPole
@@ -121,10 +121,8 @@ def _inertia(hp: np.ndarray, contact: int, t: float, N: int, shifts) -> np.ndarr
     schur[:, contact, contact] += np.ldexp(2.0 * t, -exp) * np.array(ratio)
     if not np.isfinite(schur).all():
         raise NumericalError("inertia count met a non-finite Schur complement")
-    try:
-        evals = np.linalg.eigvalsh(schur)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("Schur complement eigensolve failed to converge") from exc
+    evals = _converged(np.linalg.eigvalsh, schur,
+                       failure="Schur complement eigensolve failed to converge")
     return np.where(shifts > 0.0, N, 0) + np.count_nonzero(evals < 0.0, axis=1)
 
 
@@ -149,17 +147,16 @@ def _bound_roots(hp: np.ndarray, contact: int, t: float, N: int,
     sides = [-1.0] * n_low + [1.0] * n_high
     branches = [*range(n_low), *range(n - n_high, n)]
     two_t = 2.0 * t
-    norm = float(np.max(np.sum(np.abs(hp), axis=1))) + two_t
-    # 2 t cosh(k) must stay finite up to the bracket's top
+    with np.errstate(over="ignore"):
+        norm = float(np.max(np.sum(np.abs(hp), axis=1))) + two_t
+    # 2 t cosh(k) must stay finite up to the bracket's top, and so must the norm
     if not norm / t < 1e300:
         raise NumericalError(f"device energies {norm:.3e} out of range for lead hopping {t:.3e}")
     edge, top = math.acosh(EDGE), math.acosh(norm / t)
     m = np.repeat(hp[None], 2, axis=0)
     m[:, contact, contact] += np.array([-two_t, two_t]) * _decay(N, edge)[0]
-    try:
-        at_edge = np.linalg.eigvalsh(m).tolist()
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("band-edge eigensolve failed to converge") from exc
+    at_edge = _converged(np.linalg.eigvalsh, m,
+                         failure="band-edge eigensolve failed to converge").tolist()
     # row 0 of at_edge is the lower edge, row 1 the upper
     kappa = [min(max(math.acosh(max(s * at_edge[int(s > 0)][j] / two_t, 1.0)), edge), top)
              for s, j in zip(sides, branches)]
@@ -169,10 +166,7 @@ def _bound_roots(hp: np.ndarray, contact: int, t: float, N: int,
         decay = [_decay(N, kappa[i]) for i in moving]
         m = np.repeat(hp[None], len(moving), axis=0)
         m[:, contact, contact] += [sides[i] * two_t * d[0] for i, d in zip(moving, decay)]
-        try:
-            w, v = np.linalg.eigh(m)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("bound-state eigensolve failed to converge") from exc
+        w, v = _converged(np.linalg.eigh, m, failure="bound-state eigensolve failed to converge")
         still = []
         for r, (i, (_, slope)) in enumerate(zip(moving, decay)):
             k, j = kappa[i], branches[i]

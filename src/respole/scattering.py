@@ -32,7 +32,7 @@ import numpy as np
 
 from ._format import _SPLIT, csv_rows
 from .dispersion import group_velocity
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, _converged
 from .feshbach import self_energy
 from .model import DeviceSpec, _as_index, _as_real, p_space_hamiltonian
 
@@ -136,12 +136,9 @@ def _solve_inner(
                 ok = False
             if not ok:
                 # error path: solve k by k so the message names the first bad k
-                for j in range(hi - lo):
-                    k = float(ks[lo + j])
-                    try:
-                        amps[lo + j] = np.linalg.solve(m[j], rhs[j, :, 0])
-                    except np.linalg.LinAlgError as exc:
-                        raise NumericalError(f"inner system singular at k = {k}") from exc
+                for j, k in enumerate(ks[lo:hi].tolist()):
+                    amps[lo + j] = _converged(np.linalg.solve, m[j], rhs[j, :, 0],
+                                              failure=f"inner system singular at k = {k}")
                     if not np.all(np.isfinite(amps[lo + j])):
                         raise NumericalError(f"inner system ill-conditioned at k = {k}")
     return energies, amps
@@ -162,10 +159,10 @@ def _abs_squared(c: np.ndarray) -> np.ndarray:
     h * h where |r| is below 0.45 of the gap from h * h down to the next
     double (at a power of two, the narrower of its two gaps); as h * h is
     not negative, that double is the one whose bits, read as an integer,
-    are one less.  Every other
-    finite value goes through Python itself: the residuals at or above that,
-    and the squares outside [1e-290, 1e300], zero included, where the split
-    could overflow or the residual's parts underflow.
+    are one less.  Every other finite value goes through Python itself: the
+    residuals at or above that, and the squares outside [1e-290, 1e300], zero
+    included, where the split could overflow or the residual's parts
+    underflow.  A square past the float range raises Python's OverflowError.
     """
     with np.errstate(all="ignore"):
         h = np.hypot(c.real, c.imag)
@@ -192,7 +189,13 @@ def _sweep(spec: DeviceSpec, ks: np.ndarray) -> ScatteringSweep:
     cb = np.empty((2, len(ks)), dtype=complex)
     cb[0] = amps[:, spec.contact]
     np.subtract(cb[0], 1.0, out=cb[1])
-    t_col, r_col = _abs_squared(cb)
+    try:
+        t_col, r_col = _abs_squared(cb)
+    except OverflowError as exc:
+        # error path: name the first k where |C|**2 or |B|**2 is infinite
+        with np.errstate(over="ignore"):
+            bad = np.isinf(np.hypot(cb.real, cb.imag) ** 2).any(axis=0).argmax()
+        raise NumericalError(f"inner system ill-conditioned at k = {float(ks[bad])}") from exc
     return ScatteringSweep(
         k=ks, E=energies, B=cb[1], C=cb[0], amps=amps, T=t_col, R=r_col,
     )

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import ParameterError, _converged
 from .model import DeviceSpec, make_tdot, p_space_hamiltonian, tdot_params
 from .poles import (
     _CODE_LABELS,
@@ -89,22 +89,9 @@ def poly_roots(companion: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     second array is the null vector (the last n rows, z v) of root i.
     """
     n = companion.shape[-1] // 2
-    try:
-        roots, vectors = np.linalg.eig(companion)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("companion eigensolve did not converge") from exc
+    roots, vectors = _converged(np.linalg.eig, companion,
+                                failure="companion eigensolve did not converge")
     return roots, vectors[..., n:, :].swapaxes(-1, -2)
-
-
-def _eigenvalues_only(companion: np.ndarray) -> np.ndarray:
-    """The roots of :func:`poly_roots` without its null vectors.  LAPACK's
-    eigenvalue-only path runs the same balancing, reduction and QR steps on
-    the companion matrices, so the roots match ``poly_roots`` bit for bit;
-    the tests check that on T-dot stacks."""
-    try:
-        return np.linalg.eigvals(companion)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("companion eigensolve did not converge") from exc
 
 
 @dataclass(frozen=True)
@@ -177,10 +164,12 @@ def solve_tdot_sweep(spec: DeviceSpec, name: str,
     No amplitudes are computed.  ``spec`` must have the T-dot shape of
     ``make_tdot``; any other device raises ParameterError.  The device blocks
     of all coupled points are built from the grid at once, their roots found
-    by one stacked, eigenvalue-only eigensolve, and k, E and class by the
-    array form ``poles._pole_table`` over the whole stack.  Each point's
+    by one stacked ``np.linalg.eigvals``, and k, E and class by the array
+    form ``poles._pole_table`` over the whole stack.  LAPACK's
+    eigenvalue-only path runs the same balancing, reduction and QR steps on
+    the companion matrices as the ``eig`` of ``poly_roots``, so each point's
     roots, and so its z, k, E and class, equal those of ``solve_poles`` on
-    its own T-dot to the last bit.
+    its own T-dot to the last bit; the tests check that on T-dot stacks.
     """
     params = tdot_params(spec)
     if params is None:
@@ -198,7 +187,8 @@ def solve_tdot_sweep(spec: DeviceSpec, name: str,
     h = np.zeros((int(coupled.sum()), 2, 2))
     h[:, 0, 1] = h[:, 1, 0] = -t1[coupled]
     h[:, 1, 1] = eps_d[coupled]
-    roots = sorted_roots(_eigenvalues_only(secular_polynomial(h, t, 0)))[0]
+    roots = sorted_roots(_converged(np.linalg.eigvals, secular_polynomial(h, t, 0),
+                                    failure="companion eigensolve did not converge"))[0]
     fields, codes = _pole_table(roots, t)
     # a row per root of a coupled point, one for the level of a point with t1 = 0
     per_point = np.where(coupled, roots.shape[-1], 1)

@@ -11,6 +11,7 @@ from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from respole import (
     DeviceSpec,
     ParameterError,
     build_report,
+    device_from_json,
     feshbach_pole_search,
     make_tdot,
     pole_set_distance,
@@ -192,6 +194,81 @@ def test_huge_levels_print_only_the_typed_error(capsys, tmp_path, model, method,
             warnings.simplefilter(action, RuntimeWarning)
             code, out, err = run(capsys, "poles", "--method", method, "--config", str(config))
         assert (code, out, err) == (3, "", f"numerical failure: {message}\n")
+
+
+# a subnormal lead hopping under levels and bonds up to 1.7e308: the contact
+# amplitude C is about -1.6e280 i sin k, so |C|**2 leaves the float range
+SQUARE_OVERFLOW = {"n_sites": 4,
+                   "onsite": [9.027e-321, 0.2633268234094993, 6.846724090569898e+153,
+                              -3.0255772997161083e+307],
+                   "hoppings": [[0, 2, -1e8], [1, 2, 1.7e308], [1, 3, -1e154]], "contact": 0,
+                   "lead_t": 1e-320}
+# levels and bonds near the float range on a lead hopping of 1e300: numpy's
+# det of the 5 x 5 secular matrices divides by zero
+NEAR_RANGE = {"n_sites": 5,
+              "onsite": [8.921540281025877e+306, 3.2344193002904267e+299, 4.951794718977501e+307,
+                         -6.785933118958585e+153, 4.78761057332452e+153],
+              "hoppings": [[0, 1, -1.0], [0, 3, 1e-300], [0, 4, -1e8], [1, 3, 1e200],
+                           [1, 4, 1e300], [2, 3, -1e-320]],
+              "contact": 1, "lead_t": 1e300}
+# a hub with four identical side dots and the contact on one of them: a
+# level repeated on a cluster that the contact sees, which the Feshbach route
+# deflates with an SVD
+IDENTICAL_STAR = {"n_sites": 5, "onsite": [-0.3, 0.4, 0.4, 0.4, 0.4],
+                  "hoppings": [[0, 1, -0.7], [0, 2, 0.7], [0, 3, -0.7], [0, 4, -0.7]],
+                  "contact": 1, "lead_t": 1.0}
+
+
+def test_amplitude_whose_square_overflows_exits_3_naming_its_k(capsys, tmp_path):
+    config = tmp_path / "square_overflow.json"
+    config.write_text(json.dumps({"model": SQUARE_OVERFLOW}), encoding="utf-8")
+    for action in ("error", "default"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            code, out, err = run(capsys, "transmission", "--kmin", "0.1", "--kmax", "3",
+                                 "--steps", "7", "--config", str(config))
+        assert (code, out) == (3, "")
+        assert err == "numerical failure: inner system ill-conditioned at k = 0.1\n"
+
+
+def test_oracle_near_the_float_range_prints_no_numpy_warning(capsys, tmp_path):
+    # the row sums of the device block overflow: only the typed error; then
+    # a device whose secular determinants divide by zero: only the report
+    config = tmp_path / "near_range.json"
+    config.write_text(json.dumps({"model": NEAR_RANGE}), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = dumps(build_report(device_from_json(NEAR_RANGE), 30)) + "\n"
+    for action in ("error", "default"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            code, out, err = run(capsys, "oracle", "--sites", "20", "--t", "1e300",
+                                 "--t1", "1e308", "--eps-d", "1e308")
+            assert (code, out) == (3, "")
+            assert err == ("numerical failure: device energies inf out of range for lead "
+                           "hopping 1.000e+300\n")
+            code, out, err = run(capsys, "oracle", "--sites", "30", "--config", str(config))
+            assert (code, out, err) == (0, report, "")
+
+
+def failing_linalg(*args):
+    raise np.linalg.LinAlgError("forced")
+
+
+@pytest.mark.parametrize("solver, argv, message", [
+    ("eigvals", ("sweep", "--param", "t1", "--from", "0", "--to", "1", "--steps", "3"),
+     "companion eigensolve did not converge"),
+    ("eigh", ("poles", "--method", "feshbach"), "closed-device eigensolve did not converge"),
+    ("svd", ("poles", "--method", "feshbach", "--config", None),
+     "cluster deflation did not converge"),
+], ids=["sweep_eigvals", "feshbach_eigh", "feshbach_svd"])
+def test_lapack_failure_exits_3_with_one_line(capsys, tmp_path, monkeypatch, solver, argv,
+                                              message):
+    config = tmp_path / "identical_star.json"
+    config.write_text(json.dumps({"model": IDENTICAL_STAR}), encoding="utf-8")
+    monkeypatch.setattr(np.linalg, solver, failing_linalg)
+    argv = [str(config) if a is None else a for a in argv]
+    assert run(capsys, *argv) == (3, "", f"numerical failure: {message}\n")
 
 
 def test_feshbach_route_solves_a_level_1e200_above_the_lead(capsys, tmp_path):

@@ -14,6 +14,7 @@ from respole import (
     NumericalError,
     ParameterError,
     PoleClass,
+    device_from_json,
     feshbach_pole_search,
     make_tdot,
     p_space_hamiltonian,
@@ -27,7 +28,7 @@ from respole.dispersion import energy_from_z, k_from_z
 from respole.feshbach import build_h_eff
 from respole.poles import CONTACT_PIN_TOL, SpectralPole, classify, poles_from_roots
 from respole.siegert import poly_roots, secular_polynomial
-from test_cli import json_devices
+from test_cli import IDENTICAL_STAR, failing_linalg, json_devices
 from test_siegert import assert_matches, mp_companion_roots
 
 P = math.sqrt((1.0 + math.sqrt(5.0)) / 2.0)
@@ -178,6 +179,28 @@ def test_pole_search_reports_total_failure(monkeypatch):
     monkeypatch.setattr(respole.feshbach, "MAX_ITER", 1)
     with pytest.raises(NumericalError):
         feshbach_pole_search(make_tdot(1.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("solver, spec, message", [
+    ("eigh", make_tdot(1.0, 0.5, 0.3), "closed-device eigensolve did not converge"),
+    # the contact sees the level of the identical dots, so its cluster is
+    # deflated by an SVD
+    ("svd", device_from_json(IDENTICAL_STAR), "cluster deflation did not converge"),
+], ids=["eigh", "svd"])
+def test_lapack_failure_is_a_numerical_error(monkeypatch, solver, spec, message):
+    monkeypatch.setattr(np.linalg, solver, failing_linalg)
+    with pytest.raises(NumericalError) as exc:
+        feshbach_pole_search(spec)
+    assert str(exc.value) == message
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_secular_residual_past_the_float_range_warns_nothing():
+    # 1/z overflows in the diagonal fill at z = 1e-310; under the suite's
+    # warnings-as-errors filter no numpy warning escapes, for two sites and
+    # for the det of three
+    for spec in (make_tdot(1.0, 0.5, 0.3), GEN_DEVICE):
+        assert not np.isfinite(secular_residual(spec, np.array([1e-310, 1e308]))).any()
 
 
 def closed_form_residual(spec, zs):

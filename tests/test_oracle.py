@@ -18,6 +18,7 @@ from respole import (
     bound_energies_from_truncation,
     build_report,
     closed_form_eps0,
+    device_from_json,
     energy_from_z,
     feshbach_pole_search,
     k_from_z,
@@ -32,7 +33,7 @@ from respole import (
 from respole.poles import BOUND_CLASSES, classify
 from respole._format import dumps
 from respole.oracle import EDGE, finite_lattice_hamiltonian
-from test_cli import json_devices
+from test_cli import NEAR_RANGE, json_devices
 from test_feshbach import bit_identity_devices, star_of_identical_dots
 
 T1_GRID = (0.25, 0.5, 1.0, 1.5, 2.0)
@@ -503,6 +504,21 @@ def test_newton_eigensolve_failure_is_a_numerical_error(monkeypatch):
     monkeypatch.setattr(respole.oracle.np.linalg, "eigh", failing)
     with pytest.raises(NumericalError, match="failed to converge"):
         bound_energies_from_truncation(make_tdot(1.0, 1.0, 0.0), 50)
+
+
+def test_device_near_the_float_range_warns_nothing():
+    # the suite turns numpy's RuntimeWarning into an error: the row sums of
+    # this T-dot's block overflow, which is only the typed error, and numpy's
+    # det of the near-range device's secular matrices divides by zero
+    with pytest.raises(NumericalError) as exc:
+        bound_energies_from_truncation(make_tdot(1e300, 1e308, 1e308), 20)
+    assert str(exc.value) == "device energies inf out of range for lead hopping 1.000e+300"
+    spec = device_from_json(NEAR_RANGE)
+    poles = solve_poles(spec)
+    residuals = secular_residual(spec, np.array([p.z for p in poles]))
+    rows = build_report(spec, 30)["poles"]
+    assert [r["z"] for r in rows] == [[p.z.real, p.z.imag] for p in poles]
+    assert np.array_equal([r["residual"] for r in rows], np.abs(residuals), equal_nan=True)
 
 
 def device_with_contact(rng, n, contact):

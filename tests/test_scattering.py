@@ -18,6 +18,7 @@ from respole import (
     ParameterError,
     PoleClass,
     ScatteringSweep,
+    device_from_json,
     make_tdot,
     secular_residual,
     solve_poles,
@@ -35,6 +36,7 @@ from respole.scattering import (
     scattering_solve,
     sweep_rows_csv,
 )
+from test_cli import SQUARE_OVERFLOW
 from test_oracle import random_device
 
 
@@ -472,6 +474,22 @@ def test_overflowing_energy_is_named_without_a_warning():
     spec = make_tdot(1e308, 0.5, 0.3)
     with pytest.raises(NumericalError, match=re.escape("ill-conditioned at k = 0.05") + "$"):
         transmission_sweep(spec, 0.05, 3.09, 5)
+
+
+def test_amplitude_whose_square_overflows_is_named():
+    # |C|**2 leaves the float range at every k where the source 2 t sin k is
+    # not below the subnormals; at k = 1e-130 it is, C is 0, and the next k is
+    # the first named
+    spec = device_from_json(SQUARE_OVERFLOW)
+    for solve, k in ((lambda: transmission_sweep(spec, 0.1, 3.0, 7), 0.1),
+                     (lambda: transmission_sweep(spec, 1e-130, 3.0, 7), 0.5),
+                     (lambda: scattering_solve(spec, 1.55), 1.55)):
+        with pytest.raises(NumericalError) as exc:
+            solve()
+        assert str(exc.value) == f"inner system ill-conditioned at k = {k}"
+        assert isinstance(exc.value.__cause__, OverflowError)
+    sweep = scattering_solve(spec, 1e-130)
+    assert (sweep.C.tolist(), sweep.T.tolist(), sweep.R.tolist()) == ([0j], [0.0], [1.0])
 
 
 def test_numpy_cos_and_sin_are_the_c_library_bit_for_bit():

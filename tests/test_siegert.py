@@ -39,7 +39,6 @@ from respole.poles import (
     _pole_table,
 )
 from respole.siegert import (
-    _eigenvalues_only,
     poly_roots,
     secular_polynomial,
     solve_tdot_sweep,
@@ -835,6 +834,17 @@ def random_tdot_stack(rng, m, t1_low):
     return h
 
 
+def test_sweep_eigensolve_failure_is_a_numerical_error(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    with pytest.raises(NumericalError) as exc:
+        solve_tdot_sweep(make_tdot(1.0, 0.5, 0.3), "t1", [0.0, 0.5, 1.0])
+    assert str(exc.value) == "companion eigensolve did not converge"
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_eigenvalue_only_roots_equal_poly_roots_bit_for_bit():
     # the sweep takes its roots from LAPACK's eigenvalue-only path; that is
     # only safe while it returns the very roots poly_roots does
@@ -845,7 +855,7 @@ def test_eigenvalue_only_roots_equal_poly_roots_bit_for_bit():
             h = random_tdot_stack(rng, 150, t1_low)
             h[:10, 1, 1] = rng.choice((-2.0, 2.0), 10) * t  # on the band edges
             companion = secular_polynomial(h, t, 0)
-            fast, ref = _eigenvalues_only(companion), poly_roots(companion)[0]
+            fast, ref = np.linalg.eigvals(companion), poly_roots(companion)[0]
             assert fast.dtype == ref.dtype and fast.tobytes() == ref.tobytes()
             fast, ref = sorted_roots(fast)[0], sorted_roots(ref)[0]
             assert fast.dtype == ref.dtype and fast.tobytes() == ref.tobytes()

@@ -58,9 +58,12 @@ def edge_runs(work_dir: str) -> list[list[str]]:
     to 1e300, config files whose values are malformed, and sweep and
     transmission CSV written to a file with ``--out``, one pass and several,
     and to a path that cannot be written, config paths that are a directory
-    or missing, config files of truncated JSON or of a list, and
+    or missing, config files of truncated JSON or of a list,
     ``transmission``, ``sweep`` and ``wavefunction`` with a grid flag
-    missing or too small."""
+    missing or too small, and three runs near the float range: transmission
+    on a device whose amplitude squares overflow, an oracle T-dot whose
+    device row sums overflow, and an oracle device whose secular
+    determinants divide by zero."""
     runs = []
     for start, stop, steps, eps_d in (("-1", "1", "21", "0.3"), ("-0.0", "-1", "11", "0.5"),
                                       ("0", "1", "11", "-2"), ("-0.5", "0.5", "2", "3"),
@@ -350,6 +353,30 @@ def edge_runs(work_dir: str) -> list[list[str]]:
     runs.append(["transmission", "--kmin", "0.1", "--steps", "5"])
     runs.append(["sweep", "--param", "t1", "--from", "0", "--to", "1", "--steps", "1"])
     runs.append(["wavefunction", "--pole-index", "0", "--xmax", "0"])
+    # near the float range: a transmission amplitude whose square overflows
+    # (exit 3 naming the first k), an oracle T-dot whose row sums overflow
+    # (exit 3) and an oracle device whose secular determinants divide by zero
+    # (exit 0); stderr holds at most the typed line
+    square_overflow = os.path.join(work_dir, "square_overflow.json")
+    with open(square_overflow, "w", encoding="utf-8") as fh:
+        json.dump({"model": {"n_sites": 4,
+                             "onsite": [9.027e-321, 0.2633268234094993, 6.846724090569898e+153,
+                                        -3.0255772997161083e+307],
+                             "hoppings": [[0, 2, -1e8], [1, 2, 1.7e308], [1, 3, -1e154]],
+                             "contact": 0, "lead_t": 1e-320}}, fh)
+    runs.append(["transmission", "--kmin", "0.1", "--kmax", "3", "--steps", "7",
+                 "--config", square_overflow])
+    runs.append(["oracle", "--sites", "20", "--t", "1e300", "--t1", "1e308", "--eps-d", "1e308"])
+    near_range = os.path.join(work_dir, "near_range.json")
+    with open(near_range, "w", encoding="utf-8") as fh:
+        json.dump({"model": {"n_sites": 5,
+                             "onsite": [8.921540281025877e+306, 3.2344193002904267e+299,
+                                        4.951794718977501e+307, -6.785933118958585e+153,
+                                        4.78761057332452e+153],
+                             "hoppings": [[0, 1, -1.0], [0, 3, 1e-300], [0, 4, -1e8],
+                                          [1, 3, 1e200], [1, 4, 1e300], [2, 3, -1e-320]],
+                             "contact": 1, "lead_t": 1e300}}, fh)
+    runs.append(["oracle", "--sites", "30", "--config", near_range])
     return runs
 
 
