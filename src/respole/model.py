@@ -26,12 +26,13 @@ class DeviceSpec:
     """A finite device attached to one infinite uniform lead.
 
     onsite: real onsite energy per site, length n_sites.
-    hoppings: undirected bonds (i, j, amplitude), each pair stored once.
+    hoppings: undirected bonds (i, j, amplitude), each pair once, i < j.
     contact: index of the site that carries the lead.
     lead_t: hopping on the lead, > 0.
 
     Each field is stored as Python int, float or tuples, whatever numbers and
-    sequences built it, so ``==``, ``hash`` and ``dataclasses.asdict`` see one form.
+    sequences built it, and the bonds sorted by (i, j), so ``==``, ``hash``
+    and ``dataclasses.asdict`` see one form.
     """
 
     n_sites: int
@@ -67,10 +68,10 @@ class DeviceSpec:
             key = (min(i, j), max(i, j))
             if key in bonds:
                 raise ParameterError(f"duplicate hopping pair {key}")
-            bonds[key] = (i, j, amp)
+            bonds[key] = amp
         # the canonical fields, written past the frozen __setattr__ in one call
-        self.__dict__.update(n_sites=n, onsite=onsite, hoppings=tuple(bonds.values()),
-                             contact=contact, lead_t=lead_t)
+        self.__dict__.update(n_sites=n, onsite=onsite, contact=contact, lead_t=lead_t,
+                             hoppings=tuple([(*key, amp) for key, amp in sorted(bonds.items())]))
 
 
 def _as_index(value, what: str) -> int:
@@ -132,7 +133,6 @@ def tdot_params(spec: DeviceSpec) -> tuple[float, float, float] | None:
         and spec.contact == 0
         and spec.onsite[0] == 0.0
         and len(spec.hoppings) == 1
-        and spec.hoppings[0][:2] in ((0, 1), (1, 0))
     ):
         return spec.lead_t, -spec.hoppings[0][2], spec.onsite[1]
     return None

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError, _converged
 from .feshbach import q_space_reconstruct, secular_residual
-from .model import DeviceSpec, p_space_hamiltonian
+from .model import DeviceSpec, _as_index, p_space_hamiltonian
 from .poles import BOUND_CLASSES, SpectralPole
 from .siegert import solve_poles
 
@@ -57,9 +57,10 @@ def finite_lattice_hamiltonian(spec: DeviceSpec, N: int) -> np.ndarray:
 
     Lead site x maps to row x + N, so the contact is row N; non-contact
     device sites follow in site order, site i at row 2N + i + (i < contact).
-    Meaningful bound-state comparisons need N large enough that |z|**(2N) is
-    negligible.
+    ``N`` is an integer, never a bool.  Meaningful bound-state comparisons
+    need N large enough that |z|**(2N) is negligible.
     """
+    N = _as_index(N, "N")
     if N < 1:
         raise ParameterError(f"need at least one lead site per side, got N={N}")
     c = spec.contact
@@ -193,7 +194,8 @@ def _bound_roots(hp: np.ndarray, contact: int, t: float, N: int,
 
 
 def bound_energies_from_truncation(spec: DeviceSpec, N: int) -> list[float]:
-    """Sorted truncated-lattice eigenvalues outside the lead band.
+    """Sorted truncated-lattice eigenvalues outside the lead band, for an
+    integer ``N`` >= 10 (never a bool) of lead sites per side.
 
     The lattice is never built.  Its odd sector is a bare N-site chain whose
     levels lie strictly inside the band, and its even sector is the device
@@ -213,6 +215,7 @@ def bound_energies_from_truncation(spec: DeviceSpec, N: int) -> list[float]:
     dim - n_high <= i eigenvalues lie below any shift under the edge, and
     below the band the mirror holds, so the edge counts settle that half.
     """
+    N = _as_index(N, "N")
     if N < 10:
         raise ParameterError(f"truncation oracle needs N >= 10, got N={N}")
     hp = p_space_hamiltonian(spec)

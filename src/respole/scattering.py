@@ -222,16 +222,15 @@ def transmission_sweep(
 ) -> ScatteringSweep:
     """Scattering solutions on a uniform k grid, endpoints included.  The
     endpoints are real numbers, never bools, and ``steps`` an integer."""
-    _as_real(k_min, "wave number")
-    _as_real(k_max, "wave number")
-    if not 0.0 < k_min < k_max < math.pi:
+    lo, hi = _as_real(k_min, "wave number"), _as_real(k_max, "wave number")
+    if not 0.0 < lo < hi < math.pi:
         raise ParameterError(
             f"need 0 < k_min < k_max < pi, got k_min={k_min}, k_max={k_max}"
         )
     steps = _as_index(steps, "steps")
     if steps < 2:
         raise ParameterError(f"sweep needs at least 2 steps, got {steps}")
-    return _sweep(spec, np.linspace(k_min, k_max, steps))
+    return _sweep(spec, np.linspace(lo, hi, steps))
 
 
 SWEEP_HEADER = "k,E,T,R,ReB,ImB,ReC,ImC"

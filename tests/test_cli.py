@@ -461,6 +461,36 @@ def test_config_generalized_device(tmp_path, capsys):
     assert code == 2
 
 
+CHAIN_WITH_RING = {"n_sites": 5, "onsite": [0.4, -0.3, 0.9, -1.2, 0.2],
+                   "hoppings": [[0, 1, -0.8], [0, 3, 0.4], [1, 2, -0.5], [1, 4, 0.3],
+                                [2, 3, -0.6], [3, 4, -0.9]],
+                   "contact": 2, "lead_t": 1.1}
+TDOT_MODEL = {"n_sites": 2, "onsite": [0.0, 0.3], "hoppings": [[0, 1, -0.5]], "contact": 0,
+              "lead_t": 1.0}
+
+
+@pytest.mark.parametrize("model, argv", [
+    (CHAIN_WITH_RING, ["poles", "--method", "both", "--format", "json"]),
+    (CHAIN_WITH_RING, ["transmission", "--kmin", "0.1", "--kmax", "3", "--steps", "40"]),
+    (CHAIN_WITH_RING, ["oracle", "--sites", "30"]),
+    (CHAIN_WITH_RING, ["wavefunction", "--pole-index", "3", "--xmax", "4"]),
+    (TDOT_MODEL, ["sweep", "--param", "t1", "--from", "0", "--to", "1", "--steps", "11"]),
+    (TDOT_MODEL, ["sweep", "--param", "eps-d", "--from", "-2", "--to", "2", "--steps", "11"]),
+    (TDOT_MODEL, ["poles", "--t1", "0.7", "--format", "csv"]),
+], ids=["poles", "transmission", "oracle", "wavefunction", "sweep_t1", "sweep_eps_d",
+        "tdot_flag_override"])
+def test_reversed_and_reordered_bonds_print_the_same_bytes(model, argv, tmp_path, capsys):
+    # a bond's orientation and its place in the list are not part of the device
+    shuffled = {**model, "hoppings": [[j, i, amp] for i, j, amp in model["hoppings"][::-1]]}
+    outputs = []
+    for name, device in (("canonical.json", model), ("shuffled.json", shuffled)):
+        path = tmp_path / name
+        path.write_text(json.dumps({"model": device}))
+        outputs.append(run(capsys, *argv, "--config", str(path)))
+    assert outputs[0][0] == 0 and outputs[0][1]
+    assert outputs[1] == outputs[0]
+
+
 def test_poles_csv_ampd_is_the_non_contact_site(tmp_path, capsys):
     # the T-dot with its sites swapped: the lead sits on site 1, the level on site 0
     cfg = tmp_path / "swapped.json"

@@ -199,6 +199,10 @@ def _list_spec():
     return DeviceSpec(n_sites=2, onsite=[0, 0.5], hoppings=[[0, 1, -0.8]], contact=0, lead_t=1)
 
 
+def _reversed_spec():
+    return DeviceSpec(n_sites=2, onsite=[0, 0.5], hoppings=[[1, 0, -0.8]], contact=0, lead_t=1)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: make_tdot(1.0, True, 0.0),
      "hopping amplitude on (0, 1) must be a real number, got True"),
@@ -218,7 +222,8 @@ def test_malformed_device_is_a_parameter_error(build, message):
         build()
 
 
-@pytest.mark.parametrize("build", [_list_spec, _numpy_spec], ids=["lists", "numpy_scalars"])
+@pytest.mark.parametrize("build", [_list_spec, _numpy_spec, _reversed_spec],
+                         ids=["lists", "numpy_scalars", "reversed_bond"])
 def test_device_stores_python_ints_floats_and_tuples(build):
     spec = build()
     reference = DeviceSpec(**GOOD_FIELDS)
@@ -232,10 +237,30 @@ def test_device_stores_python_ints_floats_and_tuples(build):
     assert json.dumps({"model": asdict(spec)}) == json.dumps({"model": asdict(reference)})
 
 
-@pytest.mark.parametrize("build", [_list_spec, _numpy_spec], ids=["lists", "numpy_scalars"])
+@pytest.mark.parametrize("build", [_list_spec, _numpy_spec, _reversed_spec],
+                         ids=["lists", "numpy_scalars", "reversed_bond"])
 def test_json_roundtrip_of_any_built_device(build):
     spec = build()
     assert device_from_json(json.loads(json.dumps(asdict(spec)))) == spec
+
+
+def test_bond_orientation_and_order_are_not_part_of_the_device():
+    fields = dict(n_sites=4, onsite=(0.3, -0.1, 0.7, 0.2), contact=1, lead_t=1.2)
+    canonical = DeviceSpec(**fields, hoppings=((0, 1, -0.8), (0, 3, 0.4), (1, 2, -0.5),
+                                               (2, 3, -0.0)))
+    shuffled = DeviceSpec(**fields, hoppings=((3, 2, -0.0), (2, 1, -0.5), (3, 0, 0.4),
+                                              (1, 0, -0.8)))
+    assert shuffled == canonical and hash(shuffled) == hash(canonical)
+    assert asdict(shuffled) == asdict(canonical)
+    assert shuffled.hoppings == canonical.hoppings
+    assert all(i < j for i, j, _ in shuffled.hoppings)
+    assert math.copysign(1.0, shuffled.hoppings[-1][2]) == -1.0
+    # the T-dot written with its bond reversed is the T-dot
+    reversed_tdot = DeviceSpec(2, (0.0, 0.0), ((1, 0, -1.0),), 0, 1.0)
+    assert reversed_tdot == make_tdot(1.0, 1.0, 0.0)
+    assert hash(reversed_tdot) == hash(make_tdot(1.0, 1.0, 0.0))
+    assert asdict(reversed_tdot) == asdict(make_tdot(1.0, 1.0, 0.0))
+    assert tdot_params(reversed_tdot) == (1.0, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("model, message", [

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import mpmath
@@ -227,6 +228,25 @@ def test_bound_energy_convergence_in_lattice_size():
 def test_truncation_needs_enough_sites():
     with pytest.raises(ParameterError):
         bound_energies_from_truncation(make_tdot(1.0, 1.0, 0.0), 5)
+
+
+@pytest.mark.parametrize("N", [20.0, 20.5, "20", True], ids=["integral_float", "fraction",
+                                                             "string", "bool"])
+def test_lattice_size_that_is_not_an_integer_is_refused(N):
+    spec = make_tdot(1.0, 0.5, 0.3)
+    message = f"^N must be an integer, got {re.escape(repr(N))}$"
+    for oracle in (bound_energies_from_truncation, build_report, finite_lattice_hamiltonian):
+        with pytest.raises(ParameterError, match=message):
+            oracle(spec, N)
+
+
+def test_lattice_size_may_be_a_numpy_integer():
+    spec = make_tdot(1.0, 0.5, 0.3)
+    assert bound_energies_from_truncation(spec, np.int64(20)) == \
+        bound_energies_from_truncation(spec, 20)
+    assert dumps(build_report(spec, np.int64(20))) == dumps(build_report(spec, 20))
+    assert np.array_equal(finite_lattice_hamiltonian(spec, np.int64(3)),
+                          finite_lattice_hamiltonian(spec, 3))
 
 
 def test_bound_state_newton_that_does_not_converge_is_a_numerical_error(monkeypatch):

@@ -321,10 +321,12 @@ def test_transmission_sweep_rejects_non_integer_steps(steps):
 def test_transmission_sweep_accepts_numpy_and_integer_arguments():
     spec = make_tdot(1.0, 0.7, 0.3)
     ref = transmission_sweep(spec, 1.0, 2.0, 5)
-    for args in ((1, 2, np.int64(5)), (np.float64(1.0), np.float32(2.0), np.int32(5))):
+    # a float32 endpoint is read as its float, so the grid stays float64
+    for args in ((1, 2, np.int64(5)), (np.float64(1.0), np.float32(2.0), np.int32(5)),
+                 (1.0, np.float32(2.0), 5), (np.float32(1.0), np.float32(2.0), 5)):
         got = transmission_sweep(spec, *args)
         assert got.k.tobytes() == ref.k.tobytes() and got.T.tobytes() == ref.T.tobytes()
-    # the range check reads the values as given
+    # the range message shows the values as given
     with pytest.raises(ParameterError, match=re.escape("got k_min=0, k_max=2")):
         transmission_sweep(spec, 0, 2, 5)
 

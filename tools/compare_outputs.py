@@ -63,7 +63,11 @@ def edge_runs(work_dir: str) -> list[list[str]]:
     missing or too small, and three runs near the float range: transmission
     on a device whose amplitude squares overflow, an oracle T-dot whose
     device row sums overflow, and an oracle device whose secular
-    determinants divide by zero."""
+    determinants divide by zero.  Last, the dense 8-site device with every
+    bond and the bond list reversed, and a T-dot whose bond is written
+    (1, 0), under ``poles --method both --format json``, ``transmission``,
+    ``oracle`` and every wavefunction index, the T-dot also under ``sweep``
+    of t1 and of eps_d and with a model flag over its config."""
     runs = []
     for start, stop, steps, eps_d in (("-1", "1", "21", "0.3"), ("-0.0", "-1", "11", "0.5"),
                                       ("0", "1", "11", "-2"), ("-0.5", "0.5", "2", "3"),
@@ -377,6 +381,28 @@ def edge_runs(work_dir: str) -> list[list[str]]:
                                           [1, 3, 1e200], [1, 4, 1e300], [2, 3, -1e-320]],
                              "contact": 1, "lead_t": 1e300}}, fh)
     runs.append(["oracle", "--sites", "30", "--config", near_range])
+    # bond orientation and order are not part of a device: each of these
+    # prints what its twin with bonds (i < j) in index order prints
+    with open(os.path.join(work_dir, "dense_8.json"), encoding="utf-8") as fh:
+        dense_8 = json.load(fh)["model"]
+    reversed_tdot = os.path.join(work_dir, "tdot_reversed.json")
+    for path, model in (
+            (os.path.join(work_dir, "dense_8_reversed.json"),
+             {**dense_8, "hoppings": [[j, i, amp] for i, j, amp in dense[::-1]]}),
+            (reversed_tdot, {"n_sites": 2, "onsite": [0.0, 0.3], "hoppings": [[1, 0, -0.5]],
+                             "contact": 0, "lead_t": 1.0})):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"model": model}, fh)
+        runs.append(["poles", "--config", path, "--method", "both", "--format", "json"])
+        runs.append(["transmission", "--config", path, *grid, "--steps", "257"])
+        runs.append(["oracle", "--config", path, "--sites", "200"])
+        for index in range(2 * model["n_sites"]):
+            runs.append(["wavefunction", "--config", path, "--pole-index", str(index),
+                         "--xmax", "6"])
+    for param, start, stop in (("t1", "0", "1"), ("eps-d", "-2.5", "2.5")):
+        runs.append(["sweep", "--param", param, "--from", start, "--to", stop, "--steps", "41",
+                     "--config", reversed_tdot])
+    runs.append(["poles", "--config", reversed_tdot, "--t1", "0.7", "--format", "csv"])
     return runs
 
 
