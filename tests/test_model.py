@@ -257,9 +257,9 @@ def test_bond_orientation_and_order_are_not_part_of_the_device():
     assert math.copysign(1.0, shuffled.hoppings[-1][2]) == -1.0
     # the T-dot written with its bond reversed is the T-dot
     reversed_tdot = DeviceSpec(2, (0.0, 0.0), ((1, 0, -1.0),), 0, 1.0)
-    assert reversed_tdot == make_tdot(1.0, 1.0, 0.0)
-    assert hash(reversed_tdot) == hash(make_tdot(1.0, 1.0, 0.0))
-    assert asdict(reversed_tdot) == asdict(make_tdot(1.0, 1.0, 0.0))
+    tdot = make_tdot(1.0, 1.0, 0.0)
+    assert reversed_tdot == tdot and hash(reversed_tdot) == hash(tdot)
+    assert asdict(reversed_tdot) == asdict(tdot)
     assert tdot_params(reversed_tdot) == (1.0, 1.0, 0.0)
 
 
